@@ -17,11 +17,12 @@ Gaussian elimination and a truncated Schur complement.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from math import comb
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from .graph import AbpGraph, AffineLabel, GraphError, homogenize, sub_abp
+from .graph import AbpGraph, AffineLabel, GraphError, homogenize, sub_abp, topological_order
 from .oracle import det_leibniz
 from .poly import Polynomial, PolyMatrix
 from .rings import RingDescriptor, RingElement, int_embed, invert
@@ -63,14 +64,12 @@ class ConstructionStats:
 def stats_from_graph(g: AbpGraph) -> ConstructionStats:
     """Re-derive statistics from vertex naming conventions."""
     rverts = [v for v in g.layer if v.startswith("r_")]
+    per_layer = Counter(g.layer[v] for v in (rverts or g.layer))
+    counts = tuple(per_layer[lay] for lay in range(1, g.num_layers))
     if rverts:
-        counts = tuple(
-            sum(1 for v in rverts if g.layer[v] == lay) for lay in range(1, g.num_layers)
-        )
         extra = sum(1 for v in g.layer if v.startswith("c_"))
         rtotal = len(rverts)
     else:
-        counts = tuple(len(g.vertices_in_layer(lay)) for lay in range(1, g.num_layers))
         extra = None
         rtotal = None
     outputs = tuple(sorted((name, g.layer[v]) for name, v in g.outputs.items()))
@@ -144,6 +143,8 @@ def comparison_report(n: int, d: Optional[int] = None) -> dict:
     """Compare the gradient construction against the n^3 / n^2 baseline."""
     if d is None:
         d = n
+    if not 1 <= d <= n:
+        raise GraphError("parameters out of range: need 1 <= d <= n")
     ours_vertices = gradient_vertex_total(n, d)
     ours_width = gradient_width(n)
     baseline_vertices = n ** 3
@@ -515,7 +516,6 @@ def width_from_determinantal(m: PolyMatrix, d: int, ring: RingDescriptor) -> Abp
     base = sub_abp(base, f"cpc_{k}_{k}")
 
     out = AbpGraph("aabp", ring, ambient, 0)
-    depth: Dict[str, int] = {}
     for vid in sorted(base.layer, key=lambda v: (base.layer[v], v)):
         out.add_vertex(vid, 0)
     out.set_source(base.source)
@@ -555,26 +555,13 @@ def width_from_determinantal(m: PolyMatrix, d: int, ring: RingDescriptor) -> Abp
                     if not step.is_zero():
                         pending.append((f"{tag}_{l}_{c}", f"{tag}_{l + 1}_{cc}", step))
     # assign a strictly increasing topological index (longest path from source)
-    succ: Dict[str, List[str]] = {v: [] for v in out.layer}
-    indeg: Dict[str, int] = {v: 0 for v in out.layer}
-    for (u, v, _lab) in pending:
-        succ[u].append(v)
-        indeg[v] += 1
-    for v in indeg:
-        depth[v] = 0
-    ready = sorted(v for v in out.layer if indeg[v] == 0)
-    seen = 0
-    while ready:
-        v = ready.pop(0)
-        seen += 1
-        for w in sorted(set(succ[v])):
-            depth[w] = max(depth[w], depth[v] + 1)
-            indeg[w] -= succ[v].count(w)
-            if indeg[w] == 0:
-                ready.append(w)
-        ready.sort()
-    if seen != len(out.layer):
+    order = topological_order(list(out.layer), [(u, v) for (u, v, _lab) in pending])
+    if len(order) != len(out.layer):
         raise GraphError("spliced graph is not acyclic")
+    rank = {v: k for k, v in enumerate(order)}
+    depth = dict.fromkeys(order, 0)
+    for (u, v, _lab) in sorted(pending, key=lambda e: rank[e[0]]):
+        depth[v] = max(depth[v], depth[u] + 1)
     final = AbpGraph("aabp", ring, ambient, max(depth.values(), default=0))
     for vid in sorted(out.layer, key=lambda v: (depth[v], v)):
         final.add_vertex(vid, depth[vid])

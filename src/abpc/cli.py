@@ -20,10 +20,12 @@ from .build import (
     stats_from_graph,
 )
 from .graph import (
+    GraphError,
     evaluate,
     graph_from_json_dict,
     graph_to_dot,
     graph_to_json_dict,
+    validate,
 )
 from .identities import IDENTITY_NAMES, verify_all, verify_identity
 from .rings import AbpcError, element_from_str, element_to_str, descriptor_from_spec
@@ -86,8 +88,12 @@ def _ring(parser: argparse.ArgumentParser, spec: str):
 
 
 def _load_graph(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return graph_from_json_dict(json.load(fh))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise GraphError(f"cannot read graph {path}: {exc}") from exc
+    return graph_from_json_dict(data)
 
 
 def _cmd_build(parser, args) -> int:
@@ -110,6 +116,9 @@ def _cmd_build(parser, args) -> int:
 
 def _cmd_eval(parser, args) -> int:
     g = _load_graph(args.graph)
+    problems = validate(g)
+    if problems:
+        raise GraphError("invalid graph: " + "; ".join(problems))
     try:
         raw = json.loads(args.matrix)
     except json.JSONDecodeError as exc:
@@ -164,37 +173,32 @@ def _cmd_verify_all(parser, args) -> int:
     return 0 if failed == 0 else 1
 
 
-def _comparison_lines(n: int, d: Optional[int]) -> List[str]:
-    rep = comparison_report(n, d)
-    return [
-        json.dumps(rep, indent=2, sort_keys=True),
-        (f"baseline n^3={rep['baseline_vertices']} width n^2={rep['baseline_width']}; "
-         f"this construction vertices={rep['vertices']} width={rep['width']}; "
-         f"ratios {rep['vertex_ratio']:.4f} {rep['width_ratio']:.4f}"),
-    ]
+def _baseline_line(n: int, vertices: int, width: int) -> str:
+    """The n^3 / n^2 baseline against a vertex count and a width."""
+    if vertices and width:
+        ratios = f"{n ** 3 / vertices:.4f} {n * n / width:.4f}"
+    else:
+        ratios = "n/a"
+    return (f"baseline n^3={n ** 3} width n^2={n * n}; "
+            f"this construction vertices={vertices} width={width}; "
+            f"ratios {ratios}")
 
 
 def _cmd_stats(parser, args) -> int:
     if args.formula:
         if args.n is None:
             parser.error("--formula needs --n")
-        for line in _comparison_lines(args.n, args.d):
-            print(line)
+        rep = comparison_report(args.n, args.d)
+        print(json.dumps(rep, indent=2, sort_keys=True))
+        print(_baseline_line(args.n, rep["vertices"], rep["width"]))
         return 0
     if args.graph is None:
         parser.error("stats needs a graph file or --formula")
     g = _load_graph(args.graph)
     stats = stats_from_graph(g)
     print(json.dumps(stats.to_json_dict(), indent=2, sort_keys=True))
-    n = g.ambient_n
     vertices = stats.rvector_total if stats.rvector_total is not None else stats.size
-    if vertices and stats.width:
-        ratios = f"{n ** 3 / vertices:.4f} {n * n / stats.width:.4f}"
-    else:
-        ratios = "n/a"
-    print(f"baseline n^3={n ** 3} width n^2={n * n}; "
-          f"this construction vertices={vertices} width={stats.width}; "
-          f"ratios {ratios}")
+    print(_baseline_line(g.ambient_n, vertices, stats.width))
     return 0
 
 
@@ -225,10 +229,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](parser, args)
-    except AbpcError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (AbpcError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -15,9 +15,10 @@ is the matrix-product semantics of the layered model.
 
 from __future__ import annotations
 
+import heapq
 import os
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .poly import Polynomial, PolyMatrix
 from .rings import (
@@ -40,7 +41,12 @@ class GraphError(AbpcError):
 def expansion_guard() -> int:
     """Ambient-size cap for symbolic expansion; ABPC_GUARD_N overrides."""
     raw = os.environ.get("ABPC_GUARD_N")
-    return int(raw) if raw else DEFAULT_EXPANSION_GUARD
+    if not raw:
+        return DEFAULT_EXPANSION_GUARD
+    try:
+        return int(raw)
+    except ValueError:
+        raise GraphError(f"ABPC_GUARD_N must be an integer, got {raw!r}") from None
 
 
 @dataclass(frozen=True)
@@ -226,13 +232,17 @@ class AbpGraph:
             adj[u].append((v, self.edges[(u, v)]))
         return adj
 
-    def vertices_in_layer(self, layer: int) -> List[str]:
-        return sorted(v for v, l in self.layer.items() if l == layer)
+    def by_layer(self) -> Dict[int, List[str]]:
+        """Layer -> sorted vertex ids, for every layer that holds a vertex."""
+        groups: Dict[int, List[str]] = {}
+        for vid in sorted(self.layer):
+            groups.setdefault(self.layer[vid], []).append(vid)
+        return groups
 
     def width(self) -> int:
         """Maximum vertex count over the intermediate layers 1..d-1."""
-        counts = [len(self.vertices_in_layer(l)) for l in range(1, self.num_layers)]
-        return max(counts, default=0)
+        groups = self.by_layer()
+        return max((len(groups.get(l, ())) for l in range(1, self.num_layers)), default=0)
 
     def size(self) -> int:
         """Vertex count excluding the source and the out-degree-0 sinks."""
@@ -244,27 +254,34 @@ class AbpGraph:
                 f"|V|={len(self.layer)}, |E|={len(self.edges)})")
 
 
+# -- topological order -------------------------------------------------------------
+
+
+def topological_order(verts: Sequence[str], edges: Iterable[Tuple[str, str]]) -> List[str]:
+    """Kahn's algorithm over ``edges``, ties broken by position in ``verts``.
+
+    Repeated edges are allowed.  When the edges contain a cycle the result
+    is short: it omits every vertex on a cycle or reachable from one.
+    """
+    pos = {v: k for k, v in enumerate(verts)}
+    succ: List[List[int]] = [[] for _ in verts]
+    indeg = [0] * len(verts)
+    for u, v in edges:
+        succ[pos[u]].append(pos[v])
+        indeg[pos[v]] += 1
+    ready = [k for k, deg in enumerate(indeg) if deg == 0]
+    order: List[str] = []
+    while ready:
+        k = heapq.heappop(ready)
+        order.append(verts[k])
+        for w in succ[k]:
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                heapq.heappush(ready, w)
+    return order
+
+
 # -- validation ---------------------------------------------------------------
-
-
-def _const_cycle(g: AbpGraph, layer: int) -> bool:
-    verts = g.vertices_in_layer(layer)
-    succ = {v: [] for v in verts}
-    for (u, v), lab in g.edges.items():
-        if lab.is_constant() and u in succ and g.layer.get(v) == layer:
-            succ[u].append(v)
-    state: Dict[str, int] = {}
-
-    def dfs(v: str) -> bool:
-        state[v] = 1
-        for w in sorted(succ[v]):
-            s = state.get(w, 0)
-            if s == 1 or (s == 0 and dfs(w)):
-                return True
-        state[v] = 2
-        return False
-
-    return any(state.get(v, 0) == 0 and dfs(v) for v in verts)
 
 
 def validate(g: AbpGraph) -> List[str]:
@@ -297,13 +314,18 @@ def validate(g: AbpGraph) -> List[str]:
             else:
                 problems.append(f"edge {u}->{v} skips layers")
         if g.flavor == "abp":
+            const_edges = [(u, v) for (u, v), lab in g.edges.items()
+                           if lab.is_constant() and g.layer[u] == g.layer[v]]
+            settled = set(topological_order(list(g.layer), const_edges))
+            cyclic = {lay for vid, lay in g.layer.items() if vid not in settled}
             for lay in range(0, g.num_layers + 1):
-                if _const_cycle(g, lay):
+                if lay in cyclic:
                     problems.append(f"constant-edge cycle in layer {lay}")
         if g.flavor == "pabp":
-            if len(g.vertices_in_layer(0)) != 1:
+            groups = g.by_layer()
+            if len(groups.get(0, ())) != 1:
                 problems.append("pabp requires exactly one vertex in layer 0")
-            if len(g.vertices_in_layer(g.num_layers)) != 1:
+            if len(groups.get(g.num_layers, ())) != 1:
                 problems.append(f"pabp requires exactly one vertex in layer {g.num_layers}")
     else:  # aabp
         for (u, v) in sorted(g.edges):
@@ -329,49 +351,20 @@ def resolve_output(g: AbpGraph, at: Optional[str] = None) -> Tuple[str, str]:
     raise GraphError("ambiguous output; name one explicitly")
 
 
-def _const_topo_order(g: AbpGraph, verts: List[str]) -> List[str]:
-    vset = set(verts)
-    indeg = {v: 0 for v in verts}
-    succ = {v: [] for v in verts}
-    for (u, v), lab in g.edges.items():
-        if u in vset and v in vset and lab.is_constant():
-            indeg[v] += 1
-            succ[u].append(v)
-    ready = sorted(v for v in verts if indeg[v] == 0)
-    order: List[str] = []
-    while ready:
-        v = ready.pop(0)
-        order.append(v)
-        for w in sorted(succ[v]):
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                ready.append(w)
-        ready.sort()
-    if len(order) != len(verts):
-        raise GraphError("constant-edge cycle")
-    return order
-
-
 def _forward_values(g: AbpGraph, one, label_factor: Callable[[AffineLabel], object]) -> Dict[str, object]:
     """Sweep values through the graph; the value type supports + and *."""
     zero = one - one
+    verts = sorted(g.layer, key=lambda vid: (g.layer[vid], vid))
+    order = topological_order(verts, g.edges)
+    if len(order) != len(verts):
+        raise GraphError("constant-edge cycle")
     values: Dict[str, object] = {}
     in_adj = g.in_adj()
-
-    def settle(v: str) -> None:
+    for v in order:
         acc = one if v == g.source else zero
         for u, lab in in_adj[v]:
-            if u in values:
-                acc = acc + values[u] * label_factor(lab)
+            acc = acc + values[u] * label_factor(lab)
         values[v] = acc
-
-    if g.flavor in ("abp", "pabp"):
-        for lay in range(0, g.num_layers + 1):
-            for v in _const_topo_order(g, g.vertices_in_layer(lay)):
-                settle(v)
-    else:
-        for v in sorted(g.layer, key=lambda vid: (g.layer[vid], vid)):
-            settle(v)
     return values
 
 
@@ -593,36 +586,24 @@ def combine(g1: AbpGraph, g2: AbpGraph, op: str,
     if op == "sum":
         if a.num_layers != b.num_layers:
             raise GraphError("degree mismatch on sum")
-        d = a.num_layers
-        out = AbpGraph(flavor, a.ring, ambient, d)
-
-        def map_a(v: str) -> str:
-            return "s" if v == a.source else ("t" if v == sink_a else f"f.{v}")
-
-        def map_b(v: str) -> str:
-            return "s" if v == b.source else ("t" if v == sink_b else f"h.{v}")
-
-        shift_b = 0
+        d, shift_b, sink_a_id, source_b_id = a.num_layers, 0, "t", "s"
     else:
-        d = a.num_layers + b.num_layers
-        out = AbpGraph(flavor, a.ring, ambient, d)
+        d, shift_b, sink_a_id, source_b_id = a.num_layers + b.num_layers, a.num_layers, "m", "m"
+    out = AbpGraph(flavor, a.ring, ambient, d)
+    glue = {("f", a.source): "s", ("f", sink_a): sink_a_id,
+            ("h", b.source): source_b_id, ("h", sink_b): "t"}
+    parts = (("f", a, 0), ("h", b, shift_b))
 
-        def map_a(v: str) -> str:
-            return "s" if v == a.source else ("m" if v == sink_a else f"f.{v}")
+    def rename(tag: str, v: str) -> str:
+        return glue.get((tag, v), f"{tag}.{v}")
 
-        def map_b(v: str) -> str:
-            return "m" if v == b.source else ("t" if v == sink_b else f"h.{v}")
-
-        shift_b = a.num_layers
-    for v in sorted(a.layer, key=lambda vid: (a.layer[vid], vid)):
-        out.add_vertex(map_a(v), a.layer[v])
-    for v in sorted(b.layer, key=lambda vid: (b.layer[vid], vid)):
-        out.add_vertex(map_b(v), b.layer[v] + shift_b)
+    for tag, part, shift in parts:
+        for v in sorted(part.layer, key=lambda vid: (part.layer[vid], vid)):
+            out.add_vertex(rename(tag, v), part.layer[v] + shift)
     out.set_source("s")
-    for (u, v) in sorted(a.edges):
-        out.add_edge(map_a(u), map_a(v), a.edges[(u, v)])
-    for (u, v) in sorted(b.edges):
-        out.add_edge(map_b(u), map_b(v), b.edges[(u, v)])
+    for tag, part, _shift in parts:
+        for (u, v) in sorted(part.edges):
+            out.add_edge(rename(tag, u), rename(tag, v), part.edges[(u, v)])
     out.add_output("sink", "t")
     return out
 
@@ -701,21 +682,42 @@ def graph_to_json_dict(g: AbpGraph) -> dict:
     }
 
 
+def _field(obj: dict, key: str, kind: type):
+    """``obj[key]``, which must be exactly a ``str`` or an ``int`` (so not a bool)."""
+    value = obj[key]
+    if type(value) is not kind:
+        what = "a string" if kind is str else "an integer"
+        raise GraphError(f"malformed graph JSON: field {key!r} must be {what}, got {value!r}")
+    return value
+
+
+def _index_field(obj: dict, key: str, n: int) -> int:
+    value = _field(obj, key, int)
+    if not 1 <= value <= n:
+        raise GraphError(f"malformed graph JSON: field {key!r} must be in 1..{n}, got {value}")
+    return value
+
+
 def graph_from_json_dict(data: dict) -> AbpGraph:
     try:
-        ring = descriptor_from_spec(data["ring"])
-        g = AbpGraph(data["flavor"], ring, data["n"], data["d"])
+        ring = descriptor_from_spec(_field(data, "ring", str))
+        n = _field(data, "n", int)
+        g = AbpGraph(data["flavor"], ring, n, _field(data, "d", int))
         for v in data["vertices"]:
-            g.add_vertex(v["id"], v["layer"])
-        g.set_source(data["source"])
+            g.add_vertex(_field(v, "id", str), _field(v, "layer", int))
+        g.set_source(_field(data, "source", str))
         for e in data["edges"]:
-            const = element_from_str(ring, e["const"])
+            const = element_from_str(ring, _field(e, "const", str))
             linear = {
-                (t["i"], t["j"]): element_from_str(ring, t["coeff"]) for t in e["linear"]
+                (_index_field(t, "i", n), _index_field(t, "j", n)):
+                    element_from_str(ring, _field(t, "coeff", str))
+                for t in e["linear"]
             }
-            g.add_edge(e["from"], e["to"], AffineLabel.make(const, linear))
-        for name, vid in data["outputs"].items():
-            g.add_output(name, vid)
+            g.add_edge(_field(e, "from", str), _field(e, "to", str),
+                       AffineLabel.make(const, linear))
+        outputs = data["outputs"]
+        for name in outputs:
+            g.add_output(name, _field(outputs, name, str))
     except (KeyError, TypeError) as exc:
         raise GraphError(f"malformed graph JSON: {exc}") from exc
     return g
@@ -724,9 +726,9 @@ def graph_from_json_dict(data: dict) -> AbpGraph:
 def graph_to_dot(g: AbpGraph) -> str:
     """Graphviz rendering: one rank per layer, constant edges dashed."""
     lines = ["digraph abp {", "  rankdir=LR;", "  node [shape=circle];"]
-    for lay in sorted(set(g.layer.values())):
+    for _lay, verts in sorted(g.by_layer().items()):
         lines.append("  { rank=same;")
-        for vid in g.vertices_in_layer(lay):
+        for vid in verts:
             lines.append(f'    "{vid}";')
         lines.append("  }")
     for (u, v) in sorted(g.edges):

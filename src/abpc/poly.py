@@ -447,13 +447,3 @@ def matrix_power(x: PolyMatrix, i: int) -> PolyMatrix:
     for _ in range(i):
         out = out * x
     return out
-
-
-def bottom_right_power(ring: RingDescriptor, n: int, i: int) -> Polynomial:
-    """Entry (n, n) of the i-th power of the generic n x n matrix."""
-    return matrix_power(PolyMatrix.variables(ring, n), i).entry(n, n)
-
-
-def trace_power(ring: RingDescriptor, n: int, i: int) -> Polynomial:
-    """Trace of the i-th power of the generic n x n matrix."""
-    return matrix_power(PolyMatrix.variables(ring, n), i).trace()

@@ -4,8 +4,9 @@ import json
 
 import pytest
 
+from abpc.build import build_gradient_abp
 from abpc.cli import main
-from abpc.graph import expand_symbolic, graph_from_json_dict
+from abpc.graph import expand_symbolic, graph_from_json_dict, graph_to_json_dict
 from abpc.oracle import cpc_minor_sum
 from abpc.rings import RingDescriptor
 
@@ -154,3 +155,79 @@ def test_failing_identity_exits_one(capsys, monkeypatch):
     assert code == 1
     assert "FAIL" in out
     assert "diff" in out
+
+
+def _edit(change):
+    """Gradient n=3 graph JSON text with ``change`` applied to its dict."""
+    def write(path):
+        data = graph_to_json_dict(build_gradient_abp(3, 3, Z)[0])
+        change(data)
+        path.write_text(json.dumps(data))
+    return write
+
+
+def _first_term(data):
+    return next(e for e in data["edges"] if e["linear"])["linear"][0]
+
+
+BAD_INPUTS = {
+    # graph content that loads but is invalid: eval validates it
+    "layer-minus-one": (_edit(lambda d: d["vertices"].append({"id": "x", "layer": -1})),
+                        "eval", "invalid graph: vertex 'x' outside layers 0..3"),
+    "edge-into-source": (_edit(lambda d: d["edges"].append(
+        {"from": "r_2_1_1", "to": "s", "const": "1", "linear": []})),
+        "eval", "invalid graph: source has incoming edges; edge r_2_1_1->s skips layers"),
+    # field types and ranges
+    "n-string": (_edit(lambda d: d.update(n="3")), "eval", "field 'n' must be an integer"),
+    "d-bool": (_edit(lambda d: d.update(d=True)), "stats", "field 'd' must be an integer"),
+    "layer-float": (_edit(lambda d: d["vertices"][-1].update(layer=1.0)), "export-dot",
+                    "field 'layer' must be an integer"),
+    "i-too-large": (_edit(lambda d: _first_term(d).update(i=9)), "eval",
+                    "field 'i' must be in 1..3, got 9"),
+    "j-zero": (_edit(lambda d: _first_term(d).update(j=0)), "stats",
+               "field 'j' must be in 1..3, got 0"),
+    "id-int": (_edit(lambda d: d["vertices"][-1].update(id=7)), "eval",
+               "field 'id' must be a string"),
+    "ring-int": (_edit(lambda d: d.update(ring=4)), "stats", "field 'ring' must be a string"),
+    "const-int": (_edit(lambda d: d["edges"][0].update(const=0)), "eval",
+                  "field 'const' must be a string"),
+    "coeff-int": (_edit(lambda d: _first_term(d).update(coeff=-1)), "export-dot",
+                  "field 'coeff' must be a string"),
+    "output-int": (_edit(lambda d: d["outputs"].update(cpc_3_3=5)), "eval",
+                   "field 'cpc_3_3' must be a string"),
+    # files that cannot be read as JSON
+    "directory": (lambda path: path.mkdir(), "eval", "cannot read graph"),
+    "not-utf8": (lambda path: path.write_bytes(b'{"n": "\xff"}'), "stats", "cannot read graph"),
+    "not-json": (lambda path: path.write_text("{"), "export-dot", "cannot read graph"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_is_one_error_line(case, tmp_path, capsys):
+    write, command, message = BAD_INPUTS[case]
+    path = tmp_path / "g.json"
+    write(path)
+    argv = [command, str(path)]
+    if command == "eval":
+        argv += ["--matrix", '[["1","2","3"],["4","5","6"],["7","8","9"]]']
+    code, out, err = run(capsys, *argv)
+    assert code in (1, 2)
+    assert out == ""
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert message in lines[0]
+
+
+@pytest.mark.parametrize("n_d", [("0",), ("-2",), ("3", "0"), ("3", "4")])
+def test_formula_parameters_out_of_range(n_d, capsys):
+    argv = ["stats", "--formula", "--n", n_d[0]] + (["--d", n_d[1]] if len(n_d) > 1 else [])
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == "error: parameters out of range: need 1 <= d <= n\n"
+
+
+def test_stats_formula_n1_prints_na_ratios(capsys):
+    code, out, _err = run(capsys, "stats", "--formula", "--n", "1")
+    assert code == 0
+    assert out.endswith("this construction vertices=0 width=0; ratios n/a\n")

@@ -1,0 +1,133 @@
+"""Golden CLI output: sha256 digests of stdout and of every written file.
+
+The digests pin the byte-exact output of ``build`` (JSON and DOT),
+``stats``, ``export-dot`` and all-output ``eval`` for each construction at
+n=4, plus one ``verify-all`` grid and one ``stats --formula`` run.  A
+refactor of the graph core must leave every digest unchanged.
+
+To print the digests of the current code (after an intended output
+change), run ``PYTHONPATH=src python tests/test_golden.py``.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+from typing import Dict, List, Tuple
+
+import pytest
+
+from abpc.cli import main
+
+PROGRAMS = [("gradient", "int"), ("gradient", "mod:6"), ("gradient", "rat"),
+            ("bivariate", "int"), ("bivariate", "mod:6"), ("bivariate", "rat"),
+            ("charzero", "rat")]
+
+MATRIX = {
+    "int": '[["2","-1","0","3"],["1","4","-2","0"],["0","5","1","-3"],["7","0","2","1"]]',
+    "mod:6": '[["2","5","0","3"],["1","4","4","0"],["0","5","1","3"],["1","0","2","1"]]',
+    "rat": '[["1/2","-1","0","3"],["1","4/3","-2","0"],["0","5","1","-3/4"],["7","0","2","1"]]',
+}
+
+
+def _cases() -> Dict[str, Tuple[List[List[str]], List[str]]]:
+    """Case name -> (argv list run in order, files whose bytes are pinned)."""
+    cases = {}
+    for construction, ring in PROGRAMS:
+        tag = f"{construction}-{ring}"
+        build = ["build", "--construction", construction, "--n", "4", "--d", "4",
+                 "--ring", ring, "--out", "g.json", "--dot", "g.dot"]
+        cases[f"build/{tag}"] = ([build], ["g.json", "g.dot"])
+        cases[f"stats/{tag}"] = ([build, ["stats", "g.json"]], [])
+        cases[f"export-dot/{tag}"] = ([build, ["export-dot", "g.json"]], [])
+        cases[f"export-dot-out/{tag}"] = (
+            [build, ["export-dot", "g.json", "--out", "e.dot"]], ["e.dot"])
+        cases[f"eval/{tag}"] = ([build, ["eval", "g.json", "--matrix", MATRIX[ring]]], [])
+    cases["verify-all/mod:4"] = (
+        [["verify-all", "--n-max", "3", "--d-max", "3", "--ring", "mod:4"]], [])
+    cases["stats-formula/6"] = ([["stats", "--formula", "--n", "6"]], [])
+    return cases
+
+
+CASES = _cases()
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def digests(name: str) -> Dict[str, str]:
+    """Exit code and digests of the last command's stdout and the pinned files."""
+    argvs, files = CASES[name]
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for argv in argvs:
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    code = main(argv)
+            result = {"code": str(code), "stdout": _sha(out.getvalue().encode("utf-8"))}
+            for path in files:
+                with open(path, "rb") as fh:
+                    result[path] = _sha(fh.read())
+        finally:
+            os.chdir(cwd)
+    return result
+
+
+GOLDEN = {
+    'build/bivariate-int': {'code': '0', 'stdout': '2a1efb68327c0d4148279876a008e23fd89529fb8d355d5579aaa9078d6d6a91', 'g.json': '3c22afb859da3c469f2d9dc9ab183d7ea04f07cf96c948059d83be5667b58853', 'g.dot': 'a60f453b3bc9ac0ba7de0ecd952bad40f5b77c99d15c3fa24b95716afb662803'},
+    'build/bivariate-mod:6': {'code': '0', 'stdout': '2a1efb68327c0d4148279876a008e23fd89529fb8d355d5579aaa9078d6d6a91', 'g.json': '9f07f1ce97b5f0c722f08508450d4a2082775e294a703bbd9e82c98e9f9f2070', 'g.dot': '3d297a554ef5142f063a440e88ab1c6e3106b1d9fb6e666acf98c9e0a64355de'},
+    'build/bivariate-rat': {'code': '0', 'stdout': '2a1efb68327c0d4148279876a008e23fd89529fb8d355d5579aaa9078d6d6a91', 'g.json': 'ad5be0bc6ac428058fb1c97db56f048e6222d08d1420cf3838f3f67d968e16f3', 'g.dot': 'bb43dfc4110a77adc51b1d90c415f368638d1e38114cfe3f8b5b737fe9d5079c'},
+    'build/charzero-rat': {'code': '0', 'stdout': '2a1efb68327c0d4148279876a008e23fd89529fb8d355d5579aaa9078d6d6a91', 'g.json': '3786992225e0009b0a707f49d3c294c52d1d3f3e71b971d9212dc84f9ab3ac2f', 'g.dot': '9a5788388715ea0ad9d2c44e0fcdad7861063724938c0b22494c0883e109ea47'},
+    'build/gradient-int': {'code': '0', 'stdout': '2a1efb68327c0d4148279876a008e23fd89529fb8d355d5579aaa9078d6d6a91', 'g.json': 'cca29106118cf43807a092050a083a8e0e9d4f0743b9565b7ea0e4c2e3bc9cbf', 'g.dot': '5155bad05769913753d4c370572ddf0a7591baa6916743741193e493ed1d8300'},
+    'build/gradient-mod:6': {'code': '0', 'stdout': '2a1efb68327c0d4148279876a008e23fd89529fb8d355d5579aaa9078d6d6a91', 'g.json': 'f5e8c5ae6c49c94789622f36c82d48ad6f9edbdd21b1fac7b53b2d4328c3600b', 'g.dot': 'ba36a2b3560d04d20b5c86a88e968b67a5cd12e5b2b8dd52e57d955d88614c53'},
+    'build/gradient-rat': {'code': '0', 'stdout': '2a1efb68327c0d4148279876a008e23fd89529fb8d355d5579aaa9078d6d6a91', 'g.json': '882ed06b284b187c82894b3bfbc0260e9b81fa53ef6f22d28d328227ee1c5890', 'g.dot': '4faba010c48d31a8f5eb94427c9870ef67e5a4c639c921800f3019fe102c6b7a'},
+    'eval/bivariate-int': {'code': '0', 'stdout': 'ab37249f6ba46ac10933e960920a9c8fad870f8522296f8bd808cda2310164b7'},
+    'eval/bivariate-mod:6': {'code': '0', 'stdout': '7531830ef25787dc63cc073e78cbc56494642230379f31ed1287ab045f1f463c'},
+    'eval/bivariate-rat': {'code': '0', 'stdout': '1654e7b464f7a6800618a6c10e73236d8a4eaf8f9fa27f0b0ec1b5918174f0ed'},
+    'eval/charzero-rat': {'code': '0', 'stdout': '4d840af8f3e0ee6f18cb71da3302bfda3226d52864c8458534bd2dd1039f7134'},
+    'eval/gradient-int': {'code': '0', 'stdout': 'ab37249f6ba46ac10933e960920a9c8fad870f8522296f8bd808cda2310164b7'},
+    'eval/gradient-mod:6': {'code': '0', 'stdout': '7531830ef25787dc63cc073e78cbc56494642230379f31ed1287ab045f1f463c'},
+    'eval/gradient-rat': {'code': '0', 'stdout': '1654e7b464f7a6800618a6c10e73236d8a4eaf8f9fa27f0b0ec1b5918174f0ed'},
+    'export-dot-out/bivariate-int': {'code': '0', 'stdout': 'b90da3a6b609f532c93af9249066744624ef78343ee0ced8fa36ed7bb3334114', 'e.dot': 'a60f453b3bc9ac0ba7de0ecd952bad40f5b77c99d15c3fa24b95716afb662803'},
+    'export-dot-out/bivariate-mod:6': {'code': '0', 'stdout': 'b90da3a6b609f532c93af9249066744624ef78343ee0ced8fa36ed7bb3334114', 'e.dot': '3d297a554ef5142f063a440e88ab1c6e3106b1d9fb6e666acf98c9e0a64355de'},
+    'export-dot-out/bivariate-rat': {'code': '0', 'stdout': 'b90da3a6b609f532c93af9249066744624ef78343ee0ced8fa36ed7bb3334114', 'e.dot': 'bb43dfc4110a77adc51b1d90c415f368638d1e38114cfe3f8b5b737fe9d5079c'},
+    'export-dot-out/charzero-rat': {'code': '0', 'stdout': 'b90da3a6b609f532c93af9249066744624ef78343ee0ced8fa36ed7bb3334114', 'e.dot': '9a5788388715ea0ad9d2c44e0fcdad7861063724938c0b22494c0883e109ea47'},
+    'export-dot-out/gradient-int': {'code': '0', 'stdout': 'b90da3a6b609f532c93af9249066744624ef78343ee0ced8fa36ed7bb3334114', 'e.dot': '5155bad05769913753d4c370572ddf0a7591baa6916743741193e493ed1d8300'},
+    'export-dot-out/gradient-mod:6': {'code': '0', 'stdout': 'b90da3a6b609f532c93af9249066744624ef78343ee0ced8fa36ed7bb3334114', 'e.dot': 'ba36a2b3560d04d20b5c86a88e968b67a5cd12e5b2b8dd52e57d955d88614c53'},
+    'export-dot-out/gradient-rat': {'code': '0', 'stdout': 'b90da3a6b609f532c93af9249066744624ef78343ee0ced8fa36ed7bb3334114', 'e.dot': '4faba010c48d31a8f5eb94427c9870ef67e5a4c639c921800f3019fe102c6b7a'},
+    'export-dot/bivariate-int': {'code': '0', 'stdout': 'a60f453b3bc9ac0ba7de0ecd952bad40f5b77c99d15c3fa24b95716afb662803'},
+    'export-dot/bivariate-mod:6': {'code': '0', 'stdout': '3d297a554ef5142f063a440e88ab1c6e3106b1d9fb6e666acf98c9e0a64355de'},
+    'export-dot/bivariate-rat': {'code': '0', 'stdout': 'bb43dfc4110a77adc51b1d90c415f368638d1e38114cfe3f8b5b737fe9d5079c'},
+    'export-dot/charzero-rat': {'code': '0', 'stdout': '9a5788388715ea0ad9d2c44e0fcdad7861063724938c0b22494c0883e109ea47'},
+    'export-dot/gradient-int': {'code': '0', 'stdout': '5155bad05769913753d4c370572ddf0a7591baa6916743741193e493ed1d8300'},
+    'export-dot/gradient-mod:6': {'code': '0', 'stdout': 'ba36a2b3560d04d20b5c86a88e968b67a5cd12e5b2b8dd52e57d955d88614c53'},
+    'export-dot/gradient-rat': {'code': '0', 'stdout': '4faba010c48d31a8f5eb94427c9870ef67e5a4c639c921800f3019fe102c6b7a'},
+    'stats-formula/6': {'code': '0', 'stdout': '9116508e6579b656163731e88a94f3a6e0de46f8a5115d0dad543df3f1ecdb8b'},
+    'stats/bivariate-int': {'code': '0', 'stdout': '563cd7d0678aaec954d3f78b027a54565228e92190a70deb2145b7db06381609'},
+    'stats/bivariate-mod:6': {'code': '0', 'stdout': '563cd7d0678aaec954d3f78b027a54565228e92190a70deb2145b7db06381609'},
+    'stats/bivariate-rat': {'code': '0', 'stdout': '563cd7d0678aaec954d3f78b027a54565228e92190a70deb2145b7db06381609'},
+    'stats/charzero-rat': {'code': '0', 'stdout': '26a24ed087d3683db357c0fdeccfbaf247b44b732e6e9611efa5fd6c35204f0b'},
+    'stats/gradient-int': {'code': '0', 'stdout': '9d37f76a449e2f928d176e50de265e81bb887736278532ba1e3f4062c6c40537'},
+    'stats/gradient-mod:6': {'code': '0', 'stdout': '9d37f76a449e2f928d176e50de265e81bb887736278532ba1e3f4062c6c40537'},
+    'stats/gradient-rat': {'code': '0', 'stdout': '9d37f76a449e2f928d176e50de265e81bb887736278532ba1e3f4062c6c40537'},
+    'verify-all/mod:4': {'code': '0', 'stdout': '85da7d000305b0b924355c58fe4bcd89f75f7e82344f9d35246a0112b7c31f24'},
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_cli_output(name):
+    assert digests(name) == GOLDEN[name]
+
+
+if __name__ == "__main__":
+    sys.stdout.write("GOLDEN = {\n")
+    for case in sorted(CASES):
+        sys.stdout.write(f"    {case!r}: {digests(case)!r},\n")
+    sys.stdout.write("}\n")

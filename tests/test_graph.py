@@ -19,6 +19,7 @@ from abpc.graph import (
     graph_to_json_dict,
     homogenize,
     sub_abp,
+    topological_order,
     validate,
 )
 from abpc.build import build_bivariate_abp
@@ -72,6 +73,37 @@ def test_constant_edge_cycle_is_reported():
     g.add_edge("s", "t", var(1, 1))
     g.add_output("out", "t")
     assert any("constant-edge cycle" in p for p in validate(g))
+
+
+def test_constant_edge_cycles_in_two_layers_are_each_reported():
+    g = AbpGraph("abp", Z, 1, 2)
+    g.add_vertex("s", 0)
+    for vid in ("a", "b", "c"):
+        g.add_vertex(vid, 1)
+    for vid in ("e", "f", "t"):
+        g.add_vertex(vid, 2)
+    g.set_source("s")
+    g.add_edge("s", "a", var(1, 1))
+    g.add_edge("a", "b", one())
+    g.add_edge("b", "a", one())
+    g.add_edge("b", "c", one())  # downstream of the cycle, not on it
+    g.add_edge("c", "t", var(1, 1))
+    g.add_edge("e", "f", one())
+    g.add_edge("f", "e", one())
+    g.add_output("out", "t")
+    assert validate(g) == ["constant-edge cycle in layer 1", "constant-edge cycle in layer 2"]
+    with pytest.raises(GraphError, match="constant-edge cycle"):
+        evaluate(g, [[int_embed(Z, 1)]], "out")
+
+
+def test_topological_order_repeated_edges_ties_and_cycles():
+    # repeated edges count once per copy; ties go to the earlier position
+    assert topological_order(["a", "b", "c"], [("a", "c"), ("a", "c"), ("b", "c")]) == ["a", "b", "c"]
+    assert topological_order(["c", "b", "a"], []) == ["c", "b", "a"]
+    assert topological_order(["c", "b", "a"], [("b", "c")]) == ["b", "c", "a"]
+    # a cycle b <-> c leaves b, c and everything after them unsettled
+    edges = [("a", "b"), ("b", "c"), ("c", "b"), ("c", "d")]
+    assert topological_order(["a", "b", "c", "d", "e"], edges) == ["a", "e"]
 
 
 def test_pabp_rejects_constant_edges():
@@ -131,6 +163,9 @@ def test_expansion_guard(monkeypatch):
     g = single_edge_graph()
     monkeypatch.setenv("ABPC_GUARD_N", "0")
     with pytest.raises(GraphError, match="guard"):
+        expand_symbolic(g, "out")
+    monkeypatch.setenv("ABPC_GUARD_N", "x")
+    with pytest.raises(GraphError, match="ABPC_GUARD_N must be an integer"):
         expand_symbolic(g, "out")
     monkeypatch.delenv("ABPC_GUARD_N")
     assert expand_symbolic(g, "out") == Polynomial.variable(Z, 1, 1, 1)
