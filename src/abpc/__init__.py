@@ -11,7 +11,6 @@ from .rings import (
     AbpcError,
     RingDescriptor,
     RingElement,
-    arith,
     descriptor_from_spec,
     descriptor_to_spec,
     element_from_str,
@@ -28,6 +27,7 @@ from .graph import (
     combine,
     eliminate_constant_edges,
     evaluate,
+    evaluate_all,
     expand_all,
     expand_symbolic,
     graph_from_json_dict,
@@ -39,7 +39,6 @@ from .graph import (
 )
 from .build import (
     ConstructionStats,
-    RVectorPlan,
     build_bivariate_abp,
     build_charzero_abp,
     build_gradient_abp,

@@ -100,45 +100,6 @@ def gradient_vertex_total(n: int, d: int) -> int:
     return (d - 1) * comb(n + 1, 2) - comb(d + 1, 3)
 
 
-@dataclass(frozen=True)
-class RVectorPlan:
-    """Block layout of the row vectors r_{i,j} in the gradient construction.
-
-    Layer j (1 <= j < d) holds the entries of r_{i,j} for j+1 <= i <= n,
-    so it has (j+1) + (j+2) + .. + n = (n-j)(n+j+1)/2 vertices; the block
-    transition matrix carries layer j-1 to layer j.
-    """
-
-    n: int
-    d: int
-
-    def __post_init__(self) -> None:
-        if not (1 <= self.d <= self.n):
-            raise GraphError("parameters out of range: need 1 <= d <= n")
-
-    def layers(self) -> range:
-        return range(1, self.d)
-
-    def layer_entries(self, j: int) -> List[Tuple[int, int]]:
-        """Ordered (vector index i, entry index a) pairs living in layer j."""
-        return [(i, a) for i in range(j + 1, self.n + 1) for a in range(1, i + 1)]
-
-    def layer_count(self, j: int) -> int:
-        count = len(self.layer_entries(j))
-        assert count == gradient_layer_count(self.n, j)
-        return count
-
-    def width(self) -> int:
-        return max((self.layer_count(j) for j in self.layers()), default=0)
-
-    def vertex_total(self) -> int:
-        return sum(self.layer_count(j) for j in self.layers())
-
-    def transition(self, j: int, ring: RingDescriptor) -> PolyMatrix:
-        """Block matrix mapping the layer-(j-1) vectors to the layer-j vectors."""
-        return transition_matrix(self.n, j, ring)
-
-
 def comparison_report(n: int, d: Optional[int] = None) -> dict:
     """Compare the gradient construction against the n^3 / n^2 baseline."""
     if d is None:
@@ -278,16 +239,18 @@ def build_gradient_abp(n: int, d_max: int, ring: RingDescriptor) -> Tuple[AbpGra
     j <= d_max come either free (entry i+1 of r_{i+1,j} equals cpc_{i,j})
     or through one extra vertex each (ids ``c_<i>_<j>``).
     """
-    plan = RVectorPlan(n, d_max)
+    if not 1 <= d_max <= n:
+        raise GraphError("parameters out of range: need 1 <= d <= n")
     g = AbpGraph("abp", ring, n, d_max)
     g.add_vertex("s", 0)
     g.set_source("s")
     one = AffineLabel.const(int_embed(ring, 1))
 
-    # r-vector vertices, layers 1..d_max-1
-    for j in plan.layers():
-        for i, a in plan.layer_entries(j):
-            g.add_vertex(f"r_{i}_{j}_{a}", j)
+    # r-vector vertices: layer j (1 <= j < d_max) holds r_{i,j} for j < i <= n
+    for j in range(1, d_max):
+        for i in range(j + 1, n + 1):
+            for a in range(1, i + 1):
+                g.add_vertex(f"r_{i}_{j}_{a}", j)
 
     if d_max >= 2:
         # first edge layer: entries of r_{i,1} = (-x[i,1] .. -x[i,i-1], tr_{i-1})

@@ -21,10 +21,11 @@ from .build import (
 )
 from .graph import (
     GraphError,
-    evaluate,
+    evaluate_all,
     graph_from_json_dict,
     graph_to_dot,
     graph_to_json_dict,
+    resolve_output,
     validate,
 )
 from .identities import IDENTITY_NAMES, verify_all, verify_identity
@@ -126,10 +127,12 @@ def _cmd_eval(parser, args) -> int:
     if not isinstance(raw, list) or any(not isinstance(row, list) for row in raw):
         parser.error("matrix must be an array of arrays of strings")
     entries = [[element_from_str(g.ring, str(cell)) for cell in row] for row in raw]
-    names = args.output if args.output else sorted(g.outputs)
+    names = args.output or sorted(g.outputs)
     for name in names:
-        value = evaluate(g, entries, at=name)
-        print(f"{name} = {element_to_str(value)}")
+        resolve_output(g, name)  # an unknown name fails before anything is printed
+    values = evaluate_all(g, entries)
+    for name in names:
+        print(f"{name} = {element_to_str(values[name])}")
     return 0
 
 

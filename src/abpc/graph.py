@@ -29,6 +29,7 @@ from .rings import (
     descriptor_to_spec,
     element_from_str,
     element_to_str,
+    int_embed,
 )
 
 DEFAULT_EXPANSION_GUARD = 5
@@ -71,7 +72,7 @@ class AffineLabel:
 
     @classmethod
     def variable(cls, ring: RingDescriptor, i: int, j: int, coeff: int = 1) -> "AffineLabel":
-        return cls.make(ring.zero(), {(i, j): _embed(ring, coeff)})
+        return cls.make(ring.zero(), {(i, j): int_embed(ring, coeff)})
 
     @classmethod
     def make(cls, constant: RingElement, linear: Dict[Tuple[int, int], RingElement]) -> "AffineLabel":
@@ -125,7 +126,7 @@ class AffineLabel:
         return AffineLabel.make(self.constant * c, {(i, j): coeff * c for i, j, coeff in self.linear})
 
     def neg(self) -> "AffineLabel":
-        return self.scale(_embed(self.ring, -1))
+        return self.scale(int_embed(self.ring, -1))
 
     def homogeneous_part(self) -> "AffineLabel":
         return AffineLabel(self.ring.zero(), self.linear)
@@ -141,12 +142,6 @@ class AffineLabel:
         for i, j, c in self.linear:
             acc = acc + c * entries[i - 1][j - 1]
         return acc
-
-
-def _embed(ring: RingDescriptor, k: int) -> RingElement:
-    from .rings import int_embed
-
-    return int_embed(ring, k)
 
 
 class AbpGraph:
@@ -222,14 +217,14 @@ class AbpGraph:
 
     def in_adj(self) -> Dict[str, List[Tuple[str, AffineLabel]]]:
         adj: Dict[str, List[Tuple[str, AffineLabel]]] = {v: [] for v in self.layer}
-        for (u, v) in sorted(self.edges):
-            adj[v].append((u, self.edges[(u, v)]))
+        for (u, v), lab in self.edges.items():
+            adj[v].append((u, lab))
         return adj
 
     def out_adj(self) -> Dict[str, List[Tuple[str, AffineLabel]]]:
         adj: Dict[str, List[Tuple[str, AffineLabel]]] = {v: [] for v in self.layer}
-        for (u, v) in sorted(self.edges):
-            adj[u].append((v, self.edges[(u, v)]))
+        for (u, v), lab in self.edges.items():
+            adj[u].append((v, lab))
         return adj
 
     def by_layer(self) -> Dict[int, List[str]]:
@@ -368,8 +363,8 @@ def _forward_values(g: AbpGraph, one, label_factor: Callable[[AffineLabel], obje
     return values
 
 
-def evaluate(g: AbpGraph, entries: Sequence[Sequence[RingElement]], at: Optional[str] = None) -> RingElement:
-    """Evaluate the polynomial at a concrete matrix via a layer sweep."""
+def evaluate_all(g: AbpGraph, entries: Sequence[Sequence[RingElement]]) -> Dict[str, RingElement]:
+    """All named outputs at a concrete matrix from a single forward sweep."""
     n = g.ambient_n
     if len(entries) != n or any(len(row) != n for row in entries):
         raise GraphError("matrix dimension mismatch")
@@ -377,36 +372,33 @@ def evaluate(g: AbpGraph, entries: Sequence[Sequence[RingElement]], at: Optional
         for e in row:
             if e.descriptor != g.ring:
                 raise GraphError("matrix entries from a different ring")
-    _name, target = resolve_output(g, at)
-    one = _embed(g.ring, 1)
-    values = _forward_values(g, one, lambda lab: lab.evaluate(entries))
-    return values[target]
+    values = _forward_values(g, g.ring.one(), lambda lab: lab.evaluate(entries))
+    return {name: values[vid] for name, vid in sorted(g.outputs.items())}
 
 
-def _check_expansion_guard(g: AbpGraph) -> None:
+def evaluate(g: AbpGraph, entries: Sequence[Sequence[RingElement]], at: Optional[str] = None) -> RingElement:
+    """Evaluate the polynomial at a concrete matrix via a layer sweep."""
+    name, _target = resolve_output(g, at)
+    return evaluate_all(g, entries)[name]
+
+
+def expand_all(g: AbpGraph) -> Dict[str, Polynomial]:
+    """All named outputs from a single forward sweep."""
     guard = expansion_guard()
     if g.ambient_n > guard:
         raise GraphError(
             f"symbolic expansion guard exceeded (n={g.ambient_n} > {guard}); "
             "set ABPC_GUARD_N to override"
         )
+    one = Polynomial.from_int(g.ring, g.ambient_n, 1)
+    values = _forward_values(g, one, lambda lab: lab.to_polynomial(g.ambient_n))
+    return {name: values[vid] for name, vid in sorted(g.outputs.items())}
 
 
 def expand_symbolic(g: AbpGraph, at: Optional[str] = None) -> Polynomial:
     """The exact polynomial computed at the named vertex."""
-    _check_expansion_guard(g)
-    _name, target = resolve_output(g, at)
-    one = Polynomial.from_int(g.ring, g.ambient_n, 1)
-    values = _forward_values(g, one, lambda lab: lab.to_polynomial(g.ambient_n))
-    return values[target]
-
-
-def expand_all(g: AbpGraph) -> Dict[str, Polynomial]:
-    """All named outputs from a single forward sweep."""
-    _check_expansion_guard(g)
-    one = Polynomial.from_int(g.ring, g.ambient_n, 1)
-    values = _forward_values(g, one, lambda lab: lab.to_polynomial(g.ambient_n))
-    return {name: values[vid] for name, vid in sorted(g.outputs.items())}
+    name, _target = resolve_output(g, at)
+    return expand_all(g)[name]
 
 
 def sub_abp(g: AbpGraph, at: Optional[str] = None) -> AbpGraph:

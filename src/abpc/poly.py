@@ -16,7 +16,6 @@ from .rings import (
     AbpcError,
     RingDescriptor,
     RingElement,
-    arith,
     element_to_str,
     int_embed,
 )
@@ -126,7 +125,7 @@ class Polynomial:
         terms = dict(self.terms)
         for mono, c in other.terms.items():
             acc = terms.get(mono)
-            s = c if acc is None else arith(acc, c, "add")
+            s = c if acc is None else acc + c
             if s.is_zero():
                 terms.pop(mono, None)
             else:
@@ -134,12 +133,7 @@ class Polynomial:
         return Polynomial(self.ring, self.ambient_n, terms)
 
     def __neg__(self) -> "Polynomial":
-        minus_one = int_embed(self.ring, -1)
-        return Polynomial(
-            self.ring,
-            self.ambient_n,
-            {m: arith(minus_one, c, "mul") for m, c in self.terms.items()},
-        )
+        return Polynomial(self.ring, self.ambient_n, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
@@ -150,9 +144,9 @@ class Polynomial:
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 mono = _mono_mul(m1, m2)
-                c = arith(c1, c2, "mul")
+                c = c1 * c2
                 acc = terms.get(mono)
-                s = c if acc is None else arith(acc, c, "add")
+                s = c if acc is None else acc + c
                 if s.is_zero():
                     terms.pop(mono, None)
                 else:
@@ -164,7 +158,7 @@ class Polynomial:
             raise PolyError("scalar from a different ring")
         terms = {}
         for m, coeff in self.terms.items():
-            s = arith(c, coeff, "mul")
+            s = c * coeff
             if not s.is_zero():
                 terms[m] = s
         return Polynomial(self.ring, self.ambient_n, terms)
@@ -190,7 +184,7 @@ class Polynomial:
             for pos, (v, e) in enumerate(mono):
                 if v != flat:
                     continue
-                coeff = arith(c, int_embed(self.ring, e), "mul")
+                coeff = c * int_embed(self.ring, e)
                 if coeff.is_zero():
                     break
                 if e == 1:
@@ -198,7 +192,7 @@ class Polynomial:
                 else:
                     new = mono[:pos] + ((v, e - 1),) + mono[pos + 1 :]
                 acc = terms.get(new)
-                s = coeff if acc is None else arith(acc, coeff, "add")
+                s = coeff if acc is None else acc + coeff
                 if s.is_zero():
                     terms.pop(new, None)
                 else:
@@ -226,8 +220,8 @@ class Polynomial:
             prod = c
             for v, e in mono:
                 i, j = unflatten(v, n)
-                prod = arith(prod, entries[i - 1][j - 1] ** e, "mul")
-            total = arith(total, prod, "add")
+                prod = prod * entries[i - 1][j - 1] ** e
+            total = total + prod
         return total
 
     def promote(self, n: int) -> "Polynomial":

@@ -139,16 +139,16 @@ class RingElement:
     value: Value
 
     def __add__(self, other: "RingElement") -> "RingElement":
-        return arith(self, other, "add")
+        return _reduced(_common_ring(self, other), self.value + other.value)
 
     def __sub__(self, other: "RingElement") -> "RingElement":
-        return arith(self, other, "sub")
+        return _reduced(_common_ring(self, other), self.value - other.value)
 
     def __mul__(self, other: "RingElement") -> "RingElement":
-        return arith(self, other, "mul")
+        return _reduced(_common_ring(self, other), self.value * other.value)
 
     def __neg__(self) -> "RingElement":
-        return int_embed(self.descriptor, 0) - self
+        return _reduced(self.descriptor, -self.value)
 
     def __pow__(self, k: int) -> "RingElement":
         if k < 0:
@@ -170,27 +170,17 @@ class RingElement:
         return element_to_str(self)
 
 
-def _canonical(r: RingDescriptor, raw: Value) -> RingElement:
-    if r.kind == INT:
-        return RingElement(r, int(raw))
-    if r.kind == MOD:
-        return RingElement(r, int(raw) % r.modulus)
-    if r.kind == RAT:
-        return RingElement(r, Fraction(raw))
-    return RingElement(r, raw)  # polynomials normalize themselves
-
-
-def arith(a: RingElement, b: RingElement, op: str) -> RingElement:
-    """Add, subtract or multiply two elements of the same ring."""
-    if a.descriptor != b.descriptor:
+def _common_ring(a: RingElement, b: RingElement) -> RingDescriptor:
+    r = a.descriptor
+    if b.descriptor is not r and b.descriptor != r:
         raise RingError("ring mismatch")
-    if op == "add":
-        return _canonical(a.descriptor, a.value + b.value)
-    if op == "sub":
-        return _canonical(a.descriptor, a.value - b.value)
-    if op == "mul":
-        return _canonical(a.descriptor, a.value * b.value)
-    raise RingError(f"unknown operation {op!r}")
+    return r
+
+
+def _reduced(r: RingDescriptor, raw: Value) -> RingElement:
+    """Box an exact result: int, Fraction and polynomial results are
+    already canonical, so only Z/m reduces."""
+    return RingElement(r, raw % r.modulus if r.kind == MOD else raw)
 
 
 def int_embed(r: RingDescriptor, k: int) -> RingElement:
@@ -200,7 +190,9 @@ def int_embed(r: RingDescriptor, k: int) -> RingElement:
 
         n = isqrt(r.num_vars)
         return RingElement(r, Polynomial.from_int(r.base, n, k))
-    return _canonical(r, k)
+    if r.kind == RAT:
+        return RingElement(r, Fraction(k))
+    return _reduced(r, k)
 
 
 def invert(a: RingElement) -> RingElement:
@@ -236,11 +228,14 @@ def element_from_str(r: RingDescriptor, s: str) -> RingElement:
     if r.kind in (INT, MOD):
         if not _INT_RE.match(s):
             raise RingError(f"cannot parse {s!r} as an integer")
-        return _canonical(r, int(s))
+        return _reduced(r, int(s))
     if r.kind == RAT:
         if not _RAT_RE.match(s):
             raise RingError(f"cannot parse {s!r} as a rational")
-        return _canonical(r, Fraction(s))
+        try:
+            return RingElement(r, Fraction(s))
+        except ZeroDivisionError:
+            raise RingError(f"cannot parse {s!r} as a rational") from None
     raise RingError("polynomial ring elements cannot be parsed from text")
 
 

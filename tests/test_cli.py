@@ -63,6 +63,20 @@ def test_eval_all_outputs_sorted(tmp_path, capsys):
     assert names == sorted(names)
 
 
+def test_eval_unknown_output_fails_before_printing(tmp_path, capsys):
+    out_file = tmp_path / "g.json"
+    run(capsys, "build", "--construction", "gradient", "--n", "2", "--d", "2",
+        "--ring", "int", "--out", str(out_file))
+    code, out, err = run(capsys, "eval", str(out_file), "--matrix", '[["1","2"],["3","4"]]',
+                         "--output", "cpc_2_2", "--output", "x", "--output", "cpc_2_2")
+    assert code == 1 and out == ""
+    assert err == "error: unknown output 'x'\n"
+    code, out, _err = run(capsys, "eval", str(out_file), "--matrix", '[["1","2"],["3","4"]]',
+                          "--output", "cpc_2_2", "--output", "cpc_2_1", "--output", "cpc_2_2")
+    assert code == 0
+    assert out == "cpc_2_2 = -2\ncpc_2_1 = 5\ncpc_2_2 = -2\n"
+
+
 def test_stats_reports_width_14_for_five_five(tmp_path, capsys):
     out_file = tmp_path / "g5.json"
     run(capsys, "build", "--construction", "gradient", "--n", "5", "--d", "5",
@@ -170,6 +184,11 @@ def _first_term(data):
     return next(e for e in data["edges"] if e["linear"])["linear"][0]
 
 
+def _rat_zero_denominator(data):
+    data["ring"] = "rat"
+    data["edges"][0]["const"] = "1/0"
+
+
 BAD_INPUTS = {
     # graph content that loads but is invalid: eval validates it
     "layer-minus-one": (_edit(lambda d: d["vertices"].append({"id": "x", "layer": -1})),
@@ -195,6 +214,11 @@ BAD_INPUTS = {
                   "field 'coeff' must be a string"),
     "output-int": (_edit(lambda d: d["outputs"].update(cpc_3_3=5)), "eval",
                    "field 'cpc_3_3' must be a string"),
+    # a rational with a zero denominator, in the graph and in the matrix
+    "const-zero-denominator": (_edit(_rat_zero_denominator), "stats", "cannot parse '1/0' as a rational"),
+    "matrix-zero-denominator": (_edit(lambda d: d.update(ring="rat")), "eval",
+                                "cannot parse '1/0' as a rational",
+                                '[["1/0","2","3"],["4","5","6"],["7","8","9"]]'),
     # files that cannot be read as JSON
     "directory": (lambda path: path.mkdir(), "eval", "cannot read graph"),
     "not-utf8": (lambda path: path.write_bytes(b'{"n": "\xff"}'), "stats", "cannot read graph"),
@@ -204,12 +228,12 @@ BAD_INPUTS = {
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
 def test_bad_input_is_one_error_line(case, tmp_path, capsys):
-    write, command, message = BAD_INPUTS[case]
+    write, command, message, *matrix = BAD_INPUTS[case]
     path = tmp_path / "g.json"
     write(path)
     argv = [command, str(path)]
     if command == "eval":
-        argv += ["--matrix", '[["1","2","3"],["4","5","6"],["7","8","9"]]']
+        argv += ["--matrix", matrix[0] if matrix else '[["1","2","3"],["4","5","6"],["7","8","9"]]']
     code, out, err = run(capsys, *argv)
     assert code in (1, 2)
     assert out == ""

@@ -6,7 +6,6 @@ from math import comb
 import pytest
 
 from abpc.build import (
-    RVectorPlan,
     build_bivariate_abp,
     build_charzero_abp,
     build_gradient_abp,
@@ -18,7 +17,7 @@ from abpc.build import (
     transition_matrix,
     width_from_determinantal,
 )
-from abpc.graph import GraphError, evaluate, expand_symbolic, validate
+from abpc.graph import GraphError, evaluate, evaluate_all, expand_symbolic, validate
 from abpc.oracle import cpc_minor_sum
 from abpc.poly import Polynomial, PolyMatrix
 from abpc.rings import RingDescriptor, int_embed
@@ -128,8 +127,9 @@ def test_gradient_closed_forms_match_built_graphs():
 
 
 def test_gradient_rejects_degree_above_size():
-    with pytest.raises(GraphError):
-        build_gradient_abp(2, 3, Z)
+    for n, d in [(2, 3), (2, 0)]:
+        with pytest.raises(GraphError, match=r"parameters out of range: need 1 <= d <= n"):
+            build_gradient_abp(n, d, Z)
 
 
 def test_gradient_labels_are_signed_variables_or_constants():
@@ -242,27 +242,33 @@ def test_randomized_evaluate_vs_substitute():
             want = cpc_minor_sum(i, j, Z).promote(3).substitute(a)
             assert evaluate(g, a, f"cpc_{i}_{j}") == want
             assert evaluate(b, a, f"cpc_{i}_{j}") == want
+        for prog in (g, b):
+            values = evaluate_all(prog, a)
+            assert sorted(values) == sorted(prog.outputs)
+            for name, value in values.items():
+                _, i, j = name.split("_")
+                want = cpc_minor_sum(int(i), int(j), Z).promote(3).substitute(a)
+                assert value == want, name
 
 
-# -- layer plan ------------------------------------------------------------------
+# -- layer layout ------------------------------------------------------------------
 
 
 def test_rvector_plan_matches_built_graph():
     for n in range(2, 6):
         for d in range(2, n + 1):
-            plan = RVectorPlan(n, d)
             g, stats = build_gradient_abp(n, d, Z)
-            assert plan.width() == stats.width
-            assert plan.vertex_total() == stats.rvector_total
-            for j in plan.layers():
-                ids = {f"r_{i}_{j}_{a}" for i, a in plan.layer_entries(j)}
+            assert stats.width == gradient_width(n)
+            assert stats.rvector_total == gradient_vertex_total(n, d)
+            assert stats.per_layer_counts == tuple(gradient_layer_count(n, j) for j in range(1, d))
+            for j in range(1, d):
+                ids = {f"r_{i}_{j}_{a}" for i in range(j + 1, n + 1) for a in range(1, i + 1)}
                 built = {v for v, lay in g.layer.items()
                          if lay == j and v.startswith("r_")}
                 assert ids == built, (n, d, j)
 
 
 def test_rvector_plan_transition_shape():
-    plan = RVectorPlan(4, 3)
-    m = plan.transition(2, Z)
-    assert m.rows == len(plan.layer_entries(1))
-    assert m.cols == len(plan.layer_entries(2))
+    m = transition_matrix(4, 2, Z)
+    assert m.rows == gradient_layer_count(4, 1)
+    assert m.cols == gradient_layer_count(4, 2)

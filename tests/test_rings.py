@@ -1,13 +1,14 @@
 """Ring arithmetic: canonical forms, axioms, and the embedding Z -> R."""
 
+import operator
 import random
+from fractions import Fraction
 
 import pytest
 
 from abpc.rings import (
     RingDescriptor,
     RingError,
-    arith,
     descriptor_from_spec,
     descriptor_to_spec,
     element_from_str,
@@ -24,11 +25,11 @@ Q = RingDescriptor.rationals()
 
 
 def test_basic_arith_examples():
-    assert arith(int_embed(Z, 2), int_embed(Z, 3), "add") == int_embed(Z, 5)
-    assert arith(int_embed(Z4, 2), int_embed(Z4, 2), "mul") == int_embed(Z4, 0)
+    assert int_embed(Z, 2) + int_embed(Z, 3) == int_embed(Z, 5)
+    assert int_embed(Z4, 2) * int_embed(Z4, 2) == int_embed(Z4, 0)
     half = element_from_str(Q, "1/2")
     third = element_from_str(Q, "1/3")
-    assert element_to_str(arith(half, third, "add")) == "5/6"
+    assert element_to_str(half + third) == "5/6"
 
 
 def test_int_embed_examples():
@@ -51,7 +52,34 @@ def test_invert_examples():
 
 def test_ring_mismatch_is_rejected():
     with pytest.raises(RingError, match="ring mismatch"):
-        arith(int_embed(Z, 1), int_embed(Z4, 1), "add")
+        int_embed(Z, 1) + int_embed(Z4, 1)
+
+
+def test_operators_match_raw_arithmetic():
+    rng = random.Random(4321)
+    for m in (4, 6, 7):
+        ring = RingDescriptor.modular(m)
+        for _ in range(200):
+            x, y = rng.randint(-50, 50), rng.randint(-50, 50)
+            a, b = int_embed(ring, x), int_embed(ring, y)
+            assert (a + b).value == (x + y) % m
+            assert (a - b).value == (x - y) % m
+            assert (a * b).value == (x * y) % m
+            assert (-a).value == -x % m
+    for _ in range(200):
+        x, y = rng.randint(-10 ** 20, 10 ** 20), rng.randint(-10 ** 20, 10 ** 20)
+        a, b = int_embed(Z, x), int_embed(Z, y)
+        assert ((a + b).value, (a - b).value, (a * b).value, (-a).value) == (x + y, x - y, x * y, -x)
+        p, q = Fraction(x, rng.randint(1, 99)), Fraction(y, rng.randint(1, 99))
+        a, b = element_from_str(Q, str(p)), element_from_str(Q, str(q))
+        assert ((a + b).value, (a - b).value, (a * b).value, (-a).value) == (p + q, p - q, p * q, -p)
+    # same kind, different ring: the identity fast path must not skip the check
+    pairs = [(RingDescriptor.modular(4), RingDescriptor.modular(6)),
+             (RingDescriptor.polynomial(Z, 4), RingDescriptor.polynomial(Z4, 4))]
+    for r1, r2 in pairs:
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(RingError, match="ring mismatch"):
+                op(int_embed(r1, 1), int_embed(r2, 1))
 
 
 def test_capability_flags_are_pure_functions_of_kind():
