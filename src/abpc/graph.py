@@ -125,9 +125,6 @@ class AffineLabel:
     def scale(self, c: RingElement) -> "AffineLabel":
         return AffineLabel.make(self.constant * c, {(i, j): coeff * c for i, j, coeff in self.linear})
 
-    def neg(self) -> "AffineLabel":
-        return self.scale(int_embed(self.ring, -1))
-
     def homogeneous_part(self) -> "AffineLabel":
         return AffineLabel(self.ring.zero(), self.linear)
 
@@ -189,9 +186,6 @@ class AbpGraph:
             self.edges.pop((u, v), None)
         else:
             self.edges[(u, v)] = merged
-
-    def remove_edge(self, u: str, v: str) -> None:
-        self.edges.pop((u, v), None)
 
     def remove_vertex(self, vid: str) -> None:
         self.layer.pop(vid, None)
@@ -439,10 +433,12 @@ def constant_edge_elimination_steps(g: AbpGraph, at: Optional[str] = None) -> It
     """Yield the intermediate graphs of the constant-edge elimination.
 
     Every yielded graph computes the same polynomial at the designated
-    output.  Each step picks a vertex with no incoming constant edges but
-    an outgoing one, removes that edge and reroutes the affected paths; a
-    vertex with no incoming constant edges always exists because the
-    intra-layer constant edges are acyclic.
+    output.  The first is ``sub_abp(g, at)``; every later one is that same
+    working graph, edited in place by the steps after it (``g`` is never
+    touched).  The heads of constant edges are visited once each in
+    topological order, so every tail ``v`` of a removed edge ``v -> w`` has
+    no constant in-edges left, and the only new constant edges, ``s -> y``
+    for a constant ``w -> y``, point at a head still to come.
     """
     problems = validate(g)
     if problems:
@@ -452,46 +448,38 @@ def constant_edge_elimination_steps(g: AbpGraph, at: Optional[str] = None) -> It
         raise GraphError("elimination needs an output of degree at least 1")
     cur = sub_abp(g, name)
     yield cur
-    step_limit = 4 * (len(cur.layer) + len(cur.edges) + 4) ** 2
-    steps = 0
-    while True:
-        const_edges = sorted((u, v) for (u, v), lab in cur.edges.items() if lab.is_constant())
-        if not const_edges:
-            break
-        steps += 1
-        if steps > step_limit:
-            raise GraphError("constant-edge elimination did not terminate")
-        has_const_in = {v for (_u, v) in const_edges}
-        candidates = sorted(
-            {u for (u, _v) in const_edges if u not in has_const_in},
-            key=lambda vid: (cur.layer[vid], vid),
-        )
-        v = next((c for c in candidates if c != cur.source), candidates[0])
-        w = min(t for (x, t) in const_edges if x == v)
-        alpha = cur.edges[(v, w)].constant
-        nxt = cur.copy()
-        nxt.remove_edge(v, w)
-        if v == cur.source:
-            # paths s -(alpha)-> w -> y become direct edges s -> y
-            for (x, y) in sorted(cur.edges):
-                if x == w:
-                    nxt.add_edge(v, y, cur.edges[(x, y)].scale(alpha))
-        else:
-            # paths u -> v -(alpha)-> w become direct edges u -> w
-            for (x, y) in sorted(cur.edges):
-                if y == v:
-                    nxt.add_edge(x, w, cur.edges[(x, y)].scale(alpha))
-        cur = nxt
-        yield cur
-    final = cur.copy()
-    target = final.outputs[name]
+    # neighbour sets may keep edges that are gone since; cur.edges decides
+    preds: Dict[str, set] = {v: set() for v in cur.layer}
+    succs: Dict[str, set] = {v: set() for v in cur.layer}
+    for (u, v) in cur.edges:
+        preds[v].add(u)
+        succs[u].add(v)
+    verts = sorted(cur.layer, key=lambda vid: (cur.layer[vid], vid))
+    for w in topological_order(verts, [e for e, lab in cur.edges.items() if lab.is_constant()]):
+        for v in sorted(preds[w]):
+            lab = cur.edges.get((v, w))
+            if lab is None or not lab.is_constant():
+                continue
+            alpha = cur.edges.pop((v, w)).constant
+            if v == cur.source:
+                # paths s -(alpha)-> w -> y become direct edges s -> y
+                rerouted = [(v, y, (w, y)) for y in sorted(succs[w])]
+            else:
+                # paths x -> v -(alpha)-> w become direct edges x -> w
+                rerouted = [(x, w, (x, v)) for x in sorted(preds[v])]
+            for x, y, old in rerouted:
+                if old in cur.edges:
+                    cur.add_edge(x, y, cur.edges[old].scale(alpha))
+                    preds[y].add(x)
+                    succs[x].add(y)
+            yield cur
     for vid in sorted(cur.layer):
         lay = cur.layer[vid]
         if (lay == 0 and vid != cur.source) or (lay == cur.num_layers and vid != target):
-            final.remove_vertex(vid)
-    final.flavor = "pabp"
-    final.outputs = {name: target}
-    yield final
+            cur.remove_vertex(vid)
+    cur.flavor = "pabp"
+    cur.outputs = {name: target}
+    yield cur
 
 
 def eliminate_constant_edges(g: AbpGraph, at: Optional[str] = None) -> AbpGraph:
@@ -699,14 +687,16 @@ def graph_from_json_dict(data: dict) -> AbpGraph:
             g.add_vertex(_field(v, "id", str), _field(v, "layer", int))
         g.set_source(_field(data, "source", str))
         for e in data["edges"]:
+            u, v = _field(e, "from", str), _field(e, "to", str)
             const = element_from_str(ring, _field(e, "const", str))
             linear = {
                 (_index_field(t, "i", n), _index_field(t, "j", n)):
                     element_from_str(ring, _field(t, "coeff", str))
                 for t in e["linear"]
             }
-            g.add_edge(_field(e, "from", str), _field(e, "to", str),
-                       AffineLabel.make(const, linear))
+            if len(linear) != len(e["linear"]):
+                raise GraphError(f"malformed graph JSON: edge {u}->{v} repeats a linear term")
+            g.add_edge(u, v, AffineLabel.make(const, linear))
         outputs = data["outputs"]
         for name in outputs:
             g.add_output(name, _field(outputs, name, str))

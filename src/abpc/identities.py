@@ -266,6 +266,8 @@ def _normalize(identity: str, n: int, d: int) -> Tuple[int, int]:
         d = n - 1
     elif identity == "transition_product" and d < 2:
         raise IdentityError("transition_product needs d >= 2")
+    if d < 0:
+        raise IdentityError("d must be non-negative")
     return n, d
 
 

@@ -1,10 +1,9 @@
 """Exact arithmetic in the supported commutative coefficient rings.
 
-Four families are available: the integers, the modular rings Z/m (m >= 2,
-not necessarily prime, so zero divisors are allowed), the rationals, and
-polynomial rings in matrix variables over one of the scalar families.
-Every value is kept in a canonical form at all times, so equality of
-values is plain equality of representations.
+Three families are available: the integers, the modular rings Z/m
+(m >= 2, not necessarily prime, so zero divisors are allowed) and the
+rationals.  Every value is kept in a canonical form at all times, so
+equality of values is plain equality of representations.
 """
 
 from __future__ import annotations
@@ -12,8 +11,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
-from typing import Optional, Union
+from math import gcd
+from typing import Union
 
 
 class AbpcError(Exception):
@@ -27,9 +26,6 @@ class RingError(AbpcError):
 INT = "int"
 MOD = "mod"
 RAT = "rat"
-POLY = "poly"
-
-_SCALAR_KINDS = (INT, MOD, RAT)
 
 # Witness set for deterministic Miller-Rabin, valid for n < 3.3 * 10**24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -62,28 +58,18 @@ def _is_prime(n: int) -> bool:
 class RingDescriptor:
     """Identifies one concrete commutative ring.
 
-    ``kind`` is one of ``int``, ``mod``, ``rat``, ``poly``.  ``modulus`` is
-    used for ``mod`` only; ``base``/``num_vars`` for ``poly`` only.  A
-    polynomial ring cannot be based on another polynomial ring (variables
-    are flattened into a single matrix-indexed family instead).
+    ``kind`` is one of ``int``, ``mod``, ``rat``.  ``modulus`` is used for
+    ``mod`` only.
     """
 
     kind: str
     modulus: int = 0
-    base: Optional["RingDescriptor"] = None
-    num_vars: int = 0
 
     def __post_init__(self) -> None:
-        if self.kind not in (INT, MOD, RAT, POLY):
+        if self.kind not in (INT, MOD, RAT):
             raise RingError(f"unknown ring kind {self.kind!r}")
         if self.kind == MOD and self.modulus < 2:
             raise RingError("modulus must be at least 2")
-        if self.kind == POLY:
-            if self.base is None or self.base.kind not in _SCALAR_KINDS:
-                raise RingError("polynomial rings require a scalar base ring")
-            if self.num_vars < 0 or isqrt(self.num_vars) ** 2 != self.num_vars:
-                # variables are the entries of an n x n matrix
-                raise RingError("num_vars must be a perfect square")
 
     @staticmethod
     def integers() -> "RingDescriptor":
@@ -96,10 +82,6 @@ class RingDescriptor:
     @staticmethod
     def rationals() -> "RingDescriptor":
         return RingDescriptor(RAT)
-
-    @staticmethod
-    def polynomial(base: "RingDescriptor", num_vars: int) -> "RingDescriptor":
-        return RingDescriptor(POLY, base=base, num_vars=num_vars)
 
     @property
     def is_field(self) -> bool:
@@ -123,7 +105,7 @@ class RingDescriptor:
         return f"RingDescriptor({descriptor_to_spec(self)!r})"
 
 
-Value = Union[int, Fraction, object]
+Value = Union[int, Fraction]
 
 
 @dataclass(frozen=True, repr=False)
@@ -131,8 +113,7 @@ class RingElement:
     """A ring value in canonical form.
 
     Canonical means: plain int for the integers; residue in [0, m) for
-    Z/m; reduced ``Fraction`` with positive denominator for the rationals;
-    normalized sparse polynomial for polynomial rings.
+    Z/m; reduced ``Fraction`` with positive denominator for the rationals.
     """
 
     descriptor: RingDescriptor
@@ -159,8 +140,6 @@ class RingElement:
         return out
 
     def is_zero(self) -> bool:
-        if self.descriptor.kind == POLY:
-            return self.value.is_zero()
         return self.value == 0
 
     def is_one(self) -> bool:
@@ -178,18 +157,13 @@ def _common_ring(a: RingElement, b: RingElement) -> RingDescriptor:
 
 
 def _reduced(r: RingDescriptor, raw: Value) -> RingElement:
-    """Box an exact result: int, Fraction and polynomial results are
-    already canonical, so only Z/m reduces."""
+    """Box an exact result: int and Fraction results are already
+    canonical, so only Z/m reduces."""
     return RingElement(r, raw % r.modulus if r.kind == MOD else raw)
 
 
 def int_embed(r: RingDescriptor, k: int) -> RingElement:
     """Image of the integer ``k`` under the unique ring map Z -> R."""
-    if r.kind == POLY:
-        from .poly import Polynomial
-
-        n = isqrt(r.num_vars)
-        return RingElement(r, Polynomial.from_int(r.base, n, k))
     if r.kind == RAT:
         return RingElement(r, Fraction(k))
     return _reduced(r, k)
@@ -215,12 +189,9 @@ _RAT_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 def element_to_str(a: RingElement) -> str:
     """Serialize to the exact decimal text form used for all I/O."""
-    r = a.descriptor
-    if r.kind in (INT, MOD):
-        return str(a.value)
-    if r.kind == RAT:
+    if a.descriptor.kind == RAT:
         return f"{a.value.numerator}/{a.value.denominator}"
-    return a.value.text()
+    return str(a.value)
 
 
 def element_from_str(r: RingDescriptor, s: str) -> RingElement:
@@ -229,14 +200,12 @@ def element_from_str(r: RingDescriptor, s: str) -> RingElement:
         if not _INT_RE.match(s):
             raise RingError(f"cannot parse {s!r} as an integer")
         return _reduced(r, int(s))
-    if r.kind == RAT:
-        if not _RAT_RE.match(s):
-            raise RingError(f"cannot parse {s!r} as a rational")
-        try:
-            return RingElement(r, Fraction(s))
-        except ZeroDivisionError:
-            raise RingError(f"cannot parse {s!r} as a rational") from None
-    raise RingError("polynomial ring elements cannot be parsed from text")
+    if not _RAT_RE.match(s):
+        raise RingError(f"cannot parse {s!r} as a rational")
+    try:
+        return RingElement(r, Fraction(s))
+    except ZeroDivisionError:
+        raise RingError(f"cannot parse {s!r} as a rational") from None
 
 
 def descriptor_from_spec(spec: str) -> RingDescriptor:
@@ -258,6 +227,4 @@ def descriptor_to_spec(r: RingDescriptor) -> str:
         return "int"
     if r.kind == RAT:
         return "rat"
-    if r.kind == MOD:
-        return f"mod:{r.modulus}"
-    return f"poly({descriptor_to_spec(r.base)},{r.num_vars})"
+    return f"mod:{r.modulus}"

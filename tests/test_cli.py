@@ -26,6 +26,16 @@ def test_verify_pass_line_and_exit_code(capsys):
     assert out == "bivariate_ch n=3 d=2 ring=int PASS\n"
 
 
+def test_verify_rejects_negative_degree(capsys):
+    code, out, err = run(capsys, "verify", "--identity", "bivariate_ch",
+                         "--n", "2", "--d", "-1", "--ring", "int")
+    assert (code, out, err) == (1, "", "error: d must be non-negative\n")
+    # cayley_hamilton fixes d = n itself, so any --d is accepted
+    code, out, _err = run(capsys, "verify", "--identity", "cayley_hamilton",
+                          "--n", "2", "--d", "-1", "--ring", "int")
+    assert (code, out) == (0, "cayley_hamilton n=2 d=2 ring=int PASS\n")
+
+
 def test_verify_all_table(capsys):
     code, out, _err = run(capsys, "verify-all", "--n-max", "2", "--d-max", "2",
                           "--ring", "mod:4")
@@ -184,6 +194,11 @@ def _first_term(data):
     return next(e for e in data["edges"] if e["linear"])["linear"][0]
 
 
+def _repeat_first_term(data):
+    terms = next(e for e in data["edges"] if e["linear"])["linear"]
+    terms.append(dict(terms[0], coeff="2"))
+
+
 def _rat_zero_denominator(data):
     data["ring"] = "rat"
     data["edges"][0]["const"] = "1/0"
@@ -214,6 +229,8 @@ BAD_INPUTS = {
                   "field 'coeff' must be a string"),
     "output-int": (_edit(lambda d: d["outputs"].update(cpc_3_3=5)), "eval",
                    "field 'cpc_3_3' must be a string"),
+    "term-repeated": (_edit(_repeat_first_term), "eval",
+                      "malformed graph JSON: edge r_2_1_1->c_3_2 repeats a linear term"),
     # a rational with a zero denominator, in the graph and in the matrix
     "const-zero-denominator": (_edit(_rat_zero_denominator), "stats", "cannot parse '1/0' as a rational"),
     "matrix-zero-denominator": (_edit(lambda d: d.update(ring="rat")), "eval",

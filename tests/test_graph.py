@@ -250,7 +250,9 @@ def test_elimination_on_random_programs():
         d = rng.randint(1, 4)
         g = random_abp(Z, n, d, rng)
         want = expand_symbolic(g, "out")
+        before = graph_to_json_dict(g)
         p = eliminate_constant_edges(g, "out")
+        assert graph_to_json_dict(g) == before
         assert p.flavor == "pabp"
         assert validate(p) == []
         assert expand_symbolic(p, "out") == want
