@@ -22,7 +22,6 @@ from .poly import Polynomial, PolyMatrix, VarIndex, gradient, matrix_power
 from .oracle import cpc_cycle_cover, cpc_minor_sum, det_leibniz, grad_ccp_entry
 from .graph import (
     AbpGraph,
-    AffineLabel,
     abp_to_determinant,
     combine,
     eliminate_constant_edges,

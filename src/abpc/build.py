@@ -20,11 +20,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from math import comb
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from .graph import AbpGraph, AffineLabel, GraphError, homogenize, sub_abp, topological_order
+from .graph import AbpGraph, GraphError, homogenize, sub_abp, topological_order
 from .oracle import det_leibniz
-from .poly import Polynomial, PolyMatrix
+from .poly import Polynomial, PolyMatrix, unflatten
 from .rings import RingDescriptor, RingElement, int_embed, invert
 
 
@@ -122,6 +122,18 @@ def comparison_report(n: int, d: Optional[int] = None) -> dict:
     }
 
 
+Labels = Dict[Tuple[int, int], Polynomial]
+
+
+def _signed_variables(ring: RingDescriptor, n: int) -> Tuple[Labels, Labels]:
+    """The labels x[i,j] and -x[i,j], keyed by (i, j): one object each,
+    shared by every edge that carries it."""
+    x = {
+        (i, j): Polynomial.variable(ring, n, i, j) for i in range(1, n + 1) for j in range(1, n + 1)
+    }
+    return x, {key: -var for key, var in x.items()}
+
+
 # -- trace-recursion construction (needs rationals) ------------------------------
 
 
@@ -138,37 +150,35 @@ def build_charzero_abp(n: int, d_max: int, ring: RingDescriptor) -> AbpGraph:
     if n < 1 or d_max < 0:
         raise GraphError("parameters out of range")
     g = AbpGraph("abp", ring, n, d_max)
+    x, _neg_x = _signed_variables(ring, n)
+    trace = Polynomial.zero(ring, n)
+    for a in range(1, n + 1):
+        trace = trace + x[(a, a)]
     for d in range(0, d_max + 1):
         g.add_vertex(f"v_{d}", d)
     g.set_source("v_0")
     for d in range(1, d_max + 1):
         inv_d = invert(int_embed(ring, d))
-        for i in range(1, d + 1):
-            coeff = (int_embed(ring, -1) ** (i + 1)) * inv_d
-            if i == 1:
-                label = AffineLabel.make(
-                    ring.zero(), {(a, a): coeff for a in range(1, n + 1)}
-                )
-                g.add_edge(f"v_{d - 1}", f"v_{d}", label)
-                continue
+        g.add_edge(f"v_{d - 1}", f"v_{d}", trace.scale(inv_d))
+        # closing[i % 2][(b, a)] is (-1)^(i+1)/d * x[b,a]
+        closing = [{key: var.scale(coeff) for key, var in x.items()} for coeff in (-inv_d, inv_d)]
+        for i in range(2, d + 1):
             for l in range(1, i):
                 for a in range(1, n + 1):
                     for b in range(1, n + 1):
                         g.add_vertex(f"w_{d}_{i}_{l}_{a}_{b}", d - i + l)
             for a in range(1, n + 1):
                 for b in range(1, n + 1):
-                    g.add_edge(f"v_{d - i}", f"w_{d}_{i}_1_{a}_{b}",
-                               AffineLabel.variable(ring, a, b))
+                    g.add_edge(f"v_{d - i}", f"w_{d}_{i}_1_{a}_{b}", x[(a, b)])
             for l in range(1, i - 1):
                 for a in range(1, n + 1):
                     for b in range(1, n + 1):
                         for c in range(1, n + 1):
                             g.add_edge(f"w_{d}_{i}_{l}_{a}_{b}", f"w_{d}_{i}_{l + 1}_{a}_{c}",
-                                       AffineLabel.variable(ring, b, c))
+                                       x[(b, c)])
             for a in range(1, n + 1):
                 for b in range(1, n + 1):
-                    closing = AffineLabel.make(ring.zero(), {(b, a): coeff})
-                    g.add_edge(f"w_{d}_{i}_{i - 1}_{a}_{b}", f"v_{d}", closing)
+                    g.add_edge(f"w_{d}_{i}_{i - 1}_{a}_{b}", f"v_{d}", closing[i % 2][(b, a)])
     for d in range(0, d_max + 1):
         g.add_output(f"cpc_{n}_{d}", f"v_{d}")
     return g
@@ -189,7 +199,8 @@ def build_bivariate_abp(n: int, d_max: int, ring: RingDescriptor) -> AbpGraph:
         raise GraphError("parameters out of range")
     d_max = min(d_max, n)
     g = AbpGraph("abp", ring, n, d_max)
-    one = AffineLabel.const(int_embed(ring, 1))
+    one = Polynomial.from_int(ring, n, 1)
+    x, neg_x = _signed_variables(ring, n)
     for i in range(0, n + 1):
         g.add_vertex(f"v_{i}_0", 0)
     g.set_source("v_0_0")
@@ -201,24 +212,23 @@ def build_bivariate_abp(n: int, d_max: int, ring: RingDescriptor) -> AbpGraph:
             if i > j:
                 g.add_edge(f"v_{i - 1}_{j}", f"v_{i}_{j}", one)
             for ip in range(1, j + 1):
-                sign = 1 if ip % 2 == 1 else -1
+                signed_x = x if ip % 2 == 1 else neg_x
                 src = f"v_{i}_{j - ip}"
                 if ip == 1:
-                    g.add_edge(src, f"v_{i}_{j}", AffineLabel.variable(ring, i, i, sign))
+                    g.add_edge(src, f"v_{i}_{j}", signed_x[(i, i)])
                     continue
                 for l in range(1, ip):
                     for b in range(1, i + 1):
                         g.add_vertex(f"w_{i}_{j}_{ip}_{l}_{b}", j - ip + l)
                 for b in range(1, i + 1):
-                    g.add_edge(src, f"w_{i}_{j}_{ip}_1_{b}", AffineLabel.variable(ring, i, b))
+                    g.add_edge(src, f"w_{i}_{j}_{ip}_1_{b}", x[(i, b)])
                 for l in range(1, ip - 1):
                     for b in range(1, i + 1):
                         for c in range(1, i + 1):
                             g.add_edge(f"w_{i}_{j}_{ip}_{l}_{b}", f"w_{i}_{j}_{ip}_{l + 1}_{c}",
-                                       AffineLabel.variable(ring, b, c))
+                                       x[(b, c)])
                 for b in range(1, i + 1):
-                    g.add_edge(f"w_{i}_{j}_{ip}_{ip - 1}_{b}", f"v_{i}_{j}",
-                               AffineLabel.variable(ring, b, i, sign))
+                    g.add_edge(f"w_{i}_{j}_{ip}_{ip - 1}_{b}", f"v_{i}_{j}", signed_x[(b, i)])
     for i in range(0, n + 1):
         for j in range(0, min(i, d_max) + 1):
             g.add_output(f"cpc_{i}_{j}", f"v_{i}_{j}")
@@ -244,7 +254,8 @@ def build_gradient_abp(n: int, d_max: int, ring: RingDescriptor) -> Tuple[AbpGra
     g = AbpGraph("abp", ring, n, d_max)
     g.add_vertex("s", 0)
     g.set_source("s")
-    one = AffineLabel.const(int_embed(ring, 1))
+    one = Polynomial.from_int(ring, n, 1)
+    x, neg_x = _signed_variables(ring, n)
 
     # r-vector vertices: layer j (1 <= j < d_max) holds r_{i,j} for j < i <= n
     for j in range(1, d_max):
@@ -256,8 +267,8 @@ def build_gradient_abp(n: int, d_max: int, ring: RingDescriptor) -> Tuple[AbpGra
         # first edge layer: entries of r_{i,1} = (-x[i,1] .. -x[i,i-1], tr_{i-1})
         for i in range(2, n + 1):
             for a in range(1, i):
-                g.add_edge("s", f"r_{i}_1_{a}", AffineLabel.variable(ring, i, a, -1))
-            g.add_edge("s", f"r_{i}_1_{i}", AffineLabel.variable(ring, i - 1, i - 1))
+                g.add_edge("s", f"r_{i}_1_{a}", neg_x[(i, a)])
+            g.add_edge("s", f"r_{i}_1_{i}", x[(i - 1, i - 1)])
             if i >= 3:
                 g.add_edge(f"r_{i - 1}_1_{i - 1}", f"r_{i}_1_{i}", one)
         # transitions between r-vector layers
@@ -265,12 +276,10 @@ def build_gradient_abp(n: int, d_max: int, ring: RingDescriptor) -> Tuple[AbpGra
             for i in range(j + 2, n + 1):
                 for a in range(1, i):
                     for b in range(1, i + 1):
-                        g.add_edge(f"r_{i}_{j}_{b}", f"r_{i}_{j + 1}_{a}",
-                                   AffineLabel.variable(ring, b, a, -1))
+                        g.add_edge(f"r_{i}_{j}_{b}", f"r_{i}_{j + 1}_{a}", neg_x[(b, a)])
                 for ip in range(j + 1, i):
                     for b in range(1, ip + 1):
-                        g.add_edge(f"r_{ip}_{j}_{b}", f"r_{i}_{j + 1}_{i}",
-                                   AffineLabel.variable(ring, b, ip))
+                        g.add_edge(f"r_{ip}_{j}_{b}", f"r_{i}_{j + 1}_{i}", x[(b, ip)])
 
     # outputs of degree 0: the source computes 1
     for i in range(0, n + 1):
@@ -280,7 +289,7 @@ def build_gradient_abp(n: int, d_max: int, ring: RingDescriptor) -> Tuple[AbpGra
         # plain diagonal chain computing the traces tr_1 .. tr_n
         for i in range(1, n + 1):
             g.add_vertex(f"c_{i}_1", 1)
-            g.add_edge("s", f"c_{i}_1", AffineLabel.variable(ring, i, i))
+            g.add_edge("s", f"c_{i}_1", x[(i, i)])
             if i >= 2:
                 g.add_edge(f"c_{i - 1}_1", f"c_{i}_1", one)
             g.add_output(f"cpc_{i}_1", f"c_{i}_1")
@@ -292,7 +301,7 @@ def build_gradient_abp(n: int, d_max: int, ring: RingDescriptor) -> Tuple[AbpGra
             g.add_output(f"cpc_{i}_{j}", f"r_{i + 1}_{j}_{i + 1}")
     # cpc_{n,1} extends the diagonal chain by one vertex
     g.add_vertex(f"c_{n}_1", 1)
-    g.add_edge("s", f"c_{n}_1", AffineLabel.variable(ring, n, n))
+    g.add_edge("s", f"c_{n}_1", x[(n, n)])
     g.add_edge(f"r_{n}_1_{n}", f"c_{n}_1", one)
     g.add_output(f"cpc_{n}_1", f"c_{n}_1")
     # cpc_{n,j} for 1 < j < d_max: one extra vertex fed by all r_{i,j-1} C_i
@@ -300,15 +309,14 @@ def build_gradient_abp(n: int, d_max: int, ring: RingDescriptor) -> Tuple[AbpGra
         g.add_vertex(f"c_{n}_{j}", j)
         for i in range(j, n + 1):
             for a in range(1, i + 1):
-                g.add_edge(f"r_{i}_{j - 1}_{a}", f"c_{n}_{j}", AffineLabel.variable(ring, a, i))
+                g.add_edge(f"r_{i}_{j - 1}_{a}", f"c_{n}_{j}", x[(a, i)])
         g.add_output(f"cpc_{n}_{j}", f"c_{n}_{j}")
     # top layer: cpc_{i,d_max} for d_max <= i <= n, one extra vertex each
     for i in range(d_max, n + 1):
         g.add_vertex(f"c_{i}_{d_max}", d_max)
         for ip in range(d_max, i + 1):
             for a in range(1, ip + 1):
-                g.add_edge(f"r_{ip}_{d_max - 1}_{a}", f"c_{i}_{d_max}",
-                           AffineLabel.variable(ring, a, ip))
+                g.add_edge(f"r_{ip}_{d_max - 1}_{a}", f"c_{i}_{d_max}", x[(a, ip)])
         g.add_output(f"cpc_{i}_{d_max}", f"c_{i}_{d_max}")
     return g, stats_from_graph(g)
 
@@ -427,11 +435,15 @@ def _field_normal_form(m0: List[List[RingElement]], ring: RingDescriptor):
     return g, h, rank
 
 
-def _assert_signed_variable(label: AffineLabel) -> Tuple[int, int, int]:
-    sv = label.single_variable()
-    if sv is None:
-        raise GraphError("expected a signed single-variable edge label")
-    return sv
+def _signed_variable(label: Polynomial) -> Tuple[int, int, int]:
+    """(i, j, s) for a label that is exactly s * x[i,j] with s = +-1."""
+    if len(label.terms) == 1:
+        ((mono, c),) = label.terms.items()
+        sign = 1 if c.is_one() else -1 if (-c).is_one() else 0
+        if mono and sign:
+            i, j = unflatten(mono[0][0], label.ambient_n)
+            return i, j, sign
+    raise GraphError("expected a signed single-variable edge label")
 
 
 def width_from_determinantal(m: PolyMatrix, d: int, ring: RingDescriptor) -> AbpGraph:
@@ -483,16 +495,17 @@ def width_from_determinantal(m: PolyMatrix, d: int, ring: RingDescriptor) -> Abp
         out.add_vertex(vid, 0)
     out.set_source(base.source)
     chain_count = 0
-    pending: List[Tuple[str, str, AffineLabel]] = []
+    pending: List[Tuple[str, str, Polynomial]] = []
     for (u, v) in sorted(base.edges):
         lab = base.edges[(u, v)]
-        if lab.is_constant():
-            pending.append((u, v, lab))
+        if lab.degree == 0:
+            # the base program's ambient size is k, which may exceed ``ambient``
+            pending.append((u, v, Polynomial.constant(ring, ambient, lab.constant_term())))
             continue
-        alpha, beta, sign = _assert_signed_variable(lab)
+        alpha, beta, sign = _signed_variable(lab)
         # direct part: the A-block entry, signed
         a_entry = block_a.entry(alpha, beta)
-        direct = AffineLabel.from_polynomial(a_entry if sign > 0 else -a_entry)
+        direct = a_entry if sign > 0 else -a_entry
         if not direct.is_zero():
             pending.append((u, v, direct))
         if rank == 0 or d < 2:
@@ -503,18 +516,17 @@ def width_from_determinantal(m: PolyMatrix, d: int, ring: RingDescriptor) -> Abp
             for c in range(1, rank + 1):
                 out.add_vertex(f"{tag}_{l}_{c}", 0)
         for c in range(1, rank + 1):
-            start = AffineLabel.from_polynomial(
-                -block_b.entry(alpha, c) if sign > 0 else block_b.entry(alpha, c))
+            start = -block_b.entry(alpha, c) if sign > 0 else block_b.entry(alpha, c)
             if not start.is_zero():
                 pending.append((u, f"{tag}_0_{c}", start))
-            close = AffineLabel.from_polynomial(block_c.entry(c, beta))
+            close = block_c.entry(c, beta)
             for l in range(0, d - 1):
                 if not close.is_zero():
                     pending.append((f"{tag}_{l}_{c}", v, close))
         for l in range(0, d - 2):
             for c in range(1, rank + 1):
                 for cc in range(1, rank + 1):
-                    step = AffineLabel.from_polynomial(block_d.entry(c, cc))
+                    step = block_d.entry(c, cc)
                     if not step.is_zero():
                         pending.append((f"{tag}_{l}_{c}", f"{tag}_{l + 1}_{cc}", step))
     # assign a strictly increasing topological index (longest path from source)

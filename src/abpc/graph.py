@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import heapq
 import os
-from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .poly import Polynomial, PolyMatrix
+from .poly import Polynomial, PolyMatrix, unflatten
 from .rings import (
     AbpcError,
     RingDescriptor,
@@ -29,7 +28,6 @@ from .rings import (
     descriptor_to_spec,
     element_from_str,
     element_to_str,
-    int_embed,
 )
 
 DEFAULT_EXPANSION_GUARD = 5
@@ -50,97 +48,6 @@ def expansion_guard() -> int:
         raise GraphError(f"ABPC_GUARD_N must be an integer, got {raw!r}") from None
 
 
-@dataclass(frozen=True)
-class AffineLabel:
-    """An edge label: a ring constant plus a linear form in the x[i,j].
-
-    ``linear`` holds (i, j, coeff) triples sorted by (i, j) with nonzero
-    coefficients only.  A label is constant iff ``linear`` is empty and
-    homogeneous-linear iff ``constant`` is zero.
-    """
-
-    constant: RingElement
-    linear: Tuple[Tuple[int, int, RingElement], ...] = ()
-
-    @property
-    def ring(self) -> RingDescriptor:
-        return self.constant.descriptor
-
-    @classmethod
-    def const(cls, value: RingElement) -> "AffineLabel":
-        return cls(value, ())
-
-    @classmethod
-    def variable(cls, ring: RingDescriptor, i: int, j: int, coeff: int = 1) -> "AffineLabel":
-        return cls.make(ring.zero(), {(i, j): int_embed(ring, coeff)})
-
-    @classmethod
-    def make(cls, constant: RingElement, linear: Dict[Tuple[int, int], RingElement]) -> "AffineLabel":
-        triples = tuple(
-            (i, j, c) for (i, j), c in sorted(linear.items()) if not c.is_zero()
-        )
-        return cls(constant, triples)
-
-    @classmethod
-    def from_polynomial(cls, p: Polynomial) -> "AffineLabel":
-        if p.degree > 1:
-            raise GraphError("edge labels must have degree at most 1")
-        from .poly import unflatten
-
-        linear = {}
-        for mono, c in p.terms.items():
-            if not mono:
-                continue
-            (v, _e), = mono
-            linear[unflatten(v, p.ambient_n)] = c
-        return cls.make(p.constant_term(), linear)
-
-    def is_zero(self) -> bool:
-        return self.constant.is_zero() and not self.linear
-
-    def is_constant(self) -> bool:
-        return not self.linear
-
-    def is_homogeneous_linear(self) -> bool:
-        return self.constant.is_zero()
-
-    def single_variable(self) -> Optional[Tuple[int, int, int]]:
-        """(i, j, +-1) when the label is exactly a signed variable, else None."""
-        if not self.constant.is_zero() or len(self.linear) != 1:
-            return None
-        i, j, c = self.linear[0]
-        if c.is_one():
-            return i, j, 1
-        if (-c).is_one():
-            return i, j, -1
-        return None
-
-    def add(self, other: "AffineLabel") -> "AffineLabel":
-        merged = {(i, j): c for i, j, c in self.linear}
-        for i, j, c in other.linear:
-            cur = merged.get((i, j))
-            merged[(i, j)] = c if cur is None else cur + c
-        return AffineLabel.make(self.constant + other.constant, merged)
-
-    def scale(self, c: RingElement) -> "AffineLabel":
-        return AffineLabel.make(self.constant * c, {(i, j): coeff * c for i, j, coeff in self.linear})
-
-    def homogeneous_part(self) -> "AffineLabel":
-        return AffineLabel(self.ring.zero(), self.linear)
-
-    def to_polynomial(self, n: int) -> Polynomial:
-        p = Polynomial.constant(self.ring, n, self.constant)
-        for i, j, c in self.linear:
-            p = p + Polynomial.variable(self.ring, n, i, j).scale(c)
-        return p
-
-    def evaluate(self, entries: Sequence[Sequence[RingElement]]) -> RingElement:
-        acc = self.constant
-        for i, j, c in self.linear:
-            acc = acc + c * entries[i - 1][j - 1]
-        return acc
-
-
 class AbpGraph:
     """A branching program; mutated only during its build phase."""
 
@@ -155,7 +62,7 @@ class AbpGraph:
         self.ambient_n = ambient_n
         self.num_layers = num_layers
         self.layer: Dict[str, int] = {}
-        self.edges: Dict[Tuple[str, str], AffineLabel] = {}
+        self.edges: Dict[Tuple[str, str], Polynomial] = {}
         self.source: Optional[str] = None
         self.outputs: Dict[str, str] = {}
 
@@ -174,25 +81,30 @@ class AbpGraph:
             raise GraphError(f"source {vid!r} is not a vertex")
         self.source = vid
 
-    def add_edge(self, u: str, v: str, label: AffineLabel) -> None:
-        """Insert an edge; parallel edges are merged by adding their labels."""
+    def add_edge(self, u: str, v: str, label: Polynomial) -> None:
+        """Insert an edge; parallel edges are merged by adding their labels.
+
+        A label is a polynomial of degree at most 1 over the graph's ring
+        and ambient size.  Nothing mutates a label, so one object may label
+        many edges.
+        """
         if u not in self.layer or v not in self.layer:
             raise GraphError("edge endpoint is not a vertex")
         if u == v:
             raise GraphError("self-loops are not allowed")
+        if label.ring is not self.ring and label.ring != self.ring:
+            raise GraphError(f"edge {u}->{v} has a label from another ring")
+        if label.ambient_n != self.ambient_n:
+            raise GraphError(f"edge {u}->{v} has a label of ambient size "
+                             f"{label.ambient_n}, not {self.ambient_n}")
+        if label.degree > 1:
+            raise GraphError(f"edge {u}->{v} has a label of degree above 1")
         existing = self.edges.get((u, v))
-        merged = label if existing is None else existing.add(label)
+        merged = label if existing is None else existing + label
         if merged.is_zero():
             self.edges.pop((u, v), None)
         else:
             self.edges[(u, v)] = merged
-
-    def remove_vertex(self, vid: str) -> None:
-        self.layer.pop(vid, None)
-        for key in [k for k in self.edges if vid in k]:
-            del self.edges[key]
-        for name in [n for n, v in self.outputs.items() if v == vid]:
-            del self.outputs[name]
 
     def add_output(self, name: str, vid: str) -> None:
         if vid not in self.layer:
@@ -209,14 +121,14 @@ class AbpGraph:
 
     # -- derived views ---------------------------------------------------------
 
-    def in_adj(self) -> Dict[str, List[Tuple[str, AffineLabel]]]:
-        adj: Dict[str, List[Tuple[str, AffineLabel]]] = {v: [] for v in self.layer}
+    def in_adj(self) -> Dict[str, List[Tuple[str, Polynomial]]]:
+        adj: Dict[str, List[Tuple[str, Polynomial]]] = {v: [] for v in self.layer}
         for (u, v), lab in self.edges.items():
             adj[v].append((u, lab))
         return adj
 
-    def out_adj(self) -> Dict[str, List[Tuple[str, AffineLabel]]]:
-        adj: Dict[str, List[Tuple[str, AffineLabel]]] = {v: [] for v in self.layer}
+    def out_adj(self) -> Dict[str, List[Tuple[str, Polynomial]]]:
+        adj: Dict[str, List[Tuple[str, Polynomial]]] = {v: [] for v in self.layer}
         for (u, v), lab in self.edges.items():
             adj[u].append((v, lab))
         return adj
@@ -293,18 +205,18 @@ def validate(g: AbpGraph) -> List[str]:
             lab = g.edges[(u, v)]
             du, dv = g.layer[u], g.layer[v]
             if dv == du + 1:
-                if not lab.is_homogeneous_linear():
+                if () in lab.terms:
                     problems.append(f"cross-layer edge {u}->{v} must be homogeneous linear")
             elif dv == du:
                 if g.flavor == "pabp":
                     problems.append("pabp forbids constant edges")
-                elif not lab.is_constant():
+                elif lab.degree != 0:
                     problems.append(f"intra-layer edge {u}->{v} must be constant")
             else:
                 problems.append(f"edge {u}->{v} skips layers")
         if g.flavor == "abp":
             const_edges = [(u, v) for (u, v), lab in g.edges.items()
-                           if lab.is_constant() and g.layer[u] == g.layer[v]]
+                           if g.layer[u] == g.layer[v] and lab.degree == 0]
             settled = set(topological_order(list(g.layer), const_edges))
             cyclic = {lay for vid, lay in g.layer.items() if vid not in settled}
             for lay in range(0, g.num_layers + 1):
@@ -340,7 +252,7 @@ def resolve_output(g: AbpGraph, at: Optional[str] = None) -> Tuple[str, str]:
     raise GraphError("ambiguous output; name one explicitly")
 
 
-def _forward_values(g: AbpGraph, one, label_factor: Callable[[AffineLabel], object]) -> Dict[str, object]:
+def _forward_values(g: AbpGraph, one, label_factor: Callable[[Polynomial], object]) -> Dict[str, object]:
     """Sweep values through the graph; the value type supports + and *."""
     zero = one - one
     verts = sorted(g.layer, key=lambda vid: (g.layer[vid], vid))
@@ -366,7 +278,8 @@ def evaluate_all(g: AbpGraph, entries: Sequence[Sequence[RingElement]]) -> Dict[
         for e in row:
             if e.descriptor != g.ring:
                 raise GraphError("matrix entries from a different ring")
-    values = _forward_values(g, g.ring.one(), lambda lab: lab.evaluate(entries))
+    flat = [e for row in entries for e in row]
+    values = _forward_values(g, g.ring.one(), lambda lab: lab.substitute_flat(flat))
     return {name: values[vid] for name, vid in sorted(g.outputs.items())}
 
 
@@ -385,7 +298,7 @@ def expand_all(g: AbpGraph) -> Dict[str, Polynomial]:
             "set ABPC_GUARD_N to override"
         )
     one = Polynomial.from_int(g.ring, g.ambient_n, 1)
-    values = _forward_values(g, one, lambda lab: lab.to_polynomial(g.ambient_n))
+    values = _forward_values(g, one, lambda lab: lab)
     return {name: values[vid] for name, vid in sorted(g.outputs.items())}
 
 
@@ -455,12 +368,12 @@ def constant_edge_elimination_steps(g: AbpGraph, at: Optional[str] = None) -> It
         preds[v].add(u)
         succs[u].add(v)
     verts = sorted(cur.layer, key=lambda vid: (cur.layer[vid], vid))
-    for w in topological_order(verts, [e for e, lab in cur.edges.items() if lab.is_constant()]):
+    for w in topological_order(verts, [e for e, lab in cur.edges.items() if lab.degree == 0]):
         for v in sorted(preds[w]):
             lab = cur.edges.get((v, w))
-            if lab is None or not lab.is_constant():
+            if lab is None or lab.degree != 0:
                 continue
-            alpha = cur.edges.pop((v, w)).constant
+            alpha = cur.edges.pop((v, w)).constant_term()
             if v == cur.source:
                 # paths s -(alpha)-> w -> y become direct edges s -> y
                 rerouted = [(v, y, (w, y)) for y in sorted(succs[w])]
@@ -473,10 +386,12 @@ def constant_edge_elimination_steps(g: AbpGraph, at: Optional[str] = None) -> It
                     preds[y].add(x)
                     succs[x].add(y)
             yield cur
-    for vid in sorted(cur.layer):
-        lay = cur.layer[vid]
-        if (lay == 0 and vid != cur.source) or (lay == cur.num_layers and vid != target):
-            cur.remove_vertex(vid)
+    dropped = {vid for vid, lay in cur.layer.items()
+               if (lay == 0 and vid != cur.source) or (lay == cur.num_layers and vid != target)}
+    for vid in dropped:
+        del cur.layer[vid]
+    cur.edges = {(u, v): lab for (u, v), lab in cur.edges.items()
+                 if u not in dropped and v not in dropped}
     cur.flavor = "pabp"
     cur.outputs = {name: target}
     yield cur
@@ -529,14 +444,14 @@ def homogenize(g: AbpGraph, k: int) -> AbpGraph:
     out.set_source(f"{g.source}#0")
     for (u, v) in sorted(g.edges):
         lab = g.edges[(u, v)]
-        linear = lab.homogeneous_part()
-        const = lab.constant
+        linear = lab.homogeneous_component(1)
+        const = lab.homogeneous_component(0)
         targets = copies(v)
         for i in copies(u):
             if not linear.is_zero() and (i + 1) in targets:
                 out.add_edge(f"{u}#{i}", f"{v}#{i + 1}", linear)
             if not const.is_zero() and i in targets:
-                out.add_edge(f"{u}#{i}", f"{v}#{i}", AffineLabel.const(const))
+                out.add_edge(f"{u}#{i}", f"{v}#{i}", const)
     out.add_output(name, f"{sink}#{k}")
     return out
 
@@ -583,7 +498,7 @@ def combine(g1: AbpGraph, g2: AbpGraph, op: str,
     out.set_source("s")
     for tag, part, _shift in parts:
         for (u, v) in sorted(part.edges):
-            out.add_edge(rename(tag, u), rename(tag, v), part.edges[(u, v)])
+            out.add_edge(rename(tag, u), rename(tag, v), part.edges[(u, v)].promote(ambient))
     out.add_output("sink", "t")
     return out
 
@@ -624,8 +539,7 @@ def abp_to_determinant(g: AbpGraph, at: Optional[str] = None) -> PolyMatrix:
     for pos in range(1, size):
         rows[pos][pos] = one
     for (u, v) in sorted(a.edges):
-        lab = a.edges[(u, v)]
-        rows[index[u]][index[v]] = rows[index[u]][index[v]] + lab.to_polynomial(a.ambient_n)
+        rows[index[u]][index[v]] = rows[index[u]][index[v]] + a.edges[(u, v)]
     if d % 2 == 0 and size >= 2:
         rows[0], rows[1] = rows[1], rows[0]
     return PolyMatrix.from_rows(a.ring, a.ambient_n, rows)
@@ -640,15 +554,20 @@ def graph_to_json_dict(g: AbpGraph) -> dict:
         for vid in sorted(g.layer, key=lambda v: (g.layer[v], v))
     ]
     edges = []
+    zero = g.ring.zero()
     for (u, v) in sorted(g.edges):
-        lab = g.edges[(u, v)]
+        terms = g.edges[(u, v)].terms
+        linear = []
+        # a label's monomials are () and ((flat, 1),); flat order is (i, j) order
+        for mono, c in sorted(terms.items()):
+            if mono:
+                i, j = unflatten(mono[0][0], g.ambient_n)
+                linear.append({"i": i, "j": j, "coeff": element_to_str(c)})
         edges.append({
             "from": u,
             "to": v,
-            "const": element_to_str(lab.constant),
-            "linear": [
-                {"i": i, "j": j, "coeff": element_to_str(c)} for i, j, c in lab.linear
-            ],
+            "const": element_to_str(terms.get((), zero)),
+            "linear": linear,
         })
     return {
         "flavor": g.flavor,
@@ -688,15 +607,13 @@ def graph_from_json_dict(data: dict) -> AbpGraph:
         g.set_source(_field(data, "source", str))
         for e in data["edges"]:
             u, v = _field(e, "from", str), _field(e, "to", str)
-            const = element_from_str(ring, _field(e, "const", str))
-            linear = {
-                (_index_field(t, "i", n), _index_field(t, "j", n)):
-                    element_from_str(ring, _field(t, "coeff", str))
-                for t in e["linear"]
-            }
-            if len(linear) != len(e["linear"]):
+            terms = {(): element_from_str(ring, _field(e, "const", str))}
+            for t in e["linear"]:
+                flat = (_index_field(t, "i", n) - 1) * n + _index_field(t, "j", n) - 1
+                terms[((flat, 1),)] = element_from_str(ring, _field(t, "coeff", str))
+            if len(terms) != len(e["linear"]) + 1:
                 raise GraphError(f"malformed graph JSON: edge {u}->{v} repeats a linear term")
-            g.add_edge(u, v, AffineLabel.make(const, linear))
+            g.add_edge(u, v, Polynomial(ring, n, {m: c for m, c in terms.items() if not c.is_zero()}))
         outputs = data["outputs"]
         for name in outputs:
             g.add_output(name, _field(outputs, name, str))
@@ -715,8 +632,7 @@ def graph_to_dot(g: AbpGraph) -> str:
         lines.append("  }")
     for (u, v) in sorted(g.edges):
         lab = g.edges[(u, v)]
-        text = lab.to_polynomial(g.ambient_n).text()
-        style = ", style=dashed" if lab.is_constant() else ""
-        lines.append(f'  "{u}" -> "{v}" [label="{text}"{style}];')
+        style = ", style=dashed" if lab.degree == 0 else ""
+        lines.append(f'  "{u}" -> "{v}" [label="{lab.text()}"{style}];')
     lines.append("}")
     return "\n".join(lines) + "\n"

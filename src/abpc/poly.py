@@ -104,7 +104,7 @@ class Polynomial:
         # deg(0) = 0 by convention
         if not self.terms:
             return 0
-        return max(_mono_degree(m) for m in self.terms)
+        return max(map(_mono_degree, self.terms))
 
     def constant_term(self) -> RingElement:
         return self.terms.get((), int_embed(self.ring, 0))
@@ -215,14 +215,17 @@ class Polynomial:
             for e in row:
                 if e.descriptor != self.ring:
                     raise PolyError("matrix entries from a different ring")
-        total = int_embed(self.ring, 0)
+        return self.substitute_flat([e for row in entries for e in row])
+
+    def substitute_flat(self, flat: Sequence[RingElement]) -> RingElement:
+        """``substitute`` without its checks: ``flat`` lists the entries of an
+        ambient-size matrix over this ring in row-major order."""
+        total = None
         for mono, c in self.terms.items():
-            prod = c
             for v, e in mono:
-                i, j = unflatten(v, n)
-                prod = prod * entries[i - 1][j - 1] ** e
-            total = total + prod
-        return total
+                c = c * (flat[v] if e == 1 else flat[v] ** e)
+            total = c if total is None else total + c
+        return int_embed(self.ring, 0) if total is None else total
 
     def promote(self, n: int) -> "Polynomial":
         """Re-embed into a larger ambient matrix; identity on terms."""

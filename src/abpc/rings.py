@@ -27,14 +27,19 @@ INT = "int"
 MOD = "mod"
 RAT = "rat"
 
-# Witness set for deterministic Miller-Rabin, valid for n < 3.3 * 10**24.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Deterministic Miller-Rabin: the first 13 primes as bases decide every
+# n < psi_13, the least strong pseudoprime to all of them (OEIS A014233);
+# psi_13 itself passes, so the bound is exclusive.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
 
 
 def _is_prime(n: int) -> bool:
+    if n >= _MR_BOUND:
+        raise RingError(f"cannot decide primality of a modulus at or above {_MR_BOUND}")
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d, s = n - 1, 0

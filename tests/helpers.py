@@ -5,8 +5,8 @@ from __future__ import annotations
 import random
 from typing import List
 
-from abpc.graph import AbpGraph, AffineLabel
-from abpc.poly import Polynomial, PolyMatrix
+from abpc.graph import AbpGraph
+from abpc.poly import Polynomial, PolyMatrix, VarIndex
 from abpc.rings import RingDescriptor, RingElement, int_embed
 
 Z = RingDescriptor.integers()
@@ -50,17 +50,17 @@ def random_poly(ring: RingDescriptor, n: int, rng: random.Random,
     return p
 
 
-def random_linear_label(ring: RingDescriptor, n: int, rng: random.Random) -> AffineLabel:
-    linear = {}
+def random_linear_label(ring: RingDescriptor, n: int, rng: random.Random) -> Polynomial:
+    terms = {}
     for _ in range(rng.randint(1, 2)):
-        linear[(rng.randint(1, n), rng.randint(1, n))] = random_nonzero(ring, rng)
-    return AffineLabel.make(int_embed(ring, 0), linear)
+        terms[((VarIndex(rng.randint(1, n), rng.randint(1, n)).flat(n), 1),)] = random_nonzero(ring, rng)
+    return Polynomial(ring, n, terms)
 
 
-def random_affine_label(ring: RingDescriptor, n: int, rng: random.Random) -> AffineLabel:
+def random_affine_label(ring: RingDescriptor, n: int, rng: random.Random) -> Polynomial:
     label = random_linear_label(ring, n, rng)
     if rng.random() < 0.5:
-        label = label.add(AffineLabel.const(random_nonzero(ring, rng)))
+        label = label + Polynomial.constant(ring, n, random_nonzero(ring, rng))
     return label
 
 
@@ -89,7 +89,7 @@ def random_abp(ring: RingDescriptor, n: int, d: int, rng: random.Random,
             for b in range(a + 1, len(ids)):
                 if rng.random() < 0.35:
                     # forward within the sorted layer, so no constant cycles
-                    g.add_edge(ids[a], ids[b], AffineLabel.const(random_nonzero(ring, rng)))
+                    g.add_edge(ids[a], ids[b], Polynomial.constant(ring, n, random_nonzero(ring, rng)))
     g.add_output("out", layers[d][0])
     return g
 

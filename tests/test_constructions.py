@@ -135,7 +135,16 @@ def test_gradient_rejects_degree_above_size():
 def test_gradient_labels_are_signed_variables_or_constants():
     g, _stats = build_gradient_abp(4, 4, Z)
     for (u, v), lab in sorted(g.edges.items()):
-        assert lab.is_constant() or lab.single_variable() is not None, (u, v)
+        # one term: a constant, or a single variable with coefficient +-1
+        ((mono, c),) = lab.terms.items()
+        assert mono == () or c.value in (1, -1), (u, v)
+
+
+def test_gradient_labels_are_shared_objects():
+    # x[i,j], -x[i,j] and the constant 1: one object each
+    n = 6
+    g, _stats = build_gradient_abp(n, n, Z)
+    assert len({id(lab) for lab in g.edges.values()}) <= 2 * n * n + 1
 
 
 def test_gradient_all_outputs_match_oracle():
@@ -218,6 +227,16 @@ def test_recovery_requires_field_and_homogeneity():
     bad = PolyMatrix.from_rows(Q, 1, [[x(1, 1, 1, Q) + one]])
     with pytest.raises(GraphError, match="homogeneous"):
         width_from_determinantal(bad, 1, Q)
+
+
+def test_recovery_with_base_program_larger_than_ambient():
+    # the zero block has size k = 3 > 1, so the base program has ambient size 3
+    zero = Polynomial.zero(Q, 1)
+    x11 = x(1, 1, 1, Q)
+    m = PolyMatrix.from_rows(Q, 1, [[x11, zero, zero], [zero, x11, zero], [zero, zero, x11]])
+    g = width_from_determinantal(m, 3, Q)
+    assert validate(g) == []
+    assert expand_symbolic(g, "det") == x11 * x11 * x11
 
 
 def test_recovery_on_planted_instances():

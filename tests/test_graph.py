@@ -6,7 +6,6 @@ import pytest
 
 from abpc.graph import (
     AbpGraph,
-    AffineLabel,
     GraphError,
     abp_to_determinant,
     combine,
@@ -37,12 +36,12 @@ from helpers import (
 Z = RingDescriptor.integers()
 
 
-def one(ring=Z):
-    return AffineLabel.const(int_embed(ring, 1))
+def one(ring=Z, n=1):
+    return Polynomial.from_int(ring, n, 1)
 
 
-def var(i, j, coeff=1, ring=Z):
-    return AffineLabel.variable(ring, i, j, coeff)
+def var(i, j, ring=Z, n=1):
+    return Polynomial.variable(ring, n, i, j)
 
 
 def single_edge_graph(ring=Z, n=1):
@@ -50,7 +49,7 @@ def single_edge_graph(ring=Z, n=1):
     g.add_vertex("s", 0)
     g.add_vertex("t", 1)
     g.set_source("s")
-    g.add_edge("s", "t", var(1, 1, ring=ring))
+    g.add_edge("s", "t", var(1, 1, ring=ring, n=n))
     g.add_output("out", "t")
     return g
 
@@ -118,6 +117,19 @@ def test_pabp_rejects_constant_edges():
     problems = validate(g)
     assert any("pabp forbids constant edges" in p for p in problems)
     assert any("exactly one vertex in layer 0" in p for p in problems)
+
+
+def test_add_edge_rejects_labels_that_do_not_fit_the_graph():
+    g = AbpGraph("aabp", Z, 1, 1)
+    g.add_vertex("s", 0)
+    g.add_vertex("t", 1)
+    bad = [(var(1, 1, ring=RingDescriptor.modular(4)), "label from another ring"),
+           (var(1, 1, n=2), "label of ambient size 2, not 1"),
+           (var(1, 1) * var(1, 1), "label of degree above 1")]
+    for label, message in bad:
+        with pytest.raises(GraphError, match=f"edge s->t has a {message}"):
+            g.add_edge("s", "t", label)
+    assert g.edges == {}
 
 
 # -- evaluation ------------------------------------------------------------
@@ -224,7 +236,7 @@ def test_elimination_of_source_constant_edge():
     g.add_vertex("w", 0)
     g.add_vertex("t", 1)
     g.set_source("s")
-    g.add_edge("s", "w", AffineLabel.const(int_embed(Z, 2)))
+    g.add_edge("s", "w", Polynomial.from_int(Z, 1, 2))
     g.add_edge("w", "t", var(1, 1))
     g.add_output("out", "t")
     before = expand_symbolic(g, "out")
@@ -268,12 +280,11 @@ def test_homogenize_product_of_affine_factors():
     for pos, vid in enumerate(("s", "m", "t")):
         g.add_vertex(vid, pos)
     g.set_source("s")
-    one_elem = int_embed(Z, 1)
-    g.add_edge("s", "m", AffineLabel.make(one_elem, {(1, 1): one_elem}))
-    g.add_edge("m", "t", AffineLabel.make(one_elem, {(2, 2): one_elem}))
-    g.add_output("f", "t")
     x11 = Polynomial.variable(Z, 2, 1, 1)
     x22 = Polynomial.variable(Z, 2, 2, 2)
+    g.add_edge("s", "m", one(n=2) + x11)
+    g.add_edge("m", "t", one(n=2) + x22)
+    g.add_output("f", "t")
     cases = {0: Polynomial.from_int(Z, 2, 1), 1: x11 + x22, 2: x11 * x22,
              3: Polynomial.zero(Z, 2)}
     for k, want in cases.items():
@@ -317,13 +328,13 @@ def test_combine_simple_examples():
     b.add_vertex("s", 0)
     b.add_vertex("t", 1)
     b.set_source("s")
-    b.add_edge("s", "t", var(2, 2, ring=Z))
+    b.add_edge("s", "t", var(2, 2, n=2))
     b.add_output("out", "t")
     a2 = AbpGraph("pabp", Z, 2, 1)
     a2.add_vertex("s", 0)
     a2.add_vertex("t", 1)
     a2.set_source("s")
-    a2.add_edge("s", "t", var(1, 1, ring=Z))
+    a2.add_edge("s", "t", var(1, 1, n=2))
     a2.add_output("out", "t")
     s = combine(a2, b, "sum")
     assert expand_symbolic(s, "sink") == (
@@ -335,6 +346,16 @@ def test_combine_simple_examples():
         Polynomial.variable(Z, 2, 1, 1) * Polynomial.variable(Z, 2, 2, 2)
     )
     assert p.width() == 1
+    # a has ambient size 1: its labels are promoted to size 2
+    fa = expand_symbolic(a, "out").promote(2)
+    fb = expand_symbolic(b, "out")
+    for first, second in ((a, b), (b, a)):
+        s = combine(first, second, "sum")
+        p = combine(first, second, "product")
+        assert s.ambient_n == p.ambient_n == 2
+        assert validate(s) == [] and validate(p) == []
+        assert expand_symbolic(s, "sink") == fa + fb
+        assert expand_symbolic(p, "sink") == fa * fb
 
 
 def test_sum_of_construction_with_itself():
@@ -389,8 +410,8 @@ def test_determinant_of_length_two_chain():
     g.add_vertex("m", 1)
     g.add_vertex("t", 2)
     g.set_source("s")
-    g.add_edge("s", "m", var(1, 1, ring=Z))
-    g.add_edge("m", "t", var(2, 2, ring=Z))
+    g.add_edge("s", "m", var(1, 1, n=2))
+    g.add_edge("m", "t", var(2, 2, n=2))
     g.add_output("out", "t")
     m = abp_to_determinant(g)
     # rows swapped (even degree): [[x22, 1], [0, x11]]

@@ -90,6 +90,17 @@ def test_capability_flags_are_pure_functions_of_kind():
         assert ring.is_field == field and ring.contains_rationals == rat
 
 
+def test_is_field_on_primes_among_the_bases_and_strong_pseudoprimes():
+    # pow(p, d, p) == 0 for a prime base p, so trial division must catch each one
+    assert [p for p in range(2, 50) if RingDescriptor.modular(p).is_field] == \
+        [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
+    # psi_12 = 399165290221 * 798330580441 passes Miller-Rabin to the bases 2..37
+    assert not RingDescriptor.modular(318665857834031151167461).is_field
+    # psi_13 = 2575672364521 * 1287836182261 passes to the bases 2..41 as well
+    with pytest.raises(RingError, match="at or above 3317044064679887385961981"):
+        RingDescriptor.modular(3317044064679887385961981).is_field
+
+
 def test_modulus_must_be_at_least_two():
     with pytest.raises(RingError):
         RingDescriptor.modular(1)
