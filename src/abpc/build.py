@@ -48,18 +48,6 @@ class ConstructionStats:
     edge_count: int
     outputs: Tuple[Tuple[str, int], ...]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "width": self.width,
-            "per_layer_counts": list(self.per_layer_counts),
-            "rvector_total": self.rvector_total,
-            "extra_output_vertices": self.extra_output_vertices,
-            "total_vertices": self.total_vertices,
-            "size": self.size,
-            "edge_count": self.edge_count,
-            "outputs": [list(o) for o in self.outputs],
-        }
-
 
 def stats_from_graph(g: AbpGraph) -> ConstructionStats:
     """Re-derive statistics from vertex naming conventions."""
@@ -490,10 +478,7 @@ def width_from_determinantal(m: PolyMatrix, d: int, ring: RingDescriptor) -> Abp
     base, _stats = build_gradient_abp(k, k, ring)
     base = sub_abp(base, f"cpc_{k}_{k}")
 
-    out = AbpGraph("aabp", ring, ambient, 0)
-    for vid in sorted(base.layer, key=lambda v: (base.layer[v], v)):
-        out.add_vertex(vid, 0)
-    out.set_source(base.source)
+    verts = sorted(base.layer, key=lambda v: (base.layer[v], v))
     chain_count = 0
     pending: List[Tuple[str, str, Polynomial]] = []
     for (u, v) in sorted(base.edges):
@@ -512,9 +497,7 @@ def width_from_determinantal(m: PolyMatrix, d: int, ring: RingDescriptor) -> Abp
             continue
         chain_count += 1
         tag = f"z{chain_count}"
-        for l in range(0, d - 1):
-            for c in range(1, rank + 1):
-                out.add_vertex(f"{tag}_{l}_{c}", 0)
+        verts.extend(f"{tag}_{l}_{c}" for l in range(0, d - 1) for c in range(1, rank + 1))
         for c in range(1, rank + 1):
             start = -block_b.entry(alpha, c) if sign > 0 else block_b.entry(alpha, c)
             if not start.is_zero():
@@ -529,19 +512,15 @@ def width_from_determinantal(m: PolyMatrix, d: int, ring: RingDescriptor) -> Abp
                     step = block_d.entry(c, cc)
                     if not step.is_zero():
                         pending.append((f"{tag}_{l}_{c}", f"{tag}_{l + 1}_{cc}", step))
-    # assign a strictly increasing topological index (longest path from source)
-    order = topological_order(list(out.layer), [(u, v) for (u, v, _lab) in pending])
-    if len(order) != len(out.layer):
+    # a vertex's position in a topological order is its aabp index
+    order = topological_order(verts, [(u, v) for (u, v, _lab) in pending])
+    if len(order) != len(verts):
         raise GraphError("spliced graph is not acyclic")
-    rank = {v: k for k, v in enumerate(order)}
-    depth = dict.fromkeys(order, 0)
-    for (u, v, _lab) in sorted(pending, key=lambda e: rank[e[0]]):
-        depth[v] = max(depth[v], depth[u] + 1)
-    final = AbpGraph("aabp", ring, ambient, max(depth.values(), default=0))
-    for vid in sorted(out.layer, key=lambda v: (depth[v], v)):
-        final.add_vertex(vid, depth[vid])
-    final.set_source(out.source)
+    spliced = AbpGraph("aabp", ring, ambient, len(order) - 1)
+    for pos, vid in enumerate(order):
+        spliced.add_vertex(vid, pos)
+    spliced.set_source(base.source)
     for (u, v, lab) in pending:
-        final.add_edge(u, v, lab)
-    final.add_output("det", base.outputs[f"cpc_{k}_{k}"])
-    return homogenize(final, d)
+        spliced.add_edge(u, v, lab)
+    spliced.add_output("det", base.outputs[f"cpc_{k}_{k}"])
+    return homogenize(spliced, d)

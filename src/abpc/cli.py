@@ -8,6 +8,7 @@ for fixed inputs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from typing import List, Optional
@@ -199,7 +200,7 @@ def _cmd_stats(parser, args) -> int:
         parser.error("stats needs a graph file or --formula")
     g = _load_graph(args.graph)
     stats = stats_from_graph(g)
-    print(json.dumps(stats.to_json_dict(), indent=2, sort_keys=True))
+    print(json.dumps(dataclasses.asdict(stats), indent=2, sort_keys=True))
     vertices = stats.rvector_total if stats.rvector_total is not None else stats.size
     print(_baseline_line(g.ambient_n, vertices, stats.width))
     return 0

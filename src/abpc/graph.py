@@ -19,7 +19,7 @@ import heapq
 import os
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .poly import Polynomial, PolyMatrix, unflatten
+from .poly import Polynomial, PolyMatrix, flatten, unflatten
 from .rings import (
     AbpcError,
     RingDescriptor,
@@ -28,6 +28,7 @@ from .rings import (
     descriptor_to_spec,
     element_from_str,
     element_to_str,
+    int_embed,
 )
 
 DEFAULT_EXPANSION_GUARD = 5
@@ -110,14 +111,6 @@ class AbpGraph:
         if vid not in self.layer:
             raise GraphError(f"output {name!r} points at a missing vertex")
         self.outputs[name] = vid
-
-    def copy(self) -> "AbpGraph":
-        g = AbpGraph(self.flavor, self.ring, self.ambient_n, self.num_layers)
-        g.layer = dict(self.layer)
-        g.edges = dict(self.edges)
-        g.source = self.source
-        g.outputs = dict(self.outputs)
-        return g
 
     # -- derived views ---------------------------------------------------------
 
@@ -279,7 +272,12 @@ def evaluate_all(g: AbpGraph, entries: Sequence[Sequence[RingElement]]) -> Dict[
             if e.descriptor != g.ring:
                 raise GraphError("matrix entries from a different ring")
     flat = [e for row in entries for e in row]
-    values = _forward_values(g, g.ring.one(), lambda lab: lab.substitute_flat(flat))
+    # edges share label objects, so each distinct label is evaluated once
+    at: Dict[int, RingElement] = {}
+    for lab in g.edges.values():
+        if id(lab) not in at:
+            at[id(lab)] = lab.substitute_flat(flat)
+    values = _forward_values(g, int_embed(g.ring, 1), lambda lab: at[id(lab)])
     return {name: values[vid] for name, vid in sorted(g.outputs.items())}
 
 
@@ -554,7 +552,7 @@ def graph_to_json_dict(g: AbpGraph) -> dict:
         for vid in sorted(g.layer, key=lambda v: (g.layer[v], v))
     ]
     edges = []
-    zero = g.ring.zero()
+    zero = int_embed(g.ring, 0)
     for (u, v) in sorted(g.edges):
         terms = g.edges[(u, v)].terms
         linear = []
@@ -605,15 +603,24 @@ def graph_from_json_dict(data: dict) -> AbpGraph:
         for v in data["vertices"]:
             g.add_vertex(_field(v, "id", str), _field(v, "layer", int))
         g.set_source(_field(data, "source", str))
+        # one label object per distinct (const, linear) text, as the builders share them
+        labels: Dict[tuple, Polynomial] = {}
         for e in data["edges"]:
             u, v = _field(e, "from", str), _field(e, "to", str)
-            terms = {(): element_from_str(ring, _field(e, "const", str))}
-            for t in e["linear"]:
-                flat = (_index_field(t, "i", n) - 1) * n + _index_field(t, "j", n) - 1
-                terms[((flat, 1),)] = element_from_str(ring, _field(t, "coeff", str))
-            if len(terms) != len(e["linear"]) + 1:
-                raise GraphError(f"malformed graph JSON: edge {u}->{v} repeats a linear term")
-            g.add_edge(u, v, Polynomial(ring, n, {m: c for m, c in terms.items() if not c.is_zero()}))
+            key = (_field(e, "const", str), tuple(
+                (_index_field(t, "i", n), _index_field(t, "j", n), _field(t, "coeff", str))
+                for t in e["linear"]))
+            label = labels.get(key)
+            if label is None:
+                const, linear = key
+                terms = {(): element_from_str(ring, const)}
+                for i, j, coeff in linear:
+                    terms[((flatten(i, j, n), 1),)] = element_from_str(ring, coeff)
+                if len(terms) != len(linear) + 1:
+                    raise GraphError(f"malformed graph JSON: edge {u}->{v} repeats a linear term")
+                label = labels[key] = Polynomial(
+                    ring, n, {m: c for m, c in terms.items() if not c.is_zero()})
+            g.add_edge(u, v, label)
         outputs = data["outputs"]
         for name in outputs:
             g.add_output(name, _field(outputs, name, str))

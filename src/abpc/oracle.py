@@ -15,7 +15,7 @@ from __future__ import annotations
 from itertools import combinations, permutations
 from typing import Iterator, Sequence, Tuple
 
-from .poly import Polynomial, PolyMatrix, VarIndex
+from .poly import Polynomial, PolyMatrix, flatten
 from .rings import AbpcError, RingDescriptor, int_embed
 
 ORACLE_SIZE_CAP = 8
@@ -113,7 +113,7 @@ def _check_enumeration_size(n: int) -> None:
 
 
 def _edges_to_mono(edges: Sequence[Edge], n: int):
-    flats = sorted(VarIndex(i, j).flat(n) for i, j in edges)
+    flats = sorted(flatten(i, j, n) for i, j in edges)
     return tuple((v, 1) for v in flats)
 
 

@@ -9,8 +9,7 @@ Mixing different ambient sizes requires an explicit ``promote``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 from .rings import (
     AbpcError,
@@ -30,17 +29,11 @@ class PolyError(AbpcError):
 Mono = Tuple[Tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
-class VarIndex:
-    """1-indexed matrix position (i, j) of a variable."""
-
-    i: int
-    j: int
-
-    def flat(self, n: int) -> int:
-        if not (1 <= self.i <= n and 1 <= self.j <= n):
-            raise PolyError(f"variable x[{self.i},{self.j}] outside ambient {n}")
-        return (self.i - 1) * n + (self.j - 1)
+def flatten(i: int, j: int, n: int) -> int:
+    """Flat index of the variable x[i,j] (1-indexed) of an n x n matrix."""
+    if not (1 <= i <= n and 1 <= j <= n):
+        raise PolyError(f"variable x[{i},{j}] outside ambient {n}")
+    return (i - 1) * n + (j - 1)
 
 
 def unflatten(v: int, n: int) -> Tuple[int, int]:
@@ -91,7 +84,7 @@ class Polynomial:
 
     @classmethod
     def variable(cls, ring: RingDescriptor, n: int, i: int, j: int) -> "Polynomial":
-        flat = VarIndex(i, j).flat(n)
+        flat = flatten(i, j, n)
         return cls(ring, n, {((flat, 1),): int_embed(ring, 1)})
 
     # -- basic queries -----------------------------------------------------
@@ -108,9 +101,6 @@ class Polynomial:
 
     def constant_term(self) -> RingElement:
         return self.terms.get((), int_embed(self.ring, 0))
-
-    def coefficient(self, mono: Mono) -> RingElement:
-        return self.terms.get(mono, int_embed(self.ring, 0))
 
     def _check_compat(self, other: "Polynomial") -> None:
         if self.ring != other.ring:
@@ -178,7 +168,7 @@ class Polynomial:
 
     def partial(self, i: int, j: int) -> "Polynomial":
         """Formal partial derivative with respect to x[i,j]."""
-        flat = VarIndex(i, j).flat(self.ambient_n)
+        flat = flatten(i, j, self.ambient_n)
         terms: dict = {}
         for mono, c in self.terms.items():
             for pos, (v, e) in enumerate(mono):
@@ -204,10 +194,8 @@ class Polynomial:
         terms = {m: c for m, c in self.terms.items() if _mono_degree(m) == k}
         return Polynomial(self.ring, self.ambient_n, terms)
 
-    def substitute(self, entries: Union["PolyMatrix", Sequence[Sequence[RingElement]]]) -> RingElement:
+    def substitute(self, entries: Sequence[Sequence[RingElement]]) -> RingElement:
         """Evaluate at a concrete matrix, x[i,j] -> entries[i][j]."""
-        if isinstance(entries, PolyMatrix):
-            entries = entries.constant_entries()
         n = self.ambient_n
         if len(entries) != n or any(len(row) != n for row in entries):
             raise PolyError("matrix dimension mismatch")
@@ -236,7 +224,7 @@ class Polynomial:
         terms = {}
         for mono, c in self.terms.items():
             new = tuple(
-                sorted((VarIndex(*unflatten(v, self.ambient_n)).flat(n), e) for v, e in mono)
+                sorted((flatten(*unflatten(v, self.ambient_n), n), e) for v, e in mono)
             )
             terms[new] = c
         return Polynomial(self.ring, n, terms)
@@ -251,25 +239,15 @@ class Polynomial:
 
     # -- canonical text ----------------------------------------------------
 
-    def _dense(self, mono: Mono) -> Tuple[int, ...]:
-        dense = [0] * (self.ambient_n * self.ambient_n)
-        for v, e in mono:
-            dense[v] = e
-        return tuple(dense)
-
-    def sorted_terms(self) -> List[Tuple[Mono, RingElement]]:
-        """Terms in descending graded-lexicographic order on flat indices."""
-        return sorted(
-            self.terms.items(),
-            key=lambda item: (_mono_degree(item[0]), self._dense(item[0])),
-            reverse=True,
-        )
-
     def text(self) -> str:
+        """Terms in descending graded-lexicographic order on flat indices."""
         if not self.terms:
             return "0"
         parts = []
-        for mono, c in self.sorted_terms():
+        # (-v, e) pairs compare like the dense exponent vectors of the monomials
+        terms = sorted(self.terms.items(), reverse=True,
+                       key=lambda item: (_mono_degree(item[0]), [(-v, e) for v, e in item[0]]))
+        for mono, c in terms:
             factors = [element_to_str(c)]
             for v, e in mono:
                 i, j = unflatten(v, self.ambient_n)
@@ -395,18 +373,6 @@ class PolyMatrix:
         """Submatrix selected by 1-indexed row/column lists."""
         ents = [self.entry(a, b) for a in row_idx for b in col_idx]
         return PolyMatrix(self.ring, self.ambient_n, len(row_idx), len(col_idx), ents)
-
-    def constant_entries(self) -> List[List[RingElement]]:
-        out = []
-        for a in range(1, self.rows + 1):
-            row = []
-            for b in range(1, self.cols + 1):
-                p = self.entry(a, b)
-                if p.degree > 0:
-                    raise PolyError("matrix entry is not constant")
-                row.append(p.constant_term())
-            out.append(row)
-        return out
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PolyMatrix):

@@ -100,12 +100,6 @@ class RingDescriptor:
     def contains_rationals(self) -> bool:
         return self.kind == RAT
 
-    def zero(self) -> "RingElement":
-        return int_embed(self, 0)
-
-    def one(self) -> "RingElement":
-        return int_embed(self, 1)
-
     def __repr__(self) -> str:
         return f"RingDescriptor({descriptor_to_spec(self)!r})"
 

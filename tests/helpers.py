@@ -6,7 +6,7 @@ import random
 from typing import List
 
 from abpc.graph import AbpGraph
-from abpc.poly import Polynomial, PolyMatrix, VarIndex
+from abpc.poly import Polynomial, PolyMatrix, flatten
 from abpc.rings import RingDescriptor, RingElement, int_embed
 
 Z = RingDescriptor.integers()
@@ -53,7 +53,7 @@ def random_poly(ring: RingDescriptor, n: int, rng: random.Random,
 def random_linear_label(ring: RingDescriptor, n: int, rng: random.Random) -> Polynomial:
     terms = {}
     for _ in range(rng.randint(1, 2)):
-        terms[((VarIndex(rng.randint(1, n), rng.randint(1, n)).flat(n), 1),)] = random_nonzero(ring, rng)
+        terms[((flatten(rng.randint(1, n), rng.randint(1, n), n), 1),)] = random_nonzero(ring, rng)
     return Polynomial(ring, n, terms)
 
 

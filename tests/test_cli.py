@@ -199,6 +199,14 @@ def _repeat_first_term(data):
     terms.append(dict(terms[0], coeff="2"))
 
 
+def _repeat_label_with_bool_index(data):
+    # a label cache keyed before the type check would take True for 1
+    first = next(e for e in data["edges"] if e["linear"] and e["linear"][0]["i"] == 1)
+    last = data["edges"][-1]
+    last.update(const=first["const"], linear=[dict(t) for t in first["linear"]])
+    last["linear"][0]["i"] = True
+
+
 def _rat_zero_denominator(data):
     data["ring"] = "rat"
     data["edges"][0]["const"] = "1/0"
@@ -231,6 +239,8 @@ BAD_INPUTS = {
                    "field 'cpc_3_3' must be a string"),
     "term-repeated": (_edit(_repeat_first_term), "eval",
                       "malformed graph JSON: edge r_2_1_1->c_3_2 repeats a linear term"),
+    "i-bool-on-repeated-label": (_edit(_repeat_label_with_bool_index), "eval",
+                                 "field 'i' must be an integer, got True"),
     # a rational with a zero denominator, in the graph and in the matrix
     "const-zero-denominator": (_edit(_rat_zero_denominator), "stats", "cannot parse '1/0' as a rational"),
     "matrix-zero-denominator": (_edit(lambda d: d.update(ring="rat")), "eval",

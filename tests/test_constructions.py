@@ -17,7 +17,15 @@ from abpc.build import (
     transition_matrix,
     width_from_determinantal,
 )
-from abpc.graph import GraphError, evaluate, evaluate_all, expand_symbolic, validate
+from abpc.graph import (
+    GraphError,
+    evaluate,
+    evaluate_all,
+    expand_symbolic,
+    graph_from_json_dict,
+    graph_to_json_dict,
+    validate,
+)
 from abpc.oracle import cpc_minor_sum
 from abpc.poly import Polynomial, PolyMatrix
 from abpc.rings import RingDescriptor, int_embed
@@ -100,7 +108,7 @@ def test_gradient_counts_three_by_three():
 
 def test_gradient_two_by_two_first_layer():
     g, _stats = build_gradient_abp(2, 2, Z)
-    probe = g.copy()
+    probe, _stats = build_gradient_abp(2, 2, Z)
     probe.add_output("p1", "r_2_1_1")
     probe.add_output("p2", "r_2_1_2")
     assert expand_symbolic(probe, "p1") == -x(2, 2, 1)
@@ -141,10 +149,11 @@ def test_gradient_labels_are_signed_variables_or_constants():
 
 
 def test_gradient_labels_are_shared_objects():
-    # x[i,j], -x[i,j] and the constant 1: one object each
+    # x[i,j], -x[i,j] and the constant 1: one object each, also when read from JSON
     n = 6
     g, _stats = build_gradient_abp(n, n, Z)
-    assert len({id(lab) for lab in g.edges.values()}) <= 2 * n * n + 1
+    for prog in (g, graph_from_json_dict(graph_to_json_dict(g))):
+        assert len({id(lab) for lab in prog.edges.values()}) <= 2 * n * n + 1
 
 
 def test_gradient_all_outputs_match_oracle():

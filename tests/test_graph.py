@@ -201,7 +201,7 @@ def test_layerwise_homogeneity_of_expansion():
     for _ in range(25):
         g = random_abp(Z, 2, 3, rng)
         for vid, lay in sorted(g.layer.items()):
-            g2 = g.copy()
+            g2 = graph_from_json_dict(graph_to_json_dict(g))
             g2.add_output("probe", vid)
             f = expand_symbolic(g2, "probe")
             assert f.is_zero() or (f.homogeneous_component(lay) == f), (vid, lay)

@@ -1,6 +1,8 @@
-"""Module layering: every relative import points at a lower layer."""
+"""Module layering: every relative import points at a lower layer, and
+every absolute import names a standard-library module."""
 
 import ast
+import sys
 from pathlib import Path
 
 import abpc
@@ -35,3 +37,20 @@ def test_modules_import_only_lower_layers():
     assert bad == []
     positions = [abpc.__doc__.index(f"``{name}``") for name in LAYERS]
     assert positions == sorted(positions)
+
+
+def test_absolute_imports_are_standard_library():
+    package = Path(abpc.__file__).parent
+    bad = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                if name.split(".")[0] not in sys.stdlib_module_names:
+                    bad.append(f"{path.stem} imports {name} at line {node.lineno}")
+    assert bad == []

@@ -7,7 +7,7 @@ import pytest
 from abpc.poly import Polynomial, PolyMatrix, PolyError, gradient, matrix_power
 from abpc.oracle import cpc_minor_sum
 from abpc.rings import RingDescriptor, int_embed
-from helpers import RING_FAMILIES, random_matrix, random_poly
+from helpers import RING_FAMILIES, random_matrix, random_nonzero, random_poly
 
 Z = RingDescriptor.integers()
 Z2 = RingDescriptor.modular(2)
@@ -158,6 +158,25 @@ def test_canonical_text_ordering():
     assert Polynomial.zero(Z, 2).text() == "0"
     f = Polynomial.from_int(Z, 1, 3) + x(1, 1, 1) * x(1, 1, 1)
     assert f.text() == "1*x[1,1]^2 + 3"
+    # oracle: descending (degree, dense exponent vector), one term at a time
+    rng = random.Random(155)
+    for ring in RING_FAMILIES.values():
+        for _ in range(60):
+            n = rng.randint(1, 3)
+            terms = {}
+            for _ in range(rng.randint(1, 6)):
+                flats = sorted(rng.sample(range(n * n), rng.randint(0, min(n * n, 4))))
+                terms[tuple((v, rng.randint(1, 5)) for v in flats)] = random_nonzero(ring, rng)
+
+            def dense(mono):
+                vec = [0] * (n * n)
+                for v, e in mono:
+                    vec[v] = e
+                return vec
+
+            want = sorted(terms, key=lambda m: (sum(e for _, e in m), dense(m)), reverse=True)
+            assert Polynomial(ring, n, terms).text() == " + ".join(
+                Polynomial(ring, n, {m: terms[m]}).text() for m in want)
 
 
 def test_restrict_to_diagonal():
@@ -166,11 +185,14 @@ def test_restrict_to_diagonal():
 
 
 def test_variable_flattening_is_a_bijection():
-    from abpc.poly import VarIndex, unflatten
+    from abpc.poly import flatten, unflatten
 
     for n in range(1, 5):
-        flats = [VarIndex(i, j).flat(n) for i in range(1, n + 1) for j in range(1, n + 1)]
+        flats = [flatten(i, j, n) for i in range(1, n + 1) for j in range(1, n + 1)]
         assert sorted(flats) == list(range(n * n))
         for v in range(n * n):
             i, j = unflatten(v, n)
-            assert VarIndex(i, j).flat(n) == v
+            assert flatten(i, j, n) == v
+        for i, j in ((0, 1), (1, n + 1)):
+            with pytest.raises(PolyError, match=f"outside ambient {n}"):
+                flatten(i, j, n)
