@@ -18,7 +18,7 @@ from .rings import (
     int_embed,
     invert,
 )
-from .poly import Polynomial, PolyMatrix, flatten, gradient, matrix_power
+from .poly import Polynomial, PolyMatrix, flatten, gradient
 from .oracle import cpc_cycle_cover, cpc_minor_sum, det_leibniz, grad_ccp_entry
 from .graph import (
     AbpGraph,

@@ -29,7 +29,8 @@ from .graph import (
     resolve_output,
     validate,
 )
-from .identities import IDENTITY_NAMES, verify_all, verify_identity
+from .identities import IDENTITY_NAMES, verify_all, verify_with_sides
+from .poly import PolyMatrix
 from .rings import AbpcError, element_from_str, element_to_str, descriptor_from_spec
 
 
@@ -137,11 +138,7 @@ def _cmd_eval(parser, args) -> int:
     return 0
 
 
-def _dump_sides(identity, n, d, ring, combinatorial) -> None:
-    from .identities import identity_sides
-    from .poly import PolyMatrix
-
-    lhs, rhs = identity_sides(identity, n, d, ring, combinatorial=combinatorial)
+def _dump_sides(lhs, rhs) -> None:
     for tag, side in (("lhs", lhs), ("rhs", rhs)):
         if isinstance(side, PolyMatrix):
             for a in range(1, side.rows + 1):
@@ -153,11 +150,11 @@ def _dump_sides(identity, n, d, ring, combinatorial) -> None:
 
 def _cmd_verify(parser, args) -> int:
     ring = _ring(parser, args.ring)
-    report = verify_identity(args.identity, args.n, args.d, ring,
-                             combinatorial=args.combinatorial)
+    report, lhs, rhs = verify_with_sides(args.identity, args.n, args.d, ring,
+                                         combinatorial=args.combinatorial)
     print(report.line())
     if args.dump:
-        _dump_sides(args.identity, args.n, args.d, ring, args.combinatorial)
+        _dump_sides(lhs, rhs)
     if report.witness is not None:
         w = report.witness
         where = f" at entry {w.position}" if w.position else ""

@@ -637,9 +637,14 @@ def graph_to_dot(g: AbpGraph) -> str:
         for vid in verts:
             lines.append(f'    "{vid}";')
         lines.append("  }")
+    # edges share label objects, so each distinct label is rendered once
+    attrs: Dict[int, str] = {}
     for (u, v) in sorted(g.edges):
         lab = g.edges[(u, v)]
-        style = ", style=dashed" if lab.degree == 0 else ""
-        lines.append(f'  "{u}" -> "{v}" [label="{lab.text()}"{style}];')
+        at = attrs.get(id(lab))
+        if at is None:
+            style = ", style=dashed" if lab.degree == 0 else ""
+            at = attrs[id(lab)] = f'label="{lab.text()}"{style}'
+        lines.append(f'  "{u}" -> "{v}" [{at}];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -6,11 +6,14 @@ from independent ingredients and compares entrywise.  The central one is
     bivariate_ch:   transpose(grad cpc_{n,d+1}) = sum_{i=0}^{d} (-1)^i cpc_{n,d-i} X^i
 
 whose left side comes from the gradient of the minor-sum oracle (or from
-the cycle-cover-and-path oracle in combinatorial mode) while the right
-side uses matrix powers; the classical Cayley-Hamilton theorem, the
-adjugate formula, the trace identity and the Girard-Newton identities are
-checked as stated, not derived from one another.  Alternating signs are
-taken as ring elements so the checks remain valid in characteristic 2.
+the cycle-cover-and-path oracle in combinatorial mode).  Its right side is
+built once, by Horner's rule in X, in ``alternating_power_sum``; the right
+sides of Cayley-Hamilton, the adjugate formula, the trace identity, the
+Samuelson entry and the cpc recursion are that sum, its trace or its
+(n,n) entry.  Every left side is an independent oracle (minor sums, cycle
+covers, zero, the Leibniz adjugate), and no identity's truth is used to
+build another's side.  Alternating signs are ring elements, so the checks
+remain valid in characteristic 2.
 """
 
 from __future__ import annotations
@@ -20,20 +23,8 @@ from typing import List, Optional, Tuple
 
 from .build import transition_matrix
 from .oracle import cpc_minor_sum, det_leibniz, grad_ccp_entry
-from .poly import Polynomial, PolyMatrix, gradient, matrix_power
+from .poly import Polynomial, PolyMatrix, gradient
 from .rings import AbpcError, RingDescriptor, descriptor_to_spec, int_embed
-
-IDENTITY_NAMES = (
-    "bivariate_ch",
-    "cayley_hamilton",
-    "adjugate",
-    "trace_ch",
-    "girard_newton",
-    "samuelson_entry",
-    "cpc_recursion",
-    "rnd_block",
-    "transition_product",
-)
 
 VERIFY_ALL_N_CAP = 5
 
@@ -90,12 +81,15 @@ def _compare_scalars(lhs: Polynomial, rhs: Polynomial) -> Optional[Witness]:
 
 
 def alternating_power_sum(n: int, d: int, ring: RingDescriptor) -> PolyMatrix:
-    """sum_{i=0}^{d} (-1)^i cpc_{n,d-i} X^i, built from minor sums and powers."""
+    """sum_{i=0}^{d} (-1)^i cpc_{n,d-i} X^i by Horner's rule in X.
+
+    T_{-1} = 0 and T_k = cpc_{n,k} I - X T_{k-1}; T_d is the sum.
+    """
     x = PolyMatrix.variables(ring, n)
+    one = PolyMatrix.identity(ring, n, n)
     total = PolyMatrix.zeros(ring, n, n, n)
-    for i in range(0, d + 1):
-        coeff = cpc_minor_sum(n, d - i, ring).scale(_sign(ring, i))
-        total = total + matrix_power(x, i).scale(coeff)
+    for k in range(d + 1):
+        total = one.scale(cpc_minor_sum(n, k, ring)) - x * total
     return total
 
 
@@ -167,13 +161,10 @@ def _sides_adjugate(n: int, d: int, ring: RingDescriptor, combinatorial: bool):
 
 
 def _sides_trace_ch(n: int, d: int, ring: RingDescriptor, combinatorial: bool):
-    lhs = cpc_minor_sum(n, d, ring).scale(int_embed(ring, -d))
-    x = PolyMatrix.variables(ring, n)
-    rhs = Polynomial.zero(ring, n)
-    for i in range(1, d + 1):
-        term = cpc_minor_sum(n, d - i, ring) * matrix_power(x, i).trace()
-        rhs = rhs + term.scale(_sign(ring, i))
-    return lhs, rhs
+    # the i = 0 term of the sum's trace is n cpc_{n,d}
+    cpc = cpc_minor_sum(n, d, ring)
+    rhs = alternating_power_sum(n, d, ring).trace() - cpc.scale(int_embed(ring, n))
+    return cpc.scale(int_embed(ring, -d)), rhs
 
 
 def _sides_girard_newton(n: int, d: int, ring: RingDescriptor, combinatorial: bool):
@@ -188,22 +179,14 @@ def _sides_girard_newton(n: int, d: int, ring: RingDescriptor, combinatorial: bo
 def _sides_samuelson_entry(n: int, d: int, ring: RingDescriptor, combinatorial: bool):
     # bottom-right entry of the bivariate identity
     lhs = cpc_minor_sum(n - 1, d, ring).promote(n)
-    x = PolyMatrix.variables(ring, n)
-    rhs = Polynomial.zero(ring, n)
-    for i in range(0, d + 1):
-        term = cpc_minor_sum(n, d - i, ring) * matrix_power(x, i).entry(n, n)
-        rhs = rhs + term.scale(_sign(ring, i))
-    return lhs, rhs
+    return lhs, alternating_power_sum(n, d, ring).entry(n, n)
 
 
 def _sides_cpc_recursion(n: int, d: int, ring: RingDescriptor, combinatorial: bool):
-    lhs = cpc_minor_sum(n, d, ring)
-    x = PolyMatrix.variables(ring, n)
-    rhs = cpc_minor_sum(n - 1, d, ring).promote(n)
-    for i in range(1, d + 1):
-        term = cpc_minor_sum(n, d - i, ring) * matrix_power(x, i).entry(n, n)
-        rhs = rhs + term.scale(_sign(ring, i + 1))
-    return lhs, rhs
+    # the Samuelson entry with its i = 0 term, cpc_{n,d}, moved across
+    cpc = cpc_minor_sum(n, d, ring)
+    entry = alternating_power_sum(n, d, ring).entry(n, n)
+    return cpc, cpc_minor_sum(n - 1, d, ring).promote(n) - entry + cpc
 
 
 def _sides_rnd_block(n: int, d: int, ring: RingDescriptor, combinatorial: bool):
@@ -228,8 +211,6 @@ def _sides_rnd_block(n: int, d: int, ring: RingDescriptor, combinatorial: bool):
 
 def _sides_transition_product(n: int, d: int, ring: RingDescriptor, combinatorial: bool):
     # (r_{2,1},..,r_{d,1}) M_{d,2} .. M_{d,d-1} C_d = det_d
-    if d < 2:
-        raise IdentityError("transition_product needs d >= 2")
     vec_entries: List[Polynomial] = []
     for i in range(2, d + 1):
         vec_entries.extend(r_vector_first_layer(i, d, ring))
@@ -254,6 +235,8 @@ _SIDES: dict = {
     "transition_product": _sides_transition_product,
 }
 
+IDENTITY_NAMES = tuple(_SIDES)
+
 
 def _normalize(identity: str, n: int, d: int) -> Tuple[int, int]:
     if identity not in _SIDES:
@@ -271,11 +254,17 @@ def _normalize(identity: str, n: int, d: int) -> Tuple[int, int]:
     return n, d
 
 
-def identity_sides(identity: str, n: int, d: int, ring: RingDescriptor,
-                   combinatorial: bool = False):
-    """Both sides of the identity, as polynomials or polynomial matrices."""
+def verify_with_sides(identity: str, n: int, d: int, ring: RingDescriptor,
+                      combinatorial: bool = False):
+    """``verify_identity``'s report together with the two sides it compared,
+    as polynomials or polynomial matrices."""
     n, d = _normalize(identity, n, d)
-    return _SIDES[identity](n, d, ring, combinatorial)
+    lhs, rhs = _SIDES[identity](n, d, ring, combinatorial)
+    if isinstance(lhs, PolyMatrix):
+        witness = _compare_matrices(lhs, rhs)
+    else:
+        witness = _compare_scalars(lhs, rhs)
+    return CheckReport(identity, n, d, ring, witness is None, witness), lhs, rhs
 
 
 def verify_identity(identity: str, n: int, d: int, ring: RingDescriptor,
@@ -286,13 +275,7 @@ def verify_identity(identity: str, n: int, d: int, ring: RingDescriptor,
     d = n - 1 specializations); ``transition_product`` uses d as the
     matrix size and ignores n.
     """
-    n, d = _normalize(identity, n, d)
-    lhs, rhs = _SIDES[identity](n, d, ring, combinatorial)
-    if isinstance(lhs, PolyMatrix):
-        witness = _compare_matrices(lhs, rhs)
-    else:
-        witness = _compare_scalars(lhs, rhs)
-    return CheckReport(identity, n, d, ring, witness is None, witness)
+    return verify_with_sides(identity, n, d, ring, combinatorial)[0]
 
 
 def verify_all(n_max: int, d_max: int, ring: RingDescriptor,

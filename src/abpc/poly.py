@@ -317,19 +317,11 @@ class PolyMatrix:
             raise PolyError(f"entry ({a},{b}) outside {self.rows}x{self.cols}")
         return self.entries[(a - 1) * self.cols + (b - 1)]
 
-    def row(self, a: int) -> List[Polynomial]:
-        return [self.entry(a, b) for b in range(1, self.cols + 1)]
-
     def _check_shape(self, other: "PolyMatrix", same: bool) -> None:
         if self.ring != other.ring or self.ambient_n != other.ambient_n:
             raise PolyError("matrix ring/ambient mismatch")
         if same and (self.rows, self.cols) != (other.rows, other.cols):
             raise PolyError("matrix shape mismatch")
-
-    def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
-        self._check_shape(other, same=True)
-        ents = [a + b for a, b in zip(self.entries, other.entries)]
-        return PolyMatrix(self.ring, self.ambient_n, self.rows, self.cols, ents)
 
     def __sub__(self, other: "PolyMatrix") -> "PolyMatrix":
         self._check_shape(other, same=True)
@@ -388,8 +380,9 @@ class PolyMatrix:
 
     def __repr__(self) -> str:
         rows = []
-        for a in range(1, self.rows + 1):
-            rows.append("[" + ", ".join(p.text() for p in self.row(a)) + "]")
+        for a in range(self.rows):
+            row = self.entries[a * self.cols:(a + 1) * self.cols]
+            rows.append("[" + ", ".join(p.text() for p in row) + "]")
         return "[" + "; ".join(rows) + "]"
 
 
@@ -399,14 +392,3 @@ def gradient(f: Polynomial, n: int) -> PolyMatrix:
         raise PolyError("gradient requested for a different ambient size")
     ents = [f.partial(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
     return PolyMatrix(f.ring, n, n, n, ents)
-
-
-def matrix_power(x: PolyMatrix, i: int) -> PolyMatrix:
-    if x.rows != x.cols:
-        raise PolyError("power of a non-square matrix")
-    if i < 0:
-        raise PolyError("negative matrix power")
-    out = PolyMatrix.identity(x.ring, x.ambient_n, x.rows)
-    for _ in range(i):
-        out = out * x
-    return out

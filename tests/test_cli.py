@@ -162,6 +162,32 @@ def test_dump_prints_canonical_sides(capsys):
     assert "lhs[1,2] = -1*x[1,2]" in out
 
 
+def test_dump_prints_scalar_sides(capsys):
+    code, out, _err = run(capsys, "verify", "--identity", "trace_ch",
+                          "--n", "2", "--d", "2", "--ring", "int", "--dump")
+    assert code == 0
+    # -2 cpc_{2,2} = -cpc_{2,1} tr X + tr X^2
+    side = "-2*x[1,1]*x[2,2] + 2*x[1,2]*x[2,1]"
+    assert out == f"trace_ch n=2 d=2 ring=int PASS\nlhs = {side}\nrhs = {side}\n"
+
+
+def test_dump_builds_the_sides_once(capsys, monkeypatch):
+    import abpc.identities as ident
+
+    original = ident._SIDES["bivariate_ch"]
+    calls = []
+
+    def counted(n, d, ring, combinatorial):
+        calls.append((n, d))
+        return original(n, d, ring, combinatorial)
+
+    monkeypatch.setitem(ident._SIDES, "bivariate_ch", counted)
+    code, out, _err = run(capsys, "verify", "--identity", "bivariate_ch",
+                          "--n", "2", "--d", "1", "--ring", "int", "--dump")
+    assert code == 0 and "rhs[2,2] = 1*x[1,1]" in out
+    assert calls == [(2, 1)]
+
+
 def test_failing_identity_exits_one(capsys, monkeypatch):
     # force a failure by handing back mismatching sides
     import abpc.identities as ident

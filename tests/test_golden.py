@@ -2,7 +2,8 @@
 
 The digests pin the byte-exact output of ``build`` (JSON and DOT),
 ``stats``, ``export-dot`` and all-output ``eval`` for each construction at
-n=4, plus one ``verify-all`` grid and one ``stats --formula`` run.  A
+n=4, ``verify --dump`` of every identity at n=3, d=2 over Z/4, two
+``verify-all`` grids and one ``stats --formula`` run.  A
 refactor of the graph core must leave every digest unchanged.
 
 To print the digests of the current code (after an intended output
@@ -33,6 +34,9 @@ MATRIX = {
     "rat": '[["1/2","-1","0","3"],["1","4/3","-2","0"],["0","5","1","-3/4"],["7","0","2","1"]]',
 }
 
+IDENTITIES = ("bivariate_ch", "cayley_hamilton", "adjugate", "trace_ch", "girard_newton",
+              "samuelson_entry", "cpc_recursion", "rnd_block", "transition_product")
+
 
 def _cases() -> Dict[str, Tuple[List[List[str]], List[str]]]:
     """Case name -> (argv list run in order, files whose bytes are pinned)."""
@@ -47,8 +51,14 @@ def _cases() -> Dict[str, Tuple[List[List[str]], List[str]]]:
         cases[f"export-dot-out/{tag}"] = (
             [build, ["export-dot", "g.json", "--out", "e.dot"]], ["e.dot"])
         cases[f"eval/{tag}"] = ([build, ["eval", "g.json", "--matrix", MATRIX[ring]]], [])
+    for identity in IDENTITIES:
+        cases[f"verify-dump/{identity}"] = (
+            [["verify", "--identity", identity, "--n", "3", "--d", "2", "--ring", "mod:4",
+              "--dump"]], [])
     cases["verify-all/mod:4"] = (
         [["verify-all", "--n-max", "3", "--d-max", "3", "--ring", "mod:4"]], [])
+    cases["verify-all/int-4-4"] = (
+        [["verify-all", "--n-max", "4", "--d-max", "4", "--ring", "int"]], [])
     cases["stats-formula/6"] = ([["stats", "--formula", "--n", "6"]], [])
     return cases
 
@@ -117,7 +127,17 @@ GOLDEN = {
     'stats/gradient-int': {'code': '0', 'stdout': '9d37f76a449e2f928d176e50de265e81bb887736278532ba1e3f4062c6c40537'},
     'stats/gradient-mod:6': {'code': '0', 'stdout': '9d37f76a449e2f928d176e50de265e81bb887736278532ba1e3f4062c6c40537'},
     'stats/gradient-rat': {'code': '0', 'stdout': '9d37f76a449e2f928d176e50de265e81bb887736278532ba1e3f4062c6c40537'},
+    'verify-all/int-4-4': {'code': '0', 'stdout': '36758f552024a8ebf12bb86503a3949a2f60f37e03111ea2951e9a3d7d2259c2'},
     'verify-all/mod:4': {'code': '0', 'stdout': '85da7d000305b0b924355c58fe4bcd89f75f7e82344f9d35246a0112b7c31f24'},
+    'verify-dump/adjugate': {'code': '0', 'stdout': 'dbd49b8e966773f36acbc62860a8a028d15331eee0857843f3d498da8a2d3549'},
+    'verify-dump/bivariate_ch': {'code': '0', 'stdout': '668574e3fab31db333d3e9449ffa861fb0d564b0163780c7cd75abbccae0a51a'},
+    'verify-dump/cayley_hamilton': {'code': '0', 'stdout': 'e4419c6dc4b84d271ac71917c5bd88bef7bec8a1768b4f1bda4b633204d1549e'},
+    'verify-dump/cpc_recursion': {'code': '0', 'stdout': '0fe45ea89df7ed953eea27b7fd73bde1a70aa4b7f5d3b6e5e40535ba04a679cf'},
+    'verify-dump/girard_newton': {'code': '0', 'stdout': 'f7b58065ab0ef26df25312fb94bcee4498e09c7e017407e94ca7f0189e9f95f2'},
+    'verify-dump/rnd_block': {'code': '0', 'stdout': '4aaa8248d2c024c258c01ef769f37611b770966af60095543dc8676ff5663f5a'},
+    'verify-dump/samuelson_entry': {'code': '0', 'stdout': '98233c65f33036a1010ba43e456bfd7019dfe3159d3d6c3bf3791181e11024e8'},
+    'verify-dump/trace_ch': {'code': '0', 'stdout': 'b832d5c0f76635b64928df7f3a50a7acb405361bfa3669a7d5a421e0de9fa81b'},
+    'verify-dump/transition_product': {'code': '0', 'stdout': 'e4ba0956208156e52ea7eebf9b3a038d5b5e8263e2aa53b9385f93bbb9afee13'},
 }
 
 

@@ -46,6 +46,22 @@ def test_two_by_two_adjugate_case_by_hand():
     assert verify_identity("bivariate_ch", 2, 1, Z).passed
 
 
+def test_alternating_power_sum_matches_power_by_power_sum():
+    # reference: the sum term by term, X^i kept as a running product
+    for ring in (Z, Z4, Q):
+        for n in range(1, 4):
+            xs = PolyMatrix.variables(ring, n)
+            for d in range(0, n + 2):
+                want = [Polynomial.zero(ring, n) for _ in range(n * n)]
+                power = PolyMatrix.identity(ring, n, n)
+                for i in range(d + 1):
+                    coeff = cpc_minor_sum(n, d - i, ring).scale(int_embed(ring, (-1) ** i))
+                    want = [w + coeff * p for w, p in zip(want, power.entries)]
+                    power = power * xs
+                got = alternating_power_sum(n, d, ring)
+                assert got == PolyMatrix(ring, n, n, n, want), (ring, n, d)
+
+
 def test_girard_newton_two_by_two_binomial_case():
     # -2 e_2 = -e_1 p_1 + e_0 p_2 amounts to -2 x1 x2 = -(x1+x2)^2 + x1^2 + x2^2
     assert verify_identity("girard_newton", 2, 2, Z).passed

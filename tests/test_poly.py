@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from abpc.poly import Polynomial, PolyMatrix, PolyError, gradient, matrix_power
+from abpc.poly import Polynomial, PolyMatrix, PolyError, gradient
 from abpc.oracle import cpc_minor_sum
 from abpc.rings import RingDescriptor, int_embed
 from helpers import RING_FAMILIES, random_matrix, random_nonzero, random_poly
@@ -131,25 +131,22 @@ def test_substitution_is_a_ring_homomorphism():
             assert (f + g).substitute(a) == f.substitute(a) + g.substitute(a)
 
 
-def test_matrix_power_examples():
+def test_matrix_product_examples():
     x2 = PolyMatrix.variables(Z, 2)
-    assert matrix_power(x2, 0) == PolyMatrix.identity(Z, 2, 2)
-    assert matrix_power(x2, 1).entry(2, 2) == x(2, 2, 2)
+    assert PolyMatrix.identity(Z, 2, 2) * x2 == x2
+    assert x2 * PolyMatrix.identity(Z, 2, 2) == x2
+    m = PolyMatrix.zeros(Z, 2, 2, 3)
+    with pytest.raises(PolyError, match="inner dimensions"):
+        m * m
     # frozen hand expansion, checked once against an independent triple loop
     want = x(2, 2, 1) * x(2, 1, 2) + x(2, 2, 2) * x(2, 2, 2)
-    assert matrix_power(x2, 2).entry(2, 2) == want
+    assert (x2 * x2).entry(2, 2) == want
     naive = [[Polynomial.zero(Z, 2) for _ in range(2)] for _ in range(2)]
     for a in range(1, 3):
         for b in range(1, 3):
             for k in range(1, 3):
                 naive[a - 1][b - 1] = naive[a - 1][b - 1] + x(2, a, k) * x(2, k, b)
     assert naive[1][1] == want
-
-
-def test_matrix_power_rejects_non_square():
-    m = PolyMatrix.zeros(Z, 2, 2, 3)
-    with pytest.raises(PolyError):
-        matrix_power(m, 2)
 
 
 def test_canonical_text_ordering():
