@@ -19,7 +19,7 @@ from .rings import (
     invert,
 )
 from .poly import Polynomial, PolyMatrix, flatten, gradient
-from .oracle import cpc_cycle_cover, cpc_minor_sum, det_leibniz, grad_ccp_entry
+from .oracle import cpc_cycle_cover, cpc_minor_sum, cpc_table, det_leibniz, grad_ccp_entry
 from .graph import (
     AbpGraph,
     abp_to_determinant,

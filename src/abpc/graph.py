@@ -9,8 +9,9 @@ stores a topological index and paths may have different lengths.
 
 A graph computes, at every named output vertex, the sum over all
 source-to-vertex paths of the product of the edge labels.  Evaluation and
-symbolic expansion run as a forward sweep (never path enumeration), which
-is the matrix-product semantics of the layered model.
+symbolic expansion run as one forward sweep (never path enumeration), the
+matrix-product semantics of the layered model; numeric evaluation sweeps on
+raw values and boxes only the named outputs as ring elements.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
 
 from .poly import Polynomial, PolyMatrix, flatten, unflatten
 from .rings import (
+    MOD,
     AbpcError,
     RingDescriptor,
     RingElement,
@@ -113,18 +115,6 @@ class AbpGraph:
         self.outputs[name] = vid
 
     # -- derived views ---------------------------------------------------------
-
-    def in_adj(self) -> Dict[str, List[Tuple[str, Polynomial]]]:
-        adj: Dict[str, List[Tuple[str, Polynomial]]] = {v: [] for v in self.layer}
-        for (u, v), lab in self.edges.items():
-            adj[v].append((u, lab))
-        return adj
-
-    def out_adj(self) -> Dict[str, List[Tuple[str, Polynomial]]]:
-        adj: Dict[str, List[Tuple[str, Polynomial]]] = {v: [] for v in self.layer}
-        for (u, v), lab in self.edges.items():
-            adj[u].append((v, lab))
-        return adj
 
     def by_layer(self) -> Dict[int, List[str]]:
         """Layer -> sorted vertex ids, for every layer that holds a vertex."""
@@ -245,40 +235,52 @@ def resolve_output(g: AbpGraph, at: Optional[str] = None) -> Tuple[str, str]:
     raise GraphError("ambiguous output; name one explicitly")
 
 
-def _forward_values(g: AbpGraph, one, label_factor: Callable[[Polynomial], object]) -> Dict[str, object]:
-    """Sweep values through the graph; the value type supports + and *."""
-    zero = one - one
-    verts = sorted(g.layer, key=lambda vid: (g.layer[vid], vid))
-    order = topological_order(verts, g.edges)
-    if len(order) != len(verts):
+def _compile(g: AbpGraph) -> Tuple[Dict[str, int], List[List[Tuple[int, int]]], List[Polynomial]]:
+    """Each vertex's position in sweep order, the in-edges of each position as
+    (tail position, label slot) pairs, and the distinct labels by slot."""
+    order = topological_order(sorted(g.layer, key=lambda vid: (g.layer[vid], vid)), g.edges)
+    if len(order) != len(g.layer):
         raise GraphError("constant-edge cycle")
-    values: Dict[str, object] = {}
-    in_adj = g.in_adj()
-    for v in order:
-        acc = one if v == g.source else zero
-        for u, lab in in_adj[v]:
-            acc = acc + values[u] * label_factor(lab)
-        values[v] = acc
-    return values
+    index = {v: k for k, v in enumerate(order)}
+    ins: List[List[Tuple[int, int]]] = [[] for _ in order]
+    slots: Dict[int, int] = {}
+    labels: List[Polynomial] = []
+    for (u, v), lab in g.edges.items():
+        if id(lab) not in slots:
+            slots[id(lab)] = len(labels)
+            labels.append(lab)
+        ins[index[v]].append((index[u], slots[id(lab)]))
+    return index, ins, labels
+
+
+def _sweep(g: AbpGraph, one, label_value: Callable[[Polynomial], object], modulus: int = 0) -> Dict[str, object]:
+    """Every named output by one forward sweep over values of ``one``'s type;
+    a nonzero ``modulus`` reduces each vertex's value once."""
+    index, ins, labels = _compile(g)
+    factors = [label_value(lab) for lab in labels]
+    zero = one - one
+    source = index.get(g.source)
+    values: List[object] = []
+    for k, edges in enumerate(ins):
+        acc = one if k == source else zero
+        for u, slot in edges:
+            acc += values[u] * factors[slot]
+        values.append(acc % modulus if modulus else acc)
+    return {name: values[index[vid]] for name, vid in sorted(g.outputs.items())}
 
 
 def evaluate_all(g: AbpGraph, entries: Sequence[Sequence[RingElement]]) -> Dict[str, RingElement]:
-    """All named outputs at a concrete matrix from a single forward sweep."""
+    """All named outputs at a concrete matrix from a single forward sweep on
+    raw values; only the outputs are boxed as ring elements."""
     n = g.ambient_n
     if len(entries) != n or any(len(row) != n for row in entries):
         raise GraphError("matrix dimension mismatch")
-    for row in entries:
-        for e in row:
-            if e.descriptor != g.ring:
-                raise GraphError("matrix entries from a different ring")
     flat = [e for row in entries for e in row]
-    # edges share label objects, so each distinct label is evaluated once
-    at: Dict[int, RingElement] = {}
-    for lab in g.edges.values():
-        if id(lab) not in at:
-            at[id(lab)] = lab.substitute_flat(flat)
-    values = _forward_values(g, int_embed(g.ring, 1), lambda lab: at[id(lab)])
-    return {name: values[vid] for name, vid in sorted(g.outputs.items())}
+    if any(e.descriptor != g.ring for e in flat):
+        raise GraphError("matrix entries from a different ring")
+    values = _sweep(g, int_embed(g.ring, 1).value, lambda lab: lab.substitute_flat(flat).value,
+                    g.ring.modulus if g.ring.kind == MOD else 0)
+    return {name: RingElement(g.ring, value) for name, value in values.items()}
 
 
 def evaluate(g: AbpGraph, entries: Sequence[Sequence[RingElement]], at: Optional[str] = None) -> RingElement:
@@ -295,9 +297,7 @@ def expand_all(g: AbpGraph) -> Dict[str, Polynomial]:
             f"symbolic expansion guard exceeded (n={g.ambient_n} > {guard}); "
             "set ABPC_GUARD_N to override"
         )
-    one = Polynomial.from_int(g.ring, g.ambient_n, 1)
-    values = _forward_values(g, one, lambda lab: lab)
-    return {name: values[vid] for name, vid in sorted(g.outputs.items())}
+    return _sweep(g, Polynomial.from_int(g.ring, g.ambient_n, 1), lambda lab: lab)
 
 
 def expand_symbolic(g: AbpGraph, at: Optional[str] = None) -> Polynomial:
@@ -309,22 +309,22 @@ def expand_symbolic(g: AbpGraph, at: Optional[str] = None) -> Polynomial:
 def sub_abp(g: AbpGraph, at: Optional[str] = None) -> AbpGraph:
     """The sub-program of all edges on all source-to-output paths."""
     name, target = resolve_output(g, at)
-    out_adj = g.out_adj()
-    in_adj = g.in_adj()
 
-    def reach(start: str, adj) -> set:
+    def reach(start: str, arcs: Iterable[Tuple[str, str]]) -> set:
+        adj: Dict[str, List[str]] = {}
+        for a, b in arcs:
+            adj.setdefault(a, []).append(b)
         seen = {start}
         stack = [start]
         while stack:
-            v = stack.pop()
-            for w, _lab in adj[v]:
+            for w in adj.get(stack.pop(), ()):
                 if w not in seen:
                     seen.add(w)
                     stack.append(w)
         return seen
 
-    forward = reach(g.source, out_adj)
-    backward = reach(target, in_adj)
+    forward = reach(g.source, g.edges)
+    backward = reach(target, [(v, u) for (u, v) in g.edges])
     kept = (forward & backward) | {g.source, target}
     sub = AbpGraph(g.flavor, g.ring, g.ambient_n, g.layer[target])
     for vid in sorted(kept, key=lambda v: (g.layer[v], v)):

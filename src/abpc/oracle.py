@@ -5,18 +5,19 @@ principal minors by the Leibniz permutation sum.  The combinatorial one
 enumerates partial cycle covers of the complete digraph K_n (an edge from
 vertex i to vertex j carries the label x[i,j]; a loop counts as a cycle of
 length 1 and sign +1, a cycle of length l has sign (-1)^(l-1)) and, for
-gradient entries, cycle-cover-plus-path pairs.  Everything is exhaustive
-enumeration guarded to small sizes: these are test oracles, not
-production paths.
+gradient entries, cycle-cover-plus-path pairs.  Both are exhaustive
+enumerations guarded to small sizes: these are test oracles, not
+production paths.  ``cpc_table`` is the numeric reference for larger
+sizes: Berkowitz's division-free recursion at a concrete matrix.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, permutations
-from typing import Iterator, Sequence, Tuple
+from typing import Dict, Iterator, Sequence, Tuple
 
 from .poly import Polynomial, PolyMatrix, flatten
-from .rings import AbpcError, RingDescriptor, int_embed
+from .rings import AbpcError, RingDescriptor, RingElement, int_embed
 
 ORACLE_SIZE_CAP = 8
 
@@ -171,3 +172,44 @@ def grad_ccp_entry(n: int, d: int, a: int, b: int, ring: RingDescriptor) -> Poly
             coeff = int_embed(ring, path_sign * cover_sign)
             total = total + Polynomial(ring, n, {mono: coeff})
     return total
+
+
+def cpc_table(entries: Sequence[Sequence[RingElement]],
+              ring: RingDescriptor) -> Dict[Tuple[int, int], RingElement]:
+    """Every cpc_{i,j}(A), 0 <= j <= i <= n, at a concrete n x n matrix.
+
+    Division-free Samuelson-Berkowitz recursion (S. J. Berkowitz, IPL 18,
+    1984), so it holds in every commutative ring, Z/m with zero divisors
+    included.  It runs on B = -A, since det(tI - B_i) = det(tI + A_i) has
+    the coefficients cpc_{i,j}(A), highest power of t first, for the
+    leading i x i block.  With B_i = [[B_{i-1}, C], [R, b]], that vector
+    is the lower triangular Toeplitz matrix with first column
+    (1, -b, -R C, -R B_{i-1} C, ..., -R B_{i-1}^{i-2} C) times the vector
+    of B_{i-1}.
+    """
+    n = len(entries)
+    if any(len(row) != n for row in entries):
+        raise OracleLimitError("cpc_table needs a square matrix")
+    b = [[-e for e in row] for row in entries]
+    one = int_embed(ring, 1)
+    zero = int_embed(ring, 0)
+
+    def dot(xs, ys) -> RingElement:
+        total = zero
+        for x, y in zip(xs, ys):
+            total = total + x * y
+        return total
+
+    coeffs = [one]
+    table = {(0, 0): one}
+    for i in range(1, n + 1):
+        lead = [row[:i - 1] for row in b[:i - 1]]
+        row, col = b[i - 1][:i - 1], [r[i - 1] for r in b[:i - 1]]
+        column = [one, -b[i - 1][i - 1]]
+        for _ in range(i - 1):
+            column.append(-dot(row, col))
+            col = [dot(r, col) for r in lead]
+        coeffs = [dot(column[k::-1], coeffs) for k in range(i + 1)]
+        for j, c in enumerate(coeffs):
+            table[(i, j)] = c
+    return table

@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import random
-from typing import List
+from typing import Dict, List
 
-from abpc.graph import AbpGraph
+from abpc.graph import AbpGraph, topological_order
 from abpc.poly import Polynomial, PolyMatrix, flatten
 from abpc.rings import RingDescriptor, RingElement, int_embed
 
@@ -15,6 +15,24 @@ Z7 = RingDescriptor.modular(7)
 Q = RingDescriptor.rationals()
 
 RING_FAMILIES = {"int": Z, "mod4": Z4, "mod7": Z7, "rat": Q}
+
+
+def boxed_sweep(g: AbpGraph, entries: List[List[RingElement]]) -> Dict[str, RingElement]:
+    """Every output by a forward sweep on ring elements, substituting each
+    edge's label anew: the reference for ``evaluate_all``'s raw-value sweep."""
+    verts = sorted(g.layer, key=lambda vid: (g.layer[vid], vid))
+    order = topological_order(verts, g.edges)
+    assert len(order) == len(verts), "constant-edge cycle"
+    ins: Dict[str, list] = {v: [] for v in g.layer}
+    for (u, v), lab in g.edges.items():
+        ins[v].append((u, lab))
+    values: Dict[str, RingElement] = {}
+    for v in order:
+        acc = int_embed(g.ring, 1 if v == g.source else 0)
+        for u, lab in ins[v]:
+            acc = acc + values[u] * lab.substitute(entries)
+        values[v] = acc
+    return {name: values[vid] for name, vid in g.outputs.items()}
 
 
 def random_element(ring: RingDescriptor, rng: random.Random, span: int = 6) -> RingElement:

@@ -26,9 +26,9 @@ from abpc.graph import (
     graph_to_json_dict,
     validate,
 )
-from abpc.oracle import cpc_minor_sum
+from abpc.oracle import cpc_minor_sum, cpc_table
 from abpc.poly import Polynomial, PolyMatrix
-from abpc.rings import RingDescriptor, int_embed
+from abpc.rings import RingDescriptor, descriptor_from_spec, int_embed
 from helpers import planted_determinantal_instance, random_matrix
 
 Z = RingDescriptor.integers()
@@ -277,6 +277,22 @@ def test_randomized_evaluate_vs_substitute():
                 _, i, j = name.split("_")
                 want = cpc_minor_sum(int(i), int(j), Z).promote(3).substitute(a)
                 assert value == want, name
+
+
+@pytest.mark.parametrize("spec", ["int", "mod:4", "mod:6", "rat"])
+def test_evaluate_all_matches_berkowitz_at_size(spec):
+    ring = descriptor_from_spec(spec)
+    rng = random.Random(f"berkowitz/{spec}")
+    programs = [build_gradient_abp(10, 10, ring)[0], build_gradient_abp(20, 20, ring)[0],
+                build_bivariate_abp(10, 10, ring)]
+    for prog in programs:
+        a = random_matrix(ring, prog.ambient_n, rng)
+        table = cpc_table(a, ring)
+        values = evaluate_all(prog, a)
+        assert sorted(values) == sorted(prog.outputs)
+        for name, value in values.items():
+            _, i, j = name.split("_")
+            assert value == table[(int(i), int(j))], (spec, prog, name)
 
 
 # -- layer layout ------------------------------------------------------------------

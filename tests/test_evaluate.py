@@ -1,0 +1,102 @@
+"""Numeric evaluation: ``evaluate_all``'s raw-value sweep against a boxed
+sweep and against symbolic expansion, and its input checks."""
+
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from abpc.graph import AbpGraph, GraphError, evaluate_all, expand_all
+from abpc.poly import Polynomial
+from helpers import (
+    RING_FAMILIES,
+    Z,
+    Z7,
+    boxed_sweep,
+    random_aabp,
+    random_abp,
+    random_matrix,
+    random_nonzero,
+    random_pabp,
+)
+
+FLAVORS = ("abp", "pabp", "aabp")
+
+
+def canonical(values):
+    """Values with their Python type, since equal values may differ in type."""
+    return {name: (type(v.value), v) for name, v in values.items()}
+
+
+def random_program(flavor: str, ring, n: int, d: int, rng: random.Random) -> AbpGraph:
+    if flavor == "abp":
+        return random_abp(ring, n, d, rng)
+    if flavor == "pabp":
+        return random_pabp(ring, n, d, rng)
+    return random_aabp(ring, n, rng, inner=d)
+
+
+@pytest.mark.parametrize("flavor", FLAVORS)
+@pytest.mark.parametrize("ring_name", sorted(RING_FAMILIES))
+def test_evaluate_all_equals_boxed_sweep(flavor, ring_name):
+    ring = RING_FAMILIES[ring_name]
+    for seed in range(40):
+        rng = random.Random(f"{flavor}/{ring_name}/{seed}")
+        n, d = rng.randint(1, 3), rng.randint(1, 4)
+        g = random_program(flavor, ring, n, d, rng)
+        g.add_output("src", g.source)
+        a = random_matrix(ring, n, rng)
+        assert canonical(evaluate_all(g, a)) == canonical(boxed_sweep(g, a)), (flavor, ring_name, seed)
+
+
+# Derandomized and without an example database, so every run checks the
+# same examples.
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def programs(draw):
+    ring = RING_FAMILIES[draw(st.sampled_from(sorted(RING_FAMILIES)))]
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    n, d = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    return random_program(draw(st.sampled_from(FLAVORS)), ring, n, d, rng), rng
+
+
+@PROPERTY
+@given(programs())
+def test_evaluate_all_equals_substituted_expansion(case):
+    g, rng = case
+    a = random_matrix(g.ring, g.ambient_n, rng)
+    want = {name: f.substitute(a) for name, f in expand_all(g).items()}
+    assert canonical(evaluate_all(g, a)) == canonical(want)
+
+
+@PROPERTY
+@given(programs())
+def test_evaluate_all_rejects_bad_input(case):
+    g, rng = case
+    n, ring = g.ambient_n, g.ring
+    a = random_matrix(ring, n, rng)
+    evaluate_all(g, a)
+
+    foreign = Z7 if ring != Z7 else Z
+    wrong_ring = [row[:] for row in a]
+    wrong_ring[rng.randrange(n)][rng.randrange(n)] = random_nonzero(foreign, rng)
+    with pytest.raises(GraphError, match="different ring"):
+        evaluate_all(g, wrong_ring)
+
+    with pytest.raises(GraphError, match="dimension"):
+        evaluate_all(g, random_matrix(ring, n + 1, rng))
+    ragged = [row[:] for row in a]
+    ragged[rng.randrange(n)].pop()
+    with pytest.raises(GraphError, match="dimension"):
+        evaluate_all(g, ragged)
+
+    layer = rng.choice(sorted(set(g.layer.values())))
+    g.add_vertex("cycle_a", layer)
+    g.add_vertex("cycle_b", layer)
+    c = Polynomial.constant(ring, n, random_nonzero(ring, rng))
+    g.add_edge("cycle_a", "cycle_b", c)
+    g.add_edge("cycle_b", "cycle_a", c)
+    with pytest.raises(GraphError, match="constant-edge cycle"):
+        evaluate_all(g, a)

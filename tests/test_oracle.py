@@ -1,17 +1,21 @@
 """Oracle tests: frozen hand-expanded values, then cross-oracle agreement."""
 
+import random
+
+import pytest
+
 from abpc.oracle import (
     OracleLimitError,
     cpc_cycle_cover,
     cpc_minor_sum,
+    cpc_table,
     det_leibniz,
     grad_ccp_entry,
     iter_cycle_covers,
 )
 from abpc.poly import Polynomial, PolyMatrix, gradient
-from abpc.rings import RingDescriptor, int_embed
-
-import pytest
+from abpc.rings import RingDescriptor, descriptor_from_spec, int_embed
+from helpers import random_matrix
 
 Z = RingDescriptor.integers()
 
@@ -111,3 +115,22 @@ def test_grad_ccp_matches_transposed_gradient():
 def test_enumeration_size_guard():
     with pytest.raises(OracleLimitError):
         cpc_cycle_cover(9, 2, Z)
+
+
+@pytest.mark.parametrize("spec", ["int", "mod:4", "mod:6", "rat"])
+def test_cpc_table_matches_leibniz_and_cycle_covers(spec):
+    ring = descriptor_from_spec(spec)
+    rng = random.Random(f"cpc_table/{spec}")
+    covers = {(i, j): cpc_cycle_cover(i, j, ring) for i in range(1, 7) for j in range(i + 1)}
+    for n in range(0, 7):
+        for _ in range(2):
+            a = random_matrix(ring, n, rng, span=9)
+            table = cpc_table(a, ring)
+            assert sorted(table) == [(i, j) for i in range(n + 1) for j in range(i + 1)]
+            assert table[(0, 0)] == int_embed(ring, 1)
+            for i in range(1, n + 1):
+                block = [row[:i] for row in a[:i]]
+                det = det_leibniz(PolyMatrix.from_constants(ring, i, block))
+                assert table[(i, i)] == det.constant_term(), (spec, n, i)
+                for j in range(i + 1):
+                    assert table[(i, j)] == covers[(i, j)].substitute(block), (spec, n, i, j)
