@@ -478,7 +478,7 @@ def width_from_determinantal(m: PolyMatrix, d: int, ring: RingDescriptor) -> Abp
     base, _stats = build_gradient_abp(k, k, ring)
     base = sub_abp(base, f"cpc_{k}_{k}")
 
-    verts = sorted(base.layer, key=lambda v: (base.layer[v], v))
+    verts = base.layer_order()
     chain_count = 0
     pending: List[Tuple[str, str, Polynomial]] = []
     for (u, v) in sorted(base.edges):

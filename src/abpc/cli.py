@@ -29,8 +29,7 @@ from .graph import (
     resolve_output,
     validate,
 )
-from .identities import IDENTITY_NAMES, verify_all, verify_with_sides
-from .poly import PolyMatrix
+from .identities import IDENTITY_NAMES, side_entries, verify_all, verify_with_sides
 from .rings import AbpcError, element_from_str, element_to_str, descriptor_from_spec
 
 
@@ -138,23 +137,16 @@ def _cmd_eval(parser, args) -> int:
     return 0
 
 
-def _dump_sides(lhs, rhs) -> None:
-    for tag, side in (("lhs", lhs), ("rhs", rhs)):
-        if isinstance(side, PolyMatrix):
-            for a in range(1, side.rows + 1):
-                for b in range(1, side.cols + 1):
-                    print(f"{tag}[{a},{b}] = {side.entry(a, b).text()}")
-        else:
-            print(f"{tag} = {side.text()}")
-
-
 def _cmd_verify(parser, args) -> int:
     ring = _ring(parser, args.ring)
     report, lhs, rhs = verify_with_sides(args.identity, args.n, args.d, ring,
                                          combinatorial=args.combinatorial)
     print(report.line())
     if args.dump:
-        _dump_sides(lhs, rhs)
+        for tag, side in (("lhs", lhs), ("rhs", rhs)):
+            for position, entry in side_entries(side):
+                where = "" if position is None else f"[{position[0]},{position[1]}]"
+                print(f"{tag}{where} = {entry.text()}")
     if report.witness is not None:
         w = report.witness
         where = f" at entry {w.position}" if w.position else ""

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import heapq
 import os
+from collections import Counter
+from itertools import groupby
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .poly import Polynomial, PolyMatrix, flatten, unflatten
@@ -116,17 +118,14 @@ class AbpGraph:
 
     # -- derived views ---------------------------------------------------------
 
-    def by_layer(self) -> Dict[int, List[str]]:
-        """Layer -> sorted vertex ids, for every layer that holds a vertex."""
-        groups: Dict[int, List[str]] = {}
-        for vid in sorted(self.layer):
-            groups.setdefault(self.layer[vid], []).append(vid)
-        return groups
+    def layer_order(self) -> List[str]:
+        """Vertex ids sorted by (layer, id)."""
+        return sorted(self.layer, key=lambda vid: (self.layer[vid], vid))
 
     def width(self) -> int:
         """Maximum vertex count over the intermediate layers 1..d-1."""
-        groups = self.by_layer()
-        return max((len(groups.get(l, ())) for l in range(1, self.num_layers)), default=0)
+        counts = Counter(self.layer.values())
+        return max((counts[l] for l in range(1, self.num_layers)), default=0)
 
     def size(self) -> int:
         """Vertex count excluding the source and the out-degree-0 sinks."""
@@ -206,16 +205,23 @@ def validate(g: AbpGraph) -> List[str]:
                 if lay in cyclic:
                     problems.append(f"constant-edge cycle in layer {lay}")
         if g.flavor == "pabp":
-            groups = g.by_layer()
-            if len(groups.get(0, ())) != 1:
+            counts = Counter(g.layer.values())
+            if counts[0] != 1:
                 problems.append("pabp requires exactly one vertex in layer 0")
-            if len(groups.get(g.num_layers, ())) != 1:
+            if counts[g.num_layers] != 1:
                 problems.append(f"pabp requires exactly one vertex in layer {g.num_layers}")
     else:  # aabp
         for (u, v) in sorted(g.edges):
             if g.layer[v] <= g.layer[u]:
                 problems.append(f"edge {u}->{v} must increase the topological index")
     return problems
+
+
+def require_valid(g: AbpGraph) -> None:
+    """Raise one ``GraphError`` naming every violation ``validate`` finds."""
+    problems = validate(g)
+    if problems:
+        raise GraphError("invalid input graph: " + "; ".join(problems))
 
 
 # -- evaluation --------------------------------------------------------------
@@ -238,7 +244,7 @@ def resolve_output(g: AbpGraph, at: Optional[str] = None) -> Tuple[str, str]:
 def _compile(g: AbpGraph) -> Tuple[Dict[str, int], List[List[Tuple[int, int]]], List[Polynomial]]:
     """Each vertex's position in sweep order, the in-edges of each position as
     (tail position, label slot) pairs, and the distinct labels by slot."""
-    order = topological_order(sorted(g.layer, key=lambda vid: (g.layer[vid], vid)), g.edges)
+    order = topological_order(g.layer_order(), g.edges)
     if len(order) != len(g.layer):
         raise GraphError("constant-edge cycle")
     index = {v: k for k, v in enumerate(order)}
@@ -256,10 +262,12 @@ def _compile(g: AbpGraph) -> Tuple[Dict[str, int], List[List[Tuple[int, int]]], 
 def _sweep(g: AbpGraph, one, label_value: Callable[[Polynomial], object], modulus: int = 0) -> Dict[str, object]:
     """Every named output by one forward sweep over values of ``one``'s type;
     a nonzero ``modulus`` reduces each vertex's value once."""
+    if g.source is None:
+        raise GraphError("missing source vertex")
     index, ins, labels = _compile(g)
     factors = [label_value(lab) for lab in labels]
     zero = one - one
-    source = index.get(g.source)
+    source = index[g.source]
     values: List[object] = []
     for k, edges in enumerate(ins):
         acc = one if k == source else zero
@@ -327,8 +335,9 @@ def sub_abp(g: AbpGraph, at: Optional[str] = None) -> AbpGraph:
     backward = reach(target, [(v, u) for (u, v) in g.edges])
     kept = (forward & backward) | {g.source, target}
     sub = AbpGraph(g.flavor, g.ring, g.ambient_n, g.layer[target])
-    for vid in sorted(kept, key=lambda v: (g.layer[v], v)):
-        sub.add_vertex(vid, g.layer[vid])
+    for vid in g.layer_order():
+        if vid in kept:
+            sub.add_vertex(vid, g.layer[vid])
     sub.set_source(g.source)
     for (u, v) in sorted(g.edges):
         if u in kept and v in kept and u in backward and v in forward:
@@ -351,9 +360,7 @@ def constant_edge_elimination_steps(g: AbpGraph, at: Optional[str] = None) -> It
     no constant in-edges left, and the only new constant edges, ``s -> y``
     for a constant ``w -> y``, point at a head still to come.
     """
-    problems = validate(g)
-    if problems:
-        raise GraphError("invalid input graph: " + "; ".join(problems))
+    require_valid(g)
     name, target = resolve_output(g, at)
     if g.layer[target] < 1:
         raise GraphError("elimination needs an output of degree at least 1")
@@ -365,8 +372,7 @@ def constant_edge_elimination_steps(g: AbpGraph, at: Optional[str] = None) -> It
     for (u, v) in cur.edges:
         preds[v].add(u)
         succs[u].add(v)
-    verts = sorted(cur.layer, key=lambda vid: (cur.layer[vid], vid))
-    for w in topological_order(verts, [e for e, lab in cur.edges.items() if lab.degree == 0]):
+    for w in topological_order(cur.layer_order(), [e for e, lab in cur.edges.items() if lab.degree == 0]):
         for v in sorted(preds[w]):
             lab = cur.edges.get((v, w))
             if lab is None or lab.degree != 0:
@@ -419,9 +425,7 @@ def homogenize(g: AbpGraph, k: int) -> AbpGraph:
     """
     if g.flavor != "aabp":
         raise GraphError("homogenize expects an aabp-flavor graph")
-    problems = validate(g)
-    if problems:
-        raise GraphError("invalid input graph: " + "; ".join(problems))
+    require_valid(g)
     if k < 0:
         raise GraphError("negative target degree")
     name, sink = resolve_output(g)
@@ -436,7 +440,7 @@ def homogenize(g: AbpGraph, k: int) -> AbpGraph:
             return range(k, k + 1)
         return range(0, k + 1)
 
-    for v in sorted(g.layer, key=lambda vid: (g.layer[vid], vid)):
+    for v in g.layer_order():
         for i in copies(v):
             out.add_vertex(f"{v}#{i}", i)
     out.set_source(f"{g.source}#0")
@@ -491,7 +495,7 @@ def combine(g1: AbpGraph, g2: AbpGraph, op: str,
         return glue.get((tag, v), f"{tag}.{v}")
 
     for tag, part, shift in parts:
-        for v in sorted(part.layer, key=lambda vid: (part.layer[vid], vid)):
+        for v in part.layer_order():
             out.add_vertex(rename(tag, v), part.layer[v] + shift)
     out.set_source("s")
     for tag, part, _shift in parts:
@@ -517,17 +521,12 @@ def abp_to_determinant(g: AbpGraph, at: Optional[str] = None) -> PolyMatrix:
     a = sub_abp(g, at)
     if a.flavor != "pabp":
         raise GraphError("determinant conversion expects a pabp-flavor graph")
-    problems = validate(a)
-    if problems:
-        raise GraphError("invalid input graph: " + "; ".join(problems))
+    require_valid(a)
     d = a.num_layers
     if d < 1:
         raise GraphError("degree must be at least 1")
     _name, sink = resolve_output(a)
-    inner = sorted(
-        (vid for vid in a.layer if vid not in (a.source, sink)),
-        key=lambda vid: (a.layer[vid], vid),
-    )
+    inner = [vid for vid in a.layer_order() if vid not in (a.source, sink)]
     index = {a.source: 0, sink: 0}
     for pos, vid in enumerate(inner, start=1):
         index[vid] = pos
@@ -547,26 +546,25 @@ def abp_to_determinant(g: AbpGraph, at: Optional[str] = None) -> PolyMatrix:
 
 
 def graph_to_json_dict(g: AbpGraph) -> dict:
-    verts = [
-        {"id": vid, "layer": g.layer[vid]}
-        for vid in sorted(g.layer, key=lambda v: (g.layer[v], v))
-    ]
+    """The graph as JSON-ready data; edges with one label object share the
+    label's ``linear`` list."""
+    verts = [{"id": vid, "layer": g.layer[vid]} for vid in g.layer_order()]
     edges = []
     zero = int_embed(g.ring, 0)
+    # edges share label objects, so each distinct label is formatted once
+    texts: Dict[int, Tuple[str, list]] = {}
     for (u, v) in sorted(g.edges):
-        terms = g.edges[(u, v)].terms
-        linear = []
-        # a label's monomials are () and ((flat, 1),); flat order is (i, j) order
-        for mono, c in sorted(terms.items()):
-            if mono:
-                i, j = unflatten(mono[0][0], g.ambient_n)
-                linear.append({"i": i, "j": j, "coeff": element_to_str(c)})
-        edges.append({
-            "from": u,
-            "to": v,
-            "const": element_to_str(terms.get((), zero)),
-            "linear": linear,
-        })
+        lab = g.edges[(u, v)]
+        text = texts.get(id(lab))
+        if text is None:
+            linear = []
+            # a label's monomials are () and ((flat, 1),); flat order is (i, j) order
+            for mono, c in sorted(lab.terms.items()):
+                if mono:
+                    i, j = unflatten(mono[0][0], g.ambient_n)
+                    linear.append({"i": i, "j": j, "coeff": element_to_str(c)})
+            text = texts[id(lab)] = (element_to_str(lab.terms.get((), zero)), linear)
+        edges.append({"from": u, "to": v, "const": text[0], "linear": text[1]})
     return {
         "flavor": g.flavor,
         "d": g.num_layers,
@@ -632,7 +630,7 @@ def graph_from_json_dict(data: dict) -> AbpGraph:
 def graph_to_dot(g: AbpGraph) -> str:
     """Graphviz rendering: one rank per layer, constant edges dashed."""
     lines = ["digraph abp {", "  rankdir=LR;", "  node [shape=circle];"]
-    for _lay, verts in sorted(g.by_layer().items()):
+    for _lay, verts in groupby(g.layer_order(), key=g.layer.__getitem__):
         lines.append("  { rank=same;")
         for vid in verts:
             lines.append(f'    "{vid}";')

@@ -7,19 +7,23 @@ from independent ingredients and compares entrywise.  The central one is
 
 whose left side comes from the gradient of the minor-sum oracle (or from
 the cycle-cover-and-path oracle in combinatorial mode).  Its right side is
-built once, by Horner's rule in X, in ``alternating_power_sum``; the right
+the last of the Horner sums ``T_0 .. T_d`` (``horner_sequence``); the right
 sides of Cayley-Hamilton, the adjugate formula, the trace identity, the
 Samuelson entry and the cpc recursion are that sum, its trace or its
 (n,n) entry.  Every left side is an independent oracle (minor sums, cycle
 covers, zero, the Leibniz adjugate), and no identity's truth is used to
 build another's side.  Alternating signs are ring elements, so the checks
 remain valid in characteristic 2.
+
+``_SIDES`` declares each identity once, its sides and its degree rule;
+``verify_identity`` and the ``verify_all`` grid both read it.  One
+``verify_all`` call builds each size's Horner sums once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from .build import transition_matrix
 from .oracle import cpc_minor_sum, det_leibniz, grad_ccp_entry
@@ -58,39 +62,40 @@ class CheckReport:
         return f"{self.identity} n={self.n} d={self.d} ring={spec} {status}"
 
 
-def _sign(ring: RingDescriptor, i: int):
-    return int_embed(ring, -1) ** i
+def side_entries(side) -> Iterator[Tuple[Optional[Tuple[int, int]], Polynomial]]:
+    """A side's (position, entry) pairs in row-major order; the position of
+    a scalar side is None."""
+    if isinstance(side, Polynomial):
+        yield None, side
+        return
+    for a in range(1, side.rows + 1):
+        for b in range(1, side.cols + 1):
+            yield (a, b), side.entry(a, b)
 
 
-def _compare_matrices(lhs: PolyMatrix, rhs: PolyMatrix) -> Optional[Witness]:
-    for a in range(1, lhs.rows + 1):
-        for b in range(1, lhs.cols + 1):
-            le, re = lhs.entry(a, b), rhs.entry(a, b)
-            if le != re:
-                return Witness((a, b), le.text(), re.text(), (le - re).text())
-    return None
-
-
-def _compare_scalars(lhs: Polynomial, rhs: Polynomial) -> Optional[Witness]:
-    if lhs != rhs:
-        return Witness(None, lhs.text(), rhs.text(), (lhs - rhs).text())
+def _first_mismatch(lhs, rhs) -> Optional[Witness]:
+    for (position, le), (_position, re) in zip(side_entries(lhs), side_entries(rhs)):
+        if le != re:
+            return Witness(position, le.text(), re.text(), (le - re).text())
     return None
 
 
 # -- ingredient builders ---------------------------------------------------------
 
 
-def alternating_power_sum(n: int, d: int, ring: RingDescriptor) -> PolyMatrix:
-    """sum_{i=0}^{d} (-1)^i cpc_{n,d-i} X^i by Horner's rule in X.
+def horner_sequence(n: int, k_max: int, ring: RingDescriptor) -> List[PolyMatrix]:
+    """T_0 .. T_{k_max}, where T_k = sum_{i=0}^{k} (-1)^i cpc_{n,k-i} X^i.
 
-    T_{-1} = 0 and T_k = cpc_{n,k} I - X T_{k-1}; T_d is the sum.
+    Horner's rule in X: T_{-1} = 0 and T_k = cpc_{n,k} I - X T_{k-1}.
     """
     x = PolyMatrix.variables(ring, n)
     one = PolyMatrix.identity(ring, n, n)
     total = PolyMatrix.zeros(ring, n, n, n)
-    for k in range(d + 1):
+    sums: List[PolyMatrix] = []
+    for k in range(k_max + 1):
         total = one.scale(cpc_minor_sum(n, k, ring)) - x * total
-    return total
+        sums.append(total)
+    return sums
 
 
 def gradient_transpose(n: int, d_plus_1: int, ring: RingDescriptor,
@@ -129,8 +134,6 @@ def elementary_symmetric(n: int, d: int, ring: RingDescriptor) -> Polynomial:
 
 def power_sum(n: int, i: int, ring: RingDescriptor) -> Polynomial:
     """x[1,1]^i + .. + x[n,n]^i, with the convention that the 0-th sum is n."""
-    if i == 0:
-        return Polynomial.from_int(ring, n, n)
     total = Polynomial.zero(ring, n)
     for a in range(1, n + 1):
         v = Polynomial.variable(ring, n, a, a)
@@ -142,57 +145,53 @@ def power_sum(n: int, i: int, ring: RingDescriptor) -> Polynomial:
 
 
 # -- the two sides of each identity ---------------------------------------------
+# d has passed the identity's degree rule; ``horner()`` returns the Horner sum
+# T_d, and only the identities that read it call it.
 
 
-def _sides_bivariate_ch(n: int, d: int, ring: RingDescriptor, combinatorial: bool):
-    lhs = gradient_transpose(n, d + 1, ring, combinatorial)
-    rhs = alternating_power_sum(n, d, ring)
-    return lhs, rhs
+def _sides_bivariate_ch(n: int, d: int, ring: RingDescriptor, combinatorial: bool, horner):
+    return gradient_transpose(n, d + 1, ring, combinatorial), horner()
 
 
-def _sides_cayley_hamilton(n: int, d: int, ring: RingDescriptor, combinatorial: bool):
+def _sides_cayley_hamilton(n: int, d: int, ring: RingDescriptor, combinatorial: bool, horner):
     # the alternating sum at d = n annihilates itself
-    return PolyMatrix.zeros(ring, n, n, n), alternating_power_sum(n, n, ring)
+    return PolyMatrix.zeros(ring, n, n, n), horner()
 
 
-def _sides_adjugate(n: int, d: int, ring: RingDescriptor, combinatorial: bool):
+def _sides_adjugate(n: int, d: int, ring: RingDescriptor, combinatorial: bool, horner):
     det = det_leibniz(PolyMatrix.variables(ring, n))
-    return gradient(det, n).transpose(), alternating_power_sum(n, n - 1, ring)
+    return gradient(det, n).transpose(), horner()
 
 
-def _sides_trace_ch(n: int, d: int, ring: RingDescriptor, combinatorial: bool):
+def _sides_trace_ch(n: int, d: int, ring: RingDescriptor, combinatorial: bool, horner):
     # the i = 0 term of the sum's trace is n cpc_{n,d}
     cpc = cpc_minor_sum(n, d, ring)
-    rhs = alternating_power_sum(n, d, ring).trace() - cpc.scale(int_embed(ring, n))
+    rhs = horner().trace() - cpc.scale(int_embed(ring, n))
     return cpc.scale(int_embed(ring, -d)), rhs
 
 
-def _sides_girard_newton(n: int, d: int, ring: RingDescriptor, combinatorial: bool):
+def _sides_girard_newton(n: int, d: int, ring: RingDescriptor, combinatorial: bool, horner):
     lhs = elementary_symmetric(n, d, ring).scale(int_embed(ring, -d))
     rhs = Polynomial.zero(ring, n)
     for i in range(1, d + 1):
         term = elementary_symmetric(n, d - i, ring) * power_sum(n, i, ring)
-        rhs = rhs + term.scale(_sign(ring, i))
+        rhs = rhs + term.scale(int_embed(ring, -1) ** i)
     return lhs, rhs
 
 
-def _sides_samuelson_entry(n: int, d: int, ring: RingDescriptor, combinatorial: bool):
+def _sides_samuelson_entry(n: int, d: int, ring: RingDescriptor, combinatorial: bool, horner):
     # bottom-right entry of the bivariate identity
-    lhs = cpc_minor_sum(n - 1, d, ring).promote(n)
-    return lhs, alternating_power_sum(n, d, ring).entry(n, n)
+    return cpc_minor_sum(n - 1, d, ring).promote(n), horner().entry(n, n)
 
 
-def _sides_cpc_recursion(n: int, d: int, ring: RingDescriptor, combinatorial: bool):
+def _sides_cpc_recursion(n: int, d: int, ring: RingDescriptor, combinatorial: bool, horner):
     # the Samuelson entry with its i = 0 term, cpc_{n,d}, moved across
     cpc = cpc_minor_sum(n, d, ring)
-    entry = alternating_power_sum(n, d, ring).entry(n, n)
-    return cpc, cpc_minor_sum(n - 1, d, ring).promote(n) - entry + cpc
+    return cpc, cpc_minor_sum(n - 1, d, ring).promote(n) - horner().entry(n, n) + cpc
 
 
-def _sides_rnd_block(n: int, d: int, ring: RingDescriptor, combinatorial: bool):
+def _sides_rnd_block(n: int, d: int, ring: RingDescriptor, combinatorial: bool, horner):
     # r_{n,d} = ( -r_{n,d-1} L_n | sum_{i=d}^{n-1} r_{i,d-1} C_i )
-    if d < 1:
-        raise IdentityError("rnd_block needs d >= 1")
     lhs = PolyMatrix(ring, n, 1, n, r_vector(n, d, ring))
     x = PolyMatrix.variables(ring, n)
     prev = PolyMatrix(ring, n, 1, n, r_vector(n, d - 1, ring))
@@ -209,7 +208,7 @@ def _sides_rnd_block(n: int, d: int, ring: RingDescriptor, combinatorial: bool):
     return lhs, PolyMatrix(ring, n, 1, n, rhs_entries)
 
 
-def _sides_transition_product(n: int, d: int, ring: RingDescriptor, combinatorial: bool):
+def _sides_transition_product(n: int, d: int, ring: RingDescriptor, combinatorial: bool, horner):
     # (r_{2,1},..,r_{d,1}) M_{d,2} .. M_{d,d-1} C_d = det_d
     vec_entries: List[Polynomial] = []
     for i in range(2, d + 1):
@@ -223,16 +222,26 @@ def _sides_transition_product(n: int, d: int, ring: RingDescriptor, combinatoria
     return lhs, rhs
 
 
-_SIDES: dict = {
-    "bivariate_ch": _sides_bivariate_ch,
-    "cayley_hamilton": _sides_cayley_hamilton,
-    "adjugate": _sides_adjugate,
-    "trace_ch": _sides_trace_ch,
-    "girard_newton": _sides_girard_newton,
-    "samuelson_entry": _sides_samuelson_entry,
-    "cpc_recursion": _sides_cpc_recursion,
-    "rnd_block": _sides_rnd_block,
-    "transition_product": _sides_transition_product,
+class Identity(NamedTuple):
+    """One identity: its sides and its degree rule."""
+
+    sides: Callable
+    d_min: int = 0
+    d_from_n: Optional[int] = None  # d = n + d_from_n, whatever d is given
+    # d is the matrix size: verify_all sets n = d, and a negative d fails d_min
+    d_is_size: bool = False
+
+
+_SIDES: Dict[str, Identity] = {
+    "bivariate_ch": Identity(_sides_bivariate_ch),
+    "cayley_hamilton": Identity(_sides_cayley_hamilton, d_from_n=0),
+    "adjugate": Identity(_sides_adjugate, d_from_n=-1),
+    "trace_ch": Identity(_sides_trace_ch),
+    "girard_newton": Identity(_sides_girard_newton),
+    "samuelson_entry": Identity(_sides_samuelson_entry),
+    "cpc_recursion": Identity(_sides_cpc_recursion),
+    "rnd_block": Identity(_sides_rnd_block, d_min=1),
+    "transition_product": Identity(_sides_transition_product, d_min=2, d_is_size=True),
 }
 
 IDENTITY_NAMES = tuple(_SIDES)
@@ -243,62 +252,59 @@ def _normalize(identity: str, n: int, d: int) -> Tuple[int, int]:
         raise IdentityError(f"unknown identity {identity!r}")
     if n < 1:
         raise IdentityError("n must be positive")
-    if identity == "cayley_hamilton":
-        d = n
-    elif identity == "adjugate":
-        d = n - 1
-    elif identity == "transition_product" and d < 2:
-        raise IdentityError("transition_product needs d >= 2")
-    if d < 0:
+    rule = _SIDES[identity]
+    if rule.d_from_n is not None:
+        d = n + rule.d_from_n
+    if d < 0 and not rule.d_is_size:
         raise IdentityError("d must be non-negative")
+    if d < rule.d_min:
+        raise IdentityError(f"{identity} needs d >= {rule.d_min}")
     return n, d
 
 
-def verify_with_sides(identity: str, n: int, d: int, ring: RingDescriptor,
-                      combinatorial: bool = False):
+def _degrees(rule: Identity, n: int, d_max: int) -> range:
+    """The degrees the ``verify_all`` grid checks at size n."""
+    if rule.d_from_n is not None:
+        return range(n + rule.d_from_n, n + rule.d_from_n + 1)
+    if rule.d_is_size:
+        return range(max(n, rule.d_min), n + 1)
+    return range(rule.d_min, d_max + 1)
+
+
+def _check(identity: str, n: int, d: int, ring: RingDescriptor, combinatorial: bool, horner):
+    lhs, rhs = _SIDES[identity].sides(n, d, ring, combinatorial, horner)
+    witness = _first_mismatch(lhs, rhs)
+    return CheckReport(identity, n, d, ring, witness is None, witness), lhs, rhs
+
+
+def verify_with_sides(identity: str, n: int, d: int, ring: RingDescriptor, combinatorial: bool = False):
     """``verify_identity``'s report together with the two sides it compared,
     as polynomials or polynomial matrices."""
     n, d = _normalize(identity, n, d)
-    lhs, rhs = _SIDES[identity](n, d, ring, combinatorial)
-    if isinstance(lhs, PolyMatrix):
-        witness = _compare_matrices(lhs, rhs)
-    else:
-        witness = _compare_scalars(lhs, rhs)
-    return CheckReport(identity, n, d, ring, witness is None, witness), lhs, rhs
+    return _check(identity, n, d, ring, combinatorial, lambda: horner_sequence(n, d, ring)[d])
 
 
 def verify_identity(identity: str, n: int, d: int, ring: RingDescriptor,
                     combinatorial: bool = False) -> CheckReport:
-    """Check one identity at the given parameters; exact, no tolerance.
-
-    ``cayley_hamilton`` and ``adjugate`` ignore d (they are the d = n and
-    d = n - 1 specializations); ``transition_product`` uses d as the
-    matrix size and ignores n.
-    """
+    """Check one identity at the given parameters; exact, no tolerance.  Its
+    entry in ``_SIDES`` says how it reads d (cayley_hamilton and adjugate fix
+    it from n; transition_product takes it as the matrix size)."""
     return verify_with_sides(identity, n, d, ring, combinatorial)[0]
 
 
 def verify_all(n_max: int, d_max: int, ring: RingDescriptor,
                combinatorial: bool = False) -> List[CheckReport]:
-    """Run the whole identity grid; deterministic report order."""
+    """Run the whole identity grid, size by size; reports are grouped by
+    identity, then ordered by n and d.  Each size's Horner sums
+    T_0 .. T_max(n, d_max) are built once and serve every check."""
     if n_max > VERIFY_ALL_N_CAP:
         raise IdentityError(f"n_max capped at {VERIFY_ALL_N_CAP}")
     if n_max < 1 or d_max < 0:
         raise IdentityError("grid parameters out of range")
-    reports: List[CheckReport] = []
-    for identity in IDENTITY_NAMES:
-        if identity in ("cayley_hamilton", "adjugate"):
-            for n in range(1, n_max + 1):
-                reports.append(verify_identity(identity, n, 0, ring, combinatorial))
-        elif identity == "transition_product":
-            for d in range(2, n_max + 1):
-                reports.append(verify_identity(identity, d, d, ring, combinatorial))
-        elif identity == "rnd_block":
-            for n in range(1, n_max + 1):
-                for d in range(1, d_max + 1):
-                    reports.append(verify_identity(identity, n, d, ring, combinatorial))
-        else:
-            for n in range(1, n_max + 1):
-                for d in range(0, d_max + 1):
-                    reports.append(verify_identity(identity, n, d, ring, combinatorial))
-    return reports
+    reports: Dict[str, List[CheckReport]] = {name: [] for name in _SIDES}
+    for n in range(1, n_max + 1):
+        sums = horner_sequence(n, max(n, d_max), ring)
+        for name, rule in _SIDES.items():
+            for d in _degrees(rule, n, d_max):
+                reports[name].append(_check(name, n, d, ring, combinatorial, lambda: sums[d])[0])
+    return [rep for group in reports.values() for rep in group]

@@ -27,13 +27,21 @@ def test_verify_pass_line_and_exit_code(capsys):
 
 
 def test_verify_rejects_negative_degree(capsys):
-    code, out, err = run(capsys, "verify", "--identity", "bivariate_ch",
-                         "--n", "2", "--d", "-1", "--ring", "int")
-    assert (code, out, err) == (1, "", "error: d must be non-negative\n")
-    # cayley_hamilton fixes d = n itself, so any --d is accepted
-    code, out, _err = run(capsys, "verify", "--identity", "cayley_hamilton",
-                          "--n", "2", "--d", "-1", "--ring", "int")
-    assert (code, out) == (0, "cayley_hamilton n=2 d=2 ring=int PASS\n")
+    def verify(identity, n, d):
+        return run(capsys, "verify", "--identity", identity, "--n", str(n), "--d", str(d),
+                   "--ring", "int")
+
+    for identity in ("bivariate_ch", "girard_newton", "rnd_block"):
+        assert verify(identity, 2, -1) == (1, "", "error: d must be non-negative\n")
+    assert verify("rnd_block", 2, 0) == (1, "", "error: rnd_block needs d >= 1\n")
+    for d in (-1, 0, 1):
+        assert verify("transition_product", 2, d) == (
+            1, "", "error: transition_product needs d >= 2\n")
+    assert verify("bivariate_ch", 0, 1) == (1, "", "error: n must be positive\n")
+    # cayley_hamilton fixes d = n and adjugate d = n - 1, so any --d is accepted
+    for d in (-1, 0, 5):
+        assert verify("cayley_hamilton", 2, d) == (0, "cayley_hamilton n=2 d=2 ring=int PASS\n", "")
+        assert verify("adjugate", 3, d) == (0, "adjugate n=3 d=2 ring=int PASS\n", "")
 
 
 def test_verify_all_table(capsys):
@@ -177,15 +185,40 @@ def test_dump_builds_the_sides_once(capsys, monkeypatch):
     original = ident._SIDES["bivariate_ch"]
     calls = []
 
-    def counted(n, d, ring, combinatorial):
+    def counted(n, d, ring, combinatorial, horner):
         calls.append((n, d))
-        return original(n, d, ring, combinatorial)
+        return original.sides(n, d, ring, combinatorial, horner)
 
-    monkeypatch.setitem(ident._SIDES, "bivariate_ch", counted)
+    monkeypatch.setitem(ident._SIDES, "bivariate_ch", original._replace(sides=counted))
     code, out, _err = run(capsys, "verify", "--identity", "bivariate_ch",
                           "--n", "2", "--d", "1", "--ring", "int", "--dump")
     assert code == 0 and "rhs[2,2] = 1*x[1,1]" in out
     assert calls == [(2, 1)]
+
+
+def test_horner_sums_are_built_once_per_size(capsys, monkeypatch):
+    import abpc.identities as ident
+
+    original = ident.horner_sequence
+    calls = []
+
+    def counted(n, k_max, ring):
+        calls.append((n, k_max))
+        return original(n, k_max, ring)
+
+    monkeypatch.setattr(ident, "horner_sequence", counted)
+    reports = ident.verify_all(4, 4, Z)
+    assert all(rep.passed for rep in reports)
+    assert calls == [(1, 4), (2, 4), (3, 4), (4, 4)]
+    # identities that do not read the Horner sum build none
+    for identity in ("girard_newton", "rnd_block", "transition_product"):
+        calls.clear()
+        code, _out, _err = run(capsys, "verify", "--identity", identity,
+                               "--n", "3", "--d", "3", "--ring", "int")
+        assert (code, calls) == (0, []), identity
+    code, _out, _err = run(capsys, "verify", "--identity", "bivariate_ch",
+                           "--n", "3", "--d", "2", "--ring", "int")
+    assert (code, calls) == (0, [(3, 2)])
 
 
 def test_failing_identity_exits_one(capsys, monkeypatch):
@@ -194,12 +227,13 @@ def test_failing_identity_exits_one(capsys, monkeypatch):
 
     original = ident._SIDES["bivariate_ch"]
 
-    def broken(n, d, ring, combinatorial):
-        lhs, _rhs = original(n, d, ring, combinatorial)
-        _lhs2, rhs2 = original(n, d + 1, ring, combinatorial)
+    def broken(n, d, ring, combinatorial, horner):
+        lhs, _rhs = original.sides(n, d, ring, combinatorial, horner)
+        _lhs2, rhs2 = original.sides(n, d + 1, ring, combinatorial,
+                                     lambda: ident.horner_sequence(n, d + 1, ring)[-1])
         return lhs, rhs2
 
-    monkeypatch.setitem(ident._SIDES, "bivariate_ch", broken)
+    monkeypatch.setitem(ident._SIDES, "bivariate_ch", original._replace(sides=broken))
     code, out, _err = run(capsys, "verify", "--identity", "bivariate_ch",
                           "--n", "2", "--d", "1", "--ring", "int")
     assert code == 1

@@ -92,6 +92,12 @@ def test_evaluate_all_rejects_bad_input(case):
     with pytest.raises(GraphError, match="dimension"):
         evaluate_all(g, ragged)
 
+    source, g.source = g.source, None
+    for sweep in (lambda: evaluate_all(g, a), lambda: expand_all(g)):
+        with pytest.raises(GraphError, match="missing source vertex"):
+            sweep()
+    g.source = source
+
     layer = rng.choice(sorted(set(g.layer.values())))
     g.add_vertex("cycle_a", layer)
     g.add_vertex("cycle_b", layer)
