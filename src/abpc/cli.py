@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from typing import List, Optional
 
@@ -98,6 +99,14 @@ def _load_graph(path: str):
     return graph_from_json_dict(data)
 
 
+def _write(path: str, text: str) -> None:
+    """Overwrite in place, then cut the tail: truncating first frees every block."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        size = fh.write(text.encode("utf-8"))
+        if os.fstat(fh.fileno()).st_size > size:  # never true for a pipe or terminal
+            fh.truncate(size)
+
+
 def _cmd_build(parser, args) -> int:
     ring = _ring(parser, args.ring)
     if args.construction == "charzero":
@@ -106,12 +115,9 @@ def _cmd_build(parser, args) -> int:
         g = build_bivariate_abp(args.n, args.d, ring)
     else:
         g, _stats = build_gradient_abp(args.n, args.d, ring)
-    payload = json.dumps(graph_to_json_dict(g), indent=2, sort_keys=True)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(payload + "\n")
+    _write(args.out, json.dumps(graph_to_json_dict(g), indent=2, sort_keys=True) + "\n")
     if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(graph_to_dot(g))
+        _write(args.dot, graph_to_dot(g))
     print(f"wrote {args.out}")
     return 0
 
@@ -168,10 +174,7 @@ def _cmd_verify_all(parser, args) -> int:
 
 def _baseline_line(n: int, vertices: int, width: int) -> str:
     """The n^3 / n^2 baseline against a vertex count and a width."""
-    if vertices and width:
-        ratios = f"{n ** 3 / vertices:.4f} {n * n / width:.4f}"
-    else:
-        ratios = "n/a"
+    ratios = f"{n ** 3 / vertices:.4f} {n * n / width:.4f}" if vertices and width else "n/a"
     return (f"baseline n^3={n ** 3} width n^2={n * n}; "
             f"this construction vertices={vertices} width={width}; "
             f"ratios {ratios}")
@@ -196,11 +199,9 @@ def _cmd_stats(parser, args) -> int:
 
 
 def _cmd_export_dot(parser, args) -> int:
-    g = _load_graph(args.graph)
-    text = graph_to_dot(g)
+    text = graph_to_dot(_load_graph(args.graph))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(args.out, text)
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(text)

@@ -1,6 +1,7 @@
 """CLI surface: commands, exit codes, determinism, round trips."""
 
 import json
+import os
 
 import pytest
 
@@ -136,6 +137,25 @@ def test_deterministic_stdout(tmp_path, capsys):
     run(capsys, "build", "--construction", "gradient", "--n", "3", "--d", "3",
         "--ring", "rat", "--out", str(out_file))
     assert out_file.read_text() == first_payload
+
+
+def test_out_files_overwrite_longer_and_shorter_files(tmp_path, capsys):
+    fresh, dot = tmp_path / "fresh.json", tmp_path / "fresh.dot"
+    build = ("build", "--construction", "gradient", "--n", "3", "--d", "3", "--ring", "int")
+    run(capsys, *build, "--out", str(fresh), "--dot", str(dot))
+    for stale in ("x" * (3 * len(fresh.read_text())), "x"):
+        out, out_dot, exported = (tmp_path / name for name in ("o.json", "o.dot", "e.dot"))
+        for path in (out, out_dot, exported):
+            path.write_text(stale)
+        run(capsys, *build, "--out", str(out), "--dot", str(out_dot))
+        run(capsys, "export-dot", str(fresh), "--out", str(exported))
+        assert out.read_bytes() == fresh.read_bytes()
+        assert out_dot.read_bytes() == exported.read_bytes() == dot.read_bytes()
+    read_end, write_end = os.pipe()
+    assert run(capsys, "export-dot", str(fresh), "--out", f"/dev/fd/{write_end}")[0] == 0
+    os.close(write_end)
+    with os.fdopen(read_end, "rb") as pipe:
+        assert pipe.read() == dot.read_bytes()
 
 
 def test_usage_errors_exit_two(capsys):
