@@ -10,8 +10,10 @@ stores a topological index and paths may have different lengths.
 A graph computes, at every named output vertex, the sum over all
 source-to-vertex paths of the product of the edge labels.  Evaluation and
 symbolic expansion run as one forward sweep (never path enumeration), the
-matrix-product semantics of the layered model; numeric evaluation sweeps on
-raw values and boxes only the named outputs as ring elements.
+matrix-product semantics of the layered model.  Both sweep on raw values and
+box only the named outputs: numeric evaluation on ``int`` or ``Fraction``
+values boxed as ring elements, symbolic expansion on dicts from monomials to
+raw coefficients boxed as polynomials.
 """
 
 from __future__ import annotations
@@ -259,21 +261,21 @@ def _compile(g: AbpGraph) -> Tuple[Dict[str, int], List[List[Tuple[int, int]]], 
     return index, ins, labels
 
 
-def _sweep(g: AbpGraph, one, label_value: Callable[[Polynomial], object], modulus: int = 0) -> Dict[str, object]:
-    """Every named output by one forward sweep over values of ``one``'s type;
-    a nonzero ``modulus`` reduces each vertex's value once."""
+def _sweep(g: AbpGraph, label_value: Callable[[Polynomial], object],
+           vertex_value: Callable) -> Dict[str, object]:
+    """Every named output's raw value by one forward sweep over ``_compile``'s
+    plan.  ``label_value`` maps each distinct label once to its factor, and
+    ``vertex_value(is_source, edges, values, factors)`` gives one vertex's
+    value from its in-edges, (tail position, label slot) pairs, and the
+    values of the vertices before it."""
     if g.source is None:
         raise GraphError("missing source vertex")
     index, ins, labels = _compile(g)
     factors = [label_value(lab) for lab in labels]
-    zero = one - one
     source = index[g.source]
     values: List[object] = []
     for k, edges in enumerate(ins):
-        acc = one if k == source else zero
-        for u, slot in edges:
-            acc += values[u] * factors[slot]
-        values.append(acc % modulus if modulus else acc)
+        values.append(vertex_value(k == source, edges, values, factors))
     return {name: values[index[vid]] for name, vid in sorted(g.outputs.items())}
 
 
@@ -286,8 +288,16 @@ def evaluate_all(g: AbpGraph, entries: Sequence[Sequence[RingElement]]) -> Dict[
     flat = [e for row in entries for e in row]
     if any(e.descriptor != g.ring for e in flat):
         raise GraphError("matrix entries from a different ring")
-    values = _sweep(g, int_embed(g.ring, 1).value, lambda lab: lab.substitute_flat(flat).value,
-                    g.ring.modulus if g.ring.kind == MOD else 0)
+    one = int_embed(g.ring, 1).value
+    zero, modulus = one - one, g.ring.modulus if g.ring.kind == MOD else 0
+
+    def vertex_value(is_source, edges, values, factors):
+        acc = one if is_source else zero
+        for u, slot in edges:
+            acc += values[u] * factors[slot]
+        return acc % modulus if modulus else acc
+
+    values = _sweep(g, lambda lab: lab.substitute_flat(flat).value, vertex_value)
     return {name: RingElement(g.ring, value) for name, value in values.items()}
 
 
@@ -298,14 +308,47 @@ def evaluate(g: AbpGraph, entries: Sequence[Sequence[RingElement]], at: Optional
 
 
 def expand_all(g: AbpGraph) -> Dict[str, Polynomial]:
-    """All named outputs from a single forward sweep."""
+    """All named outputs from a single forward sweep on raw coefficients;
+    only the outputs are boxed as polynomials.
+
+    During the sweep a vertex's value is a dict from monomials to raw
+    coefficients, and a monomial is the sorted tuple of its variables' flat
+    indices, with repeats.
+    """
     guard = expansion_guard()
     if g.ambient_n > guard:
         raise GraphError(
             f"symbolic expansion guard exceeded (n={g.ambient_n} > {guard}); "
             "set ABPC_GUARD_N to override"
         )
-    return _sweep(g, Polynomial.from_int(g.ring, g.ambient_n, 1), lambda lab: lab)
+    one = int_embed(g.ring, 1).value
+    modulus = g.ring.modulus if g.ring.kind == MOD else 0
+
+    def label_terms(lab: Polynomial) -> List[Tuple[Optional[int], object]]:
+        # a label's monomials are () and ((v, 1),); None stands for ()
+        return [(mono[0][0] if mono else None, c.value) for mono, c in lab.terms.items()]
+
+    def vertex_value(is_source, edges, values, factors):
+        acc = {(): one} if is_source else {}
+        for u, slot in edges:
+            tail = values[u].items()
+            for v, c in factors[slot]:
+                if v is None:
+                    for mono, a in tail:
+                        acc[mono] = acc.get(mono, 0) + a * c
+                else:
+                    for mono, a in tail:
+                        m = tuple(sorted(mono + (v,)))
+                        acc[m] = acc.get(m, 0) + a * c
+        if modulus:
+            return {m: r for m, a in acc.items() if (r := a % modulus)}
+        return {m: a for m, a in acc.items() if a}
+
+    ring, n = g.ring, g.ambient_n
+    # a sorted monomial's Counter lists its (v, e) pairs in order of v
+    return {name: Polynomial(ring, n, {tuple(Counter(mono).items()): RingElement(ring, a)
+                                       for mono, a in terms.items()})
+            for name, terms in _sweep(g, label_terms, vertex_value).items()}
 
 
 def expand_symbolic(g: AbpGraph, at: Optional[str] = None) -> Polynomial:

@@ -17,7 +17,8 @@ remain valid in characteristic 2.
 
 ``_SIDES`` declares each identity once, its sides and its degree rule;
 ``verify_identity`` and the ``verify_all`` grid both read it.  One
-``verify_all`` call builds each size's Horner sums once.
+``verify_all`` call builds each size's Horner sums once, and each minor sum
+cpc_{n,k} once.
 """
 
 from __future__ import annotations
@@ -83,8 +84,27 @@ def _first_mismatch(lhs, rhs) -> Optional[Witness]:
 # -- ingredient builders ---------------------------------------------------------
 
 
+def _minor_sums(ring: RingDescriptor) -> Callable[[int, int], Polynomial]:
+    """``cpc(n, k)``, the minor sum cpc_{n,k} over ``ring``, built once per
+    (n, k) for the life of the returned function."""
+    built: Dict[Tuple[int, int], Polynomial] = {}
+
+    def cpc(n: int, k: int) -> Polynomial:
+        if (n, k) not in built:
+            built[(n, k)] = cpc_minor_sum(n, k, ring)
+        return built[(n, k)]
+
+    return cpc
+
+
 def horner_sequence(n: int, k_max: int, ring: RingDescriptor) -> List[PolyMatrix]:
-    """T_0 .. T_{k_max}, where T_k = sum_{i=0}^{k} (-1)^i cpc_{n,k-i} X^i.
+    """T_0 .. T_{k_max}, where T_k = sum_{i=0}^{k} (-1)^i cpc_{n,k-i} X^i."""
+    return _horner_sums(n, k_max, ring, _minor_sums(ring))
+
+
+def _horner_sums(n: int, k_max: int, ring: RingDescriptor,
+                 cpc: Callable[[int, int], Polynomial]) -> List[PolyMatrix]:
+    """``horner_sequence`` with cpc_{n,k} read from ``cpc(n, k)``.
 
     Horner's rule in X: T_{-1} = 0 and T_k = cpc_{n,k} I - X T_{k-1}.
     """
@@ -93,7 +113,7 @@ def horner_sequence(n: int, k_max: int, ring: RingDescriptor) -> List[PolyMatrix
     total = PolyMatrix.zeros(ring, n, n, n)
     sums: List[PolyMatrix] = []
     for k in range(k_max + 1):
-        total = one.scale(cpc_minor_sum(n, k, ring)) - x * total
+        total = one.scale(cpc(n, k)) - x * total
         sums.append(total)
     return sums
 
@@ -113,8 +133,12 @@ def gradient_transpose(n: int, d_plus_1: int, ring: RingDescriptor,
 
 def r_vector(n: int, d: int, ring: RingDescriptor) -> List[Polynomial]:
     """Last row of transpose(grad cpc_{n,d+1}): entry a is d cpc_{n,d+1} / d x[a,n]."""
-    grad = gradient(cpc_minor_sum(n, d + 1, ring), n)
-    return [grad.entry(a, n) for a in range(1, n + 1)]
+    return _last_row(cpc_minor_sum(n, d + 1, ring), n)
+
+
+def _last_row(f: Polynomial, n: int) -> List[Polynomial]:
+    """Last row of transpose(grad f) for f in the n x n variables."""
+    return [f.partial(a, n) for a in range(1, n + 1)]
 
 
 def r_vector_first_layer(i: int, ambient: int, ring: RingDescriptor) -> List[Polynomial]:
@@ -125,11 +149,6 @@ def r_vector_first_layer(i: int, ambient: int, ring: RingDescriptor) -> List[Pol
         tr = tr + Polynomial.variable(ring, ambient, a, a)
     entries.append(tr)
     return entries
-
-
-def elementary_symmetric(n: int, d: int, ring: RingDescriptor) -> Polynomial:
-    """cpc_{n,d} restricted to diagonal matrices (variables x[a,a])."""
-    return cpc_minor_sum(n, d, ring).restrict_to_diagonal()
 
 
 def power_sum(n: int, i: int, ring: RingDescriptor) -> Polynomial:
@@ -146,69 +165,73 @@ def power_sum(n: int, i: int, ring: RingDescriptor) -> Polynomial:
 
 # -- the two sides of each identity ---------------------------------------------
 # d has passed the identity's degree rule; ``horner()`` returns the Horner sum
-# T_d, and only the identities that read it call it.
+# T_d, and only the identities that read it call it.  ``cpc(i, k)`` returns
+# the minor sum cpc_{i,k}, built once per verify call.
 
 
-def _sides_bivariate_ch(n: int, d: int, ring: RingDescriptor, combinatorial: bool, horner):
-    return gradient_transpose(n, d + 1, ring, combinatorial), horner()
+def _sides_bivariate_ch(n: int, d: int, ring: RingDescriptor, combinatorial: bool, horner, cpc):
+    if combinatorial:
+        return gradient_transpose(n, d + 1, ring, True), horner()
+    return gradient(cpc(n, d + 1), n).transpose(), horner()
 
 
-def _sides_cayley_hamilton(n: int, d: int, ring: RingDescriptor, combinatorial: bool, horner):
+def _sides_cayley_hamilton(n: int, d: int, ring: RingDescriptor, combinatorial: bool, horner, cpc):
     # the alternating sum at d = n annihilates itself
     return PolyMatrix.zeros(ring, n, n, n), horner()
 
 
-def _sides_adjugate(n: int, d: int, ring: RingDescriptor, combinatorial: bool, horner):
+def _sides_adjugate(n: int, d: int, ring: RingDescriptor, combinatorial: bool, horner, cpc):
     det = det_leibniz(PolyMatrix.variables(ring, n))
     return gradient(det, n).transpose(), horner()
 
 
-def _sides_trace_ch(n: int, d: int, ring: RingDescriptor, combinatorial: bool, horner):
+def _sides_trace_ch(n: int, d: int, ring: RingDescriptor, combinatorial: bool, horner, cpc):
     # the i = 0 term of the sum's trace is n cpc_{n,d}
-    cpc = cpc_minor_sum(n, d, ring)
-    rhs = horner().trace() - cpc.scale(int_embed(ring, n))
-    return cpc.scale(int_embed(ring, -d)), rhs
+    c = cpc(n, d)
+    rhs = horner().trace() - c.scale(int_embed(ring, n))
+    return c.scale(int_embed(ring, -d)), rhs
 
 
-def _sides_girard_newton(n: int, d: int, ring: RingDescriptor, combinatorial: bool, horner):
-    lhs = elementary_symmetric(n, d, ring).scale(int_embed(ring, -d))
+def _sides_girard_newton(n: int, d: int, ring: RingDescriptor, combinatorial: bool, horner, cpc):
+    # e_k is cpc_{n,k} restricted to diagonal matrices (variables x[a,a])
+    lhs = cpc(n, d).restrict_to_diagonal().scale(int_embed(ring, -d))
     rhs = Polynomial.zero(ring, n)
     for i in range(1, d + 1):
-        term = elementary_symmetric(n, d - i, ring) * power_sum(n, i, ring)
+        term = cpc(n, d - i).restrict_to_diagonal() * power_sum(n, i, ring)
         rhs = rhs + term.scale(int_embed(ring, -1) ** i)
     return lhs, rhs
 
 
-def _sides_samuelson_entry(n: int, d: int, ring: RingDescriptor, combinatorial: bool, horner):
+def _sides_samuelson_entry(n: int, d: int, ring: RingDescriptor, combinatorial: bool, horner, cpc):
     # bottom-right entry of the bivariate identity
-    return cpc_minor_sum(n - 1, d, ring).promote(n), horner().entry(n, n)
+    return cpc(n - 1, d).promote(n), horner().entry(n, n)
 
 
-def _sides_cpc_recursion(n: int, d: int, ring: RingDescriptor, combinatorial: bool, horner):
+def _sides_cpc_recursion(n: int, d: int, ring: RingDescriptor, combinatorial: bool, horner, cpc):
     # the Samuelson entry with its i = 0 term, cpc_{n,d}, moved across
-    cpc = cpc_minor_sum(n, d, ring)
-    return cpc, cpc_minor_sum(n - 1, d, ring).promote(n) - horner().entry(n, n) + cpc
+    c = cpc(n, d)
+    return c, cpc(n - 1, d).promote(n) - horner().entry(n, n) + c
 
 
-def _sides_rnd_block(n: int, d: int, ring: RingDescriptor, combinatorial: bool, horner):
+def _sides_rnd_block(n: int, d: int, ring: RingDescriptor, combinatorial: bool, horner, cpc):
     # r_{n,d} = ( -r_{n,d-1} L_n | sum_{i=d}^{n-1} r_{i,d-1} C_i )
-    lhs = PolyMatrix(ring, n, 1, n, r_vector(n, d, ring))
+    lhs = PolyMatrix(ring, n, 1, n, _last_row(cpc(n, d + 1), n))
     x = PolyMatrix.variables(ring, n)
-    prev = PolyMatrix(ring, n, 1, n, r_vector(n, d - 1, ring))
+    prev = PolyMatrix(ring, n, 1, n, _last_row(cpc(n, d), n))
     rhs_entries: List[Polynomial] = []
     if n > 1:
         left = -(prev * x.submatrix(range(1, n + 1), range(1, n)))
         rhs_entries.extend(left.entries)
     last = Polynomial.zero(ring, n)
     for i in range(d, n):
-        ri = [p.promote(n) for p in r_vector(i, d - 1, ring)]
+        ri = [p.promote(n) for p in _last_row(cpc(i, d), i)]
         for a in range(1, i + 1):
             last = last + ri[a - 1] * Polynomial.variable(ring, n, a, i)
     rhs_entries.append(last)
     return lhs, PolyMatrix(ring, n, 1, n, rhs_entries)
 
 
-def _sides_transition_product(n: int, d: int, ring: RingDescriptor, combinatorial: bool, horner):
+def _sides_transition_product(n: int, d: int, ring: RingDescriptor, combinatorial: bool, horner, cpc):
     # (r_{2,1},..,r_{d,1}) M_{d,2} .. M_{d,d-1} C_d = det_d
     vec_entries: List[Polynomial] = []
     for i in range(2, d + 1):
@@ -271,8 +294,8 @@ def _degrees(rule: Identity, n: int, d_max: int) -> range:
     return range(rule.d_min, d_max + 1)
 
 
-def _check(identity: str, n: int, d: int, ring: RingDescriptor, combinatorial: bool, horner):
-    lhs, rhs = _SIDES[identity].sides(n, d, ring, combinatorial, horner)
+def _check(identity: str, n: int, d: int, ring: RingDescriptor, combinatorial: bool, horner, cpc):
+    lhs, rhs = _SIDES[identity].sides(n, d, ring, combinatorial, horner, cpc)
     witness = _first_mismatch(lhs, rhs)
     return CheckReport(identity, n, d, ring, witness is None, witness), lhs, rhs
 
@@ -281,7 +304,8 @@ def verify_with_sides(identity: str, n: int, d: int, ring: RingDescriptor, combi
     """``verify_identity``'s report together with the two sides it compared,
     as polynomials or polynomial matrices."""
     n, d = _normalize(identity, n, d)
-    return _check(identity, n, d, ring, combinatorial, lambda: horner_sequence(n, d, ring)[d])
+    cpc = _minor_sums(ring)
+    return _check(identity, n, d, ring, combinatorial, lambda: _horner_sums(n, d, ring, cpc)[d], cpc)
 
 
 def verify_identity(identity: str, n: int, d: int, ring: RingDescriptor,
@@ -296,15 +320,17 @@ def verify_all(n_max: int, d_max: int, ring: RingDescriptor,
                combinatorial: bool = False) -> List[CheckReport]:
     """Run the whole identity grid, size by size; reports are grouped by
     identity, then ordered by n and d.  Each size's Horner sums
-    T_0 .. T_max(n, d_max) are built once and serve every check."""
+    T_0 .. T_max(n, d_max), and each minor sum cpc_{n,k}, are built once and
+    serve every check."""
     if n_max > VERIFY_ALL_N_CAP:
         raise IdentityError(f"n_max capped at {VERIFY_ALL_N_CAP}")
     if n_max < 1 or d_max < 0:
         raise IdentityError("grid parameters out of range")
     reports: Dict[str, List[CheckReport]] = {name: [] for name in _SIDES}
+    cpc = _minor_sums(ring)
     for n in range(1, n_max + 1):
-        sums = horner_sequence(n, max(n, d_max), ring)
+        sums = _horner_sums(n, max(n, d_max), ring, cpc)
         for name, rule in _SIDES.items():
             for d in _degrees(rule, n, d_max):
-                reports[name].append(_check(name, n, d, ring, combinatorial, lambda: sums[d])[0])
+                reports[name].append(_check(name, n, d, ring, combinatorial, lambda: sums[d], cpc)[0])
     return [rep for group in reports.values() for rep in group]

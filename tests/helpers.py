@@ -35,6 +35,25 @@ def boxed_sweep(g: AbpGraph, entries: List[List[RingElement]]) -> Dict[str, Ring
     return {name: values[vid] for name, vid in g.outputs.items()}
 
 
+def poly_sweep(g: AbpGraph) -> Dict[str, Polynomial]:
+    """Every output by a forward sweep on polynomials, each edge's label
+    multiplied in as a polynomial: the reference for ``expand_all``'s
+    raw-coefficient sweep."""
+    verts = sorted(g.layer, key=lambda vid: (g.layer[vid], vid))
+    order = topological_order(verts, g.edges)
+    assert len(order) == len(verts), "constant-edge cycle"
+    ins: Dict[str, list] = {v: [] for v in g.layer}
+    for (u, v), lab in g.edges.items():
+        ins[v].append((u, lab))
+    values: Dict[str, Polynomial] = {}
+    for v in order:
+        acc = Polynomial.from_int(g.ring, g.ambient_n, 1 if v == g.source else 0)
+        for u, lab in ins[v]:
+            acc = acc + values[u] * lab
+        values[v] = acc
+    return {name: values[vid] for name, vid in g.outputs.items()}
+
+
 def random_element(ring: RingDescriptor, rng: random.Random, span: int = 6) -> RingElement:
     k = rng.randint(-span, span)
     if ring.kind == "rat" and rng.random() < 0.5:

@@ -205,9 +205,9 @@ def test_dump_builds_the_sides_once(capsys, monkeypatch):
     original = ident._SIDES["bivariate_ch"]
     calls = []
 
-    def counted(n, d, ring, combinatorial, horner):
+    def counted(n, d, ring, combinatorial, horner, cpc):
         calls.append((n, d))
-        return original.sides(n, d, ring, combinatorial, horner)
+        return original.sides(n, d, ring, combinatorial, horner, cpc)
 
     monkeypatch.setitem(ident._SIDES, "bivariate_ch", original._replace(sides=counted))
     code, out, _err = run(capsys, "verify", "--identity", "bivariate_ch",
@@ -219,14 +219,14 @@ def test_dump_builds_the_sides_once(capsys, monkeypatch):
 def test_horner_sums_are_built_once_per_size(capsys, monkeypatch):
     import abpc.identities as ident
 
-    original = ident.horner_sequence
+    original = ident._horner_sums
     calls = []
 
-    def counted(n, k_max, ring):
+    def counted(n, k_max, ring, cpc):
         calls.append((n, k_max))
-        return original(n, k_max, ring)
+        return original(n, k_max, ring, cpc)
 
-    monkeypatch.setattr(ident, "horner_sequence", counted)
+    monkeypatch.setattr(ident, "_horner_sums", counted)
     reports = ident.verify_all(4, 4, Z)
     assert all(rep.passed for rep in reports)
     assert calls == [(1, 4), (2, 4), (3, 4), (4, 4)]
@@ -247,10 +247,10 @@ def test_failing_identity_exits_one(capsys, monkeypatch):
 
     original = ident._SIDES["bivariate_ch"]
 
-    def broken(n, d, ring, combinatorial, horner):
-        lhs, _rhs = original.sides(n, d, ring, combinatorial, horner)
+    def broken(n, d, ring, combinatorial, horner, cpc):
+        lhs, _rhs = original.sides(n, d, ring, combinatorial, horner, cpc)
         _lhs2, rhs2 = original.sides(n, d + 1, ring, combinatorial,
-                                     lambda: ident.horner_sequence(n, d + 1, ring)[-1])
+                                     lambda: ident.horner_sequence(n, d + 1, ring)[-1], cpc)
         return lhs, rhs2
 
     monkeypatch.setitem(ident._SIDES, "bivariate_ch", original._replace(sides=broken))

@@ -1,18 +1,25 @@
-"""Numeric evaluation: ``evaluate_all``'s raw-value sweep against a boxed
-sweep and against symbolic expansion, and its input checks."""
+"""Numeric evaluation and symbolic expansion: ``evaluate_all``'s raw-value
+sweep against a boxed sweep and against symbolic expansion, ``expand_all``'s
+raw-coefficient sweep against a sweep on polynomials, and their input
+checks."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from abpc.graph import AbpGraph, GraphError, evaluate_all, expand_all
-from abpc.poly import Polynomial
+from abpc.poly import Polynomial, flatten
+from abpc.rings import RingDescriptor, int_embed
 from helpers import (
     RING_FAMILIES,
+    Q,
     Z,
+    Z4,
     Z7,
     boxed_sweep,
+    poly_sweep,
     random_aabp,
     random_abp,
     random_matrix,
@@ -69,6 +76,58 @@ def test_evaluate_all_equals_substituted_expansion(case):
     a = random_matrix(g.ring, g.ambient_n, rng)
     want = {name: f.substitute(a) for name, f in expand_all(g).items()}
     assert canonical(evaluate_all(g, a)) == canonical(want)
+
+
+EXPAND_RINGS = {"int": Z, "mod4": Z4, "mod6": RingDescriptor.modular(6), "rat": Q}
+
+
+@st.composite
+def expansion_programs(draw):
+    """A random program whose source is also an output, plus two side
+    outputs: ``cancel`` sums x*x and x*(-x), and ``divisor`` multiplies
+    2x by (m/2)x, which is zero over Z/4 and Z/6."""
+    ring = EXPAND_RINGS[draw(st.sampled_from(sorted(EXPAND_RINGS)))]
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    n, d = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    g = random_program(draw(st.sampled_from(FLAVORS)), ring, n, d, rng)
+    g.add_output("src", g.source)
+    x = flatten(rng.randint(1, n), rng.randint(1, n), n)
+
+    def linear(c: int) -> Polynomial:
+        return Polynomial(ring, n, {((x, 1),): int_embed(ring, c)})
+
+    for vid, layer in (("h1", 1), ("h2", 1), ("cancel", 2), ("h3", 1), ("divisor", 2)):
+        g.add_vertex(vid, layer)
+    g.add_edge(g.source, "h1", linear(1))
+    g.add_edge(g.source, "h2", linear(1))
+    g.add_edge("h1", "cancel", linear(1))
+    g.add_edge("h2", "cancel", linear(-1))
+    g.add_edge(g.source, "h3", linear(2))
+    g.add_edge("h3", "divisor", linear(ring.modulus // 2 if ring.modulus else 2))
+    g.add_output("cancel", "cancel")
+    g.add_output("divisor", "divisor")
+    return g
+
+
+def is_canonical(c, ring) -> bool:
+    """``c`` is a nonzero ring element of ``ring`` in canonical form."""
+    if c.descriptor != ring or c.is_zero():
+        return False
+    if ring.kind == "rat":
+        return type(c.value) is Fraction
+    return type(c.value) is int and (not ring.modulus or 0 <= c.value < ring.modulus)
+
+
+@PROPERTY
+@given(expansion_programs())
+def test_expand_all_equals_polynomial_sweep(g):
+    got = expand_all(g)
+    assert got == poly_sweep(g)
+    assert got["cancel"].is_zero()
+    assert got["divisor"].is_zero() == (g.ring.modulus != 0)
+    for f in got.values():
+        assert f.ring == g.ring and f.ambient_n == g.ambient_n
+        assert all(is_canonical(c, g.ring) for c in f.terms.values())
 
 
 @PROPERTY

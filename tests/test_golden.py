@@ -3,7 +3,8 @@
 The digests pin the byte-exact output of ``build`` (JSON and DOT),
 ``stats``, ``export-dot`` and all-output ``eval`` for each construction at
 n=4, ``verify --dump`` of every identity at n=3, d=2 over Z/4, two
-``verify-all`` grids and one ``stats --formula`` run.  A
+``verify-all`` grids and one ``stats --formula`` run.  Three more pin the
+text of every output of ``expand_all`` on one program per construction.  A
 refactor of the graph core must leave every digest unchanged.
 
 To print the digests of the current code (after an intended output
@@ -22,7 +23,9 @@ from typing import Dict, List, Tuple
 
 import pytest
 
+from abpc import build_bivariate_abp, build_charzero_abp, build_gradient_abp, expand_all
 from abpc.cli import main
+from abpc.rings import descriptor_from_spec
 
 PROGRAMS = [("gradient", "int"), ("gradient", "mod:6"), ("gradient", "rat"),
             ("bivariate", "int"), ("bivariate", "mod:6"), ("bivariate", "rat"),
@@ -141,13 +144,41 @@ GOLDEN = {
 }
 
 
+EXPANSIONS = {
+    "gradient-5-int": lambda: build_gradient_abp(5, 5, descriptor_from_spec("int"))[0],
+    "bivariate-5-mod:4": lambda: build_bivariate_abp(5, 5, descriptor_from_spec("mod:4")),
+    "charzero-4-rat": lambda: build_charzero_abp(4, 4, descriptor_from_spec("rat")),
+}
+
+
+def expansion_digest(name: str) -> str:
+    """Digest of one ``name text`` line per output of ``expand_all``."""
+    polys = expand_all(EXPANSIONS[name]())
+    return _sha("\n".join(f"{k} {p.text()}" for k, p in sorted(polys.items())).encode("utf-8"))
+
+
+GOLDEN_EXPANSIONS = {
+    'bivariate-5-mod:4': '264168503e5485284969d460637c594356f6d01828062acf17c556d1bb30bf59',
+    'charzero-4-rat': '4fcb6dedeb2bf0d58e2d141ad2c127634eaa07d35a2ccf98a22a7b7d491133f0',
+    'gradient-5-int': 'a021d79d6df5f6e2d7b0e930b55ad929e4d95e188b3fe1c478f805309ec47080',
+}
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_cli_output(name):
     assert digests(name) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(EXPANSIONS))
+def test_golden_expansion_text(name):
+    assert expansion_digest(name) == GOLDEN_EXPANSIONS[name]
 
 
 if __name__ == "__main__":
     sys.stdout.write("GOLDEN = {\n")
     for case in sorted(CASES):
         sys.stdout.write(f"    {case!r}: {digests(case)!r},\n")
+    sys.stdout.write("}\n\nGOLDEN_EXPANSIONS = {\n")
+    for name in sorted(EXPANSIONS):
+        sys.stdout.write(f"    {name!r}: {expansion_digest(name)!r},\n")
     sys.stdout.write("}\n")

@@ -143,6 +143,25 @@ def test_verify_all_high_degree_branch():
     assert any(r.identity == "bivariate_ch" and r.d == 5 for r in reports)
 
 
+def test_minor_sums_are_built_once_per_call(monkeypatch):
+    import abpc.identities as ident
+
+    original = ident.cpc_minor_sum
+    calls = []
+
+    def counted(n, k, ring):
+        calls.append((n, k))
+        return original(n, k, ring)
+
+    monkeypatch.setattr(ident, "cpc_minor_sum", counted)
+    assert all(r.passed for r in verify_all(4, 4, Z))
+    assert len(calls) == len(set(calls)) == 29
+    # both sides of cpc_recursion and its Horner sum read cpc_{3,2}
+    calls.clear()
+    assert verify_identity("cpc_recursion", 3, 2, Z).passed
+    assert sorted(calls) == [(2, 2), (3, 0), (3, 1), (3, 2)]
+
+
 def test_verify_all_guard():
     with pytest.raises(IdentityError):
         verify_all(6, 2, Z)
