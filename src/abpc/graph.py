@@ -10,10 +10,10 @@ stores a topological index and paths may have different lengths.
 A graph computes, at every named output vertex, the sum over all
 source-to-vertex paths of the product of the edge labels.  Evaluation and
 symbolic expansion run as one forward sweep (never path enumeration), the
-matrix-product semantics of the layered model.  Both sweep on raw values and
-box only the named outputs: numeric evaluation on ``int`` or ``Fraction``
-values boxed as ring elements, symbolic expansion on dicts from monomials to
-raw coefficients boxed as polynomials.
+matrix-product semantics of the layered model.  Numeric evaluation sweeps on
+raw ``int`` or ``Fraction`` values and boxes only the named outputs as ring
+elements; symbolic expansion sums each vertex's in-edge products in one call
+of ``poly``'s raw-coefficient kernel.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from collections import Counter
 from itertools import groupby
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .poly import Polynomial, PolyMatrix, flatten, unflatten
+from .poly import _ONE, Polynomial, PolyMatrix, _raw_value, _sum_products, flatten, unflatten
 from .rings import (
     MOD,
     AbpcError,
@@ -189,7 +189,7 @@ def validate(g: AbpGraph) -> List[str]:
             lab = g.edges[(u, v)]
             du, dv = g.layer[u], g.layer[v]
             if dv == du + 1:
-                if () in lab.terms:
+                if () in lab.raw:
                     problems.append(f"cross-layer edge {u}->{v} must be homogeneous linear")
             elif dv == du:
                 if g.flavor == "pabp":
@@ -285,9 +285,9 @@ def evaluate_all(g: AbpGraph, entries: Sequence[Sequence[RingElement]]) -> Dict[
     n = g.ambient_n
     if len(entries) != n or any(len(row) != n for row in entries):
         raise GraphError("matrix dimension mismatch")
-    flat = [e for row in entries for e in row]
-    if any(e.descriptor != g.ring for e in flat):
+    if any(e.descriptor != g.ring for row in entries for e in row):
         raise GraphError("matrix entries from a different ring")
+    flat = [e.value for row in entries for e in row]
     one = int_embed(g.ring, 1).value
     zero, modulus = one - one, g.ring.modulus if g.ring.kind == MOD else 0
 
@@ -297,7 +297,7 @@ def evaluate_all(g: AbpGraph, entries: Sequence[Sequence[RingElement]]) -> Dict[
             acc += values[u] * factors[slot]
         return acc % modulus if modulus else acc
 
-    values = _sweep(g, lambda lab: lab.substitute_flat(flat).value, vertex_value)
+    values = _sweep(g, lambda lab: _raw_value(lab, flat), vertex_value)
     return {name: RingElement(g.ring, value) for name, value in values.items()}
 
 
@@ -308,47 +308,24 @@ def evaluate(g: AbpGraph, entries: Sequence[Sequence[RingElement]], at: Optional
 
 
 def expand_all(g: AbpGraph) -> Dict[str, Polynomial]:
-    """All named outputs from a single forward sweep on raw coefficients;
-    only the outputs are boxed as polynomials.
-
-    During the sweep a vertex's value is a dict from monomials to raw
-    coefficients, and a monomial is the sorted tuple of its variables' flat
-    indices, with repeats.
-    """
+    """All named outputs from a single forward sweep on polynomials; each
+    vertex sums its in-edge products in one call of the raw kernel."""
     guard = expansion_guard()
     if g.ambient_n > guard:
         raise GraphError(
             f"symbolic expansion guard exceeded (n={g.ambient_n} > {guard}); "
             "set ABPC_GUARD_N to override"
         )
-    one = int_embed(g.ring, 1).value
-    modulus = g.ring.modulus if g.ring.kind == MOD else 0
-
-    def label_terms(lab: Polynomial) -> List[Tuple[Optional[int], object]]:
-        # a label's monomials are () and ((v, 1),); None stands for ()
-        return [(mono[0][0] if mono else None, c.value) for mono, c in lab.terms.items()]
+    ring, n = g.ring, g.ambient_n
+    one = Polynomial.from_int(ring, n, 1).raw
 
     def vertex_value(is_source, edges, values, factors):
-        acc = {(): one} if is_source else {}
-        for u, slot in edges:
-            tail = values[u].items()
-            for v, c in factors[slot]:
-                if v is None:
-                    for mono, a in tail:
-                        acc[mono] = acc.get(mono, 0) + a * c
-                else:
-                    for mono, a in tail:
-                        m = tuple(sorted(mono + (v,)))
-                        acc[m] = acc.get(m, 0) + a * c
-        if modulus:
-            return {m: r for m, a in acc.items() if (r := a % modulus)}
-        return {m: a for m, a in acc.items() if a}
+        pairs = [(values[u].raw, factors[slot]) for u, slot in edges]
+        if is_source:
+            pairs.append((one, _ONE))
+        return _sum_products(ring, n, pairs)
 
-    ring, n = g.ring, g.ambient_n
-    # a sorted monomial's Counter lists its (v, e) pairs in order of v
-    return {name: Polynomial(ring, n, {tuple(Counter(mono).items()): RingElement(ring, a)
-                                       for mono, a in terms.items()})
-            for name, terms in _sweep(g, label_terms, vertex_value).items()}
+    return _sweep(g, lambda lab: lab.raw, vertex_value)
 
 
 def expand_symbolic(g: AbpGraph, at: Optional[str] = None) -> Polynomial:
@@ -593,7 +570,6 @@ def graph_to_json_dict(g: AbpGraph) -> dict:
     label's ``linear`` list."""
     verts = [{"id": vid, "layer": g.layer[vid]} for vid in g.layer_order()]
     edges = []
-    zero = int_embed(g.ring, 0)
     # edges share label objects, so each distinct label is formatted once
     texts: Dict[int, Tuple[str, list]] = {}
     for (u, v) in sorted(g.edges):
@@ -601,12 +577,12 @@ def graph_to_json_dict(g: AbpGraph) -> dict:
         text = texts.get(id(lab))
         if text is None:
             linear = []
-            # a label's monomials are () and ((flat, 1),); flat order is (i, j) order
-            for mono, c in sorted(lab.terms.items()):
+            # a label's monomials are () and (flat,); flat order is (i, j) order
+            for mono, c in sorted(lab.raw.items()):
                 if mono:
-                    i, j = unflatten(mono[0][0], g.ambient_n)
-                    linear.append({"i": i, "j": j, "coeff": element_to_str(c)})
-            text = texts[id(lab)] = (element_to_str(lab.terms.get((), zero)), linear)
+                    i, j = unflatten(mono[0], g.ambient_n)
+                    linear.append({"i": i, "j": j, "coeff": element_to_str(RingElement(g.ring, c))})
+            text = texts[id(lab)] = (element_to_str(lab.constant_term()), linear)
         edges.append({"from": u, "to": v, "const": text[0], "linear": text[1]})
     return {
         "flavor": g.flavor,
@@ -659,8 +635,7 @@ def graph_from_json_dict(data: dict) -> AbpGraph:
                     terms[((flatten(i, j, n), 1),)] = element_from_str(ring, coeff)
                 if len(terms) != len(linear) + 1:
                     raise GraphError(f"malformed graph JSON: edge {u}->{v} repeats a linear term")
-                label = labels[key] = Polynomial(
-                    ring, n, {m: c for m, c in terms.items() if not c.is_zero()})
+                label = labels[key] = Polynomial(ring, n, terms)
             g.add_edge(u, v, label)
         outputs = data["outputs"]
         for name in outputs:

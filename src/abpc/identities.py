@@ -31,7 +31,7 @@ from .oracle import cpc_minor_sum, det_leibniz, grad_ccp_entry
 from .poly import Polynomial, PolyMatrix, gradient
 from .rings import AbpcError, RingDescriptor, descriptor_to_spec, int_embed
 
-VERIFY_ALL_N_CAP = 5
+VERIFY_ALL_N_CAP = 7
 
 
 class IdentityError(AbpcError):
@@ -118,24 +118,6 @@ def _horner_sums(n: int, k_max: int, ring: RingDescriptor,
     return sums
 
 
-def gradient_transpose(n: int, d_plus_1: int, ring: RingDescriptor,
-                       combinatorial: bool = False) -> PolyMatrix:
-    """transpose(grad cpc_{n,d+1}), algebraically or by CCP enumeration."""
-    if combinatorial:
-        ents = [
-            grad_ccp_entry(n, d_plus_1 - 1, a, b, ring)
-            for a in range(1, n + 1)
-            for b in range(1, n + 1)
-        ]
-        return PolyMatrix(ring, n, n, n, ents)
-    return gradient(cpc_minor_sum(n, d_plus_1, ring), n).transpose()
-
-
-def r_vector(n: int, d: int, ring: RingDescriptor) -> List[Polynomial]:
-    """Last row of transpose(grad cpc_{n,d+1}): entry a is d cpc_{n,d+1} / d x[a,n]."""
-    return _last_row(cpc_minor_sum(n, d + 1, ring), n)
-
-
 def _last_row(f: Polynomial, n: int) -> List[Polynomial]:
     """Last row of transpose(grad f) for f in the n x n variables."""
     return [f.partial(a, n) for a in range(1, n + 1)]
@@ -171,7 +153,8 @@ def power_sum(n: int, i: int, ring: RingDescriptor) -> Polynomial:
 
 def _sides_bivariate_ch(n: int, d: int, ring: RingDescriptor, combinatorial: bool, horner, cpc):
     if combinatorial:
-        return gradient_transpose(n, d + 1, ring, True), horner()
+        ents = [grad_ccp_entry(n, d, a, b, ring) for a in range(1, n + 1) for b in range(1, n + 1)]
+        return PolyMatrix(ring, n, n, n, ents), horner()
     return gradient(cpc(n, d + 1), n).transpose(), horner()
 
 

@@ -13,10 +13,10 @@ sizes: Berkowitz's division-free recursion at a concrete matrix.
 
 from __future__ import annotations
 
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
 from typing import Dict, Iterator, Sequence, Tuple
 
-from .poly import Polynomial, PolyMatrix, flatten
+from .poly import _ONE, Polynomial, PolyMatrix, Raw, _sum_products, flatten
 from .rings import AbpcError, RingDescriptor, RingElement, int_embed
 
 ORACLE_SIZE_CAP = 8
@@ -37,6 +37,21 @@ def _perm_sign(perm: Sequence[int]) -> int:
     return -1 if inversions % 2 else 1
 
 
+def _leibniz_products(a: PolyMatrix) -> Iterator[Tuple[Raw, Raw]]:
+    """det(a) as raw (head, last) pairs, one per permutation whose entries
+    are all nonzero: ``last`` is the entry in the last row and ``head`` is
+    the permutation's sign times the other entries."""
+    d = a.rows
+    for perm in permutations(range(1, d + 1)):
+        factors = [a.entry(row, col) for row, col in enumerate(perm, start=1)]
+        if any(f.is_zero() for f in factors):
+            continue
+        head = Polynomial.from_int(a.ring, a.ambient_n, _perm_sign(perm))
+        for f in factors[:-1]:
+            head = head * f
+        yield head.raw, factors[-1].raw
+
+
 def det_leibniz(a: PolyMatrix) -> Polynomial:
     """Exact determinant by full permutation expansion (size <= 8)."""
     if a.rows != a.cols:
@@ -46,15 +61,7 @@ def det_leibniz(a: PolyMatrix) -> Polynomial:
         raise OracleLimitError("oracle size limit")
     if d == 0:
         raise OracleLimitError("empty matrix")
-    total = Polynomial.zero(a.ring, a.ambient_n)
-    for perm in permutations(range(1, d + 1)):
-        if any(a.entry(row, col).is_zero() for row, col in enumerate(perm, start=1)):
-            continue
-        term = Polynomial.from_int(a.ring, a.ambient_n, _perm_sign(perm))
-        for row, col in enumerate(perm, start=1):
-            term = term * a.entry(row, col)
-        total = total + term
-    return total
+    return _sum_products(a.ring, a.ambient_n, _leibniz_products(a))
 
 
 def iter_cycle_covers(pool: Sequence[int], length: int) -> Iterator[Tuple[Tuple[Edge, ...], int]]:
@@ -113,9 +120,9 @@ def _check_enumeration_size(n: int) -> None:
         raise OracleLimitError("oracle size limit")
 
 
-def _edges_to_mono(edges: Sequence[Edge], n: int):
-    flats = sorted(flatten(i, j, n) for i, j in edges)
-    return tuple((v, 1) for v in flats)
+def _signed_term(edges: Sequence[Edge], sign: int, ring: RingDescriptor, n: int) -> Raw:
+    """The raw monomial of ``edges``' labels with coefficient ``sign``."""
+    return {tuple(sorted(flatten(i, j, n) for i, j in edges)): int_embed(ring, sign).value}
 
 
 def cpc_minor_sum(n: int, d: int, ring: RingDescriptor) -> Polynomial:
@@ -129,23 +136,17 @@ def cpc_minor_sum(n: int, d: int, ring: RingDescriptor) -> Polynomial:
         raise OracleLimitError("negative degree")
     if d == 0:
         return Polynomial.from_int(ring, n, 1)
-    total = Polynomial.zero(ring, n)
-    if d > n:
-        return total
     x = PolyMatrix.variables(ring, n)
-    for subset in combinations(range(1, n + 1), d):
-        total = total + det_leibniz(x.submatrix(subset, subset))
-    return total
+    minors = (x.submatrix(subset, subset) for subset in combinations(range(1, n + 1), d))
+    return _sum_products(ring, n, chain.from_iterable(map(_leibniz_products, minors)))
 
 
 def cpc_cycle_cover(n: int, d: int, ring: RingDescriptor) -> Polynomial:
     """Degree-d characteristic coefficient as a signed cycle-cover sum."""
     _check_enumeration_size(n)
-    total = Polynomial.zero(ring, n)
-    for edges, sign in iter_cycle_covers(list(range(1, n + 1)), d):
-        mono = _edges_to_mono(edges, n)
-        total = total + Polynomial(ring, n, {mono: int_embed(ring, sign)})
-    return total
+    covers = iter_cycle_covers(list(range(1, n + 1)), d)
+    return _sum_products(ring, n, ((_signed_term(edges, sign, ring, n), _ONE)
+                                   for edges, sign in covers))
 
 
 def grad_ccp_entry(n: int, d: int, a: int, b: int, ring: RingDescriptor) -> Polynomial:
@@ -158,8 +159,8 @@ def grad_ccp_entry(n: int, d: int, a: int, b: int, ring: RingDescriptor) -> Poly
     _check_enumeration_size(n)
     if not (1 <= a <= n and 1 <= b <= n):
         raise OracleLimitError("path endpoints outside the vertex set")
-    total = Polynomial.zero(ring, n)
     vertices = list(range(1, n + 1))
+    pairs = []
     for path in iter_simple_paths(vertices, a, b):
         path_len = len(path) - 1
         if path_len > d:
@@ -168,10 +169,8 @@ def grad_ccp_entry(n: int, d: int, a: int, b: int, ring: RingDescriptor) -> Poly
         path_sign = -1 if path_len % 2 else 1
         remaining = [w for w in vertices if w not in path]
         for cover_edges, cover_sign in iter_cycle_covers(remaining, d - path_len):
-            mono = _edges_to_mono(path_edges + cover_edges, n)
-            coeff = int_embed(ring, path_sign * cover_sign)
-            total = total + Polynomial(ring, n, {mono: coeff})
-    return total
+            pairs.append((_signed_term(path_edges + cover_edges, path_sign * cover_sign, ring, n), _ONE))
+    return _sum_products(ring, n, pairs)
 
 
 def cpc_table(entries: Sequence[Sequence[RingElement]],

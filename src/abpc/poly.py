@@ -2,19 +2,32 @@
 
 A polynomial is tied to an ambient matrix size n and a coefficient ring;
 its variables are the n*n entries of a generic matrix, flattened as
-(i-1)*n + (j-1).  Monomials map sorted exponent vectors to nonzero
-coefficients, so the representation is canonical and equality is exact.
-Mixing different ambient sizes requires an explicit ``promote``.
+(i-1)*n + (j-1).  ``Polynomial.raw`` maps each monomial, written as the
+sorted tuple of its variables' flat indices with repeats (x[1,1]^2 x[1,2]
+is (0, 0, 1)), to its raw coefficient: an ``int``, a residue in [0, m) or
+a ``Fraction``, never zero.  The representation is canonical, so equality
+is exact.  ``terms`` is the boxed view of the same data, ((v, e), ...)
+monomials to ring elements.  Mixing different ambient sizes requires an
+explicit ``promote``.
+
+Every sum and product goes through one kernel, ``_sum_products``: it
+accumulates products of raw dicts into one dict, then reduces mod m and
+drops zeros once.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from collections import Counter
+from fractions import Fraction
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .rings import (
+    MOD,
+    RAT,
     AbpcError,
     RingDescriptor,
     RingElement,
+    Value,
     element_to_str,
     int_embed,
 )
@@ -24,9 +37,10 @@ class PolyError(AbpcError):
     pass
 
 
-# A monomial is a tuple of (flat_variable_index, exponent), sorted by index,
-# with all exponents >= 1.  The empty tuple is the constant monomial.
-Mono = Tuple[Tuple[int, int], ...]
+Raw = Dict[Tuple[int, ...], Value]
+
+# the raw polynomial 1, a factor that turns a product into a plain sum
+_ONE: Raw = {(): 1}
 
 
 def flatten(i: int, j: int, n: int) -> int:
@@ -41,42 +55,75 @@ def unflatten(v: int, n: int) -> Tuple[int, int]:
     return i + 1, j + 1
 
 
-def _mono_mul(a: Mono, b: Mono) -> Mono:
-    if not a:
-        return b
-    if not b:
-        return a
-    merged = dict(a)
-    for v, e in b:
-        merged[v] = merged.get(v, 0) + e
-    return tuple(sorted(merged.items()))
+def _sum_products(ring: RingDescriptor, n: int, pairs: Iterable[Tuple[Raw, Raw]]) -> "Polynomial":
+    """The polynomial sum of a*b over the raw (a, b) pairs.
+
+    Every product is accumulated unreduced into one dict, which is reduced
+    mod m and cleared of zeros once at the end.  One factor of each pair
+    holds values of the ring (``_ONE`` may be the other), so a rational
+    sum stays a ``Fraction``.
+    """
+    acc: Raw = {}
+    get = acc.get
+    for a, b in pairs:
+        if len(a) < len(b):  # the inner loop runs over the larger factor
+            a, b = b, a
+        for mb, cb in b.items():
+            if mb:
+                for ma, ca in a.items():
+                    m = tuple(sorted(ma + mb))
+                    acc[m] = get(m, 0) + ca * cb
+            else:
+                for ma, ca in a.items():
+                    acc[ma] = get(ma, 0) + ca * cb
+    if ring.kind == MOD:
+        modulus = ring.modulus
+        return Polynomial._of(ring, n, {m: r for m, c in acc.items() if (r := c % modulus)})
+    return Polynomial._of(ring, n, {m: c for m, c in acc.items() if c})
 
 
-def _mono_degree(m: Mono) -> int:
-    return sum(e for _, e in m)
+def _raw_value(p: "Polynomial", flat: Sequence[Value]) -> Value:
+    """The raw value of ``p`` at a matrix given by the raw values of its
+    entries in row-major order."""
+    total = Fraction(0) if p.ring.kind == RAT else 0
+    for mono, c in p.raw.items():
+        for v in mono:
+            c = c * flat[v]
+        total += c
+    return total % p.ring.modulus if p.ring.kind == MOD else total
 
 
 class Polynomial:
-    __slots__ = ("ring", "ambient_n", "terms")
+    __slots__ = ("ring", "ambient_n", "raw")
 
     def __init__(self, ring: RingDescriptor, ambient_n: int, terms: Optional[dict] = None):
+        """``terms`` is a boxed view: ((v, e), ...) monomials, sorted by the
+        flat index v with every e >= 1, to ring elements; zeros are dropped."""
         self.ring = ring
         self.ambient_n = ambient_n
-        self.terms: dict = terms if terms is not None else {}
+        self.raw: Raw = {
+            tuple(v for v, e in mono for _ in range(e)): c.value
+            for mono, c in (terms or {}).items() if not c.is_zero()
+        }
+
+    @classmethod
+    def _of(cls, ring: RingDescriptor, n: int, raw: Raw) -> "Polynomial":
+        """Wrap a canonical raw dict without copying it."""
+        p = cls.__new__(cls)
+        p.ring, p.ambient_n, p.raw = ring, n, raw
+        return p
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, ring: RingDescriptor, n: int) -> "Polynomial":
-        return cls(ring, n)
+        return cls._of(ring, n, {})
 
     @classmethod
     def constant(cls, ring: RingDescriptor, n: int, value: RingElement) -> "Polynomial":
         if value.descriptor != ring:
             raise PolyError("coefficient from a different ring")
-        if value.is_zero():
-            return cls(ring, n)
-        return cls(ring, n, {(): value})
+        return cls._of(ring, n, {} if value.is_zero() else {(): value.value})
 
     @classmethod
     def from_int(cls, ring: RingDescriptor, n: int, k: int) -> "Polynomial":
@@ -84,23 +131,28 @@ class Polynomial:
 
     @classmethod
     def variable(cls, ring: RingDescriptor, n: int, i: int, j: int) -> "Polynomial":
-        flat = flatten(i, j, n)
-        return cls(ring, n, {((flat, 1),): int_embed(ring, 1)})
+        return cls._of(ring, n, {(flatten(i, j, n),): int_embed(ring, 1).value})
 
     # -- basic queries -----------------------------------------------------
 
+    @property
+    def terms(self) -> dict:
+        """The boxed view: ((v, e), ...) monomials, sorted by v, to ring
+        elements.  A fresh dict on every access."""
+        ring = self.ring
+        # a sorted monomial's Counter lists its (v, e) pairs in order of v
+        return {tuple(Counter(mono).items()): RingElement(ring, c) for mono, c in self.raw.items()}
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.raw
 
     @property
     def degree(self) -> int:
         # deg(0) = 0 by convention
-        if not self.terms:
-            return 0
-        return max(map(_mono_degree, self.terms))
+        return max(map(len, self.raw), default=0)
 
     def constant_term(self) -> RingElement:
-        return self.terms.get((), int_embed(self.ring, 0))
+        return RingElement(self.ring, self.raw[()]) if () in self.raw else int_embed(self.ring, 0)
 
     def _check_compat(self, other: "Polynomial") -> None:
         if self.ring != other.ring:
@@ -112,46 +164,23 @@ class Polynomial:
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check_compat(other)
-        terms = dict(self.terms)
-        for mono, c in other.terms.items():
-            acc = terms.get(mono)
-            s = c if acc is None else acc + c
-            if s.is_zero():
-                terms.pop(mono, None)
-            else:
-                terms[mono] = s
-        return Polynomial(self.ring, self.ambient_n, terms)
+        return _sum_products(self.ring, self.ambient_n, ((self.raw, _ONE), (other.raw, _ONE)))
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.ring, self.ambient_n, {m: -c for m, c in self.terms.items()})
+        return _sum_products(self.ring, self.ambient_n, ((self.raw, {(): -1}),))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
+        self._check_compat(other)
+        return _sum_products(self.ring, self.ambient_n, ((self.raw, _ONE), (other.raw, {(): -1})))
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check_compat(other)
-        terms: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = _mono_mul(m1, m2)
-                c = c1 * c2
-                acc = terms.get(mono)
-                s = c if acc is None else acc + c
-                if s.is_zero():
-                    terms.pop(mono, None)
-                else:
-                    terms[mono] = s
-        return Polynomial(self.ring, self.ambient_n, terms)
+        return _sum_products(self.ring, self.ambient_n, ((self.raw, other.raw),))
 
     def scale(self, c: RingElement) -> "Polynomial":
         if c.descriptor != self.ring:
             raise PolyError("scalar from a different ring")
-        terms = {}
-        for m, coeff in self.terms.items():
-            s = c * coeff
-            if not s.is_zero():
-                terms[m] = s
-        return Polynomial(self.ring, self.ambient_n, terms)
+        return _sum_products(self.ring, self.ambient_n, ((self.raw, {(): c.value}),))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Polynomial):
@@ -159,7 +188,7 @@ class Polynomial:
         return (
             self.ring == other.ring
             and self.ambient_n == other.ambient_n
-            and self.terms == other.terms
+            and self.raw == other.raw
         )
 
     __hash__ = None  # mutable dict inside
@@ -169,30 +198,18 @@ class Polynomial:
     def partial(self, i: int, j: int) -> "Polynomial":
         """Formal partial derivative with respect to x[i,j]."""
         flat = flatten(i, j, self.ambient_n)
-        terms: dict = {}
-        for mono, c in self.terms.items():
-            for pos, (v, e) in enumerate(mono):
-                if v != flat:
-                    continue
-                coeff = c * int_embed(self.ring, e)
-                if coeff.is_zero():
-                    break
-                if e == 1:
-                    new = mono[:pos] + mono[pos + 1 :]
-                else:
-                    new = mono[:pos] + ((v, e - 1),) + mono[pos + 1 :]
-                acc = terms.get(new)
-                s = coeff if acc is None else acc + coeff
-                if s.is_zero():
-                    terms.pop(new, None)
-                else:
-                    terms[new] = s
-                break
-        return Polynomial(self.ring, self.ambient_n, terms)
+        # dropping one x[i,j] maps distinct monomials to distinct monomials
+        derived: Raw = {}
+        for mono, c in self.raw.items():
+            e = mono.count(flat)
+            if e:
+                pos = mono.index(flat)
+                derived[mono[:pos] + mono[pos + 1:]] = c * e
+        return _sum_products(self.ring, self.ambient_n, ((derived, _ONE),))
 
     def homogeneous_component(self, k: int) -> "Polynomial":
-        terms = {m: c for m, c in self.terms.items() if _mono_degree(m) == k}
-        return Polynomial(self.ring, self.ambient_n, terms)
+        return Polynomial._of(self.ring, self.ambient_n,
+                              {m: c for m, c in self.raw.items() if len(m) == k})
 
     def substitute(self, entries: Sequence[Sequence[RingElement]]) -> RingElement:
         """Evaluate at a concrete matrix, x[i,j] -> entries[i][j]."""
@@ -203,17 +220,7 @@ class Polynomial:
             for e in row:
                 if e.descriptor != self.ring:
                     raise PolyError("matrix entries from a different ring")
-        return self.substitute_flat([e for row in entries for e in row])
-
-    def substitute_flat(self, flat: Sequence[RingElement]) -> RingElement:
-        """``substitute`` without its checks: ``flat`` lists the entries of an
-        ambient-size matrix over this ring in row-major order."""
-        total = None
-        for mono, c in self.terms.items():
-            for v, e in mono:
-                c = c * (flat[v] if e == 1 else flat[v] ** e)
-            total = c if total is None else total + c
-        return int_embed(self.ring, 0) if total is None else total
+        return RingElement(self.ring, _raw_value(self, [e.value for row in entries for e in row]))
 
     def promote(self, n: int) -> "Polynomial":
         """Re-embed into a larger ambient matrix; identity on terms."""
@@ -221,35 +228,30 @@ class Polynomial:
             return self
         if n < self.ambient_n:
             raise PolyError("cannot shrink the ambient matrix")
-        terms = {}
-        for mono, c in self.terms.items():
-            new = tuple(
-                sorted((flatten(*unflatten(v, self.ambient_n), n), e) for v, e in mono)
-            )
-            terms[new] = c
-        return Polynomial(self.ring, n, terms)
+        # flat indices keep their row-major order, so monomials stay sorted
+        old = self.ambient_n
+        raw = {tuple(flatten(*unflatten(v, old), n) for v in mono): c
+               for mono, c in self.raw.items()}
+        return Polynomial._of(self.ring, n, raw)
 
     def restrict_to_diagonal(self) -> "Polynomial":
         """Set every off-diagonal variable to zero."""
-        terms = {}
-        for mono, c in self.terms.items():
-            if all(i == j for i, j in (unflatten(v, self.ambient_n) for v, _ in mono)):
-                terms[mono] = c
-        return Polynomial(self.ring, self.ambient_n, terms)
+        n = self.ambient_n
+        raw = {mono: c for mono, c in self.raw.items()
+               if all(i == j for i, j in (unflatten(v, n) for v in mono))}
+        return Polynomial._of(self.ring, n, raw)
 
     # -- canonical text ----------------------------------------------------
 
     def text(self) -> str:
         """Terms in descending graded-lexicographic order on flat indices."""
-        if not self.terms:
+        if not self.raw:
             return "0"
         parts = []
-        # (-v, e) pairs compare like the dense exponent vectors of the monomials
-        terms = sorted(self.terms.items(), reverse=True,
-                       key=lambda item: (_mono_degree(item[0]), [(-v, e) for v, e in item[0]]))
-        for mono, c in terms:
-            factors = [element_to_str(c)]
-            for v, e in mono:
+        # among equal degrees, ascending index tuples are descending exponent vectors
+        for mono in sorted(self.raw, key=lambda m: (-len(m), m)):
+            factors = [element_to_str(RingElement(self.ring, self.raw[mono]))]
+            for v, e in Counter(mono).items():
                 i, j = unflatten(v, self.ambient_n)
                 factors.append(f"x[{i},{j}]" + (f"^{e}" if e > 1 else ""))
             parts.append("*".join(factors))
@@ -336,13 +338,11 @@ class PolyMatrix:
         self._check_shape(other, same=False)
         if self.cols != other.rows:
             raise PolyError("inner dimensions do not match")
-        out = []
-        for a in range(1, self.rows + 1):
-            for b in range(1, other.cols + 1):
-                acc = Polynomial.zero(self.ring, self.ambient_n)
-                for k in range(1, self.cols + 1):
-                    acc = acc + self.entry(a, k) * other.entry(k, b)
-                out.append(acc)
+        ring, n, inner, cols = self.ring, self.ambient_n, self.cols, other.cols
+        left, right = self.entries, other.entries
+        out = [_sum_products(ring, n, ((left[a * inner + k].raw, right[k * cols + b].raw)
+                                       for k in range(inner)))
+               for a in range(self.rows) for b in range(cols)]
         return PolyMatrix(self.ring, self.ambient_n, self.rows, other.cols, out)
 
     def scale(self, f: Polynomial) -> "PolyMatrix":
@@ -356,10 +356,8 @@ class PolyMatrix:
     def trace(self) -> Polynomial:
         if self.rows != self.cols:
             raise PolyError("trace of a non-square matrix")
-        acc = Polynomial.zero(self.ring, self.ambient_n)
-        for a in range(1, self.rows + 1):
-            acc = acc + self.entry(a, a)
-        return acc
+        return _sum_products(self.ring, self.ambient_n,
+                             ((self.entry(a, a).raw, _ONE) for a in range(1, self.rows + 1)))
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "PolyMatrix":
         """Submatrix selected by 1-indexed row/column lists."""

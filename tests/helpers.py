@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from typing import Dict, List
 
 from abpc.graph import AbpGraph, topological_order
@@ -52,6 +53,15 @@ def poly_sweep(g: AbpGraph) -> Dict[str, Polynomial]:
             acc = acc + values[u] * lab
         values[v] = acc
     return {name: values[vid] for name, vid in g.outputs.items()}
+
+
+def is_canonical(c: RingElement, ring: RingDescriptor) -> bool:
+    """``c`` is a nonzero ring element of ``ring`` in canonical form."""
+    if c.descriptor != ring or c.is_zero():
+        return False
+    if ring.kind == "rat":
+        return type(c.value) is Fraction
+    return type(c.value) is int and (not ring.modulus or 0 <= c.value < ring.modulus)
 
 
 def random_element(ring: RingDescriptor, rng: random.Random, span: int = 6) -> RingElement:

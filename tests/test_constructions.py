@@ -21,6 +21,7 @@ from abpc.graph import (
     GraphError,
     evaluate,
     evaluate_all,
+    expand_all,
     expand_symbolic,
     graph_from_json_dict,
     graph_to_json_dict,
@@ -197,14 +198,13 @@ def test_transition_entries_are_signed_variables_or_zero():
 
 
 def test_transition_block_action_matches_recursion():
-    # (r_{2,1}, r_{3,1}) * M_{3,2} = (r_{3,2})
-    from abpc.identities import r_vector
-
+    # (r_{2,1}, r_{3,1}) * M_{3,2} = (r_{3,2}), where r_{i,d} is the last row
+    # of transpose(grad cpc_{i,d+1})
     n = 3
-    vec = [p for i in (2, 3) for p in (q.promote(n) for q in r_vector(i, 1, Z))]
+    vec = [cpc_minor_sum(i, 2, Z).partial(a, i).promote(n) for i in (2, 3) for a in range(1, i + 1)]
     m = transition_matrix(n, 2, Z)
     out = PolyMatrix(Z, n, 1, len(vec), vec) * m
-    want = r_vector(3, 2, Z)
+    want = [cpc_minor_sum(3, 3, Z).partial(a, 3) for a in range(1, 4)]
     assert out.entries == want
 
 
@@ -332,6 +332,34 @@ def test_gradient_vertices_are_partial_derivatives(spec):
                 shifted[(col, i)] = cpc_table(b, ring)
             assert values[v] == shifted[(col, i)][(i, j + 1)] - base[(i, j + 1)], (spec, v)
     assert len(rvertices) == 572
+
+
+@pytest.mark.parametrize("spec", ["int", "mod:4"])
+def test_gradient_program_is_proved_symbolically_at_seven(spec, monkeypatch):
+    # every output and every r-vertex of the n = 7 program as a polynomial:
+    # unlike the point checks above, a dropped or wrong edge cannot go unseen
+    monkeypatch.setenv("ABPC_GUARD_N", "7")
+    ring = descriptor_from_spec(spec)
+    g, _stats = build_gradient_abp(7, 7, ring)
+    outputs = sorted(g.outputs)
+    rvertices = sorted(v for v in g.layer if v.startswith("r_"))
+    for v in rvertices:
+        g.add_output(v, v)
+    got = expand_all(g)
+    minor_sums = {}
+
+    def cpc(i, j):
+        if (i, j) not in minor_sums:
+            minor_sums[(i, j)] = cpc_minor_sum(i, j, ring)
+        return minor_sums[(i, j)]
+
+    for name in outputs:
+        i, j = (int(part) for part in name.split("_")[1:])
+        assert got[name] == cpc(i, j).promote(7), (spec, name)
+    for v in rvertices:
+        i, j, a = (int(part) for part in v.split("_")[1:])
+        assert got[v] == cpc(i, j + 1).partial(a, i).promote(7), (spec, v)
+    assert len(outputs) == 36 and len(rvertices) == gradient_vertex_total(7, 7)
 
 
 # -- layer layout ------------------------------------------------------------------

@@ -4,7 +4,6 @@ raw-coefficient sweep against a sweep on polynomials, and their input
 checks."""
 
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +18,7 @@ from helpers import (
     Z4,
     Z7,
     boxed_sweep,
+    is_canonical,
     poly_sweep,
     random_aabp,
     random_abp,
@@ -107,15 +107,6 @@ def expansion_programs(draw):
     g.add_output("cancel", "cancel")
     g.add_output("divisor", "divisor")
     return g
-
-
-def is_canonical(c, ring) -> bool:
-    """``c`` is a nonzero ring element of ``ring`` in canonical form."""
-    if c.descriptor != ring or c.is_zero():
-        return False
-    if ring.kind == "rat":
-        return type(c.value) is Fraction
-    return type(c.value) is int and (not ring.modulus or 0 <= c.value < ring.modulus)
 
 
 @PROPERTY

@@ -5,9 +5,7 @@ import pytest
 from abpc.identities import (
     IDENTITY_NAMES,
     IdentityError,
-    gradient_transpose,
     horner_sequence,
-    r_vector,
     r_vector_first_layer,
     verify_all,
     verify_identity,
@@ -28,7 +26,7 @@ def x(n, i, j):
 
 def test_smallest_case_by_hand():
     # n=1, d=0: both sides are the 1x1 identity
-    lhs = gradient_transpose(1, 1, Z)
+    lhs = gradient(cpc_minor_sum(1, 1, Z), 1).transpose()
     rhs = horner_sequence(1, 0, Z)[0]
     one = Polynomial.from_int(Z, 1, 1)
     assert lhs.entry(1, 1) == one and rhs.entry(1, 1) == one
@@ -37,7 +35,7 @@ def test_smallest_case_by_hand():
 
 def test_two_by_two_adjugate_case_by_hand():
     # n=2, d=1: the transposed gradient is the adjugate of a generic 2x2
-    lhs = gradient_transpose(2, 2, Z)
+    lhs = gradient(cpc_minor_sum(2, 2, Z), 2).transpose()
     want = PolyMatrix.from_rows(Z, 2, [[x(2, 2, 2), -x(2, 1, 2)],
                                        [-x(2, 2, 1), x(2, 1, 1)]])
     assert lhs == want
@@ -92,7 +90,7 @@ def test_combinatorial_route_agrees():
 def test_left_side_vanishes_at_equal_parameters():
     # degree above the matrix size: the gradient side is the zero matrix
     for n in range(1, 4):
-        lhs = gradient_transpose(n, n + 1, Z)
+        lhs = gradient(cpc_minor_sum(n, n + 1, Z), n).transpose()
         assert all(p.is_zero() for p in lhs.entries)
 
 
@@ -100,7 +98,7 @@ def test_trace_identity_is_entailed_by_the_gradient():
     # trace of the transposed gradient equals (n-d) cpc_{n,d}
     for n in range(1, 5):
         for d in range(0, 5):
-            lhs = gradient_transpose(n, d + 1, Z).trace()
+            lhs = gradient(cpc_minor_sum(n, d + 1, Z), n).transpose().trace()
             want = cpc_minor_sum(n, d, Z).scale(int_embed(Z, n - d))
             assert lhs == want, (n, d)
 
@@ -108,21 +106,22 @@ def test_trace_identity_is_entailed_by_the_gradient():
 def test_r_vector_last_entry_drops_the_matrix_size():
     for n in range(2, 5):
         for d in range(0, n):
-            vec = r_vector(n, d, Z)
+            vec = [cpc_minor_sum(n, d + 1, Z).partial(a, n) for a in range(1, n + 1)]
             assert vec[n - 1] == cpc_minor_sum(n - 1, d, Z).promote(n), (n, d)
 
 
 def test_r_vector_first_layer_matches_gradient_route():
     for n in range(2, 5):
-        assert r_vector_first_layer(n, n, Z) == r_vector(n, 1, Z)
+        want = [cpc_minor_sum(n, 2, Z).partial(a, n) for a in range(1, n + 1)]
+        assert r_vector_first_layer(n, n, Z) == want
 
 
 def test_failure_witness_reports_first_mismatch():
     # an intentionally wrong check: compare the gradient side at d and d+1
     from abpc.identities import _first_mismatch
 
-    lhs = gradient_transpose(2, 1, Z)
-    rhs = gradient_transpose(2, 2, Z)
+    lhs = gradient(cpc_minor_sum(2, 1, Z), 2).transpose()
+    rhs = gradient(cpc_minor_sum(2, 2, Z), 2).transpose()
     w = _first_mismatch(lhs, rhs)
     assert w is not None
     assert w.position == (1, 1)
@@ -163,8 +162,14 @@ def test_minor_sums_are_built_once_per_call(monkeypatch):
 
 
 def test_verify_all_guard():
-    with pytest.raises(IdentityError):
-        verify_all(6, 2, Z)
+    with pytest.raises(IdentityError, match="n_max capped at 7"):
+        verify_all(8, 2, Z)
+
+
+def test_verify_all_at_the_cap_over_zero_divisor_ring():
+    reports = verify_all(7, 7, Z4)
+    assert len(reports) == 349
+    assert all(r.passed for r in reports), [r.line() for r in reports if not r.passed]
 
 
 def test_report_line_format():

@@ -6,8 +6,8 @@ import pytest
 
 from abpc.poly import Polynomial, PolyMatrix, PolyError, gradient
 from abpc.oracle import cpc_minor_sum
-from abpc.rings import RingDescriptor, int_embed
-from helpers import RING_FAMILIES, random_matrix, random_nonzero, random_poly
+from abpc.rings import RingDescriptor, descriptor_from_spec, int_embed
+from helpers import RING_FAMILIES, is_canonical, random_matrix, random_nonzero, random_poly
 
 Z = RingDescriptor.integers()
 Z2 = RingDescriptor.modular(2)
@@ -174,6 +174,24 @@ def test_canonical_text_ordering():
             want = sorted(terms, key=lambda m: (sum(e for _, e in m), dense(m)), reverse=True)
             assert Polynomial(ring, n, terms).text() == " + ".join(
                 Polynomial(ring, n, {m: terms[m]}).text() for m in want)
+
+
+def test_boxed_view_rebuilds_the_polynomial():
+    # products by (m/2) f collapse the even coefficients over Z/4 and Z/6
+    rng = random.Random(77)
+    for spec in ("int", "mod:4", "mod:6", "rat"):
+        ring = descriptor_from_spec(spec)
+        half = int_embed(ring, ring.modulus // 2 or 1)
+        for _ in range(60):
+            n = rng.randint(1, 3)
+            f, g = random_poly(ring, n, rng, max_terms=5), random_poly(ring, n, rng, max_terms=5)
+            for p in (f, f * g, f * g.scale(half), (f + g) * f.scale(half)):
+                terms = p.terms
+                assert Polynomial(p.ring, p.ambient_n, terms) == p
+                for mono, c in terms.items():
+                    assert list(mono) == sorted(mono) and len({v for v, _ in mono}) == len(mono)
+                    assert all(e >= 1 for _v, e in mono)
+                    assert is_canonical(c, ring), (spec, p.text())
 
 
 def test_restrict_to_diagonal():
