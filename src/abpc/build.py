@@ -8,7 +8,12 @@ family cpc_{n,d} (output names ``cpc_<n>_<d>``):
 * ``build_gradient_abp``   -- gradient-vector program, any ring; its layer
   j holds exactly the entries of the row vectors r_{i,j} (the last rows of
   the transposed gradients of cpc_{i,j+1}), which gives the closed-form
-  counts (n-j)(n+j+1)/2 per layer and width C(n+1,2)-1.
+  counts (n-j)(n+j+1)/2 per layer and width C(n+1,2)-1.  One rule builds
+  it, r_{i,j+1} = ( -r_{i,j} L_i | sum_{i'=j+1..i-1} r_{i',j} C_{i'} ),
+  and the last entry of r_{i+1,j} is cpc_{i,j}; vertex ``c_<i>_<j>`` is
+  that entry where only it is kept (i = n or the top layer), so d = 1 is
+  not a special case.  ``transition_matrix`` reads its entries from the
+  program's edges.
 
 ``width_from_determinantal`` goes the other way: it recovers a program
 from a square affine matrix with homogeneous determinant through exact
@@ -229,13 +234,15 @@ def build_bivariate_abp(n: int, d_max: int, ring: RingDescriptor) -> AbpGraph:
 def build_gradient_abp(n: int, d_max: int, ring: RingDescriptor) -> Tuple[AbpGraph, ConstructionStats]:
     """Program whose layer-j vertices are the entries of the vectors r_{i,j}.
 
-    Vertex r_{i}_{j}_{a} holds entry a of r_{i,j}; the recursion
-    r_{i,j+1} = ( -r_{i,j} L_i | sum_{i'=j+1..i-1} r_{i',j} C_{i'} ) makes
-    every edge label beyond the first edge layer a single signed variable.
-    Trace entries in the first layer are realized as a diagonal chain of
-    x[i,i] edges joined by constant-1 edges.  Outputs cpc_i_j for all
-    j <= d_max come either free (entry i+1 of r_{i+1,j} equals cpc_{i,j})
-    or through one extra vertex each (ids ``c_<i>_<j>``).
+    One rule builds it: r_{i,j+1} = ( -r_{i,j} L_i | sum_{i'=j+1..i-1}
+    r_{i',j} C_{i'} ) for j < i <= n+1, j <= d_max, and the last entry of
+    r_{i+1,j} is the output cpc_{i,j}.  Vertex r_{i}_{j}_{a} holds entry a
+    of r_{i,j}.  Of r_{n+1,j} and of the top layer j = d_max only the last
+    entry is kept: vertex c_{i}_{j} is the kept last entry of r_{i+1,j}, so
+    d_max = 1 is not a special case.  From r_{i,0} = (0 .. 0, 1) the first
+    layer is r_{i,1} = (-x[i,1] .. -x[i,i-1], tr_{i-1}), whose traces form a
+    diagonal chain of x[i,i] edges joined by constant-1 edges; beyond it
+    every edge label is a single signed variable.
     """
     if not 1 <= d_max <= n:
         raise GraphError("parameters out of range: need 1 <= d <= n")
@@ -244,68 +251,34 @@ def build_gradient_abp(n: int, d_max: int, ring: RingDescriptor) -> Tuple[AbpGra
     g.set_source("s")
     one = Polynomial.from_int(ring, n, 1)
     x, neg_x = _signed_variables(ring, n)
-
-    # r-vector vertices: layer j (1 <= j < d_max) holds r_{i,j} for j < i <= n
+    # r[i, j]: the kept entries of r_{i,j}, all i of them or only the last
+    r: Dict[Tuple[int, int], List[str]] = {}
+    for j in range(1, d_max + 1):
+        for i in range(j + 1, n + 2):
+            if i <= n and j < d_max:
+                r[i, j] = [g.add_vertex(f"r_{i}_{j}_{a}", j) for a in range(1, i + 1)]
+            else:
+                r[i, j] = [g.add_vertex(f"c_{i - 1}_{j}", j)]
+    for i in range(2, n + 2):
+        *head, last = r[i, 1]
+        for a, v in enumerate(head, 1):
+            g.add_edge("s", v, neg_x[(i, a)])
+        g.add_edge("s", last, x[(i - 1, i - 1)])
+        if i >= 3:
+            g.add_edge(r[i - 1, 1][-1], last, one)
     for j in range(1, d_max):
-        for i in range(j + 1, n + 1):
-            for a in range(1, i + 1):
-                g.add_vertex(f"r_{i}_{j}_{a}", j)
-
-    if d_max >= 2:
-        # first edge layer: entries of r_{i,1} = (-x[i,1] .. -x[i,i-1], tr_{i-1})
-        for i in range(2, n + 1):
-            for a in range(1, i):
-                g.add_edge("s", f"r_{i}_1_{a}", neg_x[(i, a)])
-            g.add_edge("s", f"r_{i}_1_{i}", x[(i - 1, i - 1)])
-            if i >= 3:
-                g.add_edge(f"r_{i - 1}_1_{i - 1}", f"r_{i}_1_{i}", one)
-        # transitions between r-vector layers
-        for j in range(1, d_max - 1):
-            for i in range(j + 2, n + 1):
-                for a in range(1, i):
-                    for b in range(1, i + 1):
-                        g.add_edge(f"r_{i}_{j}_{b}", f"r_{i}_{j + 1}_{a}", neg_x[(b, a)])
-                for ip in range(j + 1, i):
-                    for b in range(1, ip + 1):
-                        g.add_edge(f"r_{ip}_{j}_{b}", f"r_{i}_{j + 1}_{i}", x[(b, ip)])
-
-    # outputs of degree 0: the source computes 1
+        for i in range(j + 2, n + 2):
+            *head, last = r[i, j + 1]
+            for a, v in enumerate(head, 1):
+                for b, u in enumerate(r[i, j], 1):
+                    g.add_edge(u, v, neg_x[(b, a)])
+            for ip in range(j + 1, i):
+                for b, u in enumerate(r[ip, j], 1):
+                    g.add_edge(u, last, x[(b, ip)])
     for i in range(0, n + 1):
         g.add_output(f"cpc_{i}_0", "s")
-
-    if d_max == 1:
-        # plain diagonal chain computing the traces tr_1 .. tr_n
-        for i in range(1, n + 1):
-            g.add_vertex(f"c_{i}_1", 1)
-            g.add_edge("s", f"c_{i}_1", x[(i, i)])
-            if i >= 2:
-                g.add_edge(f"c_{i - 1}_1", f"c_{i}_1", one)
-            g.add_output(f"cpc_{i}_1", f"c_{i}_1")
-        return g, stats_from_graph(g)
-
-    # free outputs: entry i+1 of r_{i+1,j} computes cpc_{i,j}
-    for j in range(1, d_max):
-        for i in range(j, n):
-            g.add_output(f"cpc_{i}_{j}", f"r_{i + 1}_{j}_{i + 1}")
-    # cpc_{n,1} extends the diagonal chain by one vertex
-    g.add_vertex(f"c_{n}_1", 1)
-    g.add_edge("s", f"c_{n}_1", x[(n, n)])
-    g.add_edge(f"r_{n}_1_{n}", f"c_{n}_1", one)
-    g.add_output(f"cpc_{n}_1", f"c_{n}_1")
-    # cpc_{n,j} for 1 < j < d_max: one extra vertex fed by all r_{i,j-1} C_i
-    for j in range(2, d_max):
-        g.add_vertex(f"c_{n}_{j}", j)
-        for i in range(j, n + 1):
-            for a in range(1, i + 1):
-                g.add_edge(f"r_{i}_{j - 1}_{a}", f"c_{n}_{j}", x[(a, i)])
-        g.add_output(f"cpc_{n}_{j}", f"c_{n}_{j}")
-    # top layer: cpc_{i,d_max} for d_max <= i <= n, one extra vertex each
-    for i in range(d_max, n + 1):
-        g.add_vertex(f"c_{i}_{d_max}", d_max)
-        for ip in range(d_max, i + 1):
-            for a in range(1, ip + 1):
-                g.add_edge(f"r_{ip}_{d_max - 1}_{a}", f"c_{i}_{d_max}", x[(a, ip)])
-        g.add_output(f"cpc_{i}_{d_max}", f"c_{i}_{d_max}")
+    for (i, j), kept in r.items():
+        g.add_output(f"cpc_{i - 1}_{j}", kept[-1])
     return g, stats_from_graph(g)
 
 
@@ -313,37 +286,23 @@ def build_gradient_abp(n: int, d_max: int, ring: RingDescriptor) -> Tuple[AbpGra
 
 
 def transition_matrix(n: int, d: int, ring: RingDescriptor) -> PolyMatrix:
-    """Block matrix carrying (r_{d,d-1},..,r_{n,d-1}) to (r_{d+1,d},..,r_{n,d}).
+    """Matrix carrying (r_{d,d-1},..,r_{n,d-1}) to (r_{d+1,d},..,r_{n,d}).
 
-    Block (i, i') is (-L_i | 0) on the diagonal i = i', (0 | C_i) above it
-    and 0 below; every entry is a variable, a negated variable or zero.
+    Its entries are the edge labels between r-layers d-1 and d of the
+    gradient program, 0 where there is no edge, so they follow the
+    program's rule: block (i, i') is (-L_i | 0) for i = i', (0 | C_i) for
+    i < i' and 0 below.  For d = n it has no columns.
     """
     if not (2 <= d <= n):
         raise GraphError("parameters out of range: need 2 <= d <= n")
-    row_blocks = list(range(d, n + 1))
-    col_blocks = list(range(d + 1, n + 1))
-    rows = sum(row_blocks)
-    cols = sum(col_blocks)
+    g, _stats = build_gradient_abp(n, min(d + 1, n), ring)
+
+    def entries(j: int) -> List[str]:
+        return [f"r_{i}_{j}_{a}" for i in range(j + 1, n + 1) for a in range(1, i + 1)]
+
     zero = Polynomial.zero(ring, n)
-    ents = [[zero for _ in range(cols)] for _ in range(rows)]
-    row_off = 0
-    for i in row_blocks:
-        col_off = 0
-        for ip in col_blocks:
-            if i == ip:
-                # (-L_i | 0): columns 1..i-1 hold -x[a,b], the last is zero
-                for a in range(1, i + 1):
-                    for b in range(1, i):
-                        ents[row_off + a - 1][col_off + b - 1] = \
-                            -Polynomial.variable(ring, n, a, b)
-            elif i < ip:
-                # (0 | C_i): only the last column holds x[a,i]
-                for a in range(1, i + 1):
-                    ents[row_off + a - 1][col_off + ip - 1] = \
-                        Polynomial.variable(ring, n, a, i)
-            col_off += ip
-        row_off += i
-    return PolyMatrix.from_rows(ring, n, ents)
+    return PolyMatrix.from_rows(ring, n, [[g.edges.get((u, v), zero) for v in entries(d)]
+                                          for u in entries(d - 1)])
 
 
 # -- recovery from a determinantal representation --------------------------------------

@@ -94,7 +94,7 @@ def _load_graph(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise GraphError(f"cannot read graph {path}: {exc}") from exc
     return graph_from_json_dict(data)
 
@@ -129,7 +129,7 @@ def _cmd_eval(parser, args) -> int:
         raise GraphError("invalid graph: " + "; ".join(problems))
     try:
         raw = json.loads(args.matrix)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         parser.error(f"bad matrix JSON: {exc}")
     if not isinstance(raw, list) or any(not isinstance(row, list) for row in raw):
         parser.error("matrix must be an array of arrays of strings")

@@ -28,28 +28,29 @@ class OracleLimitError(AbpcError):
     pass
 
 
-def _perm_sign(perm: Sequence[int]) -> int:
-    inversions = 0
-    for a in range(len(perm)):
-        for b in range(a + 1, len(perm)):
-            if perm[a] > perm[b]:
-                inversions += 1
-    return -1 if inversions % 2 else 1
-
-
 def _leibniz_products(a: PolyMatrix) -> Iterator[Tuple[Raw, Raw]]:
     """det(a) as raw (head, last) pairs, one per permutation whose entries
     are all nonzero: ``last`` is the entry in the last row and ``head`` is
-    the permutation's sign times the other entries."""
+    the permutation's sign times the other entries.  The rows are walked
+    depth first, so permutations with a common prefix share its product,
+    and the sign gains a factor -1 for each row whose column has odd rank
+    among the columns left."""
     d = a.rows
-    for perm in permutations(range(1, d + 1)):
-        factors = [a.entry(row, col) for row, col in enumerate(perm, start=1)]
-        if any(f.is_zero() for f in factors):
-            continue
-        head = Polynomial.from_int(a.ring, a.ambient_n, _perm_sign(perm))
-        for f in factors[:-1]:
-            head = head * f
-        yield head.raw, factors[-1].raw
+    rows = [a.entries[r * d:(r + 1) * d] for r in range(d)]
+
+    def walk(row: int, left: Tuple[int, ...], head: Polynomial) -> Iterator[Tuple[Raw, Raw]]:
+        if row == d - 1:
+            last = rows[row][left[0]]
+            if not last.is_zero():
+                yield head.raw, last.raw
+            return
+        for rank, col in enumerate(left):
+            f = rows[row][col]
+            if not f.is_zero():
+                yield from walk(row + 1, left[:rank] + left[rank + 1:],
+                                head * (-f if rank % 2 else f))
+
+    yield from walk(0, tuple(range(d)), Polynomial.from_int(a.ring, a.ambient_n, 1))
 
 
 def det_leibniz(a: PolyMatrix) -> Polynomial:

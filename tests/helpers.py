@@ -1,4 +1,4 @@
-"""Seeded random generators shared by the test modules."""
+"""Seeded random generators and reference builders shared by the test modules."""
 
 from __future__ import annotations
 
@@ -53,6 +53,32 @@ def poly_sweep(g: AbpGraph) -> Dict[str, Polynomial]:
             acc = acc + values[u] * lab
         values[v] = acc
     return {name: values[vid] for name, vid in g.outputs.items()}
+
+
+def block_transition_matrix(n: int, d: int, ring: RingDescriptor) -> PolyMatrix:
+    """The transition matrix written out block by block: block (i, i') is
+    (-L_i | 0) on the diagonal i = i', (0 | C_i) above it and 0 below.  The
+    reference for ``transition_matrix``, which reads the program's edges."""
+    row_blocks = list(range(d, n + 1))
+    col_blocks = list(range(d + 1, n + 1))
+    zero = Polynomial.zero(ring, n)
+    ents = [[zero for _ in range(sum(col_blocks))] for _ in range(sum(row_blocks))]
+    row_off = 0
+    for i in row_blocks:
+        col_off = 0
+        for ip in col_blocks:
+            if i == ip:
+                # (-L_i | 0): columns 1..i-1 hold -x[a,b], the last is zero
+                for a in range(1, i + 1):
+                    for b in range(1, i):
+                        ents[row_off + a - 1][col_off + b - 1] = -Polynomial.variable(ring, n, a, b)
+            elif i < ip:
+                # (0 | C_i): only the last column holds x[a,i]
+                for a in range(1, i + 1):
+                    ents[row_off + a - 1][col_off + ip - 1] = Polynomial.variable(ring, n, a, i)
+            col_off += ip
+        row_off += i
+    return PolyMatrix.from_rows(ring, n, ents)
 
 
 def is_canonical(c: RingElement, ring: RingDescriptor) -> bool:

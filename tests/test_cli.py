@@ -330,6 +330,7 @@ BAD_INPUTS = {
     "directory": (lambda path: path.mkdir(), "eval", "cannot read graph"),
     "not-utf8": (lambda path: path.write_bytes(b'{"n": "\xff"}'), "stats", "cannot read graph"),
     "not-json": (lambda path: path.write_text("{"), "export-dot", "cannot read graph"),
+    "deeply-nested": (lambda path: path.write_text("[" * 200_000), "stats", "cannot read graph"),
 }
 
 
@@ -348,6 +349,17 @@ def test_bad_input_is_one_error_line(case, tmp_path, capsys):
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert message in lines[0]
+
+
+def test_deeply_nested_matrix_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "g.json"
+    _edit(lambda d: None)(path)
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", str(path), "--matrix", "[" * 200_000])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "error: bad matrix JSON" in err
 
 
 @pytest.mark.parametrize("n_d", [("0",), ("-2",), ("3", "0"), ("3", "4")])

@@ -30,7 +30,7 @@ from abpc.graph import (
 from abpc.oracle import cpc_minor_sum, cpc_table
 from abpc.poly import Polynomial, PolyMatrix
 from abpc.rings import RingDescriptor, descriptor_from_spec, int_embed
-from helpers import planted_determinantal_instance, random_matrix
+from helpers import block_transition_matrix, planted_determinantal_instance, random_matrix
 
 Z = RingDescriptor.integers()
 Z4 = RingDescriptor.modular(4)
@@ -206,6 +206,14 @@ def test_transition_block_action_matches_recursion():
     out = PolyMatrix(Z, n, 1, len(vec), vec) * m
     want = [cpc_minor_sum(3, 3, Z).partial(a, 3) for a in range(1, 4)]
     assert out.entries == want
+
+
+@pytest.mark.parametrize("ring", [Z, Z4], ids=["int", "mod4"])
+def test_transition_matrix_matches_block_reference(ring):
+    # d = n gives a matrix with no columns
+    for n in range(2, 8):
+        for d in range(2, n + 1):
+            assert transition_matrix(n, d, ring) == block_transition_matrix(n, d, ring), (n, d)
 
 
 # -- recovery from determinantal representations ----------------------------------------

@@ -4,7 +4,9 @@ The digests pin the byte-exact output of ``build`` (JSON and DOT),
 ``stats``, ``export-dot`` and all-output ``eval`` for each construction at
 n=4, ``verify --dump`` of every identity at n=3, d=2 over Z/4, two
 ``verify-all`` grids and one ``stats --formula`` run.  Three more pin the
-text of every output of ``expand_all`` on one program per construction.  A
+text of every output of ``expand_all`` on one program per construction, and
+one pins the gradient builder's JSON, DOT and statistics over its whole
+grid: int, mod:6 and rat, each with every 1 <= d <= n <= 8.  A
 refactor of the graph core must leave every digest unchanged.
 
 To print the digests of the current code (after an intended output
@@ -16,6 +18,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import os
 import sys
 import tempfile
@@ -25,6 +28,7 @@ import pytest
 
 from abpc import build_bivariate_abp, build_charzero_abp, build_gradient_abp, expand_all
 from abpc.cli import main
+from abpc.graph import graph_to_dot, graph_to_json_dict
 from abpc.rings import descriptor_from_spec
 
 PROGRAMS = [("gradient", "int"), ("gradient", "mod:6"), ("gradient", "rat"),
@@ -164,6 +168,25 @@ GOLDEN_EXPANSIONS = {
 }
 
 
+def gradient_grid_digest() -> str:
+    """One digest over the sorted JSON, the DOT text and the statistics'
+    repr of every gradient program with 1 <= d <= n <= 8 over int, mod:6
+    and rat."""
+    h = hashlib.sha256()
+    for spec in ("int", "mod:6", "rat"):
+        ring = descriptor_from_spec(spec)
+        for n in range(1, 9):
+            for d in range(1, n + 1):
+                g, stats = build_gradient_abp(n, d, ring)
+                h.update(json.dumps(graph_to_json_dict(g), sort_keys=True).encode("utf-8"))
+                h.update(graph_to_dot(g).encode("utf-8"))
+                h.update(repr(stats).encode("utf-8"))
+    return h.hexdigest()
+
+
+GOLDEN_GRADIENT_GRID = 'e21f9fee3ea67e4e753bdc7cb3974a026ede26ec5ec295ad1e1b49ca50afd71a'
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_cli_output(name):
     assert digests(name) == GOLDEN[name]
@@ -174,6 +197,10 @@ def test_golden_expansion_text(name):
     assert expansion_digest(name) == GOLDEN_EXPANSIONS[name]
 
 
+def test_golden_gradient_grid():
+    assert gradient_grid_digest() == GOLDEN_GRADIENT_GRID
+
+
 if __name__ == "__main__":
     sys.stdout.write("GOLDEN = {\n")
     for case in sorted(CASES):
@@ -181,4 +208,5 @@ if __name__ == "__main__":
     sys.stdout.write("}\n\nGOLDEN_EXPANSIONS = {\n")
     for name in sorted(EXPANSIONS):
         sys.stdout.write(f"    {name!r}: {expansion_digest(name)!r},\n")
-    sys.stdout.write("}\n")
+    sys.stdout.write("}\n\n")
+    sys.stdout.write(f"GOLDEN_GRADIENT_GRID = {gradient_grid_digest()!r}\n")
