@@ -32,6 +32,7 @@ from .graph import (
     graph_from_json_dict,
     graph_to_dot,
     graph_to_json_dict,
+    graph_to_json_text,
     homogenize,
     sub_abp,
     validate,

@@ -147,33 +147,30 @@ def build_charzero_abp(n: int, d_max: int, ring: RingDescriptor) -> AbpGraph:
     trace = Polynomial.zero(ring, n)
     for a in range(1, n + 1):
         trace = trace + x[(a, a)]
-    for d in range(0, d_max + 1):
-        g.add_vertex(f"v_{d}", d)
-    g.set_source("v_0")
+    # each vertex id is formatted once; every edge key reuses the string
+    v = [g.add_vertex(f"v_{d}", d) for d in range(0, d_max + 1)]
+    g.set_source(v[0])
     for d in range(1, d_max + 1):
         inv_d = invert(int_embed(ring, d))
-        g.add_edge(f"v_{d - 1}", f"v_{d}", trace.scale(inv_d))
+        g.add_edge(v[d - 1], v[d], trace.scale(inv_d))
         # closing[i % 2][(b, a)] is (-1)^(i+1)/d * x[b,a]
         closing = [{key: var.scale(coeff) for key, var in x.items()} for coeff in (-inv_d, inv_d)]
         for i in range(2, d + 1):
-            for l in range(1, i):
-                for a in range(1, n + 1):
-                    for b in range(1, n + 1):
-                        g.add_vertex(f"w_{d}_{i}_{l}_{a}_{b}", d - i + l)
+            w = {(l, a, b): g.add_vertex(f"w_{d}_{i}_{l}_{a}_{b}", d - i + l)
+                 for l in range(1, i) for a in range(1, n + 1) for b in range(1, n + 1)}
             for a in range(1, n + 1):
                 for b in range(1, n + 1):
-                    g.add_edge(f"v_{d - i}", f"w_{d}_{i}_1_{a}_{b}", x[(a, b)])
+                    g.add_edge(v[d - i], w[1, a, b], x[(a, b)])
             for l in range(1, i - 1):
                 for a in range(1, n + 1):
                     for b in range(1, n + 1):
                         for c in range(1, n + 1):
-                            g.add_edge(f"w_{d}_{i}_{l}_{a}_{b}", f"w_{d}_{i}_{l + 1}_{a}_{c}",
-                                       x[(b, c)])
+                            g.add_edge(w[l, a, b], w[l + 1, a, c], x[(b, c)])
             for a in range(1, n + 1):
                 for b in range(1, n + 1):
-                    g.add_edge(f"w_{d}_{i}_{i - 1}_{a}_{b}", f"v_{d}", closing[i % 2][(b, a)])
+                    g.add_edge(w[i - 1, a, b], v[d], closing[i % 2][(b, a)])
     for d in range(0, d_max + 1):
-        g.add_output(f"cpc_{n}_{d}", f"v_{d}")
+        g.add_output(f"cpc_{n}_{d}", v[d])
     return g
 
 
@@ -194,37 +191,38 @@ def build_bivariate_abp(n: int, d_max: int, ring: RingDescriptor) -> AbpGraph:
     g = AbpGraph("abp", ring, n, d_max)
     one = Polynomial.from_int(ring, n, 1)
     x, neg_x = _signed_variables(ring, n)
+    # each vertex id is formatted once; every edge key reuses the string
+    v: Dict[Tuple[int, int], str] = {}
     for i in range(0, n + 1):
-        g.add_vertex(f"v_{i}_0", 0)
-    g.set_source("v_0_0")
+        v[i, 0] = g.add_vertex(f"v_{i}_0", 0)
+    g.set_source(v[0, 0])
     for i in range(0, n):
-        g.add_edge(f"v_{i}_0", f"v_{i + 1}_0", one)
+        g.add_edge(v[i, 0], v[i + 1, 0], one)
     for j in range(1, d_max + 1):
         for i in range(j, n + 1):
-            g.add_vertex(f"v_{i}_{j}", j)
+            v[i, j] = g.add_vertex(f"v_{i}_{j}", j)
             if i > j:
-                g.add_edge(f"v_{i - 1}_{j}", f"v_{i}_{j}", one)
+                g.add_edge(v[i - 1, j], v[i, j], one)
             for ip in range(1, j + 1):
                 signed_x = x if ip % 2 == 1 else neg_x
-                src = f"v_{i}_{j - ip}"
+                src = v[i, j - ip]
                 if ip == 1:
-                    g.add_edge(src, f"v_{i}_{j}", signed_x[(i, i)])
+                    g.add_edge(src, v[i, j], signed_x[(i, i)])
                     continue
-                for l in range(1, ip):
-                    for b in range(1, i + 1):
-                        g.add_vertex(f"w_{i}_{j}_{ip}_{l}_{b}", j - ip + l)
-                for b in range(1, i + 1):
-                    g.add_edge(src, f"w_{i}_{j}_{ip}_1_{b}", x[(i, b)])
-                for l in range(1, ip - 1):
-                    for b in range(1, i + 1):
-                        for c in range(1, i + 1):
-                            g.add_edge(f"w_{i}_{j}_{ip}_{l}_{b}", f"w_{i}_{j}_{ip}_{l + 1}_{c}",
-                                       x[(b, c)])
-                for b in range(1, i + 1):
-                    g.add_edge(f"w_{i}_{j}_{ip}_{ip - 1}_{b}", f"v_{i}_{j}", signed_x[(b, i)])
+                # w[l - 1][b - 1] is vertex w_{i}_{j}_{ip}_{l}_{b}
+                w = [[g.add_vertex(f"w_{i}_{j}_{ip}_{l}_{b}", j - ip + l) for b in range(1, i + 1)]
+                     for l in range(1, ip)]
+                for b, head in enumerate(w[0], 1):
+                    g.add_edge(src, head, x[(i, b)])
+                for tails, heads in zip(w, w[1:]):
+                    for b, tail in enumerate(tails, 1):
+                        for c, head in enumerate(heads, 1):
+                            g.add_edge(tail, head, x[(b, c)])
+                for b, tail in enumerate(w[-1], 1):
+                    g.add_edge(tail, v[i, j], signed_x[(b, i)])
     for i in range(0, n + 1):
         for j in range(0, min(i, d_max) + 1):
-            g.add_output(f"cpc_{i}_{j}", f"v_{i}_{j}")
+            g.add_output(f"cpc_{i}_{j}", v[i, j])
     return g
 
 

@@ -26,7 +26,7 @@ from .graph import (
     evaluate_all,
     graph_from_json_dict,
     graph_to_dot,
-    graph_to_json_dict,
+    graph_to_json_text,
     resolve_output,
     validate,
 )
@@ -115,7 +115,7 @@ def _cmd_build(parser, args) -> int:
         g = build_bivariate_abp(args.n, args.d, ring)
     else:
         g, _stats = build_gradient_abp(args.n, args.d, ring)
-    _write(args.out, json.dumps(graph_to_json_dict(g), indent=2, sort_keys=True) + "\n")
+    _write(args.out, graph_to_json_text(g))
     if args.dot:
         _write(args.dot, graph_to_dot(g))
     print(f"wrote {args.out}")

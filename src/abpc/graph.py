@@ -19,9 +19,11 @@ of ``poly``'s raw-coefficient kernel.
 from __future__ import annotations
 
 import heapq
+import json
 import os
 from collections import Counter
 from itertools import groupby
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .poly import _ONE, Polynomial, PolyMatrix, _raw_value, _sum_products, flatten, unflatten
@@ -565,35 +567,59 @@ def abp_to_determinant(g: AbpGraph, at: Optional[str] = None) -> PolyMatrix:
 # -- serialization ------------------------------------------------------------------
 
 
-def graph_to_json_dict(g: AbpGraph) -> dict:
-    """The graph as JSON-ready data; edges with one label object share the
-    label's ``linear`` list."""
-    verts = [{"id": vid, "layer": g.layer[vid]} for vid in g.layer_order()]
+def _block(items: List[str], brackets: str, indent: str) -> str:
+    """A JSON array or object from its rendered items, laid out as
+    ``json.dumps(..., indent=2)`` lays it out at ``indent``."""
+    if not items:
+        return brackets
+    return f"{brackets[0]}\n" + ",\n".join(items) + f"\n{indent}{brackets[1]}"
+
+
+def graph_to_json_text(g: AbpGraph) -> str:
+    """The graph's JSON file: the bytes of ``json.dumps`` of its data with
+    ``indent=2`` and ``sort_keys=True``, then one newline.
+
+    Every string is escaped to ASCII as ``json.dumps`` escapes it.  Each
+    vertex id is quoted once, and each distinct label object is rendered
+    once, however many edges it labels.
+    """
+    n, ring = g.ambient_n, g.ring
+    quoted = {vid: _quote(vid) for vid in g.layer}
+    # the text of a label's edge before its tail id and between its ids
+    parts: Dict[int, Tuple[str, str]] = {}
     edges = []
-    # edges share label objects, so each distinct label is formatted once
-    texts: Dict[int, Tuple[str, list]] = {}
     for (u, v) in sorted(g.edges):
         lab = g.edges[(u, v)]
-        text = texts.get(id(lab))
-        if text is None:
-            linear = []
+        part = parts.get(id(lab))
+        if part is None:
+            terms = []
             # a label's monomials are () and (flat,); flat order is (i, j) order
             for mono, c in sorted(lab.raw.items()):
                 if mono:
-                    i, j = unflatten(mono[0], g.ambient_n)
-                    linear.append({"i": i, "j": j, "coeff": element_to_str(RingElement(g.ring, c))})
-            text = texts[id(lab)] = (element_to_str(lab.constant_term()), linear)
-        edges.append({"from": u, "to": v, "const": text[0], "linear": text[1]})
-    return {
-        "flavor": g.flavor,
-        "d": g.num_layers,
-        "n": g.ambient_n,
-        "ring": descriptor_to_spec(g.ring),
-        "vertices": verts,
-        "edges": edges,
-        "source": g.source,
-        "outputs": dict(sorted(g.outputs.items())),
-    }
+                    i, j = unflatten(mono[0], n)
+                    coeff = _quote(element_to_str(RingElement(ring, c)))
+                    terms.append(f'        {{\n          "coeff": {coeff},\n'
+                                 f'          "i": {i},\n          "j": {j}\n        }}')
+            const = _quote(element_to_str(lab.constant_term()))
+            part = parts[id(lab)] = (f'    {{\n      "const": {const},\n      "from": ',
+                                     f',\n      "linear": {_block(terms, "[]", "      ")},'
+                                     f'\n      "to": ')
+        edges.append(f"{part[0]}{quoted[u]}{part[1]}{quoted[v]}\n    }}")
+    verts = [f'    {{\n      "id": {quoted[vid]},\n      "layer": {g.layer[vid]}\n    }}'
+             for vid in g.layer_order()]
+    outputs = [f"    {_quote(name)}: {quoted[vid]}" for name, vid in sorted(g.outputs.items())]
+    source = "null" if g.source is None else quoted[g.source]
+    return (f'{{\n  "d": {g.num_layers},\n  "edges": {_block(edges, "[]", "  ")},\n'
+            f'  "flavor": {_quote(g.flavor)},\n  "n": {n},\n'
+            f'  "outputs": {_block(outputs, "{}", "  ")},\n'
+            f'  "ring": {_quote(descriptor_to_spec(ring))},\n  "source": {source},\n'
+            f'  "vertices": {_block(verts, "[]", "  ")}\n}}\n')
+
+
+def graph_to_json_dict(g: AbpGraph) -> dict:
+    """The graph as JSON data: ``graph_to_json_text`` parsed, so every edge
+    has its own ``linear`` list."""
+    return json.loads(graph_to_json_text(g))
 
 
 def _field(obj: dict, key: str, kind: type):
@@ -617,13 +643,17 @@ def graph_from_json_dict(data: dict) -> AbpGraph:
         ring = descriptor_from_spec(_field(data, "ring", str))
         n = _field(data, "n", int)
         g = AbpGraph(data["flavor"], ring, n, _field(data, "d", int))
+        # each vertex's one id string, which every edge key then reuses
+        ids: Dict[str, str] = {}
         for v in data["vertices"]:
-            g.add_vertex(_field(v, "id", str), _field(v, "layer", int))
+            vid = _field(v, "id", str)
+            g.add_vertex(ids.setdefault(vid, vid), _field(v, "layer", int))
         g.set_source(_field(data, "source", str))
         # one label object per distinct (const, linear) text, as the builders share them
         labels: Dict[tuple, Polynomial] = {}
         for e in data["edges"]:
             u, v = _field(e, "from", str), _field(e, "to", str)
+            u, v = ids.get(u, u), ids.get(v, v)
             key = (_field(e, "const", str), tuple(
                 (_index_field(t, "i", n), _index_field(t, "j", n), _field(t, "coeff", str))
                 for t in e["linear"]))

@@ -7,8 +7,8 @@ from fractions import Fraction
 from typing import Dict, List
 
 from abpc.graph import AbpGraph, topological_order
-from abpc.poly import Polynomial, PolyMatrix, flatten
-from abpc.rings import RingDescriptor, RingElement, int_embed
+from abpc.poly import Polynomial, PolyMatrix, flatten, unflatten
+from abpc.rings import RingDescriptor, RingElement, descriptor_to_spec, element_to_str, int_embed
 
 Z = RingDescriptor.integers()
 Z4 = RingDescriptor.modular(4)
@@ -53,6 +53,34 @@ def poly_sweep(g: AbpGraph) -> Dict[str, Polynomial]:
             acc = acc + values[u] * lab
         values[v] = acc
     return {name: values[vid] for name, vid in g.outputs.items()}
+
+
+def reference_dict(g: AbpGraph) -> dict:
+    """The graph as JSON-ready data, built as a dict: ``json.dumps`` of it
+    with ``indent=2`` and ``sort_keys=True``, plus a newline, is the
+    reference for ``graph_to_json_text``."""
+    verts = [{"id": vid, "layer": g.layer[vid]} for vid in g.layer_order()]
+    edges = []
+    for (u, v) in sorted(g.edges):
+        lab = g.edges[(u, v)]
+        linear = []
+        # a label's monomials are () and (flat,); flat order is (i, j) order
+        for mono, c in sorted(lab.raw.items()):
+            if mono:
+                i, j = unflatten(mono[0], g.ambient_n)
+                linear.append({"i": i, "j": j, "coeff": element_to_str(RingElement(g.ring, c))})
+        edges.append({"from": u, "to": v, "const": element_to_str(lab.constant_term()),
+                      "linear": linear})
+    return {
+        "flavor": g.flavor,
+        "d": g.num_layers,
+        "n": g.ambient_n,
+        "ring": descriptor_to_spec(g.ring),
+        "vertices": verts,
+        "edges": edges,
+        "source": g.source,
+        "outputs": dict(sorted(g.outputs.items())),
+    }
 
 
 def block_transition_matrix(n: int, d: int, ring: RingDescriptor) -> PolyMatrix:
@@ -249,3 +277,15 @@ def random_aabp(ring: RingDescriptor, n: int, rng: random.Random,
                 g.add_edge(ids[a], ids[b], random_affine_label(ring, n, rng))
     g.add_output("out", "t")
     return g
+
+
+FLAVORS = ("abp", "pabp", "aabp")
+
+
+def random_program(flavor: str, ring: RingDescriptor, n: int, d: int,
+                   rng: random.Random) -> AbpGraph:
+    if flavor == "abp":
+        return random_abp(ring, n, d, rng)
+    if flavor == "pabp":
+        return random_pabp(ring, n, d, rng)
+    return random_aabp(ring, n, rng, inner=d)

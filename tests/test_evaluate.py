@@ -8,10 +8,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from abpc.graph import AbpGraph, GraphError, evaluate_all, expand_all
+from abpc.graph import GraphError, evaluate_all, expand_all
 from abpc.poly import Polynomial, flatten
 from abpc.rings import RingDescriptor, int_embed
 from helpers import (
+    FLAVORS,
     RING_FAMILIES,
     Q,
     Z,
@@ -20,27 +21,14 @@ from helpers import (
     boxed_sweep,
     is_canonical,
     poly_sweep,
-    random_aabp,
-    random_abp,
     random_matrix,
     random_nonzero,
-    random_pabp,
+    random_program,
 )
-
-FLAVORS = ("abp", "pabp", "aabp")
-
 
 def canonical(values):
     """Values with their Python type, since equal values may differ in type."""
     return {name: (type(v.value), v) for name, v in values.items()}
-
-
-def random_program(flavor: str, ring, n: int, d: int, rng: random.Random) -> AbpGraph:
-    if flavor == "abp":
-        return random_abp(ring, n, d, rng)
-    if flavor == "pabp":
-        return random_pabp(ring, n, d, rng)
-    return random_aabp(ring, n, rng, inner=d)
 
 
 @pytest.mark.parametrize("flavor", FLAVORS)
