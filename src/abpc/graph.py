@@ -10,10 +10,14 @@ stores a topological index and paths may have different lengths.
 A graph computes, at every named output vertex, the sum over all
 source-to-vertex paths of the product of the edge labels.  Evaluation and
 symbolic expansion run as one forward sweep (never path enumeration), the
-matrix-product semantics of the layered model.  Numeric evaluation sweeps on
-raw ``int`` or ``Fraction`` values and boxes only the named outputs as ring
-elements; symbolic expansion sums each vertex's in-edge products in one call
-of ``poly``'s raw-coefficient kernel.
+matrix-product semantics of the layered model.  Both sweep one plan: the
+vertices in topological order, found by sorting only the edges that do not
+go up a layer, and each vertex's in-edges as a list of tail positions and a
+list of label slots.  Numeric evaluation sweeps on Python integers: over
+``rat`` each label value is scaled by the lcm G of their denominators and a
+vertex holds its value times a power of G, so only the named outputs become
+``Fraction``s, once each.  Symbolic expansion sums each vertex's in-edge
+products in one call of ``poly``'s raw-coefficient kernel.
 """
 
 from __future__ import annotations
@@ -22,13 +26,16 @@ import heapq
 import json
 import os
 from collections import Counter
+from fractions import Fraction
 from itertools import groupby
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from math import lcm
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .poly import _ONE, Polynomial, PolyMatrix, _raw_value, _sum_products, flatten, unflatten
 from .rings import (
     MOD,
+    RAT,
     AbpcError,
     RingDescriptor,
     RingElement,
@@ -36,7 +43,6 @@ from .rings import (
     descriptor_to_spec,
     element_from_str,
     element_to_str,
-    int_embed,
 )
 
 DEFAULT_EXPANSION_GUARD = 5
@@ -245,62 +251,114 @@ def resolve_output(g: AbpGraph, at: Optional[str] = None) -> Tuple[str, str]:
     raise GraphError("ambiguous output; name one explicitly")
 
 
-def _compile(g: AbpGraph) -> Tuple[Dict[str, int], List[List[Tuple[int, int]]], List[Polynomial]]:
-    """Each vertex's position in sweep order, the in-edges of each position as
-    (tail position, label slot) pairs, and the distinct labels by slot."""
-    order = topological_order(g.layer_order(), g.edges)
+# the sweep plan that ``_compile`` builds
+_Plan = Tuple[Dict[str, int], List[List[int]], List[List[int]], List[Polynomial]]
+
+
+def _compile(g: AbpGraph) -> _Plan:
+    """The sweep plan: each vertex's position in sweep order, the in-edges
+    of each position as two parallel lists of tail positions and label
+    slots, and the distinct labels by slot.
+
+    The order is ``topological_order(g.layer_order(), g.edges)``.  Edges up
+    a layer already follow ``layer_order``, so only the others (on a valid
+    graph, the intra-layer constant edges) are sorted; when an edge then
+    has its tail after its head, as only a graph outside every flavor can,
+    the plan is built again from a sort over every edge.
+    """
+    if g.source is None:
+        raise GraphError("missing source vertex")
+    verts, layer = g.layer_order(), g.layer
+    plan = _plan(g, topological_order(verts, [(u, v) for (u, v) in g.edges if layer[v] <= layer[u]]))
+    if plan is None:
+        plan = _plan(g, topological_order(verts, g.edges))
+    return plan
+
+
+def _plan(g: AbpGraph, order: List[str]) -> Optional[_Plan]:
+    """``_compile``'s plan over ``order``, or None if some edge's tail does
+    not come before its head in it."""
     if len(order) != len(g.layer):
         raise GraphError("constant-edge cycle")
     index = {v: k for k, v in enumerate(order)}
-    ins: List[List[Tuple[int, int]]] = [[] for _ in order]
-    slots: Dict[int, int] = {}
+    tails: List[List[int]] = [[] for _ in order]
+    slots: List[List[int]] = [[] for _ in order]
+    slot_of: Dict[int, int] = {}
     labels: List[Polynomial] = []
     for (u, v), lab in g.edges.items():
-        if id(lab) not in slots:
-            slots[id(lab)] = len(labels)
+        ku, kv = index[u], index[v]
+        if ku >= kv:
+            return None
+        s = slot_of.get(id(lab))
+        if s is None:
+            s = slot_of[id(lab)] = len(labels)
             labels.append(lab)
-        ins[index[v]].append((index[u], slots[id(lab)]))
-    return index, ins, labels
+        tails[kv].append(ku)
+        slots[kv].append(s)
+    return index, tails, slots, labels
 
 
-def _sweep(g: AbpGraph, label_value: Callable[[Polynomial], object],
-           vertex_value: Callable) -> Dict[str, object]:
-    """Every named output's raw value by one forward sweep over ``_compile``'s
-    plan.  ``label_value`` maps each distinct label once to its factor, and
-    ``vertex_value(is_source, edges, values, factors)`` gives one vertex's
-    value from its in-edges, (tail position, label slot) pairs, and the
-    values of the vertices before it."""
-    if g.source is None:
-        raise GraphError("missing source vertex")
-    index, ins, labels = _compile(g)
-    factors = [label_value(lab) for lab in labels]
-    source = index[g.source]
-    values: List[object] = []
-    for k, edges in enumerate(ins):
-        values.append(vertex_value(k == source, edges, values, factors))
-    return {name: values[index[vid]] for name, vid in sorted(g.outputs.items())}
+def _sweep(tails: List[List[int]], slots: List[List[int]], source: int,
+           factors: List[int], scale: int, modulus: int) -> Tuple[List[int], List[int]]:
+    """Every vertex's value on integers, by one forward sweep over the plan.
+
+    A label's value is ``factors[slot] / scale``.  Vertex v gets an integer
+    ``W_v`` and an exponent ``e_v`` with value ``W_v / scale**e_v``: e = 0
+    without in-edges, else e_v = 1 + max e_u over its tails, and each term
+    ``W_u * F`` is scaled by ``scale**(e_v - 1 - e_u)``.  With scale 1 (``int``, ``mod:m``, and
+    rationals whose label values are integers) every exponent is 0 and the
+    plain loop runs, reducing mod ``modulus`` when it is nonzero.
+    """
+    values: List[int] = []
+    if scale == 1:
+        for k, ts in enumerate(tails):
+            acc = 1 if k == source else 0
+            for u, s in zip(ts, slots[k]):
+                acc += values[u] * factors[s]
+            values.append(acc % modulus if modulus else acc)
+        return values, [0] * len(values)
+    exps: List[int] = []
+    powers = [1]
+    for k, ts in enumerate(tails):
+        e = 1 + max(map(exps.__getitem__, ts)) if ts else 0
+        if e == len(powers):
+            powers.append(powers[-1] * scale)
+        acc = powers[e] if k == source else 0
+        for u, s in zip(ts, slots[k]):
+            acc += values[u] * factors[s] * powers[e - 1 - exps[u]]
+        values.append(acc)
+        exps.append(e)
+    return values, exps
 
 
 def evaluate_all(g: AbpGraph, entries: Sequence[Sequence[RingElement]]) -> Dict[str, RingElement]:
     """All named outputs at a concrete matrix from a single forward sweep on
-    raw values; only the outputs are boxed as ring elements."""
-    n = g.ambient_n
+    integers; only the outputs are boxed as ring elements.
+
+    Over ``rat`` every label value is scaled to an integer by the lcm G of
+    their denominators, and an output with integer W and exponent e is
+    boxed once as ``Fraction(W, G**e)``.
+    """
+    n, ring = g.ambient_n, g.ring
     if len(entries) != n or any(len(row) != n for row in entries):
         raise GraphError("matrix dimension mismatch")
-    if any(e.descriptor != g.ring for row in entries for e in row):
+    if any(e.descriptor != ring for row in entries for e in row):
         raise GraphError("matrix entries from a different ring")
     flat = [e.value for row in entries for e in row]
-    one = int_embed(g.ring, 1).value
-    zero, modulus = one - one, g.ring.modulus if g.ring.kind == MOD else 0
-
-    def vertex_value(is_source, edges, values, factors):
-        acc = one if is_source else zero
-        for u, slot in edges:
-            acc += values[u] * factors[slot]
-        return acc % modulus if modulus else acc
-
-    values = _sweep(g, lambda lab: _raw_value(lab, flat), vertex_value)
-    return {name: RingElement(g.ring, value) for name, value in values.items()}
+    index, tails, slots, labels = _compile(g)
+    factors = [_raw_value(lab, flat) for lab in labels]
+    scale = 1
+    if ring.kind == RAT:
+        scale = lcm(*(f.denominator for f in factors))
+        factors = [f.numerator * (scale // f.denominator) for f in factors]
+    values, exps = _sweep(tails, slots, index[g.source], factors, scale,
+                          ring.modulus if ring.kind == MOD else 0)
+    out = {}
+    for name, vid in sorted(g.outputs.items()):
+        k = index[vid]
+        out[name] = RingElement(ring, Fraction(values[k], scale ** exps[k])
+                                if ring.kind == RAT else values[k])
+    return out
 
 
 def evaluate(g: AbpGraph, entries: Sequence[Sequence[RingElement]], at: Optional[str] = None) -> RingElement:
@@ -310,8 +368,9 @@ def evaluate(g: AbpGraph, entries: Sequence[Sequence[RingElement]], at: Optional
 
 
 def expand_all(g: AbpGraph) -> Dict[str, Polynomial]:
-    """All named outputs from a single forward sweep on polynomials; each
-    vertex sums its in-edge products in one call of the raw kernel."""
+    """All named outputs from a single forward sweep on polynomials over
+    ``_compile``'s plan; each vertex sums its in-edge products in one call
+    of the raw kernel."""
     guard = expansion_guard()
     if g.ambient_n > guard:
         raise GraphError(
@@ -320,14 +379,15 @@ def expand_all(g: AbpGraph) -> Dict[str, Polynomial]:
         )
     ring, n = g.ring, g.ambient_n
     one = Polynomial.from_int(ring, n, 1).raw
-
-    def vertex_value(is_source, edges, values, factors):
-        pairs = [(values[u].raw, factors[slot]) for u, slot in edges]
-        if is_source:
+    index, tails, slots, labels = _compile(g)
+    source = index[g.source]
+    values: List[Polynomial] = []
+    for k, ts in enumerate(tails):
+        pairs = [(values[u].raw, labels[s].raw) for u, s in zip(ts, slots[k])]
+        if k == source:
             pairs.append((one, _ONE))
-        return _sum_products(ring, n, pairs)
-
-    return _sweep(g, lambda lab: lab.raw, vertex_value)
+        values.append(_sum_products(ring, n, pairs))
+    return {name: values[index[vid]] for name, vid in sorted(g.outputs.items())}
 
 
 def expand_symbolic(g: AbpGraph, at: Optional[str] = None) -> Polynomial:
@@ -462,21 +522,23 @@ def homogenize(g: AbpGraph, k: int) -> AbpGraph:
             return range(k, k + 1)
         return range(0, k + 1)
 
-    for v in g.layer_order():
-        for i in copies(v):
-            out.add_vertex(f"{v}#{i}", i)
-    out.set_source(f"{g.source}#0")
+    # each copy's id string, made once and reused by every edge key
+    names = {v: {i: f"{v}#{i}" for i in copies(v)} for v in g.layer_order()}
+    for v, ids in names.items():
+        for i, vid in ids.items():
+            out.add_vertex(vid, i)
+    out.set_source(names[g.source][0])
     for (u, v) in sorted(g.edges):
         lab = g.edges[(u, v)]
         linear = lab.homogeneous_component(1)
         const = lab.homogeneous_component(0)
-        targets = copies(v)
-        for i in copies(u):
+        targets = names[v]
+        for i, tail in names[u].items():
             if not linear.is_zero() and (i + 1) in targets:
-                out.add_edge(f"{u}#{i}", f"{v}#{i + 1}", linear)
+                out.add_edge(tail, targets[i + 1], linear)
             if not const.is_zero() and i in targets:
-                out.add_edge(f"{u}#{i}", f"{v}#{i}", const)
-    out.add_output(name, f"{sink}#{k}")
+                out.add_edge(tail, targets[i], const)
+    out.add_output(name, names[sink][k])
     return out
 
 
@@ -512,17 +574,17 @@ def combine(g1: AbpGraph, g2: AbpGraph, op: str,
     glue = {("f", a.source): "s", ("f", sink_a): sink_a_id,
             ("h", b.source): source_b_id, ("h", sink_b): "t"}
     parts = (("f", a, 0), ("h", b, shift_b))
-
-    def rename(tag: str, v: str) -> str:
-        return glue.get((tag, v), f"{tag}.{v}")
-
+    # each vertex's new id string, made once and reused by every edge key
+    names = {tag: {v: glue.get((tag, v), f"{tag}.{v}") for v in part.layer_order()}
+             for tag, part, _shift in parts}
     for tag, part, shift in parts:
-        for v in part.layer_order():
-            out.add_vertex(rename(tag, v), part.layer[v] + shift)
+        for v, vid in names[tag].items():
+            out.add_vertex(vid, part.layer[v] + shift)
     out.set_source("s")
     for tag, part, _shift in parts:
+        rename = names[tag]
         for (u, v) in sorted(part.edges):
-            out.add_edge(rename(tag, u), rename(tag, v), part.edges[(u, v)].promote(ambient))
+            out.add_edge(rename[u], rename[v], part.edges[(u, v)].promote(ambient))
     out.add_output("sink", "t")
     return out
 

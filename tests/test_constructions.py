@@ -303,6 +303,19 @@ def test_evaluate_all_matches_berkowitz_at_size(spec):
             assert value == table[(int(i), int(j))], (spec, prog, name)
 
 
+@pytest.mark.parametrize("spec", ["int", "rat"])
+def test_every_gradient_output_matches_berkowitz_at_n30(spec):
+    ring = descriptor_from_spec(spec)
+    g = build_gradient_abp(30, 30, ring)[0]
+    a = random_matrix(ring, 30, random.Random(f"berkowitz30/{spec}"))
+    table = cpc_table(a, ring)
+    values = evaluate_all(g, a)
+    assert len(values) == len(table) == 496
+    for name, value in values.items():
+        _, i, j = name.split("_")
+        assert value == table[(int(i), int(j))], (spec, name)
+
+
 def test_charzero_outputs_match_berkowitz_at_size():
     rng = random.Random("berkowitz/charzero")
     g = build_charzero_abp(10, 10, Q)

@@ -1,16 +1,18 @@
-"""Numeric evaluation and symbolic expansion: ``evaluate_all``'s raw-value
-sweep against a boxed sweep and against symbolic expansion, ``expand_all``'s
-raw-coefficient sweep against a sweep on polynomials, and their input
-checks."""
+"""Numeric evaluation and symbolic expansion: the sweep plan's order,
+``evaluate_all``'s integer sweep against a boxed sweep and against symbolic
+expansion, ``expand_all``'s raw-coefficient sweep against a sweep on
+polynomials, and their input checks."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from abpc.graph import GraphError, evaluate_all, expand_all
+from abpc.build import build_bivariate_abp, build_charzero_abp, build_gradient_abp
+from abpc.graph import AbpGraph, GraphError, _compile, evaluate_all, expand_all, topological_order
 from abpc.poly import Polynomial, flatten
-from abpc.rings import RingDescriptor, int_embed
+from abpc.rings import RingDescriptor, RingElement, int_embed
 from helpers import (
     FLAVORS,
     RING_FAMILIES,
@@ -21,6 +23,8 @@ from helpers import (
     boxed_sweep,
     is_canonical,
     poly_sweep,
+    random_abp,
+    random_linear_label,
     random_matrix,
     random_nonzero,
     random_program,
@@ -144,3 +148,147 @@ def test_evaluate_all_rejects_bad_input(case):
     g.add_edge("cycle_b", "cycle_a", c)
     with pytest.raises(GraphError, match="constant-edge cycle"):
         evaluate_all(g, a)
+
+
+# -- the sweep plan ------------------------------------------------------------------
+
+
+def constructions(n, ring):
+    """The three constructions of size n that ``ring`` admits."""
+    out = [build_gradient_abp(n, n, ring)[0], build_bivariate_abp(n, n, ring)]
+    if ring.contains_rationals:
+        out.append(build_charzero_abp(n, n, ring))
+    return out
+
+
+def assert_plan_is_the_full_sort(g):
+    """The plan's order is the sort over every edge, and its tail and slot
+    lists hold exactly the graph's edges and labels."""
+    index, tails, slots, labels = _compile(g)
+    order = sorted(index, key=index.__getitem__)
+    assert order == topological_order(g.layer_order(), g.edges), g
+    planned = {(order[u], order[v]): labels[s]
+               for v, (ts, ss) in enumerate(zip(tails, slots)) for u, s in zip(ts, ss)}
+    assert len(planned) == sum(map(len, tails)) == len(g.edges)
+    assert all(g.edges[key] is lab for key, lab in planned.items())
+
+
+@pytest.mark.parametrize("ring_name", sorted(RING_FAMILIES))
+def test_plan_order_on_constructions(ring_name):
+    for n in range(1, 9):
+        for g in constructions(n, RING_FAMILIES[ring_name]):
+            assert_plan_is_the_full_sort(g)
+
+
+@pytest.mark.parametrize("flavor", FLAVORS)
+def test_plan_order_on_random_programs(flavor):
+    for seed in range(200):
+        rng = random.Random(f"plan/{flavor}/{seed}")
+        ring = RING_FAMILIES[rng.choice(sorted(RING_FAMILIES))]
+        assert_plan_is_the_full_sort(random_program(flavor, ring, rng.randint(1, 3), rng.randint(1, 4), rng))
+
+
+def edge_down_a_layer(ring, rng):
+    """An abp with edges from layer 2 to layer 1: sorting only the edges
+    that do not go up a layer puts c before its tail z."""
+    g = AbpGraph("abp", ring, 2, 2)
+    for vid, layer in (("s", 0), ("a", 1), ("z", 1), ("c", 2), ("w", 2)):
+        g.add_vertex(vid, layer)
+    g.set_source("s")
+    for u, v in (("s", "w"), ("w", "z"), ("z", "c"), ("c", "a")):
+        g.add_edge(u, v, random_linear_label(ring, 2, rng))
+    for vid in ("a", "c"):
+        g.add_output(vid, vid)
+    return g
+
+
+def edge_into_source(ring, rng):
+    """A random abp whose source has an in-edge from a vertex in layer 1
+    that the source does not reach, so it sweeps after that vertex."""
+    g = random_abp(ring, 2, 3, rng)
+    g.add_vertex("pre", 1)
+    g.add_vertex("pre_in", 1)
+    g.add_edge("pre_in", "pre", Polynomial.constant(ring, 2, random_nonzero(ring, rng)))
+    g.add_edge("pre", g.source, random_linear_label(ring, 2, rng))
+    g.add_output("src", g.source)
+    return g
+
+
+@pytest.mark.parametrize("ring_name", sorted(RING_FAMILIES))
+@pytest.mark.parametrize("make", [edge_down_a_layer, edge_into_source])
+def test_graphs_outside_every_flavor_sweep_in_the_full_order(make, ring_name):
+    ring = RING_FAMILIES[ring_name]
+    for seed in range(20):
+        rng = random.Random(f"outside/{make.__name__}/{ring_name}/{seed}")
+        g = make(ring, rng)
+        assert_plan_is_the_full_sort(g)
+        a = random_matrix(ring, 2, rng)
+        assert canonical(evaluate_all(g, a)) == canonical(boxed_sweep(g, a)), seed
+
+
+@pytest.mark.parametrize("make", [edge_down_a_layer, edge_into_source])
+def test_constant_edge_cycle_still_raises_outside_every_flavor(make):
+    rng = random.Random(f"outside/cycle/{make.__name__}")
+    g = make(Z, rng)
+    for vid in ("x", "y"):
+        g.add_vertex(vid, 1)
+    c = Polynomial.constant(Z, 2, int_embed(Z, 2))
+    g.add_edge("x", "y", c)
+    g.add_edge("y", "x", c)
+    with pytest.raises(GraphError, match="constant-edge cycle"):
+        evaluate_all(g, random_matrix(Z, 2, rng))
+
+
+def test_cycle_through_an_edge_down_a_layer_raises():
+    # the edges that do not go up a layer sort, but the cycle a -> w -> z
+    # -> c -> a closes through edges up a layer
+    rng = random.Random("outside/cycle/down")
+    g = edge_down_a_layer(Z, rng)
+    g.add_edge("a", "w", random_linear_label(Z, 2, rng))
+    with pytest.raises(GraphError, match="constant-edge cycle"):
+        evaluate_all(g, random_matrix(Z, 2, rng))
+
+
+# -- rationals swept on integers --------------------------------------------------
+
+
+def rational_matrix(n, rng, denominators):
+    """Entries p/q with q drawn from ``denominators`` (possibly negative),
+    a third of them zero."""
+    return [[RingElement(Q, Fraction(rng.randint(-9, 9) * (rng.random() > 1 / 3),
+                                     rng.choice(denominators)))
+             for _ in range(n)] for _ in range(n)]
+
+
+DENOMINATORS = {
+    "small": (1, 2, 3, 4),
+    "negative": (-1, -2, -3, 5, -7),
+    "coprime": (7, 11, 13, 17, 19, 23),
+    "large": (2**61 - 1, 10**12 + 39, -(3**40), 1),
+    "integer": (1, -1),
+}
+
+
+@pytest.mark.parametrize("dens", sorted(DENOMINATORS))
+def test_rational_sweep_on_constructions(dens):
+    rng = random.Random(f"rational/{dens}")
+    for n in range(1, 7):
+        for g in constructions(n, Q):
+            a = rational_matrix(n, rng, DENOMINATORS[dens])
+            got = canonical(evaluate_all(g, a))
+            assert got == canonical(boxed_sweep(g, a)), (dens, g)
+            assert all(kind is Fraction for kind, _v in got.values())
+
+
+@pytest.mark.parametrize("dens", sorted(DENOMINATORS))
+def test_rational_sweep_on_random_programs(dens):
+    for seed in range(60):
+        rng = random.Random(f"rational/random/{dens}/{seed}")
+        n, d = rng.randint(1, 3), rng.randint(1, 4)
+        flavor = FLAVORS[seed % 3]
+        g = random_program(flavor, Q, n, d, rng) if seed % 4 else edge_into_source(Q, rng)
+        g.add_output("source", g.source)
+        a = rational_matrix(g.ambient_n, rng, DENOMINATORS[dens])
+        got = canonical(evaluate_all(g, a))
+        assert got == canonical(boxed_sweep(g, a)), (dens, seed)
+        assert all(kind is Fraction for kind, _v in got.values())

@@ -21,7 +21,7 @@ from abpc.graph import (
     topological_order,
     validate,
 )
-from abpc.build import build_bivariate_abp
+from abpc.build import build_bivariate_abp, build_gradient_abp
 from abpc.oracle import cpc_minor_sum, det_leibniz
 from abpc.poly import Polynomial
 from abpc.rings import RingDescriptor, int_embed
@@ -386,6 +386,17 @@ def test_combine_on_random_programs():
         assert validate(p) == []
         assert expand_symbolic(p, "sink") == f1 * f3
         assert _matrix_width(p) <= max(_matrix_width(g1), _matrix_width(g3))
+
+
+def test_combine_and_homogenize_reuse_each_renamed_id():
+    product = combine(build_bivariate_abp(8, 8, Z), build_gradient_abp(8, 8, Z)[0], "product",
+                      "cpc_8_8", "cpc_8_8")
+    homogeneous = homogenize(random_aabp(Z, 2, random.Random(7), inner=5), 3)
+    for g in (product, homogeneous):
+        # every edge key holds its vertices' own id strings, not equal copies
+        edge_ids = {id(vid) for key in g.edges for vid in key}
+        assert edge_ids <= {id(vid) for vid in g.layer}, g
+        assert len(edge_ids) <= len(g.layer)
 
 
 def test_sum_degree_mismatch():
