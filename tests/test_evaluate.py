@@ -255,9 +255,11 @@ def test_cycle_through_an_edge_down_a_layer_raises():
 def rational_matrix(n, rng, denominators):
     """Entries p/q with q drawn from ``denominators`` (possibly negative),
     a third of them zero."""
-    return [[RingElement(Q, Fraction(rng.randint(-9, 9) * (rng.random() > 1 / 3),
-                                     rng.choice(denominators)))
-             for _ in range(n)] for _ in range(n)]
+    def entry():
+        numerator = rng.randint(-9, 9) if rng.random() > 1 / 3 else 0
+        return RingElement(Q, Fraction(numerator, rng.choice(denominators)))
+
+    return [[entry() for _ in range(n)] for _ in range(n)]
 
 
 DENOMINATORS = {
