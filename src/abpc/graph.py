@@ -12,12 +12,16 @@ source-to-vertex paths of the product of the edge labels.  Evaluation and
 symbolic expansion run as one forward sweep (never path enumeration), the
 matrix-product semantics of the layered model.  Both sweep one plan: the
 vertices in topological order, found by sorting only the edges that do not
-go up a layer, and each vertex's in-edges as a list of tail positions and a
-list of label slots.  Numeric evaluation sweeps on Python integers: over
-``rat`` each label value is scaled by the lcm G of their denominators and a
-vertex holds its value times a power of G, so only the named outputs become
-``Fraction``s, once each.  Symbolic expansion sums each vertex's in-edge
-products in one call of ``poly``'s raw-coefficient kernel.
+go up a layer, and all in-edges grouped by head in that order as two flat
+``array('i')``s of tail positions and label slots with an offsets array.
+The plan is built on the first sweep and kept on the graph until one of
+its writers changes it, so evaluating one graph at K matrices builds it
+once.  Numeric evaluation sweeps on Python integers: over ``rat`` the
+label values are computed on integers scaled by the lcm G of their
+denominators and a vertex holds its value times a power of G, so only the
+requested outputs become ``Fraction``s, once each.  Symbolic expansion
+sums each vertex's in-edge products in one call of ``poly``'s
+raw-coefficient kernel.
 """
 
 from __future__ import annotations
@@ -25,12 +29,13 @@ from __future__ import annotations
 import heapq
 import json
 import os
+from array import array
 from collections import Counter
 from fractions import Fraction
-from itertools import groupby
+from itertools import accumulate, groupby, islice, pairwise
 from json.encoder import encode_basestring_ascii as _quote
-from math import lcm
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from math import gcd, lcm
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .poly import _ONE, Polynomial, PolyMatrix, _raw_value, _sum_products, flatten, unflatten
 from .rings import (
@@ -64,10 +69,15 @@ def expansion_guard() -> int:
 
 
 class AbpGraph:
-    """A branching program; mutated only during its build phase."""
+    """A branching program; mutated only during its build phase.
+
+    Only its methods and ``constant_edge_elimination_steps`` write
+    ``layer``, ``edges`` and ``source``: each such write drops the sweep
+    plan kept in ``_plan``, which a direct write would leave stale.
+    """
 
     __slots__ = ("flavor", "ring", "ambient_n", "num_layers", "layer", "edges",
-                 "source", "outputs")
+                 "source", "outputs", "_plan")
 
     def __init__(self, flavor: str, ring: RingDescriptor, ambient_n: int, num_layers: int):
         if flavor not in ("abp", "pabp", "aabp"):
@@ -80,6 +90,7 @@ class AbpGraph:
         self.edges: Dict[Tuple[str, str], Polynomial] = {}
         self.source: Optional[str] = None
         self.outputs: Dict[str, str] = {}
+        self._plan: Optional[_Plan] = None
 
     # -- build phase ---------------------------------------------------------
 
@@ -89,12 +100,14 @@ class AbpGraph:
                 raise GraphError(f"vertex {vid!r} re-added in a different layer")
             return vid
         self.layer[vid] = layer
+        self._plan = None
         return vid
 
     def set_source(self, vid: str) -> None:
         if vid not in self.layer:
             raise GraphError(f"source {vid!r} is not a vertex")
         self.source = vid
+        self._plan = None
 
     def add_edge(self, u: str, v: str, label: Polynomial) -> None:
         """Insert an edge; parallel edges are merged by adding their labels.
@@ -120,10 +133,12 @@ class AbpGraph:
             self.edges.pop((u, v), None)
         else:
             self.edges[(u, v)] = merged
+        self._plan = None
 
     def add_output(self, name: str, vid: str) -> None:
         if vid not in self.layer:
             raise GraphError(f"output {name!r} points at a missing vertex")
+        # the plan places every vertex, so a new output leaves it valid
         self.outputs[name] = vid
 
     # -- derived views ---------------------------------------------------------
@@ -251,14 +266,22 @@ def resolve_output(g: AbpGraph, at: Optional[str] = None) -> Tuple[str, str]:
     raise GraphError("ambiguous output; name one explicitly")
 
 
-# the sweep plan that ``_compile`` builds
-_Plan = Tuple[Dict[str, int], List[List[int]], List[List[int]], List[Polynomial]]
+class _Plan(NamedTuple):
+    """The sweep plan that ``_compile`` builds: each vertex's position in
+    sweep order, and the in-edges of all positions grouped by head in that
+    order, those of position k at ``offsets[k]:offsets[k + 1]`` of the
+    tail positions and the label slots, one slot per distinct label."""
+
+    index: Dict[str, int]
+    offsets: array
+    tails: array
+    slots: array
+    labels: List[Polynomial]
 
 
 def _compile(g: AbpGraph) -> _Plan:
-    """The sweep plan: each vertex's position in sweep order, the in-edges
-    of each position as two parallel lists of tail positions and label
-    slots, and the distinct labels by slot.
+    """The graph's sweep plan, built on the first call after the graph
+    last changed and kept on it until the next change.
 
     The order is ``topological_order(g.layer_order(), g.edges)``.  Edges up
     a layer already follow ``layer_order``, so only the others (on a valid
@@ -268,11 +291,13 @@ def _compile(g: AbpGraph) -> _Plan:
     """
     if g.source is None:
         raise GraphError("missing source vertex")
-    verts, layer = g.layer_order(), g.layer
-    plan = _plan(g, topological_order(verts, [(u, v) for (u, v) in g.edges if layer[v] <= layer[u]]))
-    if plan is None:
-        plan = _plan(g, topological_order(verts, g.edges))
-    return plan
+    if g._plan is None:
+        verts, layer = g.layer_order(), g.layer
+        plan = _plan(g, topological_order(verts, [(u, v) for (u, v) in g.edges if layer[v] <= layer[u]]))
+        if plan is None:
+            plan = _plan(g, topological_order(verts, g.edges))
+        g._plan = plan
+    return g._plan
 
 
 def _plan(g: AbpGraph, order: List[str]) -> Optional[_Plan]:
@@ -295,11 +320,16 @@ def _plan(g: AbpGraph, order: List[str]) -> Optional[_Plan]:
             labels.append(lab)
         tails[kv].append(ku)
         slots[kv].append(s)
-    return index, tails, slots, labels
+    # the plan lives as long as the graph, so it keeps flat int arrays, not lists
+    flat_tails, flat_slots = array("i"), array("i")
+    for ts, ss in zip(tails, slots):
+        flat_tails.fromlist(ts)
+        flat_slots.fromlist(ss)
+    return _Plan(index, array("i", accumulate(map(len, tails), initial=0)), flat_tails, flat_slots, labels)
 
 
-def _sweep(tails: List[List[int]], slots: List[List[int]], source: int,
-           factors: List[int], scale: int, modulus: int) -> Tuple[List[int], List[int]]:
+def _sweep(plan: _Plan, source: int, factors: List[int], scale: int,
+           modulus: int) -> Tuple[List[int], List[int]]:
     """Every vertex's value on integers, by one forward sweep over the plan.
 
     A label's value is ``factors[slot] / scale``.  Vertex v gets an integer
@@ -309,31 +339,54 @@ def _sweep(tails: List[List[int]], slots: List[List[int]], source: int,
     rationals whose label values are integers) every exponent is 0 and the
     plain loop runs, reducing mod ``modulus`` when it is nonzero.
     """
+    tails, slots = plan.tails, plan.slots
     values: List[int] = []
     if scale == 1:
-        for k, ts in enumerate(tails):
+        edges = zip(tails, slots)
+        for k, (lo, hi) in enumerate(pairwise(plan.offsets)):
             acc = 1 if k == source else 0
-            for u, s in zip(ts, slots[k]):
+            for u, s in islice(edges, hi - lo):
                 acc += values[u] * factors[s]
             values.append(acc % modulus if modulus else acc)
         return values, [0] * len(values)
     exps: List[int] = []
     powers = [1]
-    for k, ts in enumerate(tails):
+    for k, (lo, hi) in enumerate(pairwise(plan.offsets)):
+        ts = tails[lo:hi]
         e = 1 + max(map(exps.__getitem__, ts)) if ts else 0
         if e == len(powers):
             powers.append(powers[-1] * scale)
         acc = powers[e] if k == source else 0
-        for u, s in zip(ts, slots[k]):
+        for u, s in zip(ts, slots[lo:hi]):
             acc += values[u] * factors[s] * powers[e - 1 - exps[u]]
         values.append(acc)
         exps.append(e)
     return values, exps
 
 
-def evaluate_all(g: AbpGraph, entries: Sequence[Sequence[RingElement]]) -> Dict[str, RingElement]:
-    """All named outputs at a concrete matrix from a single forward sweep on
-    integers; only the outputs are boxed as ring elements.
+def _rational_factors(labels: List[Polynomial], flat: List[Fraction]) -> Tuple[List[int], int]:
+    """Integers F and one scale G with each label's value at ``flat`` equal
+    to F / G, where G is the lcm of the values' denominators.
+
+    Everything is computed on integers.  With D the lcm of the entries'
+    denominators and C that of the labels' coefficients, a label of degree
+    at most 1 times C * D is an integer; the common factor of that scale
+    and the scaled values is divided out at the end.
+    """
+    d = lcm(*(x.denominator for x in flat))
+    entries = [x.numerator * (d // x.denominator) for x in flat]
+    c = lcm(*(a.denominator for lab in labels for a in lab.raw.values()))
+    factors = [sum(a.numerator * (c // a.denominator) * (entries[m[0]] if m else d)
+                   for m, a in lab.raw.items())
+               for lab in labels]
+    common = gcd(c * d, *factors)
+    return [f // common for f in factors], c * d // common
+
+
+def _evaluate(g: AbpGraph, entries: Sequence[Sequence[RingElement]],
+              names: Iterable[str]) -> Dict[str, RingElement]:
+    """The named outputs at a concrete matrix from a single forward sweep
+    on integers; only those outputs are boxed as ring elements.
 
     Over ``rat`` every label value is scaled to an integer by the lcm G of
     their denominators, and an output with integer W and exponent e is
@@ -345,26 +398,30 @@ def evaluate_all(g: AbpGraph, entries: Sequence[Sequence[RingElement]]) -> Dict[
     if any(e.descriptor != ring for row in entries for e in row):
         raise GraphError("matrix entries from a different ring")
     flat = [e.value for row in entries for e in row]
-    index, tails, slots, labels = _compile(g)
-    factors = [_raw_value(lab, flat) for lab in labels]
-    scale = 1
+    plan = _compile(g)
     if ring.kind == RAT:
-        scale = lcm(*(f.denominator for f in factors))
-        factors = [f.numerator * (scale // f.denominator) for f in factors]
-    values, exps = _sweep(tails, slots, index[g.source], factors, scale,
+        factors, scale = _rational_factors(plan.labels, flat)
+    else:
+        factors, scale = [_raw_value(lab, flat) for lab in plan.labels], 1
+    values, exps = _sweep(plan, plan.index[g.source], factors, scale,
                           ring.modulus if ring.kind == MOD else 0)
     out = {}
-    for name, vid in sorted(g.outputs.items()):
-        k = index[vid]
+    for name in names:
+        k = plan.index[g.outputs[name]]
         out[name] = RingElement(ring, Fraction(values[k], scale ** exps[k])
                                 if ring.kind == RAT else values[k])
     return out
 
 
+def evaluate_all(g: AbpGraph, entries: Sequence[Sequence[RingElement]]) -> Dict[str, RingElement]:
+    """All named outputs at a concrete matrix from a single forward sweep."""
+    return _evaluate(g, entries, sorted(g.outputs))
+
+
 def evaluate(g: AbpGraph, entries: Sequence[Sequence[RingElement]], at: Optional[str] = None) -> RingElement:
     """Evaluate the polynomial at a concrete matrix via a layer sweep."""
     name, _target = resolve_output(g, at)
-    return evaluate_all(g, entries)[name]
+    return _evaluate(g, entries, (name,))[name]
 
 
 def expand_all(g: AbpGraph) -> Dict[str, Polynomial]:
@@ -379,15 +436,15 @@ def expand_all(g: AbpGraph) -> Dict[str, Polynomial]:
         )
     ring, n = g.ring, g.ambient_n
     one = Polynomial.from_int(ring, n, 1).raw
-    index, tails, slots, labels = _compile(g)
-    source = index[g.source]
+    plan = _compile(g)
+    source, tails, slots, labels = plan.index[g.source], plan.tails, plan.slots, plan.labels
     values: List[Polynomial] = []
-    for k, ts in enumerate(tails):
-        pairs = [(values[u].raw, labels[s].raw) for u, s in zip(ts, slots[k])]
+    for k, (lo, hi) in enumerate(pairwise(plan.offsets)):
+        pairs = [(values[u].raw, labels[s].raw) for u, s in zip(tails[lo:hi], slots[lo:hi])]
         if k == source:
             pairs.append((one, _ONE))
         values.append(_sum_products(ring, n, pairs))
-    return {name: values[index[vid]] for name, vid in sorted(g.outputs.items())}
+    return {name: values[plan.index[vid]] for name, vid in sorted(g.outputs.items())}
 
 
 def expand_symbolic(g: AbpGraph, at: Optional[str] = None) -> Polynomial:
@@ -460,6 +517,7 @@ def constant_edge_elimination_steps(g: AbpGraph, at: Optional[str] = None) -> It
             if lab is None or lab.degree != 0:
                 continue
             alpha = cur.edges.pop((v, w)).constant_term()
+            cur._plan = None
             if v == cur.source:
                 # paths s -(alpha)-> w -> y become direct edges s -> y
                 rerouted = [(v, y, (w, y)) for y in sorted(succs[w])]
@@ -478,6 +536,7 @@ def constant_edge_elimination_steps(g: AbpGraph, at: Optional[str] = None) -> It
         del cur.layer[vid]
     cur.edges = {(u, v): lab for (u, v), lab in cur.edges.items()
                  if u not in dropped and v not in dropped}
+    cur._plan = None
     cur.flavor = "pabp"
     cur.outputs = {name: target}
     yield cur

@@ -1,7 +1,8 @@
-"""Numeric evaluation and symbolic expansion: the sweep plan's order,
-``evaluate_all``'s integer sweep against a boxed sweep and against symbolic
-expansion, ``expand_all``'s raw-coefficient sweep against a sweep on
-polynomials, and their input checks."""
+"""Numeric evaluation and symbolic expansion: the sweep plan's order and
+its reuse until the graph changes, ``evaluate_all``'s integer sweep
+against a boxed sweep and against symbolic expansion, ``expand_all``'s
+raw-coefficient sweep against a sweep on polynomials, and their input
+checks."""
 
 import random
 from fractions import Fraction
@@ -10,7 +11,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from abpc.build import build_bivariate_abp, build_charzero_abp, build_gradient_abp
-from abpc.graph import AbpGraph, GraphError, _compile, evaluate_all, expand_all, topological_order
+from abpc.graph import (
+    AbpGraph,
+    GraphError,
+    _compile,
+    constant_edge_elimination_steps,
+    evaluate_all,
+    expand_all,
+    topological_order,
+)
 from abpc.poly import Polynomial, flatten
 from abpc.rings import RingDescriptor, RingElement, int_embed
 from helpers import (
@@ -162,14 +171,16 @@ def constructions(n, ring):
 
 
 def assert_plan_is_the_full_sort(g):
-    """The plan's order is the sort over every edge, and its tail and slot
-    lists hold exactly the graph's edges and labels."""
-    index, tails, slots, labels = _compile(g)
+    """The plan's order is the sort over every edge, and its flat tail and
+    slot arrays, grouped by head through the offsets, hold exactly the
+    graph's edges and labels."""
+    index, offsets, tails, slots, labels = _compile(g)
     order = sorted(index, key=index.__getitem__)
     assert order == topological_order(g.layer_order(), g.edges), g
-    planned = {(order[u], order[v]): labels[s]
-               for v, (ts, ss) in enumerate(zip(tails, slots)) for u, s in zip(ts, ss)}
-    assert len(planned) == sum(map(len, tails)) == len(g.edges)
+    assert len(offsets) == len(order) + 1 and offsets[0] == 0 and list(offsets) == sorted(offsets)
+    planned = {(order[tails[i]], order[v]): labels[slots[i]]
+               for v in range(len(order)) for i in range(offsets[v], offsets[v + 1])}
+    assert len(planned) == offsets[-1] == len(tails) == len(slots) == len(g.edges)
     assert all(g.edges[key] is lab for key, lab in planned.items())
 
 
@@ -247,6 +258,101 @@ def test_cycle_through_an_edge_down_a_layer_raises():
     g.add_edge("a", "w", random_linear_label(Z, 2, rng))
     with pytest.raises(GraphError, match="constant-edge cycle"):
         evaluate_all(g, random_matrix(Z, 2, rng))
+
+
+# -- the plan kept on the graph -------------------------------------------------------
+
+
+def open_a_path(g, rng):
+    """New vertices in layers 1..d-1 on a new path from the source to the output."""
+    tail = g.source
+    for lay in range(1, g.num_layers):
+        g.add_vertex(f"new{lay}", lay)
+        g.add_edge(tail, f"new{lay}", random_linear_label(g.ring, g.ambient_n, rng))
+        tail = f"new{lay}"
+    g.add_edge(tail, g.outputs["out"], random_linear_label(g.ring, g.ambient_n, rng))
+
+
+def add_a_lone_output(g, rng):
+    g.add_vertex("lone", rng.randint(0, g.num_layers))
+    g.add_output("lone", "lone")
+
+
+def merge_into_an_edge(g, rng):
+    key = rng.choice(sorted(g.edges))
+    g.add_edge(*key, random_linear_label(g.ring, g.ambient_n, rng))
+
+
+def cancel_an_edge(g, rng):
+    key = rng.choice(sorted(g.edges))
+    g.add_edge(*key, -g.edges[key])
+    assert key not in g.edges
+
+
+def move_the_source(g, rng):
+    g.set_source(rng.choice(sorted(v for v, lay in g.layer.items() if lay == 1)))
+
+
+@pytest.mark.parametrize("ring_name", sorted(RING_FAMILIES))
+@pytest.mark.parametrize("write", [open_a_path, add_a_lone_output, merge_into_an_edge,
+                                   cancel_an_edge, move_the_source])
+def test_writes_after_an_evaluation_drop_the_plan(write, ring_name):
+    ring = RING_FAMILIES[ring_name]
+    for seed in range(20):
+        rng = random.Random(f"cached/{write.__name__}/{ring_name}/{seed}")
+        g = random_abp(ring, 2, rng.randint(2, 4), rng)
+        for vid in g.layer:
+            g.add_output(vid, vid)
+        a = random_matrix(ring, 2, rng)
+        evaluate_all(g, a)
+        write(g, rng)
+        assert canonical(evaluate_all(g, a)) == canonical(boxed_sweep(g, a)), seed
+        assert_plan_is_the_full_sort(g)
+
+
+def assert_elimination_steps_sweep_their_own_edges(g, a):
+    for snapshot in constant_edge_elimination_steps(g, "out"):
+        # every vertex as an output, since the steps keep only the output's value
+        for vid in snapshot.layer:
+            snapshot.add_output(vid, vid)
+        assert canonical(evaluate_all(snapshot, a)) == canonical(boxed_sweep(snapshot, a))
+        assert_plan_is_the_full_sort(snapshot)
+
+
+@pytest.mark.parametrize("ring_name", sorted(RING_FAMILIES))
+def test_every_elimination_step_sweeps_its_own_edges(ring_name):
+    ring = RING_FAMILIES[ring_name]
+    for seed in range(10):
+        rng = random.Random(f"cached/elimination/{ring_name}/{seed}")
+        g = random_abp(ring, 2, 3, rng)
+        assert_elimination_steps_sweep_their_own_edges(g, random_matrix(ring, 2, rng))
+
+
+def test_elimination_step_that_only_removes_an_edge():
+    # removing z -> v reroutes s -> z -> v onto s -> v, which cancels it;
+    # v is left without in-edges, so removing v -> w reroutes nothing
+    g = AbpGraph("abp", Z, 1, 2)
+    for vid, layer in (("s", 0), ("z", 1), ("v", 1), ("w", 1), ("t", 2)):
+        g.add_vertex(vid, layer)
+    g.set_source("s")
+    x = Polynomial(Z, 1, {((0, 1),): int_embed(Z, 1)})
+    for u, v, label in (("s", "z", x), ("s", "v", x), ("z", "v", Polynomial.from_int(Z, 1, -1)),
+                        ("v", "w", Polynomial.from_int(Z, 1, 2)), ("w", "t", x)):
+        g.add_edge(u, v, label)
+    g.add_output("out", "t")
+    assert_elimination_steps_sweep_their_own_edges(g, [[int_embed(Z, 3)]])
+
+
+def test_add_output_keeps_the_plan():
+    rng = random.Random("cached/add_output")
+    for ring in RING_FAMILIES.values():
+        g = random_abp(ring, 2, 3, rng)
+        a = random_matrix(ring, 2, rng)
+        evaluate_all(g, a)
+        plan = _compile(g)
+        g.add_output("mid", rng.choice(sorted(v for v, lay in g.layer.items() if lay == 2)))
+        assert canonical(evaluate_all(g, a)) == canonical(boxed_sweep(g, a))
+        assert _compile(g) is plan
 
 
 # -- rationals swept on integers --------------------------------------------------
