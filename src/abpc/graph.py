@@ -71,9 +71,10 @@ def expansion_guard() -> int:
 class AbpGraph:
     """A branching program; mutated only during its build phase.
 
-    Only its methods and ``constant_edge_elimination_steps`` write
-    ``layer``, ``edges`` and ``source``: each such write drops the sweep
-    plan kept in ``_plan``, which a direct write would leave stale.
+    Only its methods, ``constant_edge_elimination_steps`` and the JSON reader
+    ``graph_from_json_dict`` write ``layer``, ``edges`` and ``source``: each
+    such write drops the sweep plan kept in ``_plan``, which a direct write
+    would leave stale, or (the reader's) leaves it ``None``.
     """
 
     __slots__ = ("flavor", "ring", "ambient_n", "num_layers", "layer", "edges",
@@ -760,6 +761,8 @@ def _index_field(obj: dict, key: str, n: int) -> int:
 
 
 def graph_from_json_dict(data: dict) -> AbpGraph:
+    """The graph that JSON data describes.  Edge fields are tested inline and,
+    only on a failure, read again by ``_field`` and ``_index_field`` in field order."""
     try:
         ring = descriptor_from_spec(_field(data, "ring", str))
         n = _field(data, "n", int)
@@ -770,24 +773,37 @@ def graph_from_json_dict(data: dict) -> AbpGraph:
             vid = _field(v, "id", str)
             g.add_vertex(ids.setdefault(vid, vid), _field(v, "layer", int))
         g.set_source(_field(data, "source", str))
-        # one label object per distinct (const, linear) text, as the builders share them
+        # one label object per key (const, i, j, coeff, i, j, coeff, ...), as the builders share them
         labels: Dict[tuple, Polynomial] = {}
+        layer, edges = g.layer, g.edges
         for e in data["edges"]:
-            u, v = _field(e, "from", str), _field(e, "to", str)
-            u, v = ids.get(u, u), ids.get(v, v)
-            key = (_field(e, "const", str), tuple(
-                (_index_field(t, "i", n), _index_field(t, "j", n), _field(t, "coeff", str))
-                for t in e["linear"]))
+            try:
+                u, v, key = e["from"], e["to"], (e["const"],)
+                ok = type(u) is str and type(v) is str and type(key[0]) is str
+                for t in e["linear"]:
+                    i, j, c = t["i"], t["j"], t["coeff"]
+                    ok = ok and type(i) is type(j) is int and type(c) is str and 0 < i <= n and 0 < j <= n
+                    key += (i, j, c)
+            except (KeyError, TypeError):
+                ok = False
+            if not ok:
+                u, v, key = _field(e, "from", str), _field(e, "to", str), (_field(e, "const", str),)
+                for t in e["linear"]:
+                    key += (_index_field(t, "i", n), _index_field(t, "j", n), _field(t, "coeff", str))
             label = labels.get(key)
             if label is None:
-                const, linear = key
-                terms = {(): element_from_str(ring, const)}
-                for i, j, coeff in linear:
-                    terms[((flatten(i, j, n), 1),)] = element_from_str(ring, coeff)
-                if len(terms) != len(linear) + 1:
+                terms = {(): element_from_str(ring, key[0])}
+                for k in range(1, len(key), 3):
+                    terms[((flatten(key[k], key[k + 1], n), 1),)] = element_from_str(ring, key[k + 2])
+                if len(terms) != len(key) // 3 + 1:
                     raise GraphError(f"malformed graph JSON: edge {u}->{v} repeats a linear term")
                 label = labels[key] = Polynomial(ring, n, terms)
-            g.add_edge(u, v, label)
+            u, v = ids.get(u, u), ids.get(v, v)
+            # a parsed label fits the graph, so add_edge sees only what it merges, drops or rejects
+            if u != v and u in layer and v in layer and (u, v) not in edges and label.raw:
+                edges[(u, v)] = label
+            else:
+                g.add_edge(u, v, label)
         outputs = data["outputs"]
         for name in outputs:
             g.add_output(name, _field(outputs, name, str))

@@ -6,9 +6,17 @@ import random
 from fractions import Fraction
 from typing import Dict, List
 
-from abpc.graph import AbpGraph, topological_order
+from abpc.graph import AbpGraph, GraphError, _field, _index_field, topological_order
 from abpc.poly import Polynomial, PolyMatrix, flatten, unflatten
-from abpc.rings import RingDescriptor, RingElement, descriptor_to_spec, element_to_str, int_embed
+from abpc.rings import (
+    RingDescriptor,
+    RingElement,
+    descriptor_from_spec,
+    descriptor_to_spec,
+    element_from_str,
+    element_to_str,
+    int_embed,
+)
 
 Z = RingDescriptor.integers()
 Z4 = RingDescriptor.modular(4)
@@ -81,6 +89,46 @@ def reference_dict(g: AbpGraph) -> dict:
         "source": g.source,
         "outputs": dict(sorted(g.outputs.items())),
     }
+
+
+def reference_graph_from_json_dict(data: dict) -> AbpGraph:
+    """The graph that JSON data describes, read with ``_field`` and
+    ``_index_field`` on every field and ``add_edge`` on every edge: the
+    reference for ``graph_from_json_dict``, its errors included."""
+    try:
+        ring = descriptor_from_spec(_field(data, "ring", str))
+        n = _field(data, "n", int)
+        g = AbpGraph(data["flavor"], ring, n, _field(data, "d", int))
+        # each vertex's one id string, which every edge key then reuses
+        ids: Dict[str, str] = {}
+        for v in data["vertices"]:
+            vid = _field(v, "id", str)
+            g.add_vertex(ids.setdefault(vid, vid), _field(v, "layer", int))
+        g.set_source(_field(data, "source", str))
+        # one label object per distinct (const, linear) text, as the builders share them
+        labels: Dict[tuple, Polynomial] = {}
+        for e in data["edges"]:
+            u, v = _field(e, "from", str), _field(e, "to", str)
+            u, v = ids.get(u, u), ids.get(v, v)
+            key = (_field(e, "const", str), tuple(
+                (_index_field(t, "i", n), _index_field(t, "j", n), _field(t, "coeff", str))
+                for t in e["linear"]))
+            label = labels.get(key)
+            if label is None:
+                const, linear = key
+                terms = {(): element_from_str(ring, const)}
+                for i, j, coeff in linear:
+                    terms[((flatten(i, j, n), 1),)] = element_from_str(ring, coeff)
+                if len(terms) != len(linear) + 1:
+                    raise GraphError(f"malformed graph JSON: edge {u}->{v} repeats a linear term")
+                label = labels[key] = Polynomial(ring, n, terms)
+            g.add_edge(u, v, label)
+        outputs = data["outputs"]
+        for name in outputs:
+            g.add_output(name, _field(outputs, name, str))
+    except (KeyError, TypeError) as exc:
+        raise GraphError(f"malformed graph JSON: {exc}") from exc
+    return g
 
 
 def block_transition_matrix(n: int, d: int, ring: RingDescriptor) -> PolyMatrix:

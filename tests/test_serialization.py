@@ -1,43 +1,106 @@
 """Graph JSON: ``graph_to_json_text`` against ``json.dumps`` of the dict
-reference, its round trip through ``graph_from_json_dict``, and the id
-strings that edge keys share with their vertices."""
+reference, its round trip through ``graph_from_json_dict``, that reader
+against the per-field reference reader on good and mutated files, and the
+id strings that edge keys share with their vertices."""
 
+import copy
+import io
 import json
 import random
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from abpc.build import build_bivariate_abp, build_charzero_abp, build_gradient_abp
-from abpc.graph import AbpGraph, graph_from_json_dict, graph_to_json_dict, graph_to_json_text
+from abpc.cli import main
+from abpc.graph import AbpGraph, GraphError, graph_from_json_dict, graph_to_json_dict, graph_to_json_text
 from abpc.poly import Polynomial
-from abpc.rings import descriptor_from_spec
-from helpers import FLAVORS, RING_FAMILIES, Q, Z, random_program, reference_dict
+from abpc.rings import AbpcError, descriptor_from_spec
+from helpers import (
+    FLAVORS,
+    RING_FAMILIES,
+    Q,
+    Z,
+    random_program,
+    reference_dict,
+    reference_graph_from_json_dict,
+)
 
 
 def reference_text(g: AbpGraph) -> str:
     return json.dumps(reference_dict(g), indent=2, sort_keys=True) + "\n"
 
 
-@pytest.mark.parametrize("spec", ("int", "mod:4", "mod:6", "rat"))
-def test_writer_matches_reference_on_constructions(spec):
+def constructions(spec):
+    """Every construction at n <= 6 over ``spec``; charzero over ``rat`` only."""
     ring = descriptor_from_spec(spec)
     for n in range(1, 7):
         for d in range(0, n + 1):
-            programs = [build_charzero_abp(n, d, ring)] if spec == "rat" else []
+            if spec == "rat":
+                yield build_charzero_abp(n, d, ring)
             if d >= 1:
-                programs += [build_bivariate_abp(n, d, ring), build_gradient_abp(n, d, ring)[0]]
-            for g in programs:
-                assert graph_to_json_text(g) == reference_text(g), (spec, n, d, g)
+                yield build_bivariate_abp(n, d, ring)
+                yield build_gradient_abp(n, d, ring)[0]
+
+
+def seeded_programs(flavor):
+    for ring_name, ring in sorted(RING_FAMILIES.items()):
+        for seed in range(30):
+            rng = random.Random(f"json/{flavor}/{ring_name}/{seed}")
+            yield random_program(flavor, ring, rng.randint(1, 3), rng.randint(1, 4), rng)
+
+
+@pytest.mark.parametrize("spec", ("int", "mod:4", "mod:6", "rat"))
+def test_writer_matches_reference_on_constructions(spec):
+    for g in constructions(spec):
+        assert graph_to_json_text(g) == reference_text(g), (spec, g)
 
 
 @pytest.mark.parametrize("flavor", FLAVORS)
 def test_writer_matches_reference_on_random_programs(flavor):
-    for ring_name, ring in sorted(RING_FAMILIES.items()):
-        for seed in range(30):
-            rng = random.Random(f"json/{flavor}/{ring_name}/{seed}")
-            g = random_program(flavor, ring, rng.randint(1, 3), rng.randint(1, 4), rng)
-            assert graph_to_json_text(g) == reference_text(g), (flavor, ring_name, seed)
+    for g in seeded_programs(flavor):
+        assert graph_to_json_text(g) == reference_text(g), (flavor, g)
+
+
+def assert_same_graph(got: AbpGraph, want: AbpGraph) -> None:
+    assert (got.flavor, got.ring, got.ambient_n, got.num_layers) == \
+        (want.flavor, want.ring, want.ambient_n, want.num_layers)
+    assert (got.layer, got.source, got.outputs) == (want.layer, want.source, want.outputs)
+    assert list(got.edges) == list(want.edges)
+    assert [lab.raw for lab in got.edges.values()] == [lab.raw for lab in want.edges.values()]
+    # labels are shared by identity, so both readers make as many label objects
+    assert len({id(lab) for lab in got.edges.values()}) == \
+        len({id(lab) for lab in want.edges.values()})
+    assert graph_to_json_text(got) == graph_to_json_text(want)
+
+
+def read_both(text: str):
+    """The graph, or the error, that each reader makes of one file's text."""
+    outcomes = []
+    for read in (graph_from_json_dict, reference_graph_from_json_dict):
+        try:
+            outcomes.append(read(json.loads(text)))
+        except AbpcError as exc:
+            outcomes.append((type(exc), str(exc)))
+    return outcomes
+
+
+@pytest.mark.parametrize("spec", ("int", "mod:4", "mod:6", "rat"))
+def test_reader_matches_reference_reader_on_constructions(spec):
+    for g in constructions(spec):
+        got, want = read_both(graph_to_json_text(g))
+        assert_same_graph(got, want)
+        assert got._plan is None
+
+
+@pytest.mark.parametrize("flavor", FLAVORS)
+def test_reader_matches_reference_reader_on_random_programs(flavor):
+    for g in seeded_programs(flavor):
+        got, want = read_both(graph_to_json_text(g))
+        assert_same_graph(got, want)
 
 
 # a quote, a backslash, a newline, a tab, a non-ASCII and a non-BMP
@@ -114,3 +177,173 @@ def test_json_text_round_trips(g):
     text = graph_to_json_text(g)
     assert graph_to_json_text(graph_from_json_dict(json.loads(text))) == text
     assert graph_to_json_dict(g) == json.loads(text)
+
+
+def two_vertex_file(*edges) -> dict:
+    """Graph JSON data over Z with n=2, vertices s (layer 0) and t (layer 1),
+    and one edge per (from, to, const, linear) tuple."""
+    return {"flavor": "abp", "ring": "int", "n": 2, "d": 1, "source": "s",
+            "vertices": [{"id": "s", "layer": 0}, {"id": "t", "layer": 1}],
+            "edges": [dict(zip(("from", "to", "const", "linear"), e)) for e in edges],
+            "outputs": {"out": "t"}}
+
+
+def term(i, j, coeff):
+    return {"i": i, "j": j, "coeff": coeff}
+
+
+@pytest.mark.parametrize("edges, raw", [
+    # two edges with the same ends merge into one label
+    ([("s", "t", "0", [term(1, 1, "1")]), ("s", "t", "1", [term(1, 2, "2")])],
+     {(): 1, (0,): 1, (1,): 2}),
+    # the same label twice is doubled
+    ([("s", "t", "0", [term(2, 1, "3")])] * 2, {(2,): 6}),
+    # two labels that cancel leave no edge
+    ([("s", "t", "0", [term(1, 1, "1")]), ("s", "t", "0", [term(1, 1, "-1")])], None),
+    # a lone zero label is dropped
+    ([("s", "t", "0", [])], None),
+    # a cancelled edge that comes back is stored again
+    ([("s", "t", "2", []), ("s", "t", "-2", []), ("s", "t", "0", [term(2, 2, "5")])],
+     {(3,): 5}),
+])
+def test_reader_merges_repeated_ends_as_add_edge_does(edges, raw):
+    data = two_vertex_file(*edges)
+    g = graph_from_json_dict(copy.deepcopy(data))
+    assert {key: lab.raw for key, lab in g.edges.items()} == ({} if raw is None else {("s", "t"): raw})
+    assert_same_graph(g, reference_graph_from_json_dict(data))
+
+
+@pytest.mark.parametrize("edge, message", [
+    (("t", "t", "0", [term(1, 1, "1")]), "self-loops are not allowed"),
+    (("s", "u", "0", [term(1, 1, "1")]), "edge endpoint is not a vertex"),
+    (("u", "t", "1", []), "edge endpoint is not a vertex"),
+    # a zero label on a self-loop still hits the endpoint checks first
+    (("s", "s", "0", []), "self-loops are not allowed"),
+])
+def test_reader_rejects_self_loops_and_missing_endpoints(edge, message):
+    data = two_vertex_file(("s", "t", "0", [term(1, 1, "1")]), edge)
+    for read in (graph_from_json_dict, reference_graph_from_json_dict):
+        with pytest.raises(GraphError) as exc:
+            read(copy.deepcopy(data))
+        assert str(exc.value) == message
+
+
+# -- the reader on mutated files -------------------------------------------------
+
+GRADIENT_3 = graph_to_json_dict(build_gradient_abp(3, 3, Z)[0])
+
+# one value of each JSON type, some of them valid in some fields
+SWAPS = (0, 2, -1, True, False, 1.0, "", "x", "1", "s", "r_2_1_1", [], [1], None)
+
+
+def positions(node):
+    """Every (container, key) pair in a JSON tree, depth first."""
+    for key, value in (node.items() if isinstance(node, dict) else enumerate(node)):
+        yield node, key
+        if isinstance(value, (dict, list)):
+            yield from positions(value)
+
+
+def edge_dicts(data):
+    edges = data.get("edges")
+    return [e for e in edges if isinstance(e, dict)] if isinstance(edges, list) else []
+
+
+def term_dicts(data):
+    return [t for e in edge_dicts(data) if isinstance(e.get("linear"), list)
+            for t in e["linear"] if isinstance(t, dict)]
+
+
+def drop_key(data, draw):
+    node = draw(st.sampled_from([data] + [c[k] for c, k in positions(data) if isinstance(c[k], dict)]))
+    if node:
+        del node[draw(st.sampled_from(sorted(node)))]
+
+
+def swap_type(data, draw):
+    container, key = draw(st.sampled_from(list(positions(data))))
+    container[key] = copy.deepcopy(draw(st.sampled_from(SWAPS)))
+
+
+def index_out_of_range(data, draw):
+    terms = term_dicts(data)
+    if terms:
+        draw(st.sampled_from(terms))[draw(st.sampled_from("ij"))] = draw(st.sampled_from((0, -1, 4, 10**6)))
+
+
+def negated(coeff):
+    if not isinstance(coeff, str):
+        return coeff
+    return coeff[1:] if coeff.startswith("-") else "-" + coeff
+
+
+def duplicate_edge(data, draw):
+    edges = edge_dicts(data)
+    if edges:
+        e = copy.deepcopy(draw(st.sampled_from(edges)))
+        how = draw(st.sampled_from(("same", "cancel", "zero")))
+        if how == "cancel" and isinstance(e.get("linear"), list):
+            e["const"] = negated(e.get("const"))
+            for t in e["linear"]:
+                if isinstance(t, dict) and "coeff" in t:
+                    t["coeff"] = negated(t["coeff"])
+        elif how == "zero":
+            e.update(const="0", linear=[])
+        data["edges"].insert(draw(st.integers(0, len(data["edges"]))), e)
+
+
+def repeat_term(data, draw):
+    edges = [e for e in edge_dicts(data) if isinstance(e.get("linear"), list) and e["linear"]]
+    if edges:
+        terms = draw(st.sampled_from(edges))["linear"]
+        t = copy.deepcopy(draw(st.sampled_from(terms)))
+        if isinstance(t, dict) and draw(st.booleans()):
+            t["coeff"] = "2"
+        terms.append(t)
+
+
+def self_loop(data, draw):
+    edges = edge_dicts(data)
+    if edges:
+        e = draw(st.sampled_from(edges))
+        e["to"] = e.get("from")
+
+
+def unknown_vertex(data, draw):
+    edges = edge_dicts(data)
+    if edges:
+        draw(st.sampled_from(edges))[draw(st.sampled_from(("from", "to")))] = "nowhere"
+
+
+MUTATIONS = (drop_key, swap_type, index_out_of_range, duplicate_edge, repeat_term,
+             self_loop, unknown_vertex)
+
+
+@st.composite
+def mutated_files(draw):
+    """The gradient n=3 file's text after one to three mutations."""
+    data = copy.deepcopy(GRADIENT_3)
+    for _ in range(draw(st.integers(1, 3))):
+        draw(st.sampled_from(MUTATIONS))(data, draw)
+    return json.dumps(data)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(mutated_files())
+def test_reader_matches_reference_reader_on_mutated_files(text):
+    got, want = read_both(text)
+    if isinstance(want, AbpGraph):
+        assert_same_graph(got, want)
+    else:
+        assert got == want
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "g.json"
+        path.write_text(text)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["stats", str(path)])
+    if isinstance(want, AbpGraph):
+        assert code == 0 and err.getvalue() == ""
+    else:
+        assert code == 1 and out.getvalue() == ""
+        assert err.getvalue() == f"error: {want[1]}\n"
