@@ -21,7 +21,10 @@ label values are computed on integers scaled by the lcm G of their
 denominators and a vertex holds its value times a power of G, so only the
 requested outputs become ``Fraction``s, once each.  Symbolic expansion
 sums each vertex's in-edge products in one call of ``poly``'s
-raw-coefficient kernel.
+raw-coefficient kernel, and over ``rat`` also sweeps on integers: the
+labels are scaled by the lcm G of their coefficients' denominators, a
+vertex holds its polynomial times a power of G, and only the outputs'
+coefficients become ``Fraction``s.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from math import gcd, lcm
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from .poly import _ONE, Polynomial, PolyMatrix, _raw_value, _sum_products, flatten, unflatten
+from .poly import _ONE, Polynomial, PolyMatrix, Raw, _raw_value, _sum_products, flatten, unflatten
 from .rings import (
     MOD,
     RAT,
@@ -365,6 +368,14 @@ def _sweep(plan: _Plan, source: int, factors: List[int], scale: int,
     return values, exps
 
 
+def _integer_labels(labels: List[Polynomial]) -> Tuple[List[Raw], int]:
+    """Each rational label's raw dict times G, on integers, and G: the lcm
+    of the denominators of all their coefficients."""
+    g = lcm(*(a.denominator for lab in labels for a in lab.raw.values()))
+    return [{m: a.numerator * (g // a.denominator) for m, a in lab.raw.items()}
+            for lab in labels], g
+
+
 def _rational_factors(labels: List[Polynomial], flat: List[Fraction]) -> Tuple[List[int], int]:
     """Integers F and one scale G with each label's value at ``flat`` equal
     to F / G, where G is the lcm of the values' denominators.
@@ -376,10 +387,8 @@ def _rational_factors(labels: List[Polynomial], flat: List[Fraction]) -> Tuple[L
     """
     d = lcm(*(x.denominator for x in flat))
     entries = [x.numerator * (d // x.denominator) for x in flat]
-    c = lcm(*(a.denominator for lab in labels for a in lab.raw.values()))
-    factors = [sum(a.numerator * (c // a.denominator) * (entries[m[0]] if m else d)
-                   for m, a in lab.raw.items())
-               for lab in labels]
+    scaled, c = _integer_labels(labels)
+    factors = [sum(a * (entries[m[0]] if m else d) for m, a in raw.items()) for raw in scaled]
     common = gcd(c * d, *factors)
     return [f // common for f in factors], c * d // common
 
@@ -426,9 +435,11 @@ def evaluate(g: AbpGraph, entries: Sequence[Sequence[RingElement]], at: Optional
 
 
 def expand_all(g: AbpGraph) -> Dict[str, Polynomial]:
-    """All named outputs from a single forward sweep on polynomials over
-    ``_compile``'s plan; each vertex sums its in-edge products in one call
-    of the raw kernel."""
+    """All named outputs from a single forward sweep on raw polynomials
+    over ``_compile``'s plan; each vertex sums its in-edge products in one
+    call of the raw kernel.  Over ``rat`` the sweep runs on integers, with
+    ``_integer_labels``' scale G and ``_sweep``'s exponents, and only the
+    outputs' coefficients become ``Fraction``s; elsewhere G = 1."""
     guard = expansion_guard()
     if g.ambient_n > guard:
         raise GraphError(
@@ -436,16 +447,38 @@ def expand_all(g: AbpGraph) -> Dict[str, Polynomial]:
             "set ABPC_GUARD_N to override"
         )
     ring, n = g.ring, g.ambient_n
-    one = Polynomial.from_int(ring, n, 1).raw
     plan = _compile(g)
-    source, tails, slots, labels = plan.index[g.source], plan.tails, plan.slots, plan.labels
-    values: List[Polynomial] = []
+    source, tails, slots = plan.index[g.source], plan.tails, plan.slots
+    if ring.kind == RAT:
+        labels, scale = _integer_labels(plan.labels)
+        kernel_ring = RingDescriptor.integers()
+    else:
+        labels, scale, kernel_ring = [lab.raw for lab in plan.labels], 1, ring
+    values: List[Raw] = []
+    exps: List[int] = []
+    powers = [1]
     for k, (lo, hi) in enumerate(pairwise(plan.offsets)):
-        pairs = [(values[u].raw, labels[s].raw) for u, s in zip(tails[lo:hi], slots[lo:hi])]
+        ts = tails[lo:hi]
+        e = 1 + max(map(exps.__getitem__, ts)) if ts else 0
+        if e == len(powers):
+            powers.append(powers[-1] * scale)
+        pairs = []
+        for u, s in zip(ts, slots[lo:hi]):
+            p = powers[e - 1 - exps[u]]
+            pairs.append((values[u], labels[s] if p == 1 else {m: c * p for m, c in labels[s].items()}))
         if k == source:
-            pairs.append((one, _ONE))
-        values.append(_sum_products(ring, n, pairs))
-    return {name: values[plan.index[vid]] for name, vid in sorted(g.outputs.items())}
+            pairs.append(({(): powers[e]}, _ONE))
+        values.append(_sum_products(kernel_ring, n, pairs).raw)
+        exps.append(e)
+    out = {}
+    for name, vid in sorted(g.outputs.items()):
+        k = plan.index[vid]
+        raw = values[k]
+        if ring.kind == RAT:
+            denominator = scale ** exps[k]
+            raw = {m: Fraction(c, denominator) for m, c in raw.items()}
+        out[name] = Polynomial._of(ring, n, raw)
+    return out
 
 
 def expand_symbolic(g: AbpGraph, at: Optional[str] = None) -> Polynomial:

@@ -383,6 +383,17 @@ def test_gradient_program_is_proved_symbolically_at_seven(spec, monkeypatch):
     assert len(outputs) == 36 and len(rvertices) == gradient_vertex_total(7, 7)
 
 
+@pytest.mark.parametrize("n", [6, pytest.param(7, marks=pytest.mark.slow)])
+def test_charzero_program_is_proved_symbolically(n, monkeypatch):
+    # every output of the trace recursion over rat as a polynomial, past
+    # the default expansion guard of 5
+    monkeypatch.setenv("ABPC_GUARD_N", str(n))
+    got = expand_all(build_charzero_abp(n, n, Q))
+    assert sorted(got) == [f"cpc_{n}_{d}" for d in range(n + 1)]
+    for d in range(n + 1):
+        assert got[f"cpc_{n}_{d}"] == cpc_minor_sum(n, d, Q), (n, d)
+
+
 # -- layer layout ------------------------------------------------------------------
 
 

@@ -19,6 +19,7 @@ from abpc.graph import (
     evaluate_all,
     expand_all,
     topological_order,
+    validate,
 )
 from abpc.poly import Polynomial, flatten
 from abpc.rings import RingDescriptor, RingElement, int_embed
@@ -400,3 +401,79 @@ def test_rational_sweep_on_random_programs(dens):
         got = canonical(evaluate_all(g, a))
         assert got == canonical(boxed_sweep(g, a)), (dens, seed)
         assert all(kind is Fraction for kind, _v in got.values())
+
+
+# -- rationals expanded on integers -------------------------------------------------
+
+
+# (tail, head, constant, {(i, j): coefficient}) on a 2 x 2 matrix; output
+# ``whole`` at u is x11*x22 from a, 42*x12*x22 - 5*x11*x22 from b and
+# 6*x12*x21 from w, so its coefficients are integers
+MIXED_EDGES = [
+    ("s", "a", 0, {(1, 1): Fraction(1, 7)}),
+    ("s", "b", 0, {(1, 2): 1}),
+    ("s", "w", 0, {(2, 1): 2}),
+    ("a", "b", Fraction(-5, 6), {}),
+    ("b", "c", Fraction(1, 13), {}),
+    ("a", "t", 0, {(2, 1): Fraction(1, 11)}),
+    ("c", "t", 0, {(2, 2): 1}),
+    ("a", "u", 0, {(2, 2): 7}),
+    ("b", "u", 0, {(2, 2): 42}),
+    ("w", "u", 0, {(1, 2): 3}),
+]
+# the aabp's edges that skip topological indices
+SKIP_EDGES = [
+    ("s", "t", Fraction(1, 13), {}),
+    ("s", "u", 3, {(1, 1): -1}),
+    ("a", "c", 0, {(1, 2): Fraction(1, 11)}),
+]
+MIXED_LAYERS = {
+    "abp": {"s": 0, "a": 1, "b": 1, "c": 1, "w": 1, "t": 2, "u": 2},
+    "aabp": {"s": 0, "a": 1, "w": 1, "b": 2, "c": 3, "t": 4, "u": 4},
+}
+
+
+def mixed_length_program(flavor, ring):
+    """A program whose vertices are reached by paths of different lengths,
+    through constant edges inside a layer (``abp``) or also through edges
+    that skip indices (``aabp``).  Over ``rat`` the label denominators are
+    7, 11, 13 and 6; over another ring each coefficient p/q becomes p*q."""
+    def element(q):
+        return RingElement(ring, q) if ring == Q else int_embed(ring, q.numerator * q.denominator)
+
+    layers = MIXED_LAYERS[flavor]
+    g = AbpGraph(flavor, ring, 2, max(layers.values()))
+    for vid, layer in layers.items():
+        g.add_vertex(vid, layer)
+    g.set_source("s")
+    for u, v, const, linear in MIXED_EDGES + (SKIP_EDGES if flavor == "aabp" else []):
+        terms = {((flatten(i, j, 2), 1),): element(Fraction(c)) for (i, j), c in linear.items()}
+        terms[()] = element(Fraction(const))
+        g.add_edge(u, v, Polynomial(ring, 2, terms))
+    for name, vid in (("src", "s"), ("a", "a"), ("t", "t"), ("whole", "u")):
+        g.add_output(name, vid)
+    assert validate(g) == []
+    return g
+
+
+@pytest.mark.parametrize("flavor", sorted(MIXED_LAYERS))
+def test_rational_expansion_rescales_each_path_and_boxes_every_output(flavor):
+    g = mixed_length_program(flavor, Q)
+    got = expand_all(g)
+    assert got == poly_sweep(g)
+    assert all(type(c) is Fraction for f in got.values() for c in f.raw.values())
+    assert got["whole"].raw and all(c.denominator == 1 for c in got["whole"].raw.values())
+    for ring in (Z, Z4):
+        g = mixed_length_program(flavor, ring)
+        got = expand_all(g)
+        assert got == poly_sweep(g)
+        assert all(is_canonical(c, ring) for f in got.values() for c in f.terms.values())
+
+
+def test_rational_expansion_into_the_source():
+    # the source sweeps after its tails, so its 1 is scaled to their exponent
+    for seed in range(20):
+        g = edge_into_source(Q, random.Random(f"expand/source/{seed}"))
+        got = expand_all(g)
+        assert got == poly_sweep(g), seed
+        assert all(type(c) is Fraction for f in got.values() for c in f.raw.values())
