@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import json
 import os
 import sys
@@ -221,11 +222,18 @@ _COMMANDS = {
 def main(argv: Optional[List[str]] = None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
+    # The data holds no reference cycles, so the cyclic collector would only
+    # rescan a freshly parsed graph; pause it and give the caller theirs back.
+    was_enabled = gc.isenabled()
+    gc.disable()
     try:
         return _COMMANDS[args.command](parser, args)
     except (AbpcError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def entry() -> None:

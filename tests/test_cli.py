@@ -1,15 +1,19 @@
 """CLI surface: commands, exit codes, determinism, round trips."""
 
+import gc
 import json
 import os
+import random
 
 import pytest
 
+from abpc import cli
 from abpc.build import build_gradient_abp
 from abpc.cli import main
 from abpc.graph import expand_symbolic, graph_from_json_dict, graph_to_json_dict
-from abpc.oracle import cpc_minor_sum
-from abpc.rings import RingDescriptor
+from abpc.oracle import cpc_minor_sum, cpc_table
+from abpc.rings import RingDescriptor, element_to_str
+from helpers import random_matrix
 
 Z = RingDescriptor.integers()
 
@@ -69,6 +73,21 @@ def test_build_eval_round_trip(tmp_path, capsys):
     # loading the JSON gives back the same canonical polynomials
     g = graph_from_json_dict(json.loads(out_file.read_text()))
     assert expand_symbolic(g, "cpc_2_2") == cpc_minor_sum(2, 2, Z)
+
+
+def test_eval_every_output_at_n30_matches_berkowitz(tmp_path, capsys):
+    out_file = tmp_path / "g30.json"
+    code, _out, _err = run(capsys, "build", "--construction", "gradient", "--n", "30",
+                           "--d", "30", "--ring", "int", "--out", str(out_file))
+    assert code == 0
+    a = random_matrix(Z, 30, random.Random("cli-eval30"))
+    matrix = json.dumps([[element_to_str(x) for x in row] for row in a])
+    code, out, err = run(capsys, "eval", str(out_file), "--matrix", matrix)
+    assert (code, err) == (0, "")
+    table = {f"cpc_{i}_{j}": value for (i, j), value in cpc_table(a, Z).items()}
+    assert len(table) == 496
+    assert out == "".join(f"{name} = {element_to_str(value)}\n"
+                          for name, value in sorted(table.items()))
 
 
 def test_eval_all_outputs_sorted(tmp_path, capsys):
@@ -374,3 +393,33 @@ def test_stats_formula_n1_prints_na_ratios(capsys):
     code, out, _err = run(capsys, "stats", "--formula", "--n", "1")
     assert code == 0
     assert out.endswith("this construction vertices=0 width=0; ratios n/a\n")
+
+
+def test_commands_run_with_the_collector_paused(tmp_path, capsys, monkeypatch):
+    seen = []
+
+    def record(parser, args):
+        seen.append(gc.isenabled())
+        return 0
+
+    monkeypatch.setitem(cli._COMMANDS, "verify-all", record)
+    graph = tmp_path / "g.json"
+    assert run(capsys, "build", "--construction", "gradient", "--n", "2", "--d", "2",
+               "--ring", "int", "--out", str(graph))[0] == 0
+    was_enabled = gc.isenabled()
+    gc.enable()
+    try:
+        assert run(capsys, "verify-all", "--n-max", "2", "--d-max", "2", "--ring", "int")[0] == 0
+        assert seen == [False] and gc.isenabled()
+        code, _out, err = run(capsys, "eval", str(tmp_path / "missing.json"), "--matrix", "[]")
+        assert code == 1 and err.startswith("error: cannot read graph")
+        assert gc.isenabled()
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", str(graph), "--matrix", "["])
+        assert exc.value.code == 2 and "bad matrix JSON" in capsys.readouterr().err
+        assert gc.isenabled()
+        gc.disable()
+        assert run(capsys, "verify-all", "--n-max", "2", "--d-max", "2", "--ring", "int")[0] == 0
+        assert seen == [False, False] and not gc.isenabled()
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
