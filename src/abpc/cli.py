@@ -28,8 +28,8 @@ from .graph import (
     graph_from_json_dict,
     graph_to_dot,
     graph_to_json_text,
+    require_valid,
     resolve_output,
-    validate,
 )
 from .identities import IDENTITY_NAMES, side_entries, verify_all, verify_with_sides
 from .rings import AbpcError, element_from_str, element_to_str, descriptor_from_spec
@@ -125,9 +125,7 @@ def _cmd_build(parser, args) -> int:
 
 def _cmd_eval(parser, args) -> int:
     g = _load_graph(args.graph)
-    problems = validate(g)
-    if problems:
-        raise GraphError("invalid graph: " + "; ".join(problems))
+    require_valid(g)
     try:
         raw = json.loads(args.matrix)
     except (json.JSONDecodeError, RecursionError) as exc:

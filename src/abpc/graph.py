@@ -13,18 +13,17 @@ symbolic expansion run as one forward sweep (never path enumeration), the
 matrix-product semantics of the layered model.  Both sweep one plan: the
 vertices in topological order, found by sorting only the edges that do not
 go up a layer, and all in-edges grouped by head in that order as two flat
-``array('i')``s of tail positions and label slots with an offsets array.
-The plan is built on the first sweep and kept on the graph until one of
-its writers changes it, so evaluating one graph at K matrices builds it
-once.  Numeric evaluation sweeps on Python integers: over ``rat`` the
-label values are computed on integers scaled by the lcm G of their
-denominators and a vertex holds its value times a power of G, so only the
-requested outputs become ``Fraction``s, once each.  Symbolic expansion
-sums each vertex's in-edge products in one call of ``poly``'s
-raw-coefficient kernel, and over ``rat`` also sweeps on integers: the
-labels are scaled by the lcm G of their coefficients' denominators, a
-vertex holds its polynomial times a power of G, and only the outputs'
-coefficients become ``Fraction``s.
+``array('i')``s of tail positions and slots with an offsets array.  The
+plan is built on the first sweep and kept on the graph until one of its
+writers changes it, so evaluating one graph at K matrices builds it once.
+One plain loop sweeps every ring on Python integers, numbers or raw
+polynomials (summed in one call of ``poly``'s raw-coefficient kernel per
+vertex).  Over ``rat`` the labels are scaled to integers by one lcm G of
+their denominators, and the plan holds each vertex's depth e and each
+in-edge's slot as a (label, shift) pair: a vertex holds its value times
+G**e, an edge's factor is its scaled label times G**shift, and only the
+requested outputs become ``Fraction``s, once each.  Elsewhere every depth
+and shift is 0.
 """
 
 from __future__ import annotations
@@ -35,9 +34,10 @@ import os
 from array import array
 from collections import Counter
 from fractions import Fraction
-from itertools import accumulate, groupby, islice, pairwise
+from itertools import accumulate, groupby, islice, pairwise, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from math import gcd, lcm
+from operator import mul
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .poly import _ONE, Polynomial, PolyMatrix, Raw, _raw_value, _sum_products, flatten, unflatten
@@ -274,13 +274,27 @@ class _Plan(NamedTuple):
     """The sweep plan that ``_compile`` builds: each vertex's position in
     sweep order, and the in-edges of all positions grouped by head in that
     order, those of position k at ``offsets[k]:offsets[k + 1]`` of the
-    tail positions and the label slots, one slot per distinct label."""
+    tail positions and the slots.  Slot s is the pair ``pairs[s]`` of a
+    label index and a shift, and ``labels`` holds each distinct label once.
+
+    A sweep gives a label with value F / G the factor ``F * G**shift`` and
+    starts the source at ``G**depths[source]``; position k then holds its
+    value times ``G**depths[k]``.  Over ``rat`` a depth is 0 without
+    in-edges, else 1 + the largest depth of its tails, an edge u -> v has
+    shift depths[v] - 1 - depths[u], and ``raws`` holds each label's raw
+    dict times ``scale``, the lcm C of all the labels' coefficients'
+    denominators, on integers.  Elsewhere every depth and shift is 0, slot s is (s, 0),
+    ``raws`` holds the labels' own dicts and C is 1."""
 
     index: Dict[str, int]
     offsets: array
     tails: array
     slots: array
+    pairs: List[Tuple[int, int]]
+    depths: array
     labels: List[Polynomial]
+    raws: List[Raw]
+    scale: int
 
 
 def _compile(g: AbpGraph) -> _Plan:
@@ -306,7 +320,9 @@ def _compile(g: AbpGraph) -> _Plan:
 
 def _plan(g: AbpGraph, order: List[str]) -> Optional[_Plan]:
     """``_compile``'s plan over ``order``, or None if some edge's tail does
-    not come before its head in it."""
+    not come before its head in it.  Over ``rat`` one more pass in sweep
+    order gives each position its depth and each in-edge its (label,
+    shift) slot; the plain plan has one slot per label."""
     if len(order) != len(g.layer):
         raise GraphError("constant-edge cycle")
     index = {v: k for k, v in enumerate(order)}
@@ -324,73 +340,63 @@ def _plan(g: AbpGraph, order: List[str]) -> Optional[_Plan]:
             labels.append(lab)
         tails[kv].append(ku)
         slots[kv].append(s)
+    if g.ring.kind == RAT:
+        depth: List[int] = []
+        slot_of_pair: Dict[Tuple[int, int], int] = {}
+        for ts, ss in zip(tails, slots):
+            e = 1 + max(map(depth.__getitem__, ts)) if ts else 0
+            ss[:] = [slot_of_pair.setdefault((s, e - 1 - depth[u]), len(slot_of_pair))
+                     for u, s in zip(ts, ss)]
+            depth.append(e)
+        depths, pairs = array("i", depth), list(slot_of_pair)
+        scale = lcm(*(a.denominator for lab in labels for a in lab.raw.values()))
+        raws = [{m: a.numerator * (scale // a.denominator) for m, a in lab.raw.items()} for lab in labels]
+    else:
+        depths, pairs, scale = array("i", [0]) * len(order), [(s, 0) for s in range(len(labels))], 1
+        raws = [lab.raw for lab in labels]
     # the plan lives as long as the graph, so it keeps flat int arrays, not lists
     flat_tails, flat_slots = array("i"), array("i")
     for ts, ss in zip(tails, slots):
         flat_tails.fromlist(ts)
         flat_slots.fromlist(ss)
-    return _Plan(index, array("i", accumulate(map(len, tails), initial=0)), flat_tails, flat_slots, labels)
+    return _Plan(index, array("i", accumulate(map(len, tails), initial=0)), flat_tails, flat_slots,
+                 pairs, depths, labels, raws, scale)
 
 
-def _sweep(plan: _Plan, source: int, factors: List[int], scale: int,
-           modulus: int) -> Tuple[List[int], List[int]]:
-    """Every vertex's value on integers, by one forward sweep over the plan.
+def _powers(plan: _Plan, scale: int) -> List[int]:
+    """``scale**e`` for every e up to the plan's largest depth."""
+    return list(accumulate(repeat(scale, max(plan.depths, default=0)), mul, initial=1))
 
-    A label's value is ``factors[slot] / scale``.  Vertex v gets an integer
-    ``W_v`` and an exponent ``e_v`` with value ``W_v / scale**e_v``: e = 0
-    without in-edges, else e_v = 1 + max e_u over its tails, and each term
-    ``W_u * F`` is scaled by ``scale**(e_v - 1 - e_u)``.  With scale 1 (``int``, ``mod:m``, and
-    rationals whose label values are integers) every exponent is 0 and the
-    plain loop runs, reducing mod ``modulus`` when it is nonzero.
-    """
-    tails, slots = plan.tails, plan.slots
+
+def _sweep(plan: _Plan, source: int, start: int, factors: List[int], modulus: int) -> List[int]:
+    """Every position's integer value by one forward sweep over the plan:
+    the source starts at ``start``, each in-edge adds its tail's value
+    times ``factors[slot]``, and a value is reduced mod ``modulus`` when
+    that is nonzero."""
     values: List[int] = []
-    if scale == 1:
-        edges = zip(tails, slots)
-        for k, (lo, hi) in enumerate(pairwise(plan.offsets)):
-            acc = 1 if k == source else 0
-            for u, s in islice(edges, hi - lo):
-                acc += values[u] * factors[s]
-            values.append(acc % modulus if modulus else acc)
-        return values, [0] * len(values)
-    exps: List[int] = []
-    powers = [1]
+    edges = zip(plan.tails, plan.slots)
     for k, (lo, hi) in enumerate(pairwise(plan.offsets)):
-        ts = tails[lo:hi]
-        e = 1 + max(map(exps.__getitem__, ts)) if ts else 0
-        if e == len(powers):
-            powers.append(powers[-1] * scale)
-        acc = powers[e] if k == source else 0
-        for u, s in zip(ts, slots[lo:hi]):
-            acc += values[u] * factors[s] * powers[e - 1 - exps[u]]
-        values.append(acc)
-        exps.append(e)
-    return values, exps
+        acc = start if k == source else 0
+        for u, s in islice(edges, hi - lo):
+            acc += values[u] * factors[s]
+        values.append(acc % modulus if modulus else acc)
+    return values
 
 
-def _integer_labels(labels: List[Polynomial]) -> Tuple[List[Raw], int]:
-    """Each rational label's raw dict times G, on integers, and G: the lcm
-    of the denominators of all their coefficients."""
-    g = lcm(*(a.denominator for lab in labels for a in lab.raw.values()))
-    return [{m: a.numerator * (g // a.denominator) for m, a in lab.raw.items()}
-            for lab in labels], g
-
-
-def _rational_factors(labels: List[Polynomial], flat: List[Fraction]) -> Tuple[List[int], int]:
+def _rational_factors(plan: _Plan, flat: List[Fraction]) -> Tuple[List[int], int]:
     """Integers F and one scale G with each label's value at ``flat`` equal
     to F / G, where G is the lcm of the values' denominators.
 
     Everything is computed on integers.  With D the lcm of the entries'
-    denominators and C that of the labels' coefficients, a label of degree
-    at most 1 times C * D is an integer; the common factor of that scale
-    and the scaled values is divided out at the end.
+    denominators, each of the plan's integer label dicts (a label times C)
+    at the entries times D is the label's value times C * D; the common
+    factor of that scale and those integers is divided out at the end.
     """
     d = lcm(*(x.denominator for x in flat))
     entries = [x.numerator * (d // x.denominator) for x in flat]
-    scaled, c = _integer_labels(labels)
-    factors = [sum(a * (entries[m[0]] if m else d) for m, a in raw.items()) for raw in scaled]
-    common = gcd(c * d, *factors)
-    return [f // common for f in factors], c * d // common
+    factors = [sum(a * (entries[m[0]] if m else d) for m, a in raw.items()) for raw in plan.raws]
+    common = gcd(plan.scale * d, *factors)
+    return [f // common for f in factors], plan.scale * d // common
 
 
 def _evaluate(g: AbpGraph, entries: Sequence[Sequence[RingElement]],
@@ -398,9 +404,8 @@ def _evaluate(g: AbpGraph, entries: Sequence[Sequence[RingElement]],
     """The named outputs at a concrete matrix from a single forward sweep
     on integers; only those outputs are boxed as ring elements.
 
-    Over ``rat`` every label value is scaled to an integer by the lcm G of
-    their denominators, and an output with integer W and exponent e is
-    boxed once as ``Fraction(W, G**e)``.
+    Over ``rat`` every label value is F / G with one lcm G, and an output
+    at depth e with integer W is boxed once as ``Fraction(W, G**e)``.
     """
     n, ring = g.ambient_n, g.ring
     if len(entries) != n or any(len(row) != n for row in entries):
@@ -410,15 +415,18 @@ def _evaluate(g: AbpGraph, entries: Sequence[Sequence[RingElement]],
     flat = [e.value for row in entries for e in row]
     plan = _compile(g)
     if ring.kind == RAT:
-        factors, scale = _rational_factors(plan.labels, flat)
-    else:
-        factors, scale = [_raw_value(lab, flat) for lab in plan.labels], 1
-    values, exps = _sweep(plan, plan.index[g.source], factors, scale,
-                          ring.modulus if ring.kind == MOD else 0)
+        label_values, scale = _rational_factors(plan, flat)
+        powers = _powers(plan, scale)
+        factors = [label_values[label] * powers[shift] for label, shift in plan.pairs]
+    else:  # every slot is (label, 0) and every depth 0
+        factors, powers = [_raw_value(lab, flat) for lab in plan.labels], [1]
+    source = plan.index[g.source]
+    values = _sweep(plan, source, powers[plan.depths[source]], factors,
+                    ring.modulus if ring.kind == MOD else 0)
     out = {}
     for name in names:
         k = plan.index[g.outputs[name]]
-        out[name] = RingElement(ring, Fraction(values[k], scale ** exps[k])
+        out[name] = RingElement(ring, Fraction(values[k], powers[plan.depths[k]])
                                 if ring.kind == RAT else values[k])
     return out
 
@@ -437,9 +445,9 @@ def evaluate(g: AbpGraph, entries: Sequence[Sequence[RingElement]], at: Optional
 def expand_all(g: AbpGraph) -> Dict[str, Polynomial]:
     """All named outputs from a single forward sweep on raw polynomials
     over ``_compile``'s plan; each vertex sums its in-edge products in one
-    call of the raw kernel.  Over ``rat`` the sweep runs on integers, with
-    ``_integer_labels``' scale G and ``_sweep``'s exponents, and only the
-    outputs' coefficients become ``Fraction``s; elsewhere G = 1."""
+    call of the raw kernel.  Each slot's factor is its label's raw dict in
+    the plan times C**shift, so over ``rat`` the sweep runs on integers and
+    only the outputs' coefficients become ``Fraction``s."""
     guard = expansion_guard()
     if g.ambient_n > guard:
         raise GraphError(
@@ -448,35 +456,24 @@ def expand_all(g: AbpGraph) -> Dict[str, Polynomial]:
         )
     ring, n = g.ring, g.ambient_n
     plan = _compile(g)
-    source, tails, slots = plan.index[g.source], plan.tails, plan.slots
-    if ring.kind == RAT:
-        labels, scale = _integer_labels(plan.labels)
-        kernel_ring = RingDescriptor.integers()
-    else:
-        labels, scale, kernel_ring = [lab.raw for lab in plan.labels], 1, ring
+    powers = _powers(plan, plan.scale)
+    factors = [plan.raws[label] if powers[shift] == 1 else
+               {m: c * powers[shift] for m, c in plan.raws[label].items()} for label, shift in plan.pairs]
+    kernel_ring = RingDescriptor.integers() if ring.kind == RAT else ring
+    source = plan.index[g.source]
     values: List[Raw] = []
-    exps: List[int] = []
-    powers = [1]
+    edges = zip(plan.tails, plan.slots)
     for k, (lo, hi) in enumerate(pairwise(plan.offsets)):
-        ts = tails[lo:hi]
-        e = 1 + max(map(exps.__getitem__, ts)) if ts else 0
-        if e == len(powers):
-            powers.append(powers[-1] * scale)
-        pairs = []
-        for u, s in zip(ts, slots[lo:hi]):
-            p = powers[e - 1 - exps[u]]
-            pairs.append((values[u], labels[s] if p == 1 else {m: c * p for m, c in labels[s].items()}))
+        pairs = [(values[u], factors[s]) for u, s in islice(edges, hi - lo)]
         if k == source:
-            pairs.append(({(): powers[e]}, _ONE))
+            pairs.append(({(): powers[plan.depths[k]]}, _ONE))
         values.append(_sum_products(kernel_ring, n, pairs).raw)
-        exps.append(e)
     out = {}
     for name, vid in sorted(g.outputs.items()):
         k = plan.index[vid]
         raw = values[k]
         if ring.kind == RAT:
-            denominator = scale ** exps[k]
-            raw = {m: Fraction(c, denominator) for m, c in raw.items()}
+            raw = {m: Fraction(c, powers[plan.depths[k]]) for m, c in raw.items()}
         out[name] = Polynomial._of(ring, n, raw)
     return out
 

@@ -12,7 +12,7 @@ from abpc.build import build_gradient_abp
 from abpc.cli import main
 from abpc.graph import expand_symbolic, graph_from_json_dict, graph_to_json_dict
 from abpc.oracle import cpc_minor_sum, cpc_table
-from abpc.rings import RingDescriptor, element_to_str
+from abpc.rings import RingDescriptor, descriptor_from_spec, element_to_str
 from helpers import random_matrix
 
 Z = RingDescriptor.integers()
@@ -75,16 +75,18 @@ def test_build_eval_round_trip(tmp_path, capsys):
     assert expand_symbolic(g, "cpc_2_2") == cpc_minor_sum(2, 2, Z)
 
 
-def test_eval_every_output_at_n30_matches_berkowitz(tmp_path, capsys):
+@pytest.mark.parametrize("ring_spec", ["int", "rat"])
+def test_eval_every_output_at_n30_matches_berkowitz(ring_spec, tmp_path, capsys):
+    ring = descriptor_from_spec(ring_spec)
     out_file = tmp_path / "g30.json"
     code, _out, _err = run(capsys, "build", "--construction", "gradient", "--n", "30",
-                           "--d", "30", "--ring", "int", "--out", str(out_file))
+                           "--d", "30", "--ring", ring_spec, "--out", str(out_file))
     assert code == 0
-    a = random_matrix(Z, 30, random.Random("cli-eval30"))
+    a = random_matrix(ring, 30, random.Random("cli-eval30"))
     matrix = json.dumps([[element_to_str(x) for x in row] for row in a])
     code, out, err = run(capsys, "eval", str(out_file), "--matrix", matrix)
     assert (code, err) == (0, "")
-    table = {f"cpc_{i}_{j}": value for (i, j), value in cpc_table(a, Z).items()}
+    table = {f"cpc_{i}_{j}": value for (i, j), value in cpc_table(a, ring).items()}
     assert len(table) == 496
     assert out == "".join(f"{name} = {element_to_str(value)}\n"
                           for name, value in sorted(table.items()))
@@ -314,10 +316,10 @@ def _rat_zero_denominator(data):
 BAD_INPUTS = {
     # graph content that loads but is invalid: eval validates it
     "layer-minus-one": (_edit(lambda d: d["vertices"].append({"id": "x", "layer": -1})),
-                        "eval", "invalid graph: vertex 'x' outside layers 0..3"),
+                        "eval", "invalid input graph: vertex 'x' outside layers 0..3"),
     "edge-into-source": (_edit(lambda d: d["edges"].append(
         {"from": "r_2_1_1", "to": "s", "const": "1", "linear": []})),
-        "eval", "invalid graph: source has incoming edges; edge r_2_1_1->s skips layers"),
+        "eval", "invalid input graph: source has incoming edges; edge r_2_1_1->s skips layers"),
     # field types and ranges
     "n-string": (_edit(lambda d: d.update(n="3")), "eval", "field 'n' must be an integer"),
     "d-bool": (_edit(lambda d: d.update(d=True)), "stats", "field 'd' must be an integer"),

@@ -174,15 +174,28 @@ def constructions(n, ring):
 def assert_plan_is_the_full_sort(g):
     """The plan's order is the sort over every edge, and its flat tail and
     slot arrays, grouped by head through the offsets, hold exactly the
-    graph's edges and labels."""
-    index, offsets, tails, slots, labels = _compile(g)
+    graph's edges and labels.  Over ``rat`` each depth is one more than its
+    tails' largest (0 without tails) and each slot is a distinct (label,
+    shift) pair with the edge's shift; elsewhere depths and shifts are 0."""
+    index, offsets, tails, slots, pairs, depths, labels, _raws, _scale = _compile(g)
     order = sorted(index, key=index.__getitem__)
     assert order == topological_order(g.layer_order(), g.edges), g
     assert len(offsets) == len(order) + 1 and offsets[0] == 0 and list(offsets) == sorted(offsets)
-    planned = {(order[tails[i]], order[v]): labels[slots[i]]
+    planned = {(order[tails[i]], order[v]): labels[pairs[slots[i]][0]]
                for v in range(len(order)) for i in range(offsets[v], offsets[v + 1])}
     assert len(planned) == offsets[-1] == len(tails) == len(slots) == len(g.edges)
     assert all(g.edges[key] is lab for key, lab in planned.items())
+    assert len(depths) == len(order)
+    if g.ring.kind != "rat":
+        assert set(depths) <= {0} and pairs == [(s, 0) for s in range(len(labels))]
+        return
+    assert len(set(pairs)) == len(pairs)
+    for v in range(len(order)):
+        ins = range(offsets[v], offsets[v + 1])
+        assert depths[v] == max((1 + depths[tails[i]] for i in ins), default=0)
+        for i in ins:
+            shift = pairs[slots[i]][1]
+            assert shift == depths[v] - 1 - depths[tails[i]] >= 0
 
 
 @pytest.mark.parametrize("ring_name", sorted(RING_FAMILIES))
@@ -463,6 +476,9 @@ def test_rational_expansion_rescales_each_path_and_boxes_every_output(flavor):
     assert got == poly_sweep(g)
     assert all(type(c) is Fraction for f in got.values() for c in f.raw.values())
     assert got["whole"].raw and all(c.denominator == 1 for c in got["whole"].raw.values())
+    for seed in range(5):
+        a = rational_matrix(2, random.Random(f"mixed/{flavor}/{seed}"), DENOMINATORS["coprime"])
+        assert canonical(evaluate_all(g, a)) == canonical(boxed_sweep(g, a)), seed
     for ring in (Z, Z4):
         g = mixed_length_program(flavor, ring)
         got = expand_all(g)
