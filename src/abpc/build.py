@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from math import comb
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .graph import AbpGraph, GraphError, homogenize, sub_abp, topological_order
 from .oracle import det_leibniz
@@ -150,25 +150,30 @@ def build_charzero_abp(n: int, d_max: int, ring: RingDescriptor) -> AbpGraph:
     # each vertex id is formatted once; every edge key reuses the string
     v = [g.add_vertex(f"v_{d}", d) for d in range(0, d_max + 1)]
     g.set_source(v[0])
-    for d in range(1, d_max + 1):
-        inv_d = invert(int_embed(ring, d))
-        g.add_edge(v[d - 1], v[d], trace.scale(inv_d))
-        # closing[i % 2][(b, a)] is (-1)^(i+1)/d * x[b,a]
-        closing = [{key: var.scale(coeff) for key, var in x.items()} for coeff in (-inv_d, inv_d)]
-        for i in range(2, d + 1):
-            w = {(l, a, b): g.add_vertex(f"w_{d}_{i}_{l}_{a}_{b}", d - i + l)
-                 for l in range(1, i) for a in range(1, n + 1) for b in range(1, n + 1)}
-            for a in range(1, n + 1):
-                for b in range(1, n + 1):
-                    g.add_edge(v[d - i], w[1, a, b], x[(a, b)])
-            for l in range(1, i - 1):
-                for a in range(1, n + 1):
-                    for b in range(1, n + 1):
+    # w[d, i][l, a, b] is vertex w_{d}_{i}_{l}_{a}_{b}
+    w = {(d, i): {(l, a, b): g.add_vertex(f"w_{d}_{i}_{l}_{a}_{b}", d - i + l)
+                  for l in range(1, i) for a in range(1, n + 1) for b in range(1, n + 1)}
+         for d in range(1, d_max + 1) for i in range(2, d + 1)}
+    cells = [(a, b) for a in range(1, n + 1) for b in range(1, n + 1)]
+
+    def edges() -> Iterator[Tuple[str, str, Polynomial]]:
+        for d in range(1, d_max + 1):
+            inv_d = invert(int_embed(ring, d))
+            yield v[d - 1], v[d], trace.scale(inv_d)
+            # closing[i % 2][(b, a)] is (-1)^(i+1)/d * x[b,a]
+            closing = [{key: var.scale(coeff) for key, var in x.items()} for coeff in (-inv_d, inv_d)]
+            for i in range(2, d + 1):
+                wdi = w[d, i]
+                for a, b in cells:
+                    yield v[d - i], wdi[1, a, b], x[(a, b)]
+                for l in range(1, i - 1):
+                    for a, b in cells:
                         for c in range(1, n + 1):
-                            g.add_edge(w[l, a, b], w[l + 1, a, c], x[(b, c)])
-            for a in range(1, n + 1):
-                for b in range(1, n + 1):
-                    g.add_edge(w[i - 1, a, b], v[d], closing[i % 2][(b, a)])
+                            yield wdi[l, a, b], wdi[l + 1, a, c], x[(b, c)]
+                for a, b in cells:
+                    yield wdi[i - 1, a, b], v[d], closing[i % 2][(b, a)]
+
+    g.add_edges(edges())
     for d in range(0, d_max + 1):
         g.add_output(f"cpc_{n}_{d}", v[d])
     return g
@@ -196,30 +201,36 @@ def build_bivariate_abp(n: int, d_max: int, ring: RingDescriptor) -> AbpGraph:
     for i in range(0, n + 1):
         v[i, 0] = g.add_vertex(f"v_{i}_0", 0)
     g.set_source(v[0, 0])
-    for i in range(0, n):
-        g.add_edge(v[i, 0], v[i + 1, 0], one)
+    # w[i, j, ip][l - 1][b - 1] is vertex w_{i}_{j}_{ip}_{l}_{b}
+    w: Dict[Tuple[int, int, int], List[List[str]]] = {}
     for j in range(1, d_max + 1):
         for i in range(j, n + 1):
             v[i, j] = g.add_vertex(f"v_{i}_{j}", j)
-            if i > j:
-                g.add_edge(v[i - 1, j], v[i, j], one)
-            for ip in range(1, j + 1):
-                signed_x = x if ip % 2 == 1 else neg_x
-                src = v[i, j - ip]
-                if ip == 1:
-                    g.add_edge(src, v[i, j], signed_x[(i, i)])
-                    continue
-                # w[l - 1][b - 1] is vertex w_{i}_{j}_{ip}_{l}_{b}
-                w = [[g.add_vertex(f"w_{i}_{j}_{ip}_{l}_{b}", j - ip + l) for b in range(1, i + 1)]
-                     for l in range(1, ip)]
-                for b, head in enumerate(w[0], 1):
-                    g.add_edge(src, head, x[(i, b)])
-                for tails, heads in zip(w, w[1:]):
-                    for b, tail in enumerate(tails, 1):
-                        for c, head in enumerate(heads, 1):
-                            g.add_edge(tail, head, x[(b, c)])
-                for b, tail in enumerate(w[-1], 1):
-                    g.add_edge(tail, v[i, j], signed_x[(b, i)])
+            for ip in range(2, j + 1):
+                w[i, j, ip] = [[g.add_vertex(f"w_{i}_{j}_{ip}_{l}_{b}", j - ip + l)
+                                for b in range(1, i + 1)] for l in range(1, ip)]
+
+    def edges() -> Iterator[Tuple[str, str, Polynomial]]:
+        for i in range(0, n):
+            yield v[i, 0], v[i + 1, 0], one
+        for j in range(1, d_max + 1):
+            for i in range(j, n + 1):
+                if i > j:
+                    yield v[i - 1, j], v[i, j], one
+                yield v[i, j - 1], v[i, j], x[(i, i)]
+                for ip in range(2, j + 1):
+                    signed_x = x if ip % 2 == 1 else neg_x
+                    rows = w[i, j, ip]
+                    for b, head in enumerate(rows[0], 1):
+                        yield v[i, j - ip], head, x[(i, b)]
+                    for tails, heads in zip(rows, rows[1:]):
+                        for b, tail in enumerate(tails, 1):
+                            for c, head in enumerate(heads, 1):
+                                yield tail, head, x[(b, c)]
+                    for b, tail in enumerate(rows[-1], 1):
+                        yield tail, v[i, j], signed_x[(b, i)]
+
+    g.add_edges(edges())
     for i in range(0, n + 1):
         for j in range(0, min(i, d_max) + 1):
             g.add_output(f"cpc_{i}_{j}", v[i, j])
@@ -257,22 +268,26 @@ def build_gradient_abp(n: int, d_max: int, ring: RingDescriptor) -> Tuple[AbpGra
                 r[i, j] = [g.add_vertex(f"r_{i}_{j}_{a}", j) for a in range(1, i + 1)]
             else:
                 r[i, j] = [g.add_vertex(f"c_{i - 1}_{j}", j)]
-    for i in range(2, n + 2):
-        *head, last = r[i, 1]
-        for a, v in enumerate(head, 1):
-            g.add_edge("s", v, neg_x[(i, a)])
-        g.add_edge("s", last, x[(i - 1, i - 1)])
-        if i >= 3:
-            g.add_edge(r[i - 1, 1][-1], last, one)
-    for j in range(1, d_max):
-        for i in range(j + 2, n + 2):
-            *head, last = r[i, j + 1]
+
+    def edges() -> Iterator[Tuple[str, str, Polynomial]]:
+        for i in range(2, n + 2):
+            *head, last = r[i, 1]
             for a, v in enumerate(head, 1):
-                for b, u in enumerate(r[i, j], 1):
-                    g.add_edge(u, v, neg_x[(b, a)])
-            for ip in range(j + 1, i):
-                for b, u in enumerate(r[ip, j], 1):
-                    g.add_edge(u, last, x[(b, ip)])
+                yield "s", v, neg_x[(i, a)]
+            yield "s", last, x[(i - 1, i - 1)]
+            if i >= 3:
+                yield r[i - 1, 1][-1], last, one
+        for j in range(1, d_max):
+            for i in range(j + 2, n + 2):
+                *head, last = r[i, j + 1]
+                for a, v in enumerate(head, 1):
+                    for b, u in enumerate(r[i, j], 1):
+                        yield u, v, neg_x[(b, a)]
+                for ip in range(j + 1, i):
+                    for b, u in enumerate(r[ip, j], 1):
+                        yield u, last, x[(b, ip)]
+
+    g.add_edges(edges())
     for i in range(0, n + 1):
         g.add_output(f"cpc_{i}_0", "s")
     for (i, j), kept in r.items():
@@ -477,7 +492,6 @@ def width_from_determinantal(m: PolyMatrix, d: int, ring: RingDescriptor) -> Abp
     for pos, vid in enumerate(order):
         spliced.add_vertex(vid, pos)
     spliced.set_source(base.source)
-    for (u, v, lab) in pending:
-        spliced.add_edge(u, v, lab)
+    spliced.add_edges(pending)
     spliced.add_output("det", base.outputs[f"cpc_{k}_{k}"])
     return homogenize(spliced, d)

@@ -74,7 +74,10 @@ def expansion_guard() -> int:
 class AbpGraph:
     """A branching program; mutated only during its build phase.
 
-    Only its methods, ``constant_edge_elimination_steps`` and the JSON reader
+    Edges go in through ``add_edges``, which takes ``(u, v, label)``
+    triples in order and checks each distinct label object once per call;
+    ``add_edge`` inserts one.  Only its methods,
+    ``constant_edge_elimination_steps`` and the JSON reader
     ``graph_from_json_dict`` write ``layer``, ``edges`` and ``source``: each
     such write drops the sweep plan kept in ``_plan``, which a direct write
     would leave stale, or (the reader's) leaves it ``None``.
@@ -114,30 +117,46 @@ class AbpGraph:
         self._plan = None
 
     def add_edge(self, u: str, v: str, label: Polynomial) -> None:
-        """Insert an edge; parallel edges are merged by adding their labels.
+        """Insert one edge: ``add_edges(((u, v, label),))``."""
+        self.add_edges(((u, v, label),))
+
+    def add_edges(self, triples: Iterable[Tuple[str, str, Polynomial]]) -> None:
+        """Insert the edges ``(u, v, label)`` in order; an edge parallel to
+        one already there is merged by adding the labels, and an edge whose
+        label is or sums to zero is dropped.
 
         A label is a polynomial of degree at most 1 over the graph's ring
         and ambient size.  Nothing mutates a label, so one object may label
-        many edges.
+        many edges, and each call checks ring, ambient size and degree once
+        per distinct label object, at the first edge that carries it; the
+        endpoints are checked per edge.  The first failed check raises, and
+        the edges before it stay inserted.
         """
-        if u not in self.layer or v not in self.layer:
-            raise GraphError("edge endpoint is not a vertex")
-        if u == v:
-            raise GraphError("self-loops are not allowed")
-        if label.ring is not self.ring and label.ring != self.ring:
-            raise GraphError(f"edge {u}->{v} has a label from another ring")
-        if label.ambient_n != self.ambient_n:
-            raise GraphError(f"edge {u}->{v} has a label of ambient size "
-                             f"{label.ambient_n}, not {self.ambient_n}")
-        if label.degree > 1:
-            raise GraphError(f"edge {u}->{v} has a label of degree above 1")
-        existing = self.edges.get((u, v))
-        merged = label if existing is None else existing + label
-        if merged.is_zero():
-            self.edges.pop((u, v), None)
-        else:
-            self.edges[(u, v)] = merged
+        layer, edges, ring, n = self.layer, self.edges, self.ring, self.ambient_n
+        # id -> label; holding each label keeps its id from being reused in this call
+        checked: Dict[int, Polynomial] = {}
         self._plan = None
+        for u, v, label in triples:
+            if u not in layer or v not in layer:
+                raise GraphError("edge endpoint is not a vertex")
+            if u == v:
+                raise GraphError("self-loops are not allowed")
+            if id(label) not in checked:
+                if label.ring is not ring and label.ring != ring:
+                    raise GraphError(f"edge {u}->{v} has a label from another ring")
+                if label.ambient_n != n:
+                    raise GraphError(f"edge {u}->{v} has a label of ambient size "
+                                     f"{label.ambient_n}, not {n}")
+                if label.degree > 1:
+                    raise GraphError(f"edge {u}->{v} has a label of degree above 1")
+                checked[id(label)] = label
+            existing = edges.get((u, v))
+            if existing is not None:
+                label = existing + label
+            if label.raw:
+                edges[(u, v)] = label
+            elif existing is not None:
+                del edges[(u, v)]
 
     def add_output(self, name: str, vid: str) -> None:
         if vid not in self.layer:
@@ -197,52 +216,61 @@ def topological_order(verts: Sequence[str], edges: Iterable[Tuple[str, str]]) ->
 
 
 def validate(g: AbpGraph) -> List[str]:
-    """Return all flavor-invariant violations; empty means the graph is valid."""
-    problems: List[str] = []
-    if g.source is None or g.source not in g.layer:
+    """Return all flavor-invariant violations; empty means the graph is valid.
+
+    One pass over the edges finds the bad ones, the source's in-edges and
+    the constant edges; only the problems found are sorted, so edge and
+    vertex messages come in (tail, head) and id order.
+    """
+    layer, source, d = g.layer, g.source, g.num_layers
+    if source is None or source not in layer:
         return ["missing source vertex"]
-    for name, vid in sorted(g.outputs.items()):
-        if vid not in g.layer:
-            problems.append(f"output {name!r} points at a missing vertex")
-    if any(v == g.source for (_u, v) in g.edges):
-        problems.append("source has incoming edges")
-    if g.flavor in ("abp", "pabp"):
-        if g.layer[g.source] != 0:
-            problems.append("source must be in layer 0")
-        for vid, lay in sorted(g.layer.items()):
-            if not 0 <= lay <= g.num_layers:
-                problems.append(f"vertex {vid!r} outside layers 0..{g.num_layers}")
-        for (u, v) in sorted(g.edges):
-            lab = g.edges[(u, v)]
-            du, dv = g.layer[u], g.layer[v]
+    problems = [f"output {name!r} points at a missing vertex"
+                for name, vid in sorted(g.outputs.items()) if vid not in layer]
+    bad: List[Tuple[str, str, str]] = []
+    const_edges: List[Tuple[str, str]] = []
+    source_in = False
+    if g.flavor == "aabp":
+        for (u, v) in g.edges:
+            source_in = source_in or v == source
+            if layer[v] <= layer[u]:
+                bad.append((u, v, f"edge {u}->{v} must increase the topological index"))
+    else:
+        pabp = g.flavor == "pabp"
+        for (u, v), lab in g.edges.items():
+            source_in = source_in or v == source
+            du, dv = layer[u], layer[v]
             if dv == du + 1:
                 if () in lab.raw:
-                    problems.append(f"cross-layer edge {u}->{v} must be homogeneous linear")
+                    bad.append((u, v, f"cross-layer edge {u}->{v} must be homogeneous linear"))
             elif dv == du:
-                if g.flavor == "pabp":
-                    problems.append("pabp forbids constant edges")
+                if pabp:
+                    bad.append((u, v, "pabp forbids constant edges"))
                 elif lab.degree != 0:
-                    problems.append(f"intra-layer edge {u}->{v} must be constant")
+                    bad.append((u, v, f"intra-layer edge {u}->{v} must be constant"))
+                else:
+                    const_edges.append((u, v))
             else:
-                problems.append(f"edge {u}->{v} skips layers")
-        if g.flavor == "abp":
-            const_edges = [(u, v) for (u, v), lab in g.edges.items()
-                           if g.layer[u] == g.layer[v] and lab.degree == 0]
-            settled = set(topological_order(list(g.layer), const_edges))
-            cyclic = {lay for vid, lay in g.layer.items() if vid not in settled}
-            for lay in range(0, g.num_layers + 1):
-                if lay in cyclic:
-                    problems.append(f"constant-edge cycle in layer {lay}")
-        if g.flavor == "pabp":
-            counts = Counter(g.layer.values())
-            if counts[0] != 1:
-                problems.append("pabp requires exactly one vertex in layer 0")
-            if counts[g.num_layers] != 1:
-                problems.append(f"pabp requires exactly one vertex in layer {g.num_layers}")
-    else:  # aabp
-        for (u, v) in sorted(g.edges):
-            if g.layer[v] <= g.layer[u]:
-                problems.append(f"edge {u}->{v} must increase the topological index")
+                bad.append((u, v, f"edge {u}->{v} skips layers"))
+    if source_in:
+        problems.append("source has incoming edges")
+    if g.flavor == "aabp":
+        return problems + [msg for _u, _v, msg in sorted(bad)]
+    if layer[source] != 0:
+        problems.append("source must be in layer 0")
+    problems += [f"vertex {vid!r} outside layers 0..{d}"
+                 for vid in sorted(vid for vid, lay in layer.items() if not 0 <= lay <= d)]
+    problems += [msg for _u, _v, msg in sorted(bad)]
+    if g.flavor == "abp":
+        settled = set(topological_order(list(layer), const_edges))
+        cyclic = {lay for vid, lay in layer.items() if vid not in settled}
+        problems += [f"constant-edge cycle in layer {lay}" for lay in range(0, d + 1) if lay in cyclic]
+    else:
+        counts = Counter(layer.values())
+        if counts[0] != 1:
+            problems.append("pabp requires exactly one vertex in layer 0")
+        if counts[d] != 1:
+            problems.append(f"pabp requires exactly one vertex in layer {d}")
     return problems
 
 
@@ -509,9 +537,8 @@ def sub_abp(g: AbpGraph, at: Optional[str] = None) -> AbpGraph:
         if vid in kept:
             sub.add_vertex(vid, g.layer[vid])
     sub.set_source(g.source)
-    for (u, v) in sorted(g.edges):
-        if u in kept and v in kept and u in backward and v in forward:
-            sub.add_edge(u, v, g.edges[(u, v)])
+    sub.add_edges((u, v, g.edges[(u, v)]) for (u, v) in sorted(g.edges)
+                  if u in kept and v in kept and u in backward and v in forward)
     sub.add_output(name, target)
     return sub
 
@@ -618,16 +645,20 @@ def homogenize(g: AbpGraph, k: int) -> AbpGraph:
         for i, vid in ids.items():
             out.add_vertex(vid, i)
     out.set_source(names[g.source][0])
-    for (u, v) in sorted(g.edges):
-        lab = g.edges[(u, v)]
-        linear = lab.homogeneous_component(1)
-        const = lab.homogeneous_component(0)
-        targets = names[v]
-        for i, tail in names[u].items():
-            if not linear.is_zero() and (i + 1) in targets:
-                out.add_edge(tail, targets[i + 1], linear)
-            if not const.is_zero() and i in targets:
-                out.add_edge(tail, targets[i], const)
+
+    def edges() -> Iterator[Tuple[str, str, Polynomial]]:
+        for (u, v) in sorted(g.edges):
+            lab = g.edges[(u, v)]
+            linear = lab.homogeneous_component(1)
+            const = lab.homogeneous_component(0)
+            targets = names[v]
+            for i, tail in names[u].items():
+                if not linear.is_zero() and (i + 1) in targets:
+                    yield tail, targets[i + 1], linear
+                if not const.is_zero() and i in targets:
+                    yield tail, targets[i], const
+
+    out.add_edges(edges())
     out.add_output(name, names[sink][k])
     return out
 
@@ -671,10 +702,8 @@ def combine(g1: AbpGraph, g2: AbpGraph, op: str,
         for v, vid in names[tag].items():
             out.add_vertex(vid, part.layer[v] + shift)
     out.set_source("s")
-    for tag, part, _shift in parts:
-        rename = names[tag]
-        for (u, v) in sorted(part.edges):
-            out.add_edge(rename[u], rename[v], part.edges[(u, v)].promote(ambient))
+    out.add_edges((names[tag][u], names[tag][v], part.edges[(u, v)].promote(ambient))
+                  for tag, part, _shift in parts for (u, v) in sorted(part.edges))
     out.add_output("sink", "t")
     return out
 

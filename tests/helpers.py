@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 from typing import Dict, List
 
@@ -24,6 +25,80 @@ Z7 = RingDescriptor.modular(7)
 Q = RingDescriptor.rationals()
 
 RING_FAMILIES = {"int": Z, "mod4": Z4, "mod7": Z7, "rat": Q}
+
+
+def reference_add_edge(g: AbpGraph, u: str, v: str, label: Polynomial) -> None:
+    """Insert one edge with every check made on it: the reference for
+    ``AbpGraph.add_edges``, which checks each label object once per call."""
+    if u not in g.layer or v not in g.layer:
+        raise GraphError("edge endpoint is not a vertex")
+    if u == v:
+        raise GraphError("self-loops are not allowed")
+    if label.ring is not g.ring and label.ring != g.ring:
+        raise GraphError(f"edge {u}->{v} has a label from another ring")
+    if label.ambient_n != g.ambient_n:
+        raise GraphError(f"edge {u}->{v} has a label of ambient size "
+                         f"{label.ambient_n}, not {g.ambient_n}")
+    if label.degree > 1:
+        raise GraphError(f"edge {u}->{v} has a label of degree above 1")
+    existing = g.edges.get((u, v))
+    merged = label if existing is None else existing + label
+    if merged.is_zero():
+        g.edges.pop((u, v), None)
+    else:
+        g.edges[(u, v)] = merged
+    g._plan = None
+
+
+def reference_validate(g: AbpGraph) -> List[str]:
+    """Every flavor-invariant violation, found by sorting all vertices and
+    all edges: the reference for ``validate``'s one pass over the edges."""
+    problems: List[str] = []
+    if g.source is None or g.source not in g.layer:
+        return ["missing source vertex"]
+    for name, vid in sorted(g.outputs.items()):
+        if vid not in g.layer:
+            problems.append(f"output {name!r} points at a missing vertex")
+    if any(v == g.source for (_u, v) in g.edges):
+        problems.append("source has incoming edges")
+    if g.flavor in ("abp", "pabp"):
+        if g.layer[g.source] != 0:
+            problems.append("source must be in layer 0")
+        for vid, lay in sorted(g.layer.items()):
+            if not 0 <= lay <= g.num_layers:
+                problems.append(f"vertex {vid!r} outside layers 0..{g.num_layers}")
+        for (u, v) in sorted(g.edges):
+            lab = g.edges[(u, v)]
+            du, dv = g.layer[u], g.layer[v]
+            if dv == du + 1:
+                if () in lab.raw:
+                    problems.append(f"cross-layer edge {u}->{v} must be homogeneous linear")
+            elif dv == du:
+                if g.flavor == "pabp":
+                    problems.append("pabp forbids constant edges")
+                elif lab.degree != 0:
+                    problems.append(f"intra-layer edge {u}->{v} must be constant")
+            else:
+                problems.append(f"edge {u}->{v} skips layers")
+        if g.flavor == "abp":
+            const_edges = [(u, v) for (u, v), lab in g.edges.items()
+                           if g.layer[u] == g.layer[v] and lab.degree == 0]
+            settled = set(topological_order(list(g.layer), const_edges))
+            cyclic = {lay for vid, lay in g.layer.items() if vid not in settled}
+            for lay in range(0, g.num_layers + 1):
+                if lay in cyclic:
+                    problems.append(f"constant-edge cycle in layer {lay}")
+        if g.flavor == "pabp":
+            counts = Counter(g.layer.values())
+            if counts[0] != 1:
+                problems.append("pabp requires exactly one vertex in layer 0")
+            if counts[g.num_layers] != 1:
+                problems.append(f"pabp requires exactly one vertex in layer {g.num_layers}")
+    else:  # aabp
+        for (u, v) in sorted(g.edges):
+            if g.layer[v] <= g.layer[u]:
+                problems.append(f"edge {u}->{v} must increase the topological index")
+    return problems
 
 
 def boxed_sweep(g: AbpGraph, entries: List[List[RingElement]]) -> Dict[str, RingElement]:
@@ -93,8 +168,8 @@ def reference_dict(g: AbpGraph) -> dict:
 
 def reference_graph_from_json_dict(data: dict) -> AbpGraph:
     """The graph that JSON data describes, read with ``_field`` and
-    ``_index_field`` on every field and ``add_edge`` on every edge: the
-    reference for ``graph_from_json_dict``, its errors included."""
+    ``_index_field`` on every field and ``reference_add_edge`` on every
+    edge: the reference for ``graph_from_json_dict``, its errors included."""
     try:
         ring = descriptor_from_spec(_field(data, "ring", str))
         n = _field(data, "n", int)
@@ -122,7 +197,7 @@ def reference_graph_from_json_dict(data: dict) -> AbpGraph:
                 if len(terms) != len(linear) + 1:
                     raise GraphError(f"malformed graph JSON: edge {u}->{v} repeats a linear term")
                 label = labels[key] = Polynomial(ring, n, terms)
-            g.add_edge(u, v, label)
+            reference_add_edge(g, u, v, label)
         outputs = data["outputs"]
         for name in outputs:
             g.add_output(name, _field(outputs, name, str))

@@ -1,6 +1,7 @@
 """Graph JSON: ``graph_to_json_text`` against ``json.dumps`` of the dict
 reference, its round trip through ``graph_from_json_dict``, that reader
-against the per-field reference reader on good and mutated files, and the
+against the per-field reference reader on good and mutated files,
+``validate`` against its reference on the mutated files that read, and the
 id strings that edge keys share with their vertices."""
 
 import copy
@@ -16,7 +17,14 @@ from hypothesis import given, settings, strategies as st
 
 from abpc.build import build_bivariate_abp, build_charzero_abp, build_gradient_abp
 from abpc.cli import main
-from abpc.graph import AbpGraph, GraphError, graph_from_json_dict, graph_to_json_dict, graph_to_json_text
+from abpc.graph import (
+    AbpGraph,
+    GraphError,
+    graph_from_json_dict,
+    graph_to_json_dict,
+    graph_to_json_text,
+    validate,
+)
 from abpc.poly import Polynomial
 from abpc.rings import AbpcError, descriptor_from_spec
 from helpers import (
@@ -27,6 +35,7 @@ from helpers import (
     random_program,
     reference_dict,
     reference_graph_from_json_dict,
+    reference_validate,
 )
 
 
@@ -315,8 +324,26 @@ def unknown_vertex(data, draw):
         draw(st.sampled_from(edges))[draw(st.sampled_from(("from", "to")))] = "nowhere"
 
 
+def move_vertex(data, draw):
+    """A readable file that breaks a layer invariant: a vertex moved to
+    another layer, in range or not."""
+    verts = data.get("vertices")
+    verts = [v for v in verts if isinstance(v, dict)] if isinstance(verts, list) else []
+    if verts:
+        draw(st.sampled_from(verts))["layer"] = draw(st.integers(-1, 4))
+
+
+def redirect_edge(data, draw):
+    """A readable file that breaks a layer invariant: an edge re-pointed at
+    another vertex, the source among them."""
+    edges = edge_dicts(data)
+    if edges:
+        draw(st.sampled_from(edges))[draw(st.sampled_from(("from", "to")))] = draw(
+            st.sampled_from(("s", "r_2_1_1", "r_3_1_2", "r_3_2_1", "c_3_2", "c_3_3")))
+
+
 MUTATIONS = (drop_key, swap_type, index_out_of_range, duplicate_edge, repeat_term,
-             self_loop, unknown_vertex)
+             self_loop, unknown_vertex, move_vertex, redirect_edge)
 
 
 @st.composite
@@ -334,6 +361,7 @@ def test_reader_matches_reference_reader_on_mutated_files(text):
     got, want = read_both(text)
     if isinstance(want, AbpGraph):
         assert_same_graph(got, want)
+        assert validate(got) == reference_validate(want)
     else:
         assert got == want
     with tempfile.TemporaryDirectory() as tmp:
