@@ -150,12 +150,9 @@ def build_charzero_abp(n: int, d_max: int, ring: RingDescriptor) -> AbpGraph:
     # each vertex id is formatted once; every edge key reuses the string
     v = [g.add_vertex(f"v_{d}", d) for d in range(0, d_max + 1)]
     g.set_source(v[0])
-    # w[d, i][l, a, b] is vertex w_{d}_{i}_{l}_{a}_{b}
-    w = {(d, i): {(l, a, b): g.add_vertex(f"w_{d}_{i}_{l}_{a}_{b}", d - i + l)
-                  for l in range(1, i) for a in range(1, n + 1) for b in range(1, n + 1)}
-         for d in range(1, d_max + 1) for i in range(2, d + 1)}
-    cells = [(a, b) for a in range(1, n + 1) for b in range(1, n + 1)]
 
+    # add_edges reads the live vertex table, so the generator adds each
+    # vertex before the first edge that needs it
     def edges() -> Iterator[Tuple[str, str, Polynomial]]:
         for d in range(1, d_max + 1):
             inv_d = invert(int_embed(ring, d))
@@ -163,15 +160,19 @@ def build_charzero_abp(n: int, d_max: int, ring: RingDescriptor) -> AbpGraph:
             # closing[i % 2][(b, a)] is (-1)^(i+1)/d * x[b,a]
             closing = [{key: var.scale(coeff) for key, var in x.items()} for coeff in (-inv_d, inv_d)]
             for i in range(2, d + 1):
-                wdi = w[d, i]
-                for a, b in cells:
-                    yield v[d - i], wdi[1, a, b], x[(a, b)]
+                w = {(l, a, b): g.add_vertex(f"w_{d}_{i}_{l}_{a}_{b}", d - i + l)
+                     for l in range(1, i) for a in range(1, n + 1) for b in range(1, n + 1)}
+                for a in range(1, n + 1):
+                    for b in range(1, n + 1):
+                        yield v[d - i], w[1, a, b], x[(a, b)]
                 for l in range(1, i - 1):
-                    for a, b in cells:
-                        for c in range(1, n + 1):
-                            yield wdi[l, a, b], wdi[l + 1, a, c], x[(b, c)]
-                for a, b in cells:
-                    yield wdi[i - 1, a, b], v[d], closing[i % 2][(b, a)]
+                    for a in range(1, n + 1):
+                        for b in range(1, n + 1):
+                            for c in range(1, n + 1):
+                                yield w[l, a, b], w[l + 1, a, c], x[(b, c)]
+                for a in range(1, n + 1):
+                    for b in range(1, n + 1):
+                        yield w[i - 1, a, b], v[d], closing[i % 2][(b, a)]
 
     g.add_edges(edges())
     for d in range(0, d_max + 1):
@@ -201,33 +202,32 @@ def build_bivariate_abp(n: int, d_max: int, ring: RingDescriptor) -> AbpGraph:
     for i in range(0, n + 1):
         v[i, 0] = g.add_vertex(f"v_{i}_0", 0)
     g.set_source(v[0, 0])
-    # w[i, j, ip][l - 1][b - 1] is vertex w_{i}_{j}_{ip}_{l}_{b}
-    w: Dict[Tuple[int, int, int], List[List[str]]] = {}
-    for j in range(1, d_max + 1):
-        for i in range(j, n + 1):
-            v[i, j] = g.add_vertex(f"v_{i}_{j}", j)
-            for ip in range(2, j + 1):
-                w[i, j, ip] = [[g.add_vertex(f"w_{i}_{j}_{ip}_{l}_{b}", j - ip + l)
-                                for b in range(1, i + 1)] for l in range(1, ip)]
 
+    # the generator adds each vertex before the first edge that needs it
     def edges() -> Iterator[Tuple[str, str, Polynomial]]:
         for i in range(0, n):
             yield v[i, 0], v[i + 1, 0], one
         for j in range(1, d_max + 1):
             for i in range(j, n + 1):
+                v[i, j] = g.add_vertex(f"v_{i}_{j}", j)
                 if i > j:
                     yield v[i - 1, j], v[i, j], one
-                yield v[i, j - 1], v[i, j], x[(i, i)]
-                for ip in range(2, j + 1):
+                for ip in range(1, j + 1):
                     signed_x = x if ip % 2 == 1 else neg_x
-                    rows = w[i, j, ip]
-                    for b, head in enumerate(rows[0], 1):
-                        yield v[i, j - ip], head, x[(i, b)]
-                    for tails, heads in zip(rows, rows[1:]):
+                    src = v[i, j - ip]
+                    if ip == 1:
+                        yield src, v[i, j], signed_x[(i, i)]
+                        continue
+                    # w[l - 1][b - 1] is vertex w_{i}_{j}_{ip}_{l}_{b}
+                    w = [[g.add_vertex(f"w_{i}_{j}_{ip}_{l}_{b}", j - ip + l) for b in range(1, i + 1)]
+                         for l in range(1, ip)]
+                    for b, head in enumerate(w[0], 1):
+                        yield src, head, x[(i, b)]
+                    for tails, heads in zip(w, w[1:]):
                         for b, tail in enumerate(tails, 1):
                             for c, head in enumerate(heads, 1):
                                 yield tail, head, x[(b, c)]
-                    for b, tail in enumerate(rows[-1], 1):
+                    for b, tail in enumerate(w[-1], 1):
                         yield tail, v[i, j], signed_x[(b, i)]
 
     g.add_edges(edges())

@@ -1,0 +1,62 @@
+"""The statistics and claim rule of tools/bench_pairs.py, on made-up runs."""
+
+import importlib.util
+from pathlib import Path
+
+_spec = importlib.util.spec_from_file_location(
+    "bench_pairs", Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+SEEDS = list(range(1, 11))
+BETTER = {"build_s": "lower"}
+
+
+def run(build_s, failed=0, correct=True):
+    metrics = {} if build_s is None else {"build_s": {"value": build_s, "unit": "s"}}
+    return {"correct": correct, "attempted": 10, "failed": failed, "exit": 0, "metrics": metrics}
+
+
+def workload(parent, change):
+    return {"io": bench_pairs.summarize(SEEDS, {"parent": parent, "change": change}, BETTER)}
+
+
+def test_a_clear_win_in_every_pair_meets_the_claim():
+    w = workload([run(0.12 + k / 1000) for k in range(10)], [run(0.09 + k / 1000) for k in range(10)])
+    claim = bench_pairs.claim_of(w, "io", "build_s", "t")
+    assert claim["met"] and claim["change_better_pairs"] == 10 and "why_not" not in claim
+
+
+def test_eight_wins_in_ten_do_not_meet_the_claim():
+    change = [run(0.09)] * 8 + [run(0.2)] * 2
+    claim = bench_pairs.claim_of(workload([run(0.12)] * 10, change), "io", "build_s", "t")
+    assert not claim["met"] and "8 of 10" in claim["why_not"]
+
+
+def test_more_failed_requests_or_an_incorrect_run_do_not_meet_the_claim():
+    parent = [run(0.12 + k / 1000) for k in range(10)]
+    failing = [run(0.09, failed=1)] + [run(0.09)] * 9
+    claim = bench_pairs.claim_of(workload(parent, failing), "io", "build_s", "t")
+    assert not claim["met"] and "failed more" in claim["why_not"]
+    wrong = [run(0.09, correct=False)] + [run(0.09)] * 9
+    claim = bench_pairs.claim_of(workload(parent, wrong), "io", "build_s", "t")
+    assert not claim["met"] and "incorrect" in claim["why_not"]
+
+
+def test_a_crashed_run_drops_only_its_own_pair():
+    parent = [run(0.12 + k / 1000) for k in range(10)]
+    change = [run(None, correct=False)] + [run(0.09)] * 9
+    w = workload(parent, change)
+    stats = w["io"]["metrics"]["build_s"]
+    assert stats["pairs"] == 9 and stats["change_better_pairs"] == 9
+    assert not w["io"]["correct"]
+    claim = bench_pairs.claim_of(w, "io", "build_s", "t")
+    assert not claim["met"]
+
+
+def test_a_metric_no_pair_reported_is_an_unmet_claim():
+    w = workload([run(None)] * 10, [run(None)] * 10)
+    assert w["io"]["metrics"] == {}
+    claim = bench_pairs.claim_of(w, "io", "build_s", "t")
+    assert claim == {"workload": "io", "metric": "build_s", "target": "t", "met": False,
+                     "why_not": "no pair reported the metric"}

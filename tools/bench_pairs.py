@@ -5,8 +5,8 @@
         --claim io build_s --target "change better in at least 9 of 10 pairs"
 
 ``--parent`` and ``--change`` are two source checkouts, for example two
-``git worktree``s.  For each workload in ``--workloads`` order and each seed
-(``--pairs`` seeds from ``--first-seed``), the script runs
+``git worktree``s.  For each workload (io, eval, symbolic, in that order) and
+each of the ten seeds 21-30, the script runs
 ``perfbench/run.py --workload W --seed S --seconds T --trace 0`` once in each
 checkout, one run at a time, with T the ``run_seconds`` of the change's
 ``BENCHMARK.json``: odd seeds run the parent first, even seeds the change
@@ -15,8 +15,12 @@ The script writes ``BENCH_<topic>.json`` in the current directory, with
 the keys topic, change, parent, machine, python, command, seconds, seeds,
 pairing, statistics, claim and workloads.  Every metric holds each side's
 median and quartiles (inclusive method) and how many pairs the change won
-and lost, in the direction ``BENCHMARK.json`` gives the metric.  It edits
-no file in either checkout.  The exit code is 1 if some run failed or
+and lost, in the direction ``BENCHMARK.json`` gives the metric, over the
+seeds where both runs reported it.  The claim is met only if the change won
+at least nine of the ten pairs, the medians differ by more than the parent's
+interquartile range, every run of the claimed workload was correct, and the
+change failed no more requests than the parent.  It edits no file in either
+checkout.  The exit code is 1 if some run failed or
 reported an incorrect result, else 0.
 """
 
@@ -32,6 +36,9 @@ import sys
 from typing import Dict, List
 
 SIDES = ("parent", "change")
+WORKLOADS = ("io", "eval", "symbolic")
+SEEDS = list(range(21, 31))
+PAIRS = len(SEEDS)
 
 
 def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
@@ -56,16 +63,25 @@ def quartiles(values: List[float]) -> Dict[str, float]:
 
 
 def summarize(seeds: List[int], runs: Dict[str, List[dict]], better: Dict[str, str]) -> dict:
-    """One workload's entry: counts, correctness and per-metric statistics."""
+    """One workload's entry: counts, correctness and per-metric statistics.
+
+    A metric's statistics use the seeds where both runs reported it, so one
+    crashed run, which reports no metrics, drops only its own pair."""
     metrics = {}
-    names = sorted(set.intersection(*(set(r["metrics"]) for side in SIDES for r in runs[side])))
+    names = sorted(set().union(*(r["metrics"] for side in SIDES for r in runs[side])))
     for name in names:
-        values = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in SIDES}
+        paired = [(p["metrics"][name], c["metrics"][name])
+                  for p, c in zip(runs["parent"], runs["change"])
+                  if name in p["metrics"] and name in c["metrics"]]
+        if len(paired) < 2:
+            continue
+        values = {side: [pair[k]["value"] for pair in paired] for k, side in enumerate(SIDES)}
         sign = -1 if better.get(name, "lower") == "higher" else 1
         diffs = [sign * (c - p) for p, c in zip(values["parent"], values["change"])]
         parent, change = quartiles(values["parent"]), quartiles(values["change"])
         metrics[name] = {
-            "unit": runs["parent"][0]["metrics"][name]["unit"],
+            "unit": paired[0][0]["unit"],
+            "pairs": len(paired),
             "parent": parent,
             "change": change,
             "change_over_parent": round(change["median"] / parent["median"], 3) if parent["median"] else None,
@@ -83,23 +99,34 @@ def summarize(seeds: List[int], runs: Dict[str, List[dict]], better: Dict[str, s
 
 
 def claim_of(workloads: dict, workload: str, metric: str, target: str) -> dict:
-    """The claim judged by the rule: the change wins at least nine tenths of
-    the pairs, and the medians differ by more than the parent's interquartile range."""
-    entry = workloads[workload]["metrics"][metric]
-    parent, change = entry["parent"], entry["change"]
+    """The claim judged by the rule: the change wins at least nine of the ten
+    pairs and the medians differ by more than the parent's interquartile
+    range, with every run correct and no more failed requests than the parent."""
+    entry = workloads[workload]
+    claim = {"workload": workload, "metric": metric, "target": target}
+    stats = entry["metrics"].get(metric)
+    if stats is None:
+        return {**claim, "met": False, "why_not": "no pair reported the metric"}
+    parent, change = stats["parent"], stats["change"]
     iqr = round(parent["q3"] - parent["q1"], 4)
-    pairs = workloads[workload]["pairs"]
+    why_not = []
+    if 10 * stats["change_better_pairs"] < 9 * PAIRS:
+        why_not.append(f"change better in {stats['change_better_pairs']} of {PAIRS} pairs")
+    if abs(change["median"] - parent["median"]) <= iqr:
+        why_not.append("medians within the parent's interquartile range")
+    if not entry["correct"]:
+        why_not.append("a run failed or reported an incorrect result")
+    if entry["failed"]["change"] > entry["failed"]["parent"]:
+        why_not.append("the change failed more requests than the parent")
     return {
-        "workload": workload,
-        "metric": metric,
-        "target": target,
+        **claim,
         "parent_median": parent["median"],
         "change_median": change["median"],
         "parent_iqr": iqr,
-        "change_better_pairs": entry["change_better_pairs"],
-        "pairs": pairs,
-        "met": (10 * entry["change_better_pairs"] >= 9 * pairs
-                and abs(change["median"] - parent["median"]) > iqr),
+        "change_better_pairs": stats["change_better_pairs"],
+        "pairs": stats["pairs"],
+        "met": not why_not,
+        **({"why_not": "; ".join(why_not)} if why_not else {}),
     }
 
 
@@ -122,48 +149,41 @@ def main(argv=None) -> int:
     p.add_argument("--text", required=True, help="one sentence on what the change does")
     p.add_argument("--claim", nargs=2, required=True, metavar=("WORKLOAD", "METRIC"))
     p.add_argument("--target", required=True, help="the claim's target, as stated before the runs")
-    p.add_argument("--workloads", nargs="+", default=["io", "eval", "symbolic"])
-    p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--first-seed", type=int, default=11)
     args = p.parse_args(argv)
-    if args.claim[0] not in args.workloads:
-        p.error(f"the claimed workload {args.claim[0]!r} is not among --workloads")
-    if args.pairs < 2:
-        p.error("--pairs must be at least 2")
+    if args.claim[0] not in WORKLOADS:
+        p.error(f"the claimed workload {args.claim[0]!r} is not one of {', '.join(WORKLOADS)}")
 
     checkouts = {"parent": args.parent, "change": args.change}
     with open(os.path.join(args.change, "BENCHMARK.json")) as f:
         benchmark = json.load(f)
     better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
     seconds = benchmark["run_seconds"]
-    seeds = list(range(args.first_seed, args.first_seed + args.pairs))
     workloads = {}
-    for workload in args.workloads:
+    for workload in WORKLOADS:
         runs: Dict[str, List[dict]] = {side: [] for side in SIDES}
-        for seed in seeds:
+        for seed in SEEDS:
             for side in SIDES if seed % 2 else SIDES[::-1]:
                 result = run_once(checkouts[side], workload, seed, seconds)
                 runs[side].append(result)
                 print(json.dumps({"workload": workload, "seed": seed, "side": side, **result}),
                       file=sys.stderr, flush=True)
-        workloads[workload] = summarize(seeds, runs, better)
+        workloads[workload] = summarize(SEEDS, runs, better)
 
-    first = " then ".join(args.workloads)
     bench = {
         "topic": args.topic,
         "change": args.text,
         "parent": args.parent_rev,
         "machine": machine(),
         "python": platform.python_version(),
-        "command": f"python3 perfbench/run.py --workload <{'|'.join(sorted(args.workloads))}> "
+        "command": f"python3 perfbench/run.py --workload <{'|'.join(sorted(WORKLOADS))}> "
                    f"--seed <s> --seconds {seconds} --trace 0",
         "seconds": seconds,
-        "seeds": seeds,
+        "seeds": SEEDS,
         "pairing": "one parent run and one change run per seed, each from its own checkout; odd "
-                   f"seeds run the parent first, even seeds the change first; {first}.",
-        "statistics": f"per metric: median and quartiles (inclusive method) over the {args.pairs} "
-                      "runs of each side; change_better_pairs / change_worse_pairs count seeds "
-                      "where the change read better / worse",
+                   f"seeds run the parent first, even seeds the change first; {' then '.join(WORKLOADS)}.",
+        "statistics": "per metric: median and quartiles (inclusive method) over the runs of "
+                      "each side whose pair both reported the metric; change_better_pairs / "
+                      "change_worse_pairs count seeds where the change read better / worse",
         "claim": claim_of(workloads, *args.claim, args.target),
         "workloads": workloads,
     }
