@@ -12,8 +12,9 @@ family cpc_{n,d} (output names ``cpc_<n>_<d>``):
   it, r_{i,j+1} = ( -r_{i,j} L_i | sum_{i'=j+1..i-1} r_{i',j} C_{i'} ),
   and the last entry of r_{i+1,j} is cpc_{i,j}; vertex ``c_<i>_<j>`` is
   that entry where only it is kept (i = n or the top layer), so d = 1 is
-  not a special case.  ``transition_matrix`` reads its entries from the
-  program's edges.
+  not a special case.  The c vertices are its only sinks, which is how
+  ``stats_from_graph``, reading edges alone, counts the r-vector entries.
+  ``transition_matrix`` reads its entries from the program's edges.
 
 ``width_from_determinantal`` goes the other way: it recovers a program
 from a square affine matrix with homogeneous determinant through exact
@@ -35,13 +36,13 @@ from .rings import RingDescriptor, RingElement, int_embed, invert
 
 @dataclass(frozen=True)
 class ConstructionStats:
-    """Vertex accounting for a built program.
+    """Vertex accounting for a program, read from its edges alone.
 
-    ``per_layer_counts`` lists the structural vertices of layers 1..d-1
-    (for the gradient builder: only the r-vector entries, with the named
-    extra output vertices counted separately) and ``width`` is their
-    maximum.  ``size`` excludes the source and the out-degree-0 sinks,
-    ``total_vertices`` counts everything.
+    A sink is a vertex without out-edges.  ``per_layer_counts`` counts the
+    non-sinks of layers 1..d-1, ``width`` is their maximum and ``size``
+    counts the non-sinks other than the source.  Only when a layer 1..d-1
+    holds a sink, ``rvector_total`` is ``size`` and ``extra_output_vertices``
+    counts the sinks of layers 1..d; otherwise both are ``None``.
     """
 
     width: int
@@ -55,26 +56,24 @@ class ConstructionStats:
 
 
 def stats_from_graph(g: AbpGraph) -> ConstructionStats:
-    """Re-derive statistics from vertex naming conventions."""
-    rverts = [v for v in g.layer if v.startswith("r_")]
-    per_layer = Counter(g.layer[v] for v in (rverts or g.layer))
-    counts = tuple(per_layer[lay] for lay in range(1, g.num_layers))
-    if rverts:
-        extra = sum(1 for v in g.layer if v.startswith("c_"))
-        rtotal = len(rverts)
-    else:
-        extra = None
-        rtotal = None
-    outputs = tuple(sorted((name, g.layer[v]) for name, v in g.outputs.items()))
+    """The statistics of ``g``, from one out-edge set and one pass over the vertices."""
+    d = g.num_layers
+    has_out = {u for u, _v in g.edges}
+    inner, sinks = Counter(), Counter()
+    for v, lay in g.layer.items():
+        (inner if v in has_out else sinks)[lay] += 1
+    counts = tuple(inner[lay] for lay in range(1, d))
+    size = sum(inner.values()) - (g.source in has_out)
+    split = any(0 < lay < d for lay in sinks)
     return ConstructionStats(
         width=max(counts, default=0),
         per_layer_counts=counts,
-        rvector_total=rtotal,
-        extra_output_vertices=extra,
+        rvector_total=size if split else None,
+        extra_output_vertices=sum(c for lay, c in sinks.items() if 0 < lay <= d) if split else None,
         total_vertices=len(g.layer),
-        size=g.size(),
+        size=size,
         edge_count=len(g.edges),
-        outputs=outputs,
+        outputs=tuple(sorted((name, g.layer[v]) for name, v in g.outputs.items())),
     )
 
 
@@ -99,19 +98,16 @@ def comparison_report(n: int, d: Optional[int] = None) -> dict:
         d = n
     if not 1 <= d <= n:
         raise GraphError("parameters out of range: need 1 <= d <= n")
-    ours_vertices = gradient_vertex_total(n, d)
-    ours_width = gradient_width(n)
-    baseline_vertices = n ** 3
-    baseline_width = n ** 2
+    vertices, width = gradient_vertex_total(n, d), gradient_width(n)
     return {
         "n": n,
         "d": d,
-        "vertices": ours_vertices,
-        "width": ours_width,
-        "baseline_vertices": baseline_vertices,
-        "baseline_width": baseline_width,
-        "vertex_ratio": baseline_vertices / ours_vertices if ours_vertices else None,
-        "width_ratio": baseline_width / ours_width if ours_width else None,
+        "vertices": vertices,
+        "width": width,
+        "baseline_vertices": n ** 3,
+        "baseline_width": n ** 2,
+        "vertex_ratio": n ** 3 / vertices if vertices else None,
+        "width_ratio": n ** 2 / width if width else None,
     }
 
 

@@ -173,7 +173,10 @@ def _cmd_verify_all(parser, args) -> int:
 
 def _baseline_line(n: int, vertices: int, width: int) -> str:
     """The n^3 / n^2 baseline against a vertex count and a width."""
-    ratios = f"{n ** 3 / vertices:.4f} {n * n / width:.4f}" if vertices and width else "n/a"
+    try:
+        ratios = f"{n ** 3 / vertices:.4f} {n * n / width:.4f}" if vertices and width else "n/a"
+    except OverflowError:  # a graph file's n so large that a ratio leaves float range
+        ratios = "n/a"
     return (f"baseline n^3={n ** 3} width n^2={n * n}; "
             f"this construction vertices={vertices} width={width}; "
             f"ratios {ratios}")
@@ -192,8 +195,7 @@ def _cmd_stats(parser, args) -> int:
     g = _load_graph(args.graph)
     stats = stats_from_graph(g)
     print(json.dumps(dataclasses.asdict(stats), indent=2, sort_keys=True))
-    vertices = stats.rvector_total if stats.rvector_total is not None else stats.size
-    print(_baseline_line(g.ambient_n, vertices, stats.width))
+    print(_baseline_line(g.ambient_n, stats.size, stats.width))
     return 0
 
 
@@ -222,8 +224,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     # The data holds no reference cycles, so the cyclic collector would only
     # rescan a freshly parsed graph; pause it and give the caller theirs back.
+    # Exact values have any length: lift the int/str digit limit (3.11+) alike.
     was_enabled = gc.isenabled()
     gc.disable()
+    digits = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
+    if digits is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return _COMMANDS[args.command](parser, args)
     except (AbpcError, OSError) as exc:
@@ -232,6 +238,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     finally:
         if was_enabled:
             gc.enable()
+        if digits is not None:
+            sys.set_int_max_str_digits(digits)
 
 
 def entry() -> None:

@@ -175,11 +175,6 @@ class AbpGraph:
         counts = Counter(self.layer.values())
         return max((counts[l] for l in range(1, self.num_layers)), default=0)
 
-    def size(self) -> int:
-        """Vertex count excluding the source and the out-degree-0 sinks."""
-        has_out = {u for (u, _v) in self.edges}
-        return sum(1 for v in self.layer if v != self.source and v in has_out)
-
     def __repr__(self) -> str:
         return (f"AbpGraph({self.flavor}, n={self.ambient_n}, d={self.num_layers}, "
                 f"|V|={len(self.layer)}, |E|={len(self.edges)})")
@@ -264,7 +259,7 @@ def validate(g: AbpGraph) -> List[str]:
     if g.flavor == "abp":
         settled = set(topological_order(list(layer), const_edges))
         cyclic = {lay for vid, lay in layer.items() if vid not in settled}
-        problems += [f"constant-edge cycle in layer {lay}" for lay in range(0, d + 1) if lay in cyclic]
+        problems += [f"constant-edge cycle in layer {lay}" for lay in sorted(cyclic) if 0 <= lay <= d]
     else:
         counts = Counter(layer.values())
         if counts[0] != 1:

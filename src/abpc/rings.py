@@ -195,16 +195,13 @@ def element_to_str(a: RingElement) -> str:
 
 def element_from_str(r: RingDescriptor, s: str) -> RingElement:
     s = s.strip()
-    if r.kind in (INT, MOD):
-        if not _INT_RE.match(s):
-            raise RingError(f"cannot parse {s!r} as an integer")
-        return _reduced(r, int(s))
-    if not _RAT_RE.match(s):
-        raise RingError(f"cannot parse {s!r} as a rational")
-    try:
-        return RingElement(r, Fraction(s))
-    except ZeroDivisionError:
-        raise RingError(f"cannot parse {s!r} as a rational") from None
+    rat = r.kind == RAT
+    if (_RAT_RE if rat else _INT_RE).match(s):
+        try:
+            return RingElement(r, Fraction(s)) if rat else _reduced(r, int(s))
+        except (ValueError, ZeroDivisionError):  # past the int/str digit limit, or n/0
+            pass
+    raise RingError(f"cannot parse {s!r} as {'a rational' if rat else 'an integer'}")
 
 
 def descriptor_from_spec(spec: str) -> RingDescriptor:
@@ -215,9 +212,12 @@ def descriptor_from_spec(spec: str) -> RingDescriptor:
         return RingDescriptor.rationals()
     if spec.startswith("mod:"):
         body = spec[4:]
-        if not body.isdigit():
-            raise RingError(f"bad modulus in ring spec {spec!r}")
-        return RingDescriptor.modular(int(body))
+        if body.isdigit():
+            try:
+                return RingDescriptor.modular(int(body))
+            except ValueError:  # a digit int() refuses, such as "²", or past the int/str digit limit
+                pass
+        raise RingError(f"bad modulus in ring spec {spec!r}")
     raise RingError(f"unknown ring spec {spec!r}")
 
 

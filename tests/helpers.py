@@ -7,6 +7,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import Dict, List
 
+from abpc.build import ConstructionStats
 from abpc.graph import AbpGraph, GraphError, _field, _index_field, topological_order
 from abpc.poly import Polynomial, PolyMatrix, flatten, unflatten
 from abpc.rings import (
@@ -99,6 +100,48 @@ def reference_validate(g: AbpGraph) -> List[str]:
             if g.layer[v] <= g.layer[u]:
                 problems.append(f"edge {u}->{v} must increase the topological index")
     return problems
+
+
+def reference_stats_from_graph(g: AbpGraph) -> ConstructionStats:
+    """Statistics inferred from the gradient builder's ``r_``/``c_`` vertex
+    names: the reference for ``stats_from_graph``, which reads only edges."""
+    rverts = [v for v in g.layer if v.startswith("r_")]
+    per_layer = Counter(g.layer[v] for v in (rverts or g.layer))
+    counts = tuple(per_layer[lay] for lay in range(1, g.num_layers))
+    if rverts:
+        extra = sum(1 for v in g.layer if v.startswith("c_"))
+        rtotal = len(rverts)
+    else:
+        extra = None
+        rtotal = None
+    has_out = {u for (u, _v) in g.edges}
+    outputs = tuple(sorted((name, g.layer[v]) for name, v in g.outputs.items()))
+    return ConstructionStats(
+        width=max(counts, default=0),
+        per_layer_counts=counts,
+        rvector_total=rtotal,
+        extra_output_vertices=extra,
+        total_vertices=len(g.layer),
+        size=sum(1 for v in g.layer if v != g.source and v in has_out),
+        edge_count=len(g.edges),
+        outputs=outputs,
+    )
+
+
+def renamed(g: AbpGraph, rng: random.Random) -> AbpGraph:
+    """``g`` with its vertices renamed ``v0, v1, ..`` in a shuffled order,
+    which is also the new graph's vertex order."""
+    verts = list(g.layer)
+    rng.shuffle(verts)
+    name = {vid: f"v{k}" for k, vid in enumerate(verts)}
+    h = AbpGraph(g.flavor, g.ring, g.ambient_n, g.num_layers)
+    for vid in verts:
+        h.add_vertex(name[vid], g.layer[vid])
+    h.set_source(name[g.source])
+    h.add_edges((name[u], name[v], lab) for (u, v), lab in g.edges.items())
+    for out, vid in g.outputs.items():
+        h.add_output(out, name[vid])
+    return h
 
 
 def boxed_sweep(g: AbpGraph, entries: List[List[RingElement]]) -> Dict[str, RingElement]:

@@ -1,18 +1,25 @@
 """CLI surface: commands, exit codes, determinism, round trips."""
 
 import gc
+import io
 import json
 import os
 import random
+import re
+import sys
+import time
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from abpc import cli
 from abpc.build import build_gradient_abp
 from abpc.cli import main
-from abpc.graph import expand_symbolic, graph_from_json_dict, graph_to_json_dict
+from abpc.graph import expand_symbolic, graph_from_json_dict, graph_to_json_dict, sub_abp
 from abpc.oracle import cpc_minor_sum, cpc_table
-from abpc.rings import RingDescriptor, descriptor_from_spec, element_to_str
+from abpc.rings import RingDescriptor, RingError, descriptor_from_spec, element_to_str
 from helpers import random_matrix
 
 Z = RingDescriptor.integers()
@@ -425,3 +432,180 @@ def test_commands_run_with_the_collector_paused(tmp_path, capsys, monkeypatch):
         assert seen == [False, False] and not gc.isenabled()
     finally:
         (gc.enable if was_enabled else gc.disable)()
+
+
+def test_stats_of_a_sub_program_counts_its_non_sinks(tmp_path, capsys):
+    path = tmp_path / "sub.json"
+    path.write_text(json.dumps(graph_to_json_dict(sub_abp(build_gradient_abp(5, 5, Z)[0], "cpc_4_2"))))
+    code, out, _err = run(capsys, "stats", str(path))
+    assert code == 0
+    payload = json.loads(out[: out.rindex("}") + 1])
+    assert payload["rvector_total"] is None and payload["size"] == 9
+    assert out.endswith("this construction vertices=9 width=9; ratios 13.8889 2.7778\n")
+
+
+# -- integers of any length ----------------------------------------------------
+
+_HAS_DIGIT_LIMIT = hasattr(sys, "set_int_max_str_digits")
+TEN_5000 = "1" + "0" * 5000  # 10^5000, past Python's default 4,300-digit str/int limit
+
+
+def _gradient_file(path, n=2, ring="int", **fields):
+    """The gradient n x n program's JSON at ``path``, with ``ring`` and ``fields`` replaced."""
+    data = graph_to_json_dict(build_gradient_abp(n, n, Z)[0])
+    data.update(ring=ring, **fields)
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def test_ring_spec_digit_that_int_refuses_is_an_error(tmp_path, capsys):
+    # "²".isdigit() is true, and int() rejects it
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--identity", "bivariate_ch", "--n", "1", "--d", "1", "--ring", "mod:²"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith("error: bad modulus in ring spec 'mod:²'\n")
+    path = _gradient_file(tmp_path / "g.json", ring="mod:²")
+    assert run(capsys, "stats", path) == (1, "", "error: bad modulus in ring spec 'mod:²'\n")
+
+
+def test_matrix_entries_of_any_length_read_and_print_in_full(tmp_path, capsys):
+    path = _gradient_file(tmp_path / "g.json")
+    # A = [[10^5000, 2], [3, 10^5000]]: tr A = 2*10^5000 and det A = 10^10000 - 6
+    want = ("cpc_0_0 = 1\ncpc_1_0 = 1\n"
+            f"cpc_1_1 = {TEN_5000}\ncpc_2_0 = 1\ncpc_2_1 = 2{TEN_5000[1:]}\n"
+            f"cpc_2_2 = {'9' * 9999}4\n")
+    for matrix in (json.dumps([[TEN_5000, "2"], ["3", TEN_5000]]),  # strings
+                   f"[[{TEN_5000}, 2], [3, {TEN_5000}]]"):  # bare JSON numbers
+        assert run(capsys, "eval", path, "--matrix", matrix) == (0, want, "")
+    rat = _gradient_file(tmp_path / "q.json", ring="rat")
+    code, out, err = run(capsys, "eval", rat, "--matrix", json.dumps([[TEN_5000 + "/7", "0"], ["0", "0"]]),
+                         "--output", "cpc_1_1")
+    assert (code, out, err) == (0, f"cpc_1_1 = {TEN_5000}/7\n", "")
+
+
+def test_products_past_the_digit_limit_print_in_full(tmp_path, capsys):
+    # 3,000-digit entries: cpc_2_2 = 10^6000 has 6,001 digits
+    ten_3000 = "1" + "0" * 3000
+    path = _gradient_file(tmp_path / "g.json")
+    code, out, err = run(capsys, "eval", path, "--matrix", json.dumps([[ten_3000, "0"], ["0", ten_3000]]))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-2:] == [f"cpc_2_1 = 2{ten_3000[1:]}", f"cpc_2_2 = 1{'0' * 6000}"]
+
+
+def test_modulus_of_any_length(tmp_path, capsys):
+    ring = "mod:" + TEN_5000
+    code, out, err = run(capsys, "verify", "--identity", "bivariate_ch", "--n", "1", "--d", "1",
+                         "--ring", ring)
+    assert (code, out, err) == (0, f"bivariate_ch n=1 d=1 ring={ring} PASS\n", "")
+    path = _gradient_file(tmp_path / "g.json", ring=ring)
+    code, out, err = run(capsys, "eval", path, "--matrix", '[["-1","0"],["0","0"]]', "--output", "cpc_1_1")
+    assert (code, out, err) == (0, f"cpc_1_1 = {'9' * 5000}\n", "")
+    # outside the CLI the digit limit holds, and the modulus is a bad one
+    if _HAS_DIGIT_LIMIT:
+        with pytest.raises(RingError, match="bad modulus"):
+            descriptor_from_spec(ring)
+
+
+def test_graph_file_numbers_of_any_length(tmp_path, capsys):
+    # an ambient size of 10^5000 as a bare JSON number: the baseline ratios
+    # leave float range and read n/a
+    path = tmp_path / "g.json"
+    _gradient_file(path, n=2)
+    path.write_text(path.read_text().replace('"n": 2', f'"n": {TEN_5000}'))
+    code, out, err = run(capsys, "stats", str(path))
+    assert (code, err) == (0, "")
+    assert out.endswith(f"baseline n^3=1{'0' * 15000} width n^2=1{'0' * 10000}; "
+                        "this construction vertices=2 width=2; ratios n/a\n")
+    data = json.loads(path.read_text().replace(f'"n": {TEN_5000}', '"n": 2'))
+    data["edges"][0]["linear"][0]["coeff"] = TEN_5000
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "export-dot", str(path))
+    assert (code, err) == (0, "") and f'label="{TEN_5000}*x[' in out
+
+
+def test_main_restores_the_callers_digit_limit(tmp_path, capsys):
+    if not _HAS_DIGIT_LIMIT:
+        pytest.skip("this Python has no int/str digit limit")
+    path = _gradient_file(tmp_path / "g.json")
+    before = sys.get_int_max_str_digits()
+    try:
+        for limit in (5000, 0):
+            sys.set_int_max_str_digits(limit)
+            assert run(capsys, "eval", path, "--matrix", '[["1","2"],["3","4"]]')[0] == 0
+            assert sys.get_int_max_str_digits() == limit
+            assert run(capsys, "stats", str(tmp_path / "missing.json"))[0] == 1
+            assert sys.get_int_max_str_digits() == limit
+            with pytest.raises(SystemExit):
+                main(["eval", path, "--matrix", "["])  # a usage error inside the command
+            assert sys.get_int_max_str_digits() == limit
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+def test_constant_edge_cycle_report_does_not_scan_every_layer(tmp_path, capsys):
+    # gradient n=1 with d = 10^12: valid, and evaluated as at d = 1
+    path = _gradient_file(tmp_path / "g.json", n=1, d=10 ** 12)
+    start = time.perf_counter()
+    assert run(capsys, "eval", path, "--matrix", '[["5"]]') == (
+        0, "cpc_0_0 = 1\ncpc_1_0 = 1\ncpc_1_1 = 5\n", "")
+    assert time.perf_counter() - start < 1.0
+    # a constant-edge cycle in layer 1 is reported as at d = 1
+    for d in (1, 10 ** 12):
+        data = graph_to_json_dict(build_gradient_abp(1, 1, Z)[0])
+        data["d"] = d
+        data["vertices"].append({"id": "x", "layer": 1})
+        data["edges"] += [{"from": "c_1_1", "to": "x", "const": "1", "linear": []},
+                          {"from": "x", "to": "c_1_1", "const": "1", "linear": []}]
+        cyclic = tmp_path / f"cyclic-{d}.json"
+        cyclic.write_text(json.dumps(data))
+        assert run(capsys, "eval", str(cyclic), "--matrix", '[["5"]]') == (
+            1, "", "error: invalid input graph: constant-edge cycle in layer 1\n")
+
+
+# -- every ring spec and matrix text ends in a result or one error line --------------
+
+_CELLS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=6),
+                   st.from_regex(r"[+-]?[0-9]{1,30}(/[0-9]{1,4})?", fullmatch=True))
+_MATRICES = st.one_of(
+    st.text(max_size=30),
+    st.lists(st.lists(_CELLS, min_size=2, max_size=2), min_size=2, max_size=2).map(json.dumps),
+    st.recursive(_CELLS, lambda inner: st.lists(inner, max_size=3), max_leaves=10).map(json.dumps),
+)
+_RING_SPECS = st.one_of(st.sampled_from(["int", "rat", "mod:6", "mod:1", "mod:", "mod:07"]),
+                        st.text(max_size=10), st.text(max_size=10).map("mod:".__add__),
+                        st.from_regex(r"mod:[0-9]{1,40}", fullmatch=True))
+
+
+def _outcome(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_one_result(code, out, err):
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert err == ""
+    elif code == 1:
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1 and err.endswith("\n")
+    else:  # argparse prints its usage before the error line
+        assert out == "" and re.match(r"abpc( [a-z-]+)?: error: ", err.splitlines()[-1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(ring=_RING_SPECS, matrix=_MATRICES)
+@example(ring="mod:²", matrix='[["1","2"],["3","4"]]')
+@example(ring="mod:" + TEN_5000, matrix='[["1","2"],["3","4"]]')
+@example(ring="int", matrix=json.dumps([[TEN_5000, "1"], ["2", "3"]]))
+@example(ring="int", matrix=f"[[{TEN_5000}, 1], [2, 3]]")
+@example(ring="rat", matrix=json.dumps([[TEN_5000 + "/7", "1"], ["2", "3"]]))
+@example(ring="int", matrix=json.dumps([["1" + "0" * 3000] * 2] * 2))
+def test_ring_specs_and_matrices_never_raise(tmp_path_factory, ring, matrix):
+    path = _gradient_file(tmp_path_factory.mktemp("prop") / "g.json", ring=ring)
+    _assert_one_result(*_outcome(["eval", path, "--matrix", matrix]))
+    _assert_one_result(*_outcome(["verify", "--identity", "bivariate_ch", "--n", "1", "--d", "1",
+                                  "--ring", ring]))

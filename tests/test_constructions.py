@@ -25,12 +25,19 @@ from abpc.graph import (
     expand_symbolic,
     graph_from_json_dict,
     graph_to_json_dict,
+    sub_abp,
     validate,
 )
 from abpc.oracle import cpc_minor_sum, cpc_table
 from abpc.poly import Polynomial, PolyMatrix
 from abpc.rings import RingDescriptor, descriptor_from_spec, int_embed
-from helpers import block_transition_matrix, planted_determinantal_instance, random_matrix
+from helpers import (
+    block_transition_matrix,
+    planted_determinantal_instance,
+    random_matrix,
+    reference_stats_from_graph,
+    renamed,
+)
 
 Z = RingDescriptor.integers()
 Z4 = RingDescriptor.modular(4)
@@ -168,6 +175,48 @@ def test_gradient_all_outputs_match_oracle():
 def test_stats_round_trip_through_graph():
     g, stats = build_gradient_abp(4, 4, Z)
     assert stats_from_graph(g) == stats
+
+
+def _built_programs(n_max):
+    """Every builder's program for n <= n_max and each d it accepts: gradient
+    and bivariate over int, mod:2, mod:6 and rat, charzero over rat."""
+    for n in range(1, n_max + 1):
+        for d in range(0, n + 1):
+            for spec in ("int", "mod:2", "mod:6", "rat"):
+                ring = descriptor_from_spec(spec)
+                if d >= 1:
+                    yield f"gradient {n} {d} {spec}", build_gradient_abp(n, d, ring)[0]
+                yield f"bivariate {n} {d} {spec}", build_bivariate_abp(n, d, ring)
+            yield f"charzero {n} {d} rat", build_charzero_abp(n, d, Q)
+
+
+def test_stats_match_the_name_based_reference():
+    # the builders' r_/c_ names and the edges must tell the same story
+    checked = 0
+    for what, g in _built_programs(6):
+        assert stats_from_graph(g) == reference_stats_from_graph(g), what
+        checked += 1
+    assert checked == 21 * 4 + 27 * 4 + 27
+
+
+def test_stats_ignore_vertex_names():
+    rng = random.Random("stats/rename")
+    programs = [(what, g) for what, g in _built_programs(5) if what.split()[-1] in ("int", "rat")]
+    five, _stats = build_gradient_abp(5, 5, Z)
+    programs += [(name, sub_abp(five, name)) for name in sorted(five.outputs)]
+    for what, g in programs:
+        assert stats_from_graph(renamed(g, rng)) == stats_from_graph(g), what
+
+
+def test_stats_of_a_gradient_sub_program():
+    # the output cpc_4_2 keeps layer 1 whole and one r-vertex, r_5_2_5, on top;
+    # with no sink below the top layer there is no r-vector split to report
+    g = sub_abp(build_gradient_abp(5, 5, Z)[0], "cpc_4_2")
+    stats = stats_from_graph(g)
+    assert stats.per_layer_counts == (9,) and stats.width == 9
+    assert stats.size == 9 and stats.total_vertices == 11 and stats.edge_count == 20
+    assert stats.rvector_total is None and stats.extra_output_vertices is None
+    assert stats.outputs == (("cpc_4_2", 2),)
 
 
 # -- comparison against the published baseline ---------------------------------------
@@ -327,32 +376,37 @@ def test_charzero_outputs_match_berkowitz_at_size():
         assert value == table[(10, int(name.split("_")[2]))], name
 
 
-@pytest.mark.parametrize("spec", ["int", "mod:4", "mod:6", "rat"])
-def test_gradient_vertices_are_partial_derivatives(spec):
+@pytest.mark.parametrize("spec, n", [
+    *(pytest.param(spec, 12, id=spec) for spec in ("int", "mod:4", "mod:6", "rat")),
+    *(pytest.param(spec, n, id=f"{spec}-{n}", marks=pytest.mark.slow)
+      for n in (16, 30) for spec in ("int", "mod:4", "mod:6", "rat")),
+])
+def test_gradient_vertices_are_partial_derivatives(spec, n):
     # vertex r_<i>_<j>_<a> computes d cpc_{i,j+1} / d x[a,i], and cpc is affine
     # in each single variable: the value is cpc_{i,j+1}(A + E_{a,i}) - cpc_{i,j+1}(A).
-    # One point over Z/4 can hide a wrong vertex: at the first, a build without
+    # One point over Z/4 can hide a wrong vertex: at n = 12 and the first, a build without
     # the edge r_12_5_3 -> r_12_6_2 gives the same values.  So Z/4 gets a second
     # point, whose seed was picked so that this broken build fails.
     ring = descriptor_from_spec(spec)
     seeds = [f"vertices/{spec}"] + (["vertices/mod:4/4"] if spec == "mod:4" else [])
-    g, _stats = build_gradient_abp(12, 12, ring)
+    g, _stats = build_gradient_abp(n, n, ring)
     rvertices = sorted(v for v in g.layer if v.startswith("r_"))
     for v in rvertices:
         g.add_output(v, v)
     for seed in seeds:
-        a = random_matrix(ring, 12, random.Random(seed))
+        a = random_matrix(ring, n, random.Random(seed))
         values = evaluate_all(g, a)
         base = cpc_table(a, ring)
         shifted = {}
         for v in rvertices:
             i, j, col = (int(part) for part in v.split("_")[1:])
             if (col, i) not in shifted:
-                b = [row[:] for row in a]
+                # cpc_{i,*} reads only the leading i x i block
+                b = [row[:i] for row in a[:i]]
                 b[col - 1][i - 1] = b[col - 1][i - 1] + int_embed(ring, 1)
                 shifted[(col, i)] = cpc_table(b, ring)
             assert values[v] == shifted[(col, i)][(i, j + 1)] - base[(i, j + 1)], (spec, v)
-    assert len(rvertices) == 572
+    assert len(rvertices) == gradient_vertex_total(n, n)
 
 
 @pytest.mark.parametrize("spec", ["int", "mod:4"])

@@ -2,6 +2,7 @@
 
 import operator
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -157,3 +158,19 @@ def test_random_element_parsing_rejects_floats():
         element_from_str(Q, "1.5")
     with pytest.raises(RingError):
         element_from_str(Z, "two")
+
+
+def test_text_past_the_digit_limit_is_a_ring_error():
+    # "²" passes str.isdigit() and int() rejects it; 5,000 digits pass the
+    # patterns and exceed Python's default int/str limit (3.11+)
+    with pytest.raises(RingError, match="bad modulus"):
+        descriptor_from_spec("mod:²")
+    assert descriptor_from_spec("mod:٣") == RingDescriptor.modular(3)  # a decimal digit int() reads
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no int/str digit limit")
+    big = "9" * 5000
+    with pytest.raises(RingError, match="bad modulus"):
+        descriptor_from_spec("mod:" + big)
+    for ring, text in ((Z, big), (Z4, "-" + big), (Q, big + "/7"), (Q, "7/" + big)):
+        with pytest.raises(RingError, match="cannot parse"):
+            element_from_str(ring, text)
