@@ -13,17 +13,19 @@ symbolic expansion run as one forward sweep (never path enumeration), the
 matrix-product semantics of the layered model.  Both sweep one plan: the
 vertices in topological order, found by sorting only the edges that do not
 go up a layer, and all in-edges grouped by head in that order as two flat
-``array('i')``s of tail positions and slots with an offsets array.  The
-plan is built on the first sweep and kept on the graph until one of its
-writers changes it, so evaluating one graph at K matrices builds it once.
-One plain loop sweeps every ring on Python integers, numbers or raw
-polynomials (summed in one call of ``poly``'s raw-coefficient kernel per
-vertex).  Over ``rat`` the labels are scaled to integers by one lcm G of
-their denominators, and the plan holds each vertex's depth e and each
-in-edge's slot as a (label, shift) pair: a vertex holds its value times
-G**e, an edge's factor is its scaled label times G**shift, and only the
-requested outputs become ``Fraction``s, once each.  Elsewhere every depth
-and shift is 0.
+lists of tail positions and slots with a list of offsets.  The first two
+share the int objects of the vertex index and the slot table, so a sweep
+boxes no int per edge, as it would reading an ``array('i')``, for about 9
+bytes more per edge.  The plan is built on the first sweep and kept on the
+graph until one of its writers changes it, so evaluating one graph at K
+matrices builds it once.  One plain loop sweeps every ring on Python
+integers, numbers or raw polynomials (summed in one call of ``poly``'s
+raw-coefficient kernel per vertex).  Over ``rat`` the labels are scaled to
+integers by one lcm G of their denominators, and the plan holds each
+vertex's depth e and each in-edge's slot as a (label, shift) pair: a vertex
+holds its value times G**e, an edge's factor is its scaled label times
+G**shift, and only the requested outputs become ``Fraction``s, once each.
+Elsewhere every depth and shift is 0.
 """
 
 from __future__ import annotations
@@ -31,10 +33,9 @@ from __future__ import annotations
 import heapq
 import json
 import os
-from array import array
 from collections import Counter
 from fractions import Fraction
-from itertools import accumulate, groupby, islice, pairwise, repeat
+from itertools import accumulate, chain, groupby, islice, pairwise, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from math import gcd, lcm
 from operator import mul
@@ -297,8 +298,10 @@ class _Plan(NamedTuple):
     """The sweep plan that ``_compile`` builds: each vertex's position in
     sweep order, and the in-edges of all positions grouped by head in that
     order, those of position k at ``offsets[k]:offsets[k + 1]`` of the
-    tail positions and the slots.  Slot s is the pair ``pairs[s]`` of a
-    label index and a shift, and ``labels`` holds each distinct label once.
+    tail positions and the slots: lists of the int objects that ``index``
+    and the slot table hold, one pointer per entry.  Slot s is the pair
+    ``pairs[s]`` of a label index and a shift, and ``labels`` holds each
+    distinct label once.
 
     A sweep gives a label with value F / G the factor ``F * G**shift`` and
     starts the source at ``G**depths[source]``; position k then holds its
@@ -310,11 +313,11 @@ class _Plan(NamedTuple):
     ``raws`` holds the labels' own dicts and C is 1."""
 
     index: Dict[str, int]
-    offsets: array
-    tails: array
-    slots: array
+    offsets: List[int]
+    tails: List[int]
+    slots: List[int]
     pairs: List[Tuple[int, int]]
-    depths: array
+    depths: List[int]
     labels: List[Polynomial]
     raws: List[Raw]
     scale: int
@@ -364,26 +367,22 @@ def _plan(g: AbpGraph, order: List[str]) -> Optional[_Plan]:
         tails[kv].append(ku)
         slots[kv].append(s)
     if g.ring.kind == RAT:
-        depth: List[int] = []
+        depths: List[int] = []
         slot_of_pair: Dict[Tuple[int, int], int] = {}
         for ts, ss in zip(tails, slots):
-            e = 1 + max(map(depth.__getitem__, ts)) if ts else 0
-            ss[:] = [slot_of_pair.setdefault((s, e - 1 - depth[u]), len(slot_of_pair))
+            e = 1 + max(map(depths.__getitem__, ts)) if ts else 0
+            ss[:] = [slot_of_pair.setdefault((s, e - 1 - depths[u]), len(slot_of_pair))
                      for u, s in zip(ts, ss)]
-            depth.append(e)
-        depths, pairs = array("i", depth), list(slot_of_pair)
+            depths.append(e)
+        pairs = list(slot_of_pair)
         scale = lcm(*(a.denominator for lab in labels for a in lab.raw.values()))
         raws = [{m: a.numerator * (scale // a.denominator) for m, a in lab.raw.items()} for lab in labels]
     else:
-        depths, pairs, scale = array("i", [0]) * len(order), [(s, 0) for s in range(len(labels))], 1
+        depths, pairs, scale = [0] * len(order), [(s, 0) for s in range(len(labels))], 1
         raws = [lab.raw for lab in labels]
-    # the plan lives as long as the graph, so it keeps flat int arrays, not lists
-    flat_tails, flat_slots = array("i"), array("i")
-    for ts, ss in zip(tails, slots):
-        flat_tails.fromlist(ts)
-        flat_slots.fromlist(ss)
-    return _Plan(index, array("i", accumulate(map(len, tails), initial=0)), flat_tails, flat_slots,
-                 pairs, depths, labels, raws, scale)
+    # lists, not int arrays: a sweep then reads each tail and slot without boxing an int
+    return _Plan(index, list(accumulate(map(len, tails), initial=0)), list(chain.from_iterable(tails)),
+                 list(chain.from_iterable(slots)), pairs, depths, labels, raws, scale)
 
 
 def _powers(plan: _Plan, scale: int) -> List[int]:
@@ -433,7 +432,7 @@ def _evaluate(g: AbpGraph, entries: Sequence[Sequence[RingElement]],
     n, ring = g.ambient_n, g.ring
     if len(entries) != n or any(len(row) != n for row in entries):
         raise GraphError("matrix dimension mismatch")
-    if any(e.descriptor != ring for row in entries for e in row):
+    if any(e.descriptor is not ring and e.descriptor != ring for row in entries for e in row):
         raise GraphError("matrix entries from a different ring")
     flat = [e.value for row in entries for e in row]
     plan = _compile(g)

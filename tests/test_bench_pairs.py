@@ -9,16 +9,19 @@ bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
 
 SEEDS = list(range(1, 11))
-BETTER = {"build_s": "lower"}
+BETTER = {"build_s": "lower", "peak_rss_mib": "lower"}
+BOUNDS = {"build_s": 0.25, "peak_rss_mib": 0.1}
 
 
-def run(build_s, failed=0, correct=True):
+def run(build_s, failed=0, correct=True, peak_rss_mib=None):
     metrics = {} if build_s is None else {"build_s": {"value": build_s, "unit": "s"}}
+    if peak_rss_mib is not None:
+        metrics["peak_rss_mib"] = {"value": peak_rss_mib, "unit": "MiB"}
     return {"correct": correct, "attempted": 10, "failed": failed, "exit": 0, "metrics": metrics}
 
 
 def workload(parent, change):
-    return {"io": bench_pairs.summarize(SEEDS, {"parent": parent, "change": change}, BETTER)}
+    return {"io": bench_pairs.summarize(SEEDS, {"parent": parent, "change": change}, BETTER, BOUNDS)}
 
 
 def test_a_clear_win_in_every_pair_meets_the_claim():
@@ -60,3 +63,14 @@ def test_a_metric_no_pair_reported_is_an_unmet_claim():
     claim = bench_pairs.claim_of(w, "io", "build_s", "t")
     assert claim == {"workload": "io", "metric": "build_s", "target": "t", "met": False,
                      "why_not": "no pair reported the metric"}
+
+
+def test_a_metric_worse_than_its_bound_is_listed_and_fails_the_claim():
+    parent = [run(0.12 + k / 1000, peak_rss_mib=58.0) for k in range(10)]
+    within = workload(parent, [run(0.09 + k / 1000, peak_rss_mib=63.7) for k in range(10)])
+    assert within["io"]["over_bound"] == []
+    assert bench_pairs.claim_of(within, "io", "build_s", "t")["met"]
+    over = workload(parent, [run(0.09 + k / 1000, peak_rss_mib=64.0) for k in range(10)])
+    assert over["io"]["over_bound"] == ["peak_rss_mib"]
+    claim = bench_pairs.claim_of(over, "io", "build_s", "t")
+    assert not claim["met"] and claim["why_not"] == "worse than its bound: peak_rss_mib on io"

@@ -173,7 +173,7 @@ def constructions(n, ring):
 
 def assert_plan_is_the_full_sort(g):
     """The plan's order is the sort over every edge, and its flat tail and
-    slot arrays, grouped by head through the offsets, hold exactly the
+    slot lists, grouped by head through the offsets, hold exactly the
     graph's edges and labels.  Over ``rat`` each depth is one more than its
     tails' largest (0 without tails) and each slot is a distinct (label,
     shift) pair with the edge's shift; elsewhere depths and shifts are 0."""
@@ -211,6 +211,20 @@ def test_plan_order_on_random_programs(flavor):
         rng = random.Random(f"plan/{flavor}/{seed}")
         ring = RING_FAMILIES[rng.choice(sorted(RING_FAMILIES))]
         assert_plan_is_the_full_sort(random_program(flavor, ring, rng.randint(1, 3), rng.randint(1, 4), rng))
+
+
+@pytest.mark.parametrize("ring", [Z, Q], ids=["int", "rat"])
+def test_plan_lists_share_their_ints(ring):
+    """The plan's flat lists point at the int objects its vertex index and
+    slot table hold, so they cost one pointer per entry and a sweep reads
+    them without creating an int."""
+    g = build_gradient_abp(12, 12, ring)[0]
+    plan = _compile(g)
+    assert all(type(xs) is list for xs in (plan.offsets, plan.tails, plan.slots, plan.depths))
+    assert len(plan.tails) == len(g.edges) > len(plan.index) > 256  # past the small-int cache
+    tail_ids = {id(t) for t in plan.tails}
+    assert tail_ids <= {id(k) for k in plan.index.values()} and len(tail_ids) <= len(plan.index)
+    assert len({id(s) for s in plan.slots}) <= len(plan.pairs)
 
 
 def edge_down_a_layer(ring, rng):

@@ -16,12 +16,15 @@ the keys topic, change, parent, machine, python, command, seconds, seeds,
 pairing, statistics, claim and workloads.  Every metric holds each side's
 median and quartiles (inclusive method) and how many pairs the change won
 and lost, in the direction ``BENCHMARK.json`` gives the metric, over the
-seeds where both runs reported it.  The claim is met only if the change won
-at least nine of the ten pairs, the medians differ by more than the parent's
-interquartile range, every run of the claimed workload was correct, and the
-change failed no more requests than the parent.  It edits no file in either
-checkout.  The exit code is 1 if some run failed or
-reported an incorrect result, else 0.
+seeds where both runs reported it.  Each workload lists in ``over_bound``
+the end-to-end metrics whose change median is worse than the parent median
+by more than the metric's ``bound`` in ``BENCHMARK.json``, a fraction of the
+parent median.  The claim is met only if the change won at least nine of the
+ten pairs, the medians differ by more than the parent's interquartile range,
+every run of the claimed workload was correct, the change failed no more
+requests than the parent, and no workload lists a metric over its bound.
+It edits no file in either checkout.  The exit code is 1 if some run failed
+or reported an incorrect result, else 0.
 """
 
 from __future__ import annotations
@@ -62,12 +65,15 @@ def quartiles(values: List[float]) -> Dict[str, float]:
     return {"q1": round(q1, 4), "median": round(median, 4), "q3": round(q3, 4)}
 
 
-def summarize(seeds: List[int], runs: Dict[str, List[dict]], better: Dict[str, str]) -> dict:
-    """One workload's entry: counts, correctness and per-metric statistics.
+def summarize(seeds: List[int], runs: Dict[str, List[dict]], better: Dict[str, str],
+              bounds: Dict[str, float]) -> dict:
+    """One workload's entry: counts, correctness, per-metric statistics and
+    ``over_bound``, the end-to-end metrics whose change median is worse than
+    the parent median by more than the metric's relative bound.
 
     A metric's statistics use the seeds where both runs reported it, so one
     crashed run, which reports no metrics, drops only its own pair."""
-    metrics = {}
+    metrics, over_bound = {}, []
     names = sorted(set().union(*(r["metrics"] for side in SIDES for r in runs[side])))
     for name in names:
         paired = [(p["metrics"][name], c["metrics"][name])
@@ -79,6 +85,10 @@ def summarize(seeds: List[int], runs: Dict[str, List[dict]], better: Dict[str, s
         sign = -1 if better.get(name, "lower") == "higher" else 1
         diffs = [sign * (c - p) for p, c in zip(values["parent"], values["change"])]
         parent, change = quartiles(values["parent"]), quartiles(values["change"])
+        if name in bounds:
+            p_median, c_median = statistics.median(values["parent"]), statistics.median(values["change"])
+            if sign * (c_median - p_median) > bounds[name] * abs(p_median):
+                over_bound.append(name)
         metrics[name] = {
             "unit": paired[0][0]["unit"],
             "pairs": len(paired),
@@ -94,6 +104,7 @@ def summarize(seeds: List[int], runs: Dict[str, List[dict]], better: Dict[str, s
         "attempted": {side: sum(r["attempted"] for r in runs[side]) for side in SIDES},
         "failed": {side: sum(r["failed"] for r in runs[side]) for side in SIDES},
         "correct": all(r["correct"] and r["exit"] == 0 for side in SIDES for r in runs[side]),
+        "over_bound": over_bound,
         "metrics": metrics,
     }
 
@@ -101,7 +112,8 @@ def summarize(seeds: List[int], runs: Dict[str, List[dict]], better: Dict[str, s
 def claim_of(workloads: dict, workload: str, metric: str, target: str) -> dict:
     """The claim judged by the rule: the change wins at least nine of the ten
     pairs and the medians differ by more than the parent's interquartile
-    range, with every run correct and no more failed requests than the parent."""
+    range, with every run correct, no more failed requests than the parent,
+    and no end-to-end metric of any workload worse than its bound."""
     entry = workloads[workload]
     claim = {"workload": workload, "metric": metric, "target": target}
     stats = entry["metrics"].get(metric)
@@ -118,6 +130,9 @@ def claim_of(workloads: dict, workload: str, metric: str, target: str) -> dict:
         why_not.append("a run failed or reported an incorrect result")
     if entry["failed"]["change"] > entry["failed"]["parent"]:
         why_not.append("the change failed more requests than the parent")
+    over = [f"{name} on {w}" for w, e in workloads.items() for name in e["over_bound"]]
+    if over:
+        why_not.append("worse than its bound: " + ", ".join(over))
     return {
         **claim,
         "parent_median": parent["median"],
@@ -157,6 +172,7 @@ def main(argv=None) -> int:
     with open(os.path.join(args.change, "BENCHMARK.json")) as f:
         benchmark = json.load(f)
     better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in benchmark["end_to_end"]}
     seconds = benchmark["run_seconds"]
     workloads = {}
     for workload in WORKLOADS:
@@ -167,7 +183,7 @@ def main(argv=None) -> int:
                 runs[side].append(result)
                 print(json.dumps({"workload": workload, "seed": seed, "side": side, **result}),
                       file=sys.stderr, flush=True)
-        workloads[workload] = summarize(SEEDS, runs, better)
+        workloads[workload] = summarize(SEEDS, runs, better, bounds)
 
     bench = {
         "topic": args.topic,
