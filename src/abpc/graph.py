@@ -41,7 +41,8 @@ from math import gcd, lcm
 from operator import mul
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from .poly import _ONE, Polynomial, PolyMatrix, Raw, _raw_value, _sum_products, flatten, unflatten
+from .poly import (_ONE, Polynomial, PolyMatrix, Raw, _boxed, _raw_value, _sum_products, flatten,
+                   unflatten)
 from .rings import (
     MOD,
     RAT,
@@ -170,11 +171,6 @@ class AbpGraph:
     def layer_order(self) -> List[str]:
         """Vertex ids sorted by (layer, id)."""
         return sorted(self.layer, key=lambda vid: (self.layer[vid], vid))
-
-    def width(self) -> int:
-        """Maximum vertex count over the intermediate layers 1..d-1."""
-        counts = Counter(self.layer.values())
-        return max((counts[l] for l in range(1, self.num_layers)), default=0)
 
     def __repr__(self) -> str:
         return (f"AbpGraph({self.flavor}, n={self.ambient_n}, d={self.num_layers}, "
@@ -469,7 +465,7 @@ def expand_all(g: AbpGraph) -> Dict[str, Polynomial]:
     over ``_compile``'s plan; each vertex sums its in-edge products in one
     call of the raw kernel.  Each slot's factor is its label's raw dict in
     the plan times C**shift, so over ``rat`` the sweep runs on integers and
-    only the outputs' coefficients become ``Fraction``s."""
+    only the outputs' non-integral coefficients become ``Fraction``s."""
     guard = expansion_guard()
     if g.ambient_n > guard:
         raise GraphError(
@@ -495,7 +491,10 @@ def expand_all(g: AbpGraph) -> Dict[str, Polynomial]:
         k = plan.index[vid]
         raw = values[k]
         if ring.kind == RAT:
-            raw = {m: Fraction(c, powers[plan.depths[k]]) for m, c in raw.items()}
+            den, raw = powers[plan.depths[k]], {}
+            for m, c in values[k].items():
+                q, r = divmod(c, den)
+                raw[m] = Fraction(c, den) if r else q
         out[name] = Polynomial._of(ring, n, raw)
     return out
 
@@ -772,7 +771,7 @@ def graph_to_json_text(g: AbpGraph) -> str:
             for mono, c in sorted(lab.raw.items()):
                 if mono:
                     i, j = unflatten(mono[0], n)
-                    coeff = _quote(element_to_str(RingElement(ring, c)))
+                    coeff = _quote(element_to_str(_boxed(ring, c)))
                     terms.append(f'        {{\n          "coeff": {coeff},\n'
                                  f'          "i": {i},\n          "j": {j}\n        }}')
             const = _quote(element_to_str(lab.constant_term()))

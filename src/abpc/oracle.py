@@ -121,9 +121,10 @@ def _check_enumeration_size(n: int) -> None:
         raise OracleLimitError("oracle size limit")
 
 
-def _signed_term(edges: Sequence[Edge], sign: int, ring: RingDescriptor, n: int) -> Raw:
-    """The raw monomial of ``edges``' labels with coefficient ``sign``."""
-    return {tuple(sorted(flatten(i, j, n) for i, j in edges)): int_embed(ring, sign).value}
+def _signed_term(edges: Sequence[Edge], sign: int, n: int) -> Raw:
+    """The raw monomial of ``edges``' labels with coefficient ``sign``, an
+    ``int`` in every ring: the kernel reduces its sums mod m."""
+    return {tuple(sorted(flatten(i, j, n) for i, j in edges)): sign}
 
 
 def cpc_minor_sum(n: int, d: int, ring: RingDescriptor) -> Polynomial:
@@ -146,7 +147,7 @@ def cpc_cycle_cover(n: int, d: int, ring: RingDescriptor) -> Polynomial:
     """Degree-d characteristic coefficient as a signed cycle-cover sum."""
     _check_enumeration_size(n)
     covers = iter_cycle_covers(list(range(1, n + 1)), d)
-    return _sum_products(ring, n, ((_signed_term(edges, sign, ring, n), _ONE)
+    return _sum_products(ring, n, ((_signed_term(edges, sign, n), _ONE)
                                    for edges, sign in covers))
 
 
@@ -170,7 +171,7 @@ def grad_ccp_entry(n: int, d: int, a: int, b: int, ring: RingDescriptor) -> Poly
         path_sign = -1 if path_len % 2 else 1
         remaining = [w for w in vertices if w not in path]
         for cover_edges, cover_sign in iter_cycle_covers(remaining, d - path_len):
-            pairs.append((_signed_term(path_edges + cover_edges, path_sign * cover_sign, ring, n), _ONE))
+            pairs.append((_signed_term(path_edges + cover_edges, path_sign * cover_sign, n), _ONE))
     return _sum_products(ring, n, pairs)
 
 

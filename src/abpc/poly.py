@@ -4,15 +4,19 @@ A polynomial is tied to an ambient matrix size n and a coefficient ring;
 its variables are the n*n entries of a generic matrix, flattened as
 (i-1)*n + (j-1).  ``Polynomial.raw`` maps each monomial, written as the
 sorted tuple of its variables' flat indices with repeats (x[1,1]^2 x[1,2]
-is (0, 0, 1)), to its raw coefficient: an ``int``, a residue in [0, m) or
-a ``Fraction``, never zero.  The representation is canonical, so equality
-is exact.  ``terms`` is the boxed view of the same data, ((v, e), ...)
-monomials to ring elements.  Mixing different ambient sizes requires an
-explicit ``promote``.
+is (0, 0, 1)), to its raw coefficient, never zero: an ``int``, a residue
+in [0, m), or over ``rat`` an ``int`` when the coefficient is integral and
+a reduced ``Fraction`` with denominator > 1 otherwise, so a product of
+integral rational factors never runs in ``fractions`` code.  The
+representation is canonical, so equality is exact.  ``terms`` is the boxed
+view of the same data, ((v, e), ...) monomials to ring elements; it,
+``constant_term`` and ``text`` box every rational coefficient as a
+``Fraction``.  Mixing different ambient sizes requires an explicit
+``promote``.
 
 Every sum and product goes through one kernel, ``_sum_products``: it
-accumulates products of raw dicts into one dict, then reduces mod m and
-drops zeros once.
+accumulates products of raw dicts into one dict, then reduces mod m (over
+``rat``: holds integral sums as ``int``) and drops zeros once.
 """
 
 from __future__ import annotations
@@ -55,13 +59,23 @@ def unflatten(v: int, n: int) -> Tuple[int, int]:
     return i + 1, j + 1
 
 
+def _held(c: Value) -> Value:
+    """The raw form of a ring value: an integral ``Fraction`` is held as its
+    ``int`` numerator, and every other value as it is."""
+    return c.numerator if c.denominator == 1 else c
+
+
+def _boxed(ring: RingDescriptor, c: Value) -> RingElement:
+    """The ring element of a raw coefficient; over ``rat`` always a ``Fraction``."""
+    return RingElement(ring, Fraction(c) if ring.kind == RAT else c)
+
+
 def _sum_products(ring: RingDescriptor, n: int, pairs: Iterable[Tuple[Raw, Raw]]) -> "Polynomial":
     """The polynomial sum of a*b over the raw (a, b) pairs.
 
     Every product is accumulated unreduced into one dict, which is reduced
-    mod m and cleared of zeros once at the end.  One factor of each pair
-    holds values of the ring (``_ONE`` may be the other), so a rational
-    sum stays a ``Fraction``.
+    mod m, or over ``rat`` brought to the raw form, and cleared of zeros
+    once at the end.
     """
     acc: Raw = {}
     get = acc.get
@@ -79,6 +93,9 @@ def _sum_products(ring: RingDescriptor, n: int, pairs: Iterable[Tuple[Raw, Raw]]
     if ring.kind == MOD:
         modulus = ring.modulus
         return Polynomial._of(ring, n, {m: r for m, c in acc.items() if (r := c % modulus)})
+    if ring.kind == RAT:  # ``_held``, inlined: it runs on every coefficient of every result
+        return Polynomial._of(ring, n, {m: c.numerator if c.denominator == 1 else c
+                                        for m, c in acc.items() if c})
     return Polynomial._of(ring, n, {m: c for m, c in acc.items() if c})
 
 
@@ -94,6 +111,13 @@ def _raw_value(p: "Polynomial", flat: Sequence[Value]) -> Value:
 
 
 class Polynomial:
+    """A polynomial over ``ring`` in the n*n variables of an n x n matrix.
+
+    ``raw`` maps sorted flat-index tuples to nonzero raw coefficients; over
+    ``rat`` an integral coefficient is an ``int`` and any other a
+    ``Fraction`` with denominator > 1.  Treat it as read-only.
+    """
+
     __slots__ = ("ring", "ambient_n", "raw")
 
     def __init__(self, ring: RingDescriptor, ambient_n: int, terms: Optional[dict] = None):
@@ -102,7 +126,7 @@ class Polynomial:
         self.ring = ring
         self.ambient_n = ambient_n
         self.raw: Raw = {
-            tuple(v for v, e in mono for _ in range(e)): c.value
+            tuple(v for v, e in mono for _ in range(e)): _held(c.value)
             for mono, c in (terms or {}).items() if not c.is_zero()
         }
 
@@ -123,7 +147,7 @@ class Polynomial:
     def constant(cls, ring: RingDescriptor, n: int, value: RingElement) -> "Polynomial":
         if value.descriptor != ring:
             raise PolyError("coefficient from a different ring")
-        return cls._of(ring, n, {} if value.is_zero() else {(): value.value})
+        return cls._of(ring, n, {} if value.is_zero() else {(): _held(value.value)})
 
     @classmethod
     def from_int(cls, ring: RingDescriptor, n: int, k: int) -> "Polynomial":
@@ -131,7 +155,7 @@ class Polynomial:
 
     @classmethod
     def variable(cls, ring: RingDescriptor, n: int, i: int, j: int) -> "Polynomial":
-        return cls._of(ring, n, {(flatten(i, j, n),): int_embed(ring, 1).value})
+        return cls._of(ring, n, {(flatten(i, j, n),): 1})
 
     # -- basic queries -----------------------------------------------------
 
@@ -141,7 +165,7 @@ class Polynomial:
         elements.  A fresh dict on every access."""
         ring = self.ring
         # a sorted monomial's Counter lists its (v, e) pairs in order of v
-        return {tuple(Counter(mono).items()): RingElement(ring, c) for mono, c in self.raw.items()}
+        return {tuple(Counter(mono).items()): _boxed(ring, c) for mono, c in self.raw.items()}
 
     def is_zero(self) -> bool:
         return not self.raw
@@ -152,7 +176,7 @@ class Polynomial:
         return max(map(len, self.raw), default=0)
 
     def constant_term(self) -> RingElement:
-        return RingElement(self.ring, self.raw[()]) if () in self.raw else int_embed(self.ring, 0)
+        return _boxed(self.ring, self.raw[()]) if () in self.raw else int_embed(self.ring, 0)
 
     def _check_compat(self, other: "Polynomial") -> None:
         if self.ring != other.ring:
@@ -180,7 +204,7 @@ class Polynomial:
     def scale(self, c: RingElement) -> "Polynomial":
         if c.descriptor != self.ring:
             raise PolyError("scalar from a different ring")
-        return _sum_products(self.ring, self.ambient_n, ((self.raw, {(): c.value}),))
+        return _sum_products(self.ring, self.ambient_n, ((self.raw, {(): _held(c.value)}),))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Polynomial):
@@ -250,7 +274,7 @@ class Polynomial:
         parts = []
         # among equal degrees, ascending index tuples are descending exponent vectors
         for mono in sorted(self.raw, key=lambda m: (-len(m), m)):
-            factors = [element_to_str(RingElement(self.ring, self.raw[mono]))]
+            factors = [element_to_str(_boxed(self.ring, self.raw[mono]))]
             for v, e in Counter(mono).items():
                 i, j = unflatten(v, self.ambient_n)
                 factors.append(f"x[{i},{j}]" + (f"^{e}" if e > 1 else ""))

@@ -51,6 +51,39 @@ def reference_add_edge(g: AbpGraph, u: str, v: str, label: Polynomial) -> None:
     g._plan = None
 
 
+def reference_sum_products(ring: RingDescriptor, n: int, pairs) -> Polynomial:
+    """The polynomial sum of a*b over raw (a, b) pairs, with every rational
+    coefficient lifted to a ``Fraction`` first, so that each rational sum
+    and product runs in ``Fraction``: the reference for ``poly._sum_products``,
+    which holds integral rational coefficients as ints."""
+    acc: dict = {}
+    get = acc.get
+    for a, b in pairs:
+        if ring.kind == "rat":
+            a = {m: Fraction(c) for m, c in a.items()}
+            b = {m: Fraction(c) for m, c in b.items()}
+        if len(a) < len(b):  # the inner loop runs over the larger factor
+            a, b = b, a
+        for mb, cb in b.items():
+            if mb:
+                for ma, ca in a.items():
+                    m = tuple(sorted(ma + mb))
+                    acc[m] = get(m, 0) + ca * cb
+            else:
+                for ma, ca in a.items():
+                    acc[ma] = get(ma, 0) + ca * cb
+    if ring.kind == "mod":
+        modulus = ring.modulus
+        return Polynomial._of(ring, n, {m: r for m, c in acc.items() if (r := c % modulus)})
+    return Polynomial._of(ring, n, {m: c for m, c in acc.items() if c})
+
+
+def holds_rat_raw_form(p: Polynomial) -> bool:
+    """Every raw coefficient of the rational polynomial ``p`` is nonzero, an
+    ``int`` if it is integral and a ``Fraction`` otherwise."""
+    return all(c and type(c) is (int if c.denominator == 1 else Fraction) for c in p.raw.values())
+
+
 def reference_validate(g: AbpGraph) -> List[str]:
     """Every flavor-invariant violation, found by sorting all vertices and
     all edges: the reference for ``validate``'s one pass over the edges."""
@@ -100,6 +133,14 @@ def reference_validate(g: AbpGraph) -> List[str]:
             if g.layer[v] <= g.layer[u]:
                 problems.append(f"edge {u}->{v} must increase the topological index")
     return problems
+
+
+def graph_width(g: AbpGraph) -> int:
+    """Maximum vertex count over the intermediate layers 1..d-1, sinks
+    included, so the gradient program reads C(n+1,2) here against
+    ``ConstructionStats.width``'s C(n+1,2)-1: a bound for the rewrite tests."""
+    counts = Counter(g.layer.values())
+    return max((counts[l] for l in range(1, g.num_layers)), default=0)
 
 
 def reference_stats_from_graph(g: AbpGraph) -> ConstructionStats:

@@ -33,6 +33,7 @@ from abpc.poly import Polynomial, PolyMatrix
 from abpc.rings import RingDescriptor, descriptor_from_spec, int_embed
 from helpers import (
     block_transition_matrix,
+    graph_width,
     planted_determinantal_instance,
     random_matrix,
     reference_stats_from_graph,
@@ -72,7 +73,7 @@ def test_charzero_needs_rationals():
 def test_charzero_width_bound():
     for n in (2, 3):
         g = build_charzero_abp(n, n, Q)
-        assert g.width() <= comb(n + 1, 2) * n * n
+        assert graph_width(g) <= comb(n + 1, 2) * n * n
 
 
 # -- bottom-right-power builder ------------------------------------------------

@@ -2,8 +2,8 @@
 
 The digests pin the byte-exact output of ``build`` (JSON and DOT),
 ``stats``, ``export-dot`` and all-output ``eval`` for each construction at
-n=4, ``verify --dump`` of every identity at n=3, d=2 over Z/4, two
-``verify-all`` grids and one ``stats --formula`` run.  Three more pin the
+n=4, ``verify --dump`` of every identity at n=3, d=2 over Z/4 and over
+the rationals, three ``verify-all`` grids and one ``stats --formula`` run.  Three more pin the
 text of every output of ``expand_all`` on one program per construction, and
 one pins the gradient builder's JSON, DOT and statistics over its whole
 grid: int, mod:6 and rat, each with every 1 <= d <= n <= 8.  A
@@ -62,10 +62,15 @@ def _cases() -> Dict[str, Tuple[List[List[str]], List[str]]]:
         cases[f"verify-dump/{identity}"] = (
             [["verify", "--identity", identity, "--n", "3", "--d", "2", "--ring", "mod:4",
               "--dump"]], [])
+        cases[f"verify-dump-rat/{identity}"] = (
+            [["verify", "--identity", identity, "--n", "3", "--d", "2", "--ring", "rat",
+              "--dump"]], [])
     cases["verify-all/mod:4"] = (
         [["verify-all", "--n-max", "3", "--d-max", "3", "--ring", "mod:4"]], [])
     cases["verify-all/int-4-4"] = (
         [["verify-all", "--n-max", "4", "--d-max", "4", "--ring", "int"]], [])
+    cases["verify-all/rat-4-4"] = (
+        [["verify-all", "--n-max", "4", "--d-max", "4", "--ring", "rat"]], [])
     cases["stats-formula/6"] = ([["stats", "--formula", "--n", "6"]], [])
     return cases
 
@@ -136,6 +141,7 @@ GOLDEN = {
     'stats/gradient-rat': {'code': '0', 'stdout': '9d37f76a449e2f928d176e50de265e81bb887736278532ba1e3f4062c6c40537'},
     'verify-all/int-4-4': {'code': '0', 'stdout': '36758f552024a8ebf12bb86503a3949a2f60f37e03111ea2951e9a3d7d2259c2'},
     'verify-all/mod:4': {'code': '0', 'stdout': '85da7d000305b0b924355c58fe4bcd89f75f7e82344f9d35246a0112b7c31f24'},
+    'verify-all/rat-4-4': {'code': '0', 'stdout': '840120eada7eb5db6ddb6c22fcedc1efc1e7af54535361b9ff07c91901cf18c0'},
     'verify-dump/adjugate': {'code': '0', 'stdout': 'dbd49b8e966773f36acbc62860a8a028d15331eee0857843f3d498da8a2d3549'},
     'verify-dump/bivariate_ch': {'code': '0', 'stdout': '668574e3fab31db333d3e9449ffa861fb0d564b0163780c7cd75abbccae0a51a'},
     'verify-dump/cayley_hamilton': {'code': '0', 'stdout': 'e4419c6dc4b84d271ac71917c5bd88bef7bec8a1768b4f1bda4b633204d1549e'},
@@ -145,6 +151,15 @@ GOLDEN = {
     'verify-dump/samuelson_entry': {'code': '0', 'stdout': '98233c65f33036a1010ba43e456bfd7019dfe3159d3d6c3bf3791181e11024e8'},
     'verify-dump/trace_ch': {'code': '0', 'stdout': 'b832d5c0f76635b64928df7f3a50a7acb405361bfa3669a7d5a421e0de9fa81b'},
     'verify-dump/transition_product': {'code': '0', 'stdout': 'e4ba0956208156e52ea7eebf9b3a038d5b5e8263e2aa53b9385f93bbb9afee13'},
+    'verify-dump-rat/adjugate': {'code': '0', 'stdout': '1d60cf39f77e673907ac25bc5e6b0f56d2d7066c684139592bdb9b9510a40bbb'},
+    'verify-dump-rat/bivariate_ch': {'code': '0', 'stdout': '53e512dd16a86b8dfa90c3ec01a387bd23bcde1337d93b81b3d2ac4619b76dfc'},
+    'verify-dump-rat/cayley_hamilton': {'code': '0', 'stdout': '14d5188f659c8d884197cbaf836b036dc6dcc5308b4dec1aa3b247250c5767e3'},
+    'verify-dump-rat/cpc_recursion': {'code': '0', 'stdout': 'f28a826b0375e4a0e4b503eaaa7c67ff87d37ee04ee21d1a7f265756baa3a469'},
+    'verify-dump-rat/girard_newton': {'code': '0', 'stdout': 'ca82d70a905bc5e22b594f8dc8abf4f5b44426d6ee0af9f61497f98be396c2e5'},
+    'verify-dump-rat/rnd_block': {'code': '0', 'stdout': '54aa9b08c3bf83c2d85a117457ccc3a8275325493eced16916a192109c0c7838'},
+    'verify-dump-rat/samuelson_entry': {'code': '0', 'stdout': 'b1ce96b00aecc78a4f6bc1bc292cd804994b383b96c0d6175e092c25d6c71efa'},
+    'verify-dump-rat/trace_ch': {'code': '0', 'stdout': '23a1c6aa697cd4c5f2b49c480254c3c0f6d1531dafe2e3850176fd0127d9b153'},
+    'verify-dump-rat/transition_product': {'code': '0', 'stdout': '3a2e695901159270b32e678bce9394cfd4708655288bc620f834830e4e456864'},
 }
 
 

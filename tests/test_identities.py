@@ -172,6 +172,13 @@ def test_verify_all_at_the_cap_over_zero_divisor_ring():
     assert all(r.passed for r in reports), [r.line() for r in reports if not r.passed]
 
 
+def test_verify_all_over_the_rationals_at_six():
+    # integral rational coefficients are held as ints, so this grid costs what int's does
+    reports = verify_all(6, 6, Q)
+    assert len(reports) == 263
+    assert all(r.passed for r in reports), [r.line() for r in reports if not r.passed]
+
+
 def test_report_line_format():
     rep = verify_identity("bivariate_ch", 2, 1, Z4)
     assert rep.line() == "bivariate_ch n=2 d=1 ring=mod:4 PASS"
