@@ -2,18 +2,20 @@
 
 Exit codes: 0 success, 1 verification failure or semantic error, 2 usage
 error (including unparseable ring specs).  All output is deterministic
-for fixed inputs.
+for fixed inputs.  A usage error that a command finds itself prints that
+command's usage line, as argparse does for its own errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import gc
 import json
 import os
 import sys
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from .build import (
     build_bivariate_abp,
@@ -35,7 +37,11 @@ from .identities import IDENTITY_NAMES, side_entries, verify_all, verify_with_si
 from .rings import AbpcError, element_from_str, element_to_str, descriptor_from_spec
 
 
-def _parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each command's parser by name, built once
+    per process: ``parse_args`` makes a fresh namespace on every call, and
+    help text is formatted when it is printed."""
     p = argparse.ArgumentParser(prog="abpc",
                                 description="exact branching programs for "
                                             "characteristic-polynomial coefficients")
@@ -81,7 +87,7 @@ def _parser() -> argparse.ArgumentParser:
     xd = sub.add_parser("export-dot", help="write a Graphviz rendering")
     xd.add_argument("graph")
     xd.add_argument("--out", default=None)
-    return p
+    return p, sub.choices
 
 
 def _ring(parser: argparse.ArgumentParser, spec: str):
@@ -220,7 +226,15 @@ _COMMANDS = {
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = _parser()
+    """Run one command and return its exit code; a usage error raises
+    ``SystemExit(2)`` after argparse prints it.
+
+    ``main(argv)`` may be called many times in one process.  The parser is
+    built on the first call and reused.  For the length of each call the
+    cyclic collector is paused and the int/str digit limit lifted, and both
+    are given back as they were.  That makes a call not thread-safe.
+    """
+    parser, commands = _parser()
     args = parser.parse_args(argv)
     # The data holds no reference cycles, so the cyclic collector would only
     # rescan a freshly parsed graph; pause it and give the caller theirs back.
@@ -231,7 +245,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if digits is not None:
         sys.set_int_max_str_digits(0)
     try:
-        return _COMMANDS[args.command](parser, args)
+        return _COMMANDS[args.command](commands[args.command], args)
     except (AbpcError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

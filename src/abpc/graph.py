@@ -13,12 +13,12 @@ symbolic expansion run as one forward sweep (never path enumeration), the
 matrix-product semantics of the layered model.  Both sweep one plan: the
 vertices in topological order, found by sorting only the edges that do not
 go up a layer, and all in-edges grouped by head in that order as two flat
-lists of tail positions and slots with a list of offsets.  The first two
-share the int objects of the vertex index and the slot table, so a sweep
-boxes no int per edge, as it would reading an ``array('i')``, for about 9
-bytes more per edge.  The plan is built on the first sweep and kept on the
-graph until one of its writers changes it, so evaluating one graph at K
-matrices builds it once.  One plain loop sweeps every ring on Python
+lists of tail positions and slots with each vertex's in-edge count.  The
+two lists share the int objects of the vertex index and the slot table, so
+a sweep boxes no int per edge, as it would reading an ``array('i')``, for
+about 9 bytes more per edge.  The plan is built on the first sweep and
+kept on the graph until one of its writers changes it, so evaluating one
+graph at K matrices builds it once.  One plain loop sweeps every ring on Python
 integers, numbers or raw polynomials (summed in one call of ``poly``'s
 raw-coefficient kernel per vertex).  Over ``rat`` the labels are scaled to
 integers by one lcm G of their denominators, and the plan holds each
@@ -35,7 +35,7 @@ import json
 import os
 from collections import Counter
 from fractions import Fraction
-from itertools import accumulate, chain, groupby, islice, pairwise, repeat
+from itertools import accumulate, chain, groupby, islice, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from math import gcd, lcm
 from operator import mul
@@ -293,11 +293,12 @@ def resolve_output(g: AbpGraph, at: Optional[str] = None) -> Tuple[str, str]:
 class _Plan(NamedTuple):
     """The sweep plan that ``_compile`` builds: each vertex's position in
     sweep order, and the in-edges of all positions grouped by head in that
-    order, those of position k at ``offsets[k]:offsets[k + 1]`` of the
-    tail positions and the slots: lists of the int objects that ``index``
-    and the slot table hold, one pointer per entry.  Slot s is the pair
-    ``pairs[s]`` of a label index and a shift, and ``labels`` holds each
-    distinct label once.
+    order, position k's ``counts[k]`` in-edges next in the tail positions
+    and the slots: lists of the int objects that ``index`` and the slot
+    table hold, one pointer per entry.  The counts are mostly small ints
+    that Python caches, so they cost one pointer per vertex.  Slot s is
+    the pair ``pairs[s]`` of a label index and a shift, and ``labels``
+    holds each distinct label once.
 
     A sweep gives a label with value F / G the factor ``F * G**shift`` and
     starts the source at ``G**depths[source]``; position k then holds its
@@ -309,7 +310,7 @@ class _Plan(NamedTuple):
     ``raws`` holds the labels' own dicts and C is 1."""
 
     index: Dict[str, int]
-    offsets: List[int]
+    counts: List[int]
     tails: List[int]
     slots: List[int]
     pairs: List[Tuple[int, int]]
@@ -377,7 +378,7 @@ def _plan(g: AbpGraph, order: List[str]) -> Optional[_Plan]:
         depths, pairs, scale = [0] * len(order), [(s, 0) for s in range(len(labels))], 1
         raws = [lab.raw for lab in labels]
     # lists, not int arrays: a sweep then reads each tail and slot without boxing an int
-    return _Plan(index, list(accumulate(map(len, tails), initial=0)), list(chain.from_iterable(tails)),
+    return _Plan(index, list(map(len, tails)), list(chain.from_iterable(tails)),
                  list(chain.from_iterable(slots)), pairs, depths, labels, raws, scale)
 
 
@@ -393,9 +394,9 @@ def _sweep(plan: _Plan, source: int, start: int, factors: List[int], modulus: in
     that is nonzero."""
     values: List[int] = []
     edges = zip(plan.tails, plan.slots)
-    for k, (lo, hi) in enumerate(pairwise(plan.offsets)):
+    for k, c in enumerate(plan.counts):
         acc = start if k == source else 0
-        for u, s in islice(edges, hi - lo):
+        for u, s in islice(edges, c):
             acc += values[u] * factors[s]
         values.append(acc % modulus if modulus else acc)
     return values
@@ -481,8 +482,8 @@ def expand_all(g: AbpGraph) -> Dict[str, Polynomial]:
     source = plan.index[g.source]
     values: List[Raw] = []
     edges = zip(plan.tails, plan.slots)
-    for k, (lo, hi) in enumerate(pairwise(plan.offsets)):
-        pairs = [(values[u], factors[s]) for u, s in islice(edges, hi - lo)]
+    for k, c in enumerate(plan.counts):
+        pairs = [(values[u], factors[s]) for u, s in islice(edges, c)]
         if k == source:
             pairs.append(({(): powers[plan.depths[k]]}, _ONE))
         values.append(_sum_products(kernel_ring, n, pairs).raw)

@@ -1,11 +1,14 @@
-"""CLI surface: commands, exit codes, determinism, round trips."""
+"""CLI surface: commands, exit codes, determinism, round trips, the parser
+kept across in-process calls, and the real entry point in a subprocess."""
 
+import argparse
 import gc
 import io
 import json
 import os
 import random
 import re
+import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
@@ -609,3 +612,160 @@ def test_ring_specs_and_matrices_never_raise(tmp_path_factory, ring, matrix):
     _assert_one_result(*_outcome(["eval", path, "--matrix", matrix]))
     _assert_one_result(*_outcome(["verify", "--identity", "bivariate_ch", "--n", "1", "--d", "1",
                                   "--ring", ring]))
+
+
+# -- one parser per process: nothing carries over from one call to the next ------------
+
+COMMANDS = ("build", "eval", "verify", "verify-all", "stats", "export-dot")
+GRADIENT_2_AT_1234 = ("cpc_0_0 = 1\ncpc_1_0 = 1\ncpc_1_1 = 1\n"
+                      "cpc_2_0 = 1\ncpc_2_1 = 5\ncpc_2_2 = -2\n")
+
+
+def _fresh_parsers():
+    """A newly built top-level parser and command parsers, not the kept ones."""
+    return cli._parser.__wrapped__()
+
+
+def test_parser_is_built_once_across_calls(tmp_path, capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli._parser.cache_clear()
+    path = _gradient_file(tmp_path / "g.json")
+    for _ in range(5):
+        assert run(capsys, "eval", path, "--matrix", '[["1","2"],["3","4"]]') == (
+            0, GRADIENT_2_AT_1234, "")
+        assert run(capsys, "verify", "--identity", "adjugate", "--n", "2", "--ring", "int")[0] == 0
+        assert run(capsys, "stats", "--formula", "--n", "3")[0] == 0
+    assert len(built) == 1 + len(COMMANDS)  # the top level and one per command, once
+    assert cli._parser.cache_info().misses == 1
+
+
+def test_output_list_does_not_carry_over(tmp_path, capsys):
+    path = _gradient_file(tmp_path / "g.json")
+    matrix = '[["1","2"],["3","4"]]'
+    assert run(capsys, "eval", path, "--matrix", matrix, "--output", "cpc_1_1") == (
+        0, "cpc_1_1 = 1\n", "")
+    assert run(capsys, "eval", path, "--matrix", matrix) == (0, GRADIENT_2_AT_1234, "")
+    assert run(capsys, "eval", path, "--matrix", matrix, "--output", "cpc_2_2",
+               "--output", "cpc_2_1") == (0, "cpc_2_2 = -2\ncpc_2_1 = 5\n", "")
+    assert run(capsys, "eval", path, "--matrix", matrix) == (0, GRADIENT_2_AT_1234, "")
+
+
+def test_flags_do_not_carry_over(capsys, monkeypatch):
+    seen = []
+    original = cli.verify_with_sides
+
+    def recorded(*args, combinatorial):
+        seen.append(combinatorial)
+        return original(*args, combinatorial=combinatorial)
+
+    monkeypatch.setattr(cli, "verify_with_sides", recorded)
+    argv = ["verify", "--identity", "bivariate_ch", "--n", "2", "--d", "1", "--ring", "int"]
+    default = run(capsys, *argv)
+    assert default == (0, "bivariate_ch n=2 d=1 ring=int PASS\n", "")
+    assert run(capsys, *argv, "--combinatorial", "--dump")[0] == 0
+    assert run(capsys, *argv) == default
+    assert seen == [False, True, False]
+
+
+@pytest.mark.parametrize("columns", [None, "40", "200"])
+def test_help_matches_a_fresh_parser(capsys, monkeypatch, columns):
+    """Help is formatted when printed, so the kept parser follows COLUMNS."""
+    if columns is None:
+        monkeypatch.delenv("COLUMNS", raising=False)
+    else:
+        monkeypatch.setenv("COLUMNS", columns)
+    fresh, fresh_commands = _fresh_parsers()
+    assert sorted(fresh_commands) == sorted(COMMANDS)
+    for argv in [["--help"]] + [[command, "--help"] for command in COMMANDS]:
+        texts = []
+        for parse in (main, fresh.parse_args, main):
+            with pytest.raises(SystemExit) as exc:
+                parse(argv)
+            assert exc.value.code == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1] == texts[2] and texts[0].startswith("usage: abpc"), argv
+
+
+def test_usage_error_then_success(tmp_path, capsys):
+    path = _gradient_file(tmp_path / "g.json")
+    matrix = '[["1","2"],["3","4"]]'
+    for bad in (["eval", path, "--matrix", "["], ["eval", path, "--matrix", matrix, "--bogus"],
+                ["eval", path], ["verify", "--identity", "adjugate", "--n", "2", "--ring", "gf:4"],
+                ["no-such-command"]):
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "error:" in err
+        assert run(capsys, "eval", path, "--matrix", matrix) == (0, GRADIENT_2_AT_1234, "")
+
+
+# -- usage errors found inside a command name that command ---------------------------
+
+@pytest.mark.parametrize("command, argv, message", [
+    ("build", ["--construction", "gradient", "--n", "2", "--d", "2", "--ring", "gf:4",
+               "--out", "OUT"], "unknown ring spec 'gf:4'"),
+    ("verify", ["--identity", "adjugate", "--n", "2", "--ring", "mod:0"], None),
+    ("verify-all", ["--n-max", "2", "--d-max", "2", "--ring", "rat:"], "unknown ring spec 'rat:'"),
+    ("eval", ["G", "--matrix", "[1,"], None),
+    ("eval", ["G", "--matrix", '{"a": 1}'], "matrix must be an array of arrays of strings"),
+    ("eval", ["G", "--matrix", '[["1"], 2]'], "matrix must be an array of arrays of strings"),
+    ("stats", ["--formula"], "--formula needs --n"),
+    ("stats", [], "stats needs a graph file or --formula"),
+])
+def test_in_command_usage_errors_print_the_commands_usage(tmp_path, capsys, command, argv,
+                                                          message):
+    path = _gradient_file(tmp_path / "g.json")
+    out_file = tmp_path / "out.json"
+    argv = [{"G": path, "OUT": str(out_file)}.get(a, a) for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *argv])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    usage = _fresh_parsers()[1][command].format_usage()
+    assert out == "" and err.startswith(usage), err
+    last = err[len(usage):]
+    assert last.startswith(f"abpc {command}: error: ") and last.count("\n") == 1, err
+    if message is not None:
+        assert last == f"abpc {command}: error: {message}\n"
+    assert not out_file.exists()
+
+
+# -- the real entry point, in a fresh interpreter ------------------------------------
+
+def _entry(*argv, cwd):
+    """``python -m abpc.cli argv`` in a subprocess that imports this checkout's package."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, COLUMNS="80")
+    return subprocess.run([sys.executable, "-m", "abpc.cli", *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_entry_point_in_a_subprocess(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    helped = _entry("--help", cwd=tmp_path)
+    with pytest.raises(SystemExit):
+        _fresh_parsers()[0].parse_args(["--help"])
+    assert (helped.returncode, helped.stdout, helped.stderr) == (0, capsys.readouterr().out, "")
+    build = ["build", "--construction", "gradient", "--n", "3", "--d", "3", "--ring", "rat",
+             "--out", "g.json"]
+    built = _entry(*build, cwd=tmp_path)
+    assert (built.returncode, built.stdout, built.stderr) == (0, "wrote g.json\n", "")
+    written = (tmp_path / "g.json").read_bytes()
+    matrix = '[["1/2","2","0"],["3","4","-1"],["5","0","7/3"]]'
+    evaluated = _entry("eval", "g.json", "--matrix", matrix, cwd=tmp_path)
+    assert (evaluated.returncode, evaluated.stderr) == (0, "")
+    assert "cpc_3_3 = -58/3\n" in evaluated.stdout
+    # the same bytes as the in-process calls
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, *build) == (0, "wrote g.json\n", "")
+    assert (tmp_path / "g.json").read_bytes() == written
+    assert run(capsys, "eval", "g.json", "--matrix", matrix) == (0, evaluated.stdout, "")

@@ -6,6 +6,7 @@ checks."""
 
 import random
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -174,11 +175,12 @@ def constructions(n, ring):
 
 def assert_plan_is_the_full_sort(g):
     """The plan's order is the sort over every edge, and its flat tail and
-    slot lists, grouped by head through the offsets, hold exactly the
+    slot lists, grouped by head through the in-edge counts, hold exactly the
     graph's edges and labels.  Over ``rat`` each depth is one more than its
     tails' largest (0 without tails) and each slot is a distinct (label,
     shift) pair with the edge's shift; elsewhere depths and shifts are 0."""
-    index, offsets, tails, slots, pairs, depths, labels, _raws, _scale = _compile(g)
+    index, counts, tails, slots, pairs, depths, labels, _raws, _scale = _compile(g)
+    offsets = list(accumulate(counts, initial=0))
     order = sorted(index, key=index.__getitem__)
     assert order == topological_order(g.layer_order(), g.edges), g
     assert len(offsets) == len(order) + 1 and offsets[0] == 0 and list(offsets) == sorted(offsets)
@@ -221,8 +223,9 @@ def test_plan_lists_share_their_ints(ring):
     them without creating an int."""
     g = build_gradient_abp(12, 12, ring)[0]
     plan = _compile(g)
-    assert all(type(xs) is list for xs in (plan.offsets, plan.tails, plan.slots, plan.depths))
+    assert all(type(xs) is list for xs in (plan.counts, plan.tails, plan.slots, plan.depths))
     assert len(plan.tails) == len(g.edges) > len(plan.index) > 256  # past the small-int cache
+    assert len(plan.counts) == len(plan.index) and sum(plan.counts) == len(plan.tails)
     tail_ids = {id(t) for t in plan.tails}
     assert tail_ids <= {id(k) for k in plan.index.values()} and len(tail_ids) <= len(plan.index)
     assert len({id(s) for s in plan.slots}) <= len(plan.pairs)
