@@ -237,6 +237,12 @@ def build_bivariate_abp(n: int, d_max: int, ring: RingDescriptor) -> AbpGraph:
 
 
 def build_gradient_abp(n: int, d_max: int, ring: RingDescriptor) -> Tuple[AbpGraph, ConstructionStats]:
+    """The gradient program of ``_build_gradient`` and its statistics."""
+    g = _build_gradient(n, d_max, ring)
+    return g, stats_from_graph(g)
+
+
+def _build_gradient(n: int, d_max: int, ring: RingDescriptor) -> AbpGraph:
     """Program whose layer-j vertices are the entries of the vectors r_{i,j}.
 
     One rule builds it: r_{i,j+1} = ( -r_{i,j} L_i | sum_{i'=j+1..i-1}
@@ -288,7 +294,7 @@ def build_gradient_abp(n: int, d_max: int, ring: RingDescriptor) -> Tuple[AbpGra
         g.add_output(f"cpc_{i}_0", "s")
     for (i, j), kept in r.items():
         g.add_output(f"cpc_{i - 1}_{j}", kept[-1])
-    return g, stats_from_graph(g)
+    return g
 
 
 # -- block transition matrices -------------------------------------------------------
@@ -304,7 +310,14 @@ def transition_matrix(n: int, d: int, ring: RingDescriptor) -> PolyMatrix:
     """
     if not (2 <= d <= n):
         raise GraphError("parameters out of range: need 2 <= d <= n")
-    g, _stats = build_gradient_abp(n, min(d + 1, n), ring)
+    return _transition_block(_build_gradient(n, min(d + 1, n), ring), d)
+
+
+def _transition_block(g: AbpGraph, d: int) -> PolyMatrix:
+    """``transition_matrix``'s block at d, read from the edges of a gradient
+    program ``g`` that keeps its r-layers d-1 and d whole: built with
+    d_max > d, or d = n."""
+    n, ring = g.ambient_n, g.ring
 
     def entries(j: int) -> List[str]:
         return [f"r_{i}_{j}_{a}" for i in range(j + 1, n + 1) for a in range(1, i + 1)]
@@ -443,7 +456,7 @@ def width_from_determinantal(m: PolyMatrix, d: int, ring: RingDescriptor) -> Abp
     block_c = t.submatrix(idx_bot, idx_top) if rank else None
     block_d = -t.submatrix(idx_bot, idx_bot) if rank else None
 
-    base, _stats = build_gradient_abp(k, k, ring)
+    base = _build_gradient(k, k, ring)
     base = sub_abp(base, f"cpc_{k}_{k}")
 
     verts = base.layer_order()

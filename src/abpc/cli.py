@@ -18,9 +18,9 @@ import sys
 from typing import Dict, List, Optional, Tuple
 
 from .build import (
+    _build_gradient,
     build_bivariate_abp,
     build_charzero_abp,
-    build_gradient_abp,
     comparison_report,
     stats_from_graph,
 )
@@ -121,7 +121,7 @@ def _cmd_build(parser, args) -> int:
     elif args.construction == "bivariate":
         g = build_bivariate_abp(args.n, args.d, ring)
     else:
-        g, _stats = build_gradient_abp(args.n, args.d, ring)
+        g = _build_gradient(args.n, args.d, ring)
     _write(args.out, graph_to_json_text(g))
     if args.dot:
         _write(args.dot, graph_to_dot(g))

@@ -39,7 +39,7 @@ from itertools import accumulate, chain, groupby, islice, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from math import gcd, lcm
 from operator import mul
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .poly import (_ONE, Polynomial, PolyMatrix, Raw, _boxed, _raw_value, _sum_products, flatten,
                    unflatten)
@@ -307,7 +307,9 @@ class _Plan(NamedTuple):
     shift depths[v] - 1 - depths[u], and ``raws`` holds each label's raw
     dict times ``scale``, the lcm C of all the labels' coefficients'
     denominators, on integers.  Elsewhere every depth and shift is 0, slot s is (s, 0),
-    ``raws`` holds the labels' own dicts and C is 1."""
+    ``raws`` holds the labels' own dicts and C is 1.  ``releases`` holds
+    ``expand_all``'s release schedule for each set of output positions it
+    has swept for, built on the first such sweep."""
 
     index: Dict[str, int]
     counts: List[int]
@@ -318,6 +320,7 @@ class _Plan(NamedTuple):
     labels: List[Polynomial]
     raws: List[Raw]
     scale: int
+    releases: Dict[FrozenSet[int], List[List[int]]]
 
 
 def _compile(g: AbpGraph) -> _Plan:
@@ -379,7 +382,7 @@ def _plan(g: AbpGraph, order: List[str]) -> Optional[_Plan]:
         raws = [lab.raw for lab in labels]
     # lists, not int arrays: a sweep then reads each tail and slot without boxing an int
     return _Plan(index, list(map(len, tails)), list(chain.from_iterable(tails)),
-                 list(chain.from_iterable(slots)), pairs, depths, labels, raws, scale)
+                 list(chain.from_iterable(slots)), pairs, depths, labels, raws, scale, {})
 
 
 def _powers(plan: _Plan, scale: int) -> List[int]:
@@ -461,12 +464,27 @@ def evaluate(g: AbpGraph, entries: Sequence[Sequence[RingElement]], at: Optional
     return _evaluate(g, entries, (name,))[name]
 
 
+def _release_schedule(plan: _Plan, kept: FrozenSet[int]) -> List[List[int]]:
+    """For each position k, the positions whose values no sweep step needs
+    once k's is computed: every position outside ``kept`` once, at its
+    last reader, or at itself when nothing reads it."""
+    heads = chain.from_iterable(map(repeat, range(len(plan.counts)), plan.counts))
+    last = dict(zip(plan.tails, heads))  # in-edges come in head order, so the last reader wins
+    schedule: List[List[int]] = [[] for _ in plan.counts]
+    for u in range(len(plan.counts)):
+        if u not in kept:
+            schedule[last.get(u, u)].append(u)
+    return schedule
+
+
 def expand_all(g: AbpGraph) -> Dict[str, Polynomial]:
     """All named outputs from a single forward sweep on raw polynomials
     over ``_compile``'s plan; each vertex sums its in-edge products in one
     call of the raw kernel.  Each slot's factor is its label's raw dict in
     the plan times C**shift, so over ``rat`` the sweep runs on integers and
-    only the outputs' non-integral coefficients become ``Fraction``s."""
+    only the outputs' non-integral coefficients become ``Fraction``s.  A
+    vertex that is not an output drops its polynomial right after its last
+    reader, which bounds the peak memory by the live frontier."""
     guard = expansion_guard()
     if g.ambient_n > guard:
         raise GraphError(
@@ -480,13 +498,19 @@ def expand_all(g: AbpGraph) -> Dict[str, Polynomial]:
                {m: c * powers[shift] for m, c in plan.raws[label].items()} for label, shift in plan.pairs]
     kernel_ring = RingDescriptor.integers() if ring.kind == RAT else ring
     source = plan.index[g.source]
-    values: List[Raw] = []
+    kept = frozenset(plan.index[v] for v in g.outputs.values())
+    released = plan.releases.get(kept)
+    if released is None:
+        released = plan.releases[kept] = _release_schedule(plan, kept)
+    values: List[Optional[Raw]] = []
     edges = zip(plan.tails, plan.slots)
     for k, c in enumerate(plan.counts):
         pairs = [(values[u], factors[s]) for u, s in islice(edges, c)]
         if k == source:
             pairs.append(({(): powers[plan.depths[k]]}, _ONE))
         values.append(_sum_products(kernel_ring, n, pairs).raw)
+        for u in released[k]:
+            values[u] = None
     out = {}
     for name, vid in sorted(g.outputs.items()):
         k = plan.index[vid]

@@ -12,13 +12,17 @@ sides of Cayley-Hamilton, the adjugate formula, the trace identity, the
 Samuelson entry and the cpc recursion are that sum, its trace or its
 (n,n) entry.  Every left side is an independent oracle (minor sums, cycle
 covers, zero, the Leibniz adjugate), and no identity's truth is used to
-build another's side.  Alternating signs are ring elements, so the checks
-remain valid in characteristic 2.
+build another's side.  Alternating signs are reduced in the ring like
+every other coefficient, so the checks remain valid in characteristic 2.
 
 ``_SIDES`` declares each identity once, its sides and its degree rule;
 ``verify_identity`` and the ``verify_all`` grid both read it.  One
-``verify_all`` call builds each size's Horner sums once, and each minor sum
-cpc_{n,k} once.
+``verify_all`` call builds each size's Horner sums once, each entry of a
+Horner step in one kernel call.  One verify call, a single check or the
+whole grid, builds each of its ingredients at most once (``_Ingredients``):
+each minor sum cpc_{n,k}, its partial derivatives, its restriction to
+diagonal matrices and each power sum p_i.  A transition_product check
+builds one gradient program and reads every transition block from it.
 """
 
 from __future__ import annotations
@@ -26,9 +30,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
-from .build import transition_matrix
+from .build import _build_gradient, _transition_block
 from .oracle import cpc_minor_sum, det_leibniz, grad_ccp_entry
-from .poly import Polynomial, PolyMatrix, gradient
+from .poly import _ONE, Polynomial, PolyMatrix, Raw, _sum_products, flatten, gradient
 from .rings import AbpcError, RingDescriptor, descriptor_to_spec, int_embed
 
 VERIFY_ALL_N_CAP = 7
@@ -84,43 +88,69 @@ def _first_mismatch(lhs, rhs) -> Optional[Witness]:
 # -- ingredient builders ---------------------------------------------------------
 
 
-def _minor_sums(ring: RingDescriptor) -> Callable[[int, int], Polynomial]:
-    """``cpc(n, k)``, the minor sum cpc_{n,k} over ``ring``, built once per
-    (n, k) for the life of the returned function."""
-    built: Dict[Tuple[int, int], Polynomial] = {}
+class _Ingredients:
+    """The ingredients of one verify call over ``ring``, each built on first
+    use and kept for the life of the object.  ``cpc(n, k)`` is the minor sum
+    cpc_{n,k}; ``partial`` and ``diagonal`` give its partial derivative by
+    x[a,b] and its restriction to diagonal matrices, and ``power_sum`` the
+    power sum p_i in the n x n variables."""
 
-    def cpc(n: int, k: int) -> Polynomial:
-        if (n, k) not in built:
-            built[(n, k)] = cpc_minor_sum(n, k, ring)
-        return built[(n, k)]
+    def __init__(self, ring: RingDescriptor):
+        self.ring = ring
+        self._built: Dict[tuple, Polynomial] = {}
 
-    return cpc
+    def _once(self, key: tuple, build: Callable[[], Polynomial]) -> Polynomial:
+        p = self._built.get(key)
+        if p is None:
+            p = self._built[key] = build()
+        return p
+
+    def __call__(self, n: int, k: int) -> Polynomial:
+        return self._once(("cpc", n, k), lambda: cpc_minor_sum(n, k, self.ring))
+
+    def partial(self, n: int, k: int, a: int, b: int) -> Polynomial:
+        return self._once(("partial", n, k, a, b), lambda: self(n, k).partial(a, b))
+
+    def diagonal(self, n: int, k: int) -> Polynomial:
+        return self._once(("diagonal", n, k), lambda: self(n, k).restrict_to_diagonal())
+
+    def power_sum(self, n: int, i: int) -> Polynomial:
+        return self._once(("power_sum", n, i), lambda: power_sum(n, i, self.ring))
 
 
 def horner_sequence(n: int, k_max: int, ring: RingDescriptor) -> List[PolyMatrix]:
     """T_0 .. T_{k_max}, where T_k = sum_{i=0}^{k} (-1)^i cpc_{n,k-i} X^i."""
-    return _horner_sums(n, k_max, ring, _minor_sums(ring))
+    return _horner_sums(n, k_max, ring, _Ingredients(ring))
 
 
 def _horner_sums(n: int, k_max: int, ring: RingDescriptor,
                  cpc: Callable[[int, int], Polynomial]) -> List[PolyMatrix]:
     """``horner_sequence`` with cpc_{n,k} read from ``cpc(n, k)``.
 
-    Horner's rule in X: T_{-1} = 0 and T_k = cpc_{n,k} I - X T_{k-1}.
+    Horner's rule in X: T_{-1} = 0 and T_k = cpc_{n,k} I - X T_{k-1}.  Each
+    entry T_k[a,b] is one kernel call over the pairs (T_{k-1}[l,b], -x[a,l])
+    and, on the diagonal, (cpc_{n,k}, 1).
     """
-    x = PolyMatrix.variables(ring, n)
-    one = PolyMatrix.identity(ring, n, n)
-    total = PolyMatrix.zeros(ring, n, n, n)
+    neg_x = [[{(flatten(a, l, n),): -1} for l in range(1, n + 1)] for a in range(1, n + 1)]
+    prev: List[Raw] = [{}] * (n * n)  # the raw entries of T_{k-1}, row-major
     sums: List[PolyMatrix] = []
     for k in range(k_max + 1):
-        total = one.scale(cpc(n, k)) - x * total
-        sums.append(total)
+        c = cpc(n, k).raw
+        entries = []
+        for a, row in enumerate(neg_x):
+            for b in range(n):
+                pairs = [(prev[l * n + b], x_al) for l, x_al in enumerate(row)]
+                if a == b:
+                    pairs.append((c, _ONE))
+                entries.append(_sum_products(ring, n, pairs))
+        prev = [p.raw for p in entries]
+        sums.append(PolyMatrix(ring, n, n, n, entries))
     return sums
 
 
-def _last_row(f: Polynomial, n: int) -> List[Polynomial]:
-    """Last row of transpose(grad f) for f in the n x n variables."""
-    return [f.partial(a, n) for a in range(1, n + 1)]
+def _last_row(cpc: _Ingredients, n: int, k: int) -> List[Polynomial]:
+    """Last row of transpose(grad cpc_{n,k})."""
+    return [cpc.partial(n, k, a, n) for a in range(1, n + 1)]
 
 
 def r_vector_first_layer(i: int, ambient: int, ring: RingDescriptor) -> List[Polynomial]:
@@ -147,15 +177,16 @@ def power_sum(n: int, i: int, ring: RingDescriptor) -> Polynomial:
 
 # -- the two sides of each identity ---------------------------------------------
 # d has passed the identity's degree rule; ``horner()`` returns the Horner sum
-# T_d, and only the identities that read it call it.  ``cpc(i, k)`` returns
-# the minor sum cpc_{i,k}, built once per verify call.
+# T_d, and only the identities that read it call it.  ``cpc`` is the call's
+# ``_Ingredients``: ``cpc(i, k)`` returns the minor sum cpc_{i,k}.
 
 
 def _sides_bivariate_ch(n: int, d: int, ring: RingDescriptor, combinatorial: bool, horner, cpc):
     if combinatorial:
         ents = [grad_ccp_entry(n, d, a, b, ring) for a in range(1, n + 1) for b in range(1, n + 1)]
         return PolyMatrix(ring, n, n, n, ents), horner()
-    return gradient(cpc(n, d + 1), n).transpose(), horner()
+    ents = [cpc.partial(n, d + 1, b, a) for a in range(1, n + 1) for b in range(1, n + 1)]
+    return PolyMatrix(ring, n, n, n, ents), horner()
 
 
 def _sides_cayley_hamilton(n: int, d: int, ring: RingDescriptor, combinatorial: bool, horner, cpc):
@@ -177,12 +208,12 @@ def _sides_trace_ch(n: int, d: int, ring: RingDescriptor, combinatorial: bool, h
 
 def _sides_girard_newton(n: int, d: int, ring: RingDescriptor, combinatorial: bool, horner, cpc):
     # e_k is cpc_{n,k} restricted to diagonal matrices (variables x[a,a])
-    lhs = cpc(n, d).restrict_to_diagonal().scale(int_embed(ring, -d))
-    rhs = Polynomial.zero(ring, n)
+    lhs = cpc.diagonal(n, d).scale(int_embed(ring, -d))
+    pairs = []
     for i in range(1, d + 1):
-        term = cpc(n, d - i).restrict_to_diagonal() * power_sum(n, i, ring)
-        rhs = rhs + term.scale(int_embed(ring, -1) ** i)
-    return lhs, rhs
+        p = cpc.power_sum(n, i).raw
+        pairs.append((cpc.diagonal(n, d - i).raw, p if i % 2 == 0 else {m: -c for m, c in p.items()}))
+    return lhs, _sum_products(ring, n, pairs)
 
 
 def _sides_samuelson_entry(n: int, d: int, ring: RingDescriptor, combinatorial: bool, horner, cpc):
@@ -198,16 +229,16 @@ def _sides_cpc_recursion(n: int, d: int, ring: RingDescriptor, combinatorial: bo
 
 def _sides_rnd_block(n: int, d: int, ring: RingDescriptor, combinatorial: bool, horner, cpc):
     # r_{n,d} = ( -r_{n,d-1} L_n | sum_{i=d}^{n-1} r_{i,d-1} C_i )
-    lhs = PolyMatrix(ring, n, 1, n, _last_row(cpc(n, d + 1), n))
+    lhs = PolyMatrix(ring, n, 1, n, _last_row(cpc, n, d + 1))
     x = PolyMatrix.variables(ring, n)
-    prev = PolyMatrix(ring, n, 1, n, _last_row(cpc(n, d), n))
+    prev = PolyMatrix(ring, n, 1, n, _last_row(cpc, n, d))
     rhs_entries: List[Polynomial] = []
     if n > 1:
         left = -(prev * x.submatrix(range(1, n + 1), range(1, n)))
         rhs_entries.extend(left.entries)
     last = Polynomial.zero(ring, n)
     for i in range(d, n):
-        ri = [p.promote(n) for p in _last_row(cpc(i, d), i)]
+        ri = [p.promote(n) for p in _last_row(cpc, i, d)]
         for a in range(1, i + 1):
             last = last + ri[a - 1] * Polynomial.variable(ring, n, a, i)
     rhs_entries.append(last)
@@ -220,8 +251,9 @@ def _sides_transition_product(n: int, d: int, ring: RingDescriptor, combinatoria
     for i in range(2, d + 1):
         vec_entries.extend(r_vector_first_layer(i, d, ring))
     vec = PolyMatrix(ring, d, 1, len(vec_entries), vec_entries)
+    program = _build_gradient(d, d, ring)  # keeps every r-layer below d whole
     for j in range(2, d):
-        vec = vec * transition_matrix(d, j, ring)
+        vec = vec * _transition_block(program, j)
     column = PolyMatrix.variables(ring, d).submatrix(range(1, d + 1), [d])
     lhs = (vec * column).entry(1, 1)
     rhs = det_leibniz(PolyMatrix.variables(ring, d))
@@ -287,7 +319,7 @@ def verify_with_sides(identity: str, n: int, d: int, ring: RingDescriptor, combi
     """``verify_identity``'s report together with the two sides it compared,
     as polynomials or polynomial matrices."""
     n, d = _normalize(identity, n, d)
-    cpc = _minor_sums(ring)
+    cpc = _Ingredients(ring)
     return _check(identity, n, d, ring, combinatorial, lambda: _horner_sums(n, d, ring, cpc)[d], cpc)
 
 
@@ -310,7 +342,7 @@ def verify_all(n_max: int, d_max: int, ring: RingDescriptor,
     if n_max < 1 or d_max < 0:
         raise IdentityError("grid parameters out of range")
     reports: Dict[str, List[CheckReport]] = {name: [] for name in _SIDES}
-    cpc = _minor_sums(ring)
+    cpc = _Ingredients(ring)
     for n in range(1, n_max + 1):
         sums = _horner_sums(n, max(n, d_max), ring, cpc)
         for name, rule in _SIDES.items():

@@ -179,7 +179,7 @@ class Polynomial:
         return _boxed(self.ring, self.raw[()]) if () in self.raw else int_embed(self.ring, 0)
 
     def _check_compat(self, other: "Polynomial") -> None:
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise PolyError("ring mismatch")
         if self.ambient_n != other.ambient_n:
             raise PolyError("ambient size mismatch; promote explicitly")
@@ -210,7 +210,7 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         return (
-            self.ring == other.ring
+            (self.ring is other.ring or self.ring == other.ring)
             and self.ambient_n == other.ambient_n
             and self.raw == other.raw
         )
@@ -295,7 +295,7 @@ class PolyMatrix:
         if len(entries) != rows * cols:
             raise PolyError("entry count does not match the shape")
         for p in entries:
-            if p.ring != ring or p.ambient_n != ambient_n:
+            if (p.ring is not ring and p.ring != ring) or p.ambient_n != ambient_n:
                 raise PolyError("all entries must share ring and ambient size")
         self.ring = ring
         self.ambient_n = ambient_n
@@ -344,7 +344,7 @@ class PolyMatrix:
         return self.entries[(a - 1) * self.cols + (b - 1)]
 
     def _check_shape(self, other: "PolyMatrix", same: bool) -> None:
-        if self.ring != other.ring or self.ambient_n != other.ambient_n:
+        if (self.ring is not other.ring and self.ring != other.ring) or self.ambient_n != other.ambient_n:
             raise PolyError("matrix ring/ambient mismatch")
         if same and (self.rows, self.cols) != (other.rows, other.cols):
             raise PolyError("matrix shape mismatch")

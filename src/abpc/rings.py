@@ -198,7 +198,10 @@ def element_from_str(r: RingDescriptor, s: str) -> RingElement:
     rat = r.kind == RAT
     if (_RAT_RE if rat else _INT_RE).match(s):
         try:
-            return RingElement(r, Fraction(s)) if rat else _reduced(r, int(s))
+            if not rat:
+                return _reduced(r, int(s))
+            p, _slash, q = s.partition("/")  # the match has checked both parts
+            return RingElement(r, Fraction(int(p), int(q or 1)))
         except (ValueError, ZeroDivisionError):  # past the int/str digit limit, or n/0
             pass
     raise RingError(f"cannot parse {s!r} as {'a rational' if rat else 'an integer'}")

@@ -9,6 +9,7 @@ from typing import Dict, List
 
 from abpc.build import ConstructionStats
 from abpc.graph import AbpGraph, GraphError, _field, _index_field, topological_order
+from abpc.oracle import cpc_minor_sum
 from abpc.poly import Polynomial, PolyMatrix, flatten, unflatten
 from abpc.rings import (
     RingDescriptor,
@@ -314,6 +315,21 @@ def block_transition_matrix(n: int, d: int, ring: RingDescriptor) -> PolyMatrix:
             col_off += ip
         row_off += i
     return PolyMatrix.from_rows(ring, n, ents)
+
+
+def reference_horner_sequence(n: int, k_max: int, ring: RingDescriptor) -> List[PolyMatrix]:
+    """T_0 .. T_{k_max} by Horner's rule in three matrix passes per step,
+    T_k = cpc_{n,k} I - X T_{k-1}: scale, product and subtract.  The
+    reference for ``horner_sequence``, which builds each entry in one
+    kernel call."""
+    x = PolyMatrix.variables(ring, n)
+    one = PolyMatrix.identity(ring, n, n)
+    total = PolyMatrix.zeros(ring, n, n, n)
+    sums: List[PolyMatrix] = []
+    for k in range(k_max + 1):
+        total = one.scale(cpc_minor_sum(n, k, ring)) - x * total
+        sums.append(total)
+    return sums
 
 
 def is_canonical(c: RingElement, ring: RingDescriptor) -> bool:

@@ -1,5 +1,6 @@
 """Builders: output correctness, count formulas, label shapes, recovery."""
 
+import json
 import random
 from math import comb
 
@@ -264,6 +265,28 @@ def test_transition_matrix_matches_block_reference(ring):
     for n in range(2, 8):
         for d in range(2, n + 1):
             assert transition_matrix(n, d, ring) == block_transition_matrix(n, d, ring), (n, d)
+
+
+def test_build_and_transition_paths_skip_the_stats_pass(monkeypatch, tmp_path, capsys):
+    # only build_gradient_abp's callers that read its statistics pay for them
+    import abpc.build as build
+    from abpc.cli import main
+    from abpc.identities import verify_identity
+
+    def refuse(g):
+        raise AssertionError("the statistics pass ran")
+
+    monkeypatch.setattr(build, "stats_from_graph", refuse)
+    out = tmp_path / "g.json"
+    assert main(["build", "--construction", "gradient", "--n", "4", "--d", "4",
+                 "--ring", "int", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote {out}\n"
+    assert transition_matrix(4, 2, Z) == block_transition_matrix(4, 2, Z)
+    assert verify_identity("transition_product", 1, 4, Z).passed
+    monkeypatch.undo()
+    g, stats = build_gradient_abp(4, 4, Z)
+    assert graph_from_json_dict(json.loads(out.read_text())).edges == g.edges
+    assert stats == stats_from_graph(g)
 
 
 # -- recovery from determinantal representations ----------------------------------------

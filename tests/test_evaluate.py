@@ -5,6 +5,7 @@ raw-coefficient sweep against a sweep on polynomials, and their input
 checks."""
 
 import random
+import weakref
 from fractions import Fraction
 from itertools import accumulate
 
@@ -16,6 +17,7 @@ from abpc.graph import (
     AbpGraph,
     GraphError,
     _compile,
+    _release_schedule,
     constant_edge_elimination_steps,
     evaluate_all,
     expand_all,
@@ -125,6 +127,68 @@ def test_expand_all_equals_polynomial_sweep(g):
         assert all(is_canonical(c, g.ring) for c in f.terms.values())
 
 
+class _Raw(dict):
+    """A raw dict that a weak reference can follow."""
+
+
+def _release_cases():
+    yield build_bivariate_abp(3, 3, Z)
+    yield build_gradient_abp(4, 4, Z4)[0]
+    yield build_charzero_abp(3, 3, Q)
+    for flavor in FLAVORS:
+        for seed in range(10):
+            rng = random.Random(f"release/{flavor}/{seed}")
+            ring = RING_FAMILIES[rng.choice(sorted(RING_FAMILIES))]
+            g = random_program(flavor, ring, rng.randint(1, 3), rng.randint(1, 4), rng)
+            g.add_vertex("dead_end", 1)  # read by nothing and not an output
+            g.add_edge(g.source, "dead_end", random_linear_label(ring, g.ambient_n, rng))
+            yield g
+
+
+def test_expand_all_releases_each_value_after_its_last_reader(monkeypatch):
+    import abpc.graph as graph
+
+    kernel = graph._sum_products
+
+    def check(g):
+        want = poly_sweep(g)
+        plan = _compile(g)
+        kept = frozenset(plan.index[v] for v in g.outputs.values())
+        heads = [k for k, c in enumerate(plan.counts) for _ in range(c)]
+        step = {}
+        for k, released in enumerate(_release_schedule(plan, kept)):
+            for u in released:
+                assert u not in step, (g, u)
+                step[u] = k
+        # every non-output position once: at its last reader, or at itself if unread
+        assert set(step) == set(range(len(plan.counts))) - kept
+        for u, k in step.items():
+            assert k == max((h for t, h in zip(plan.tails, heads) if t == u), default=u)
+        # expand_all lets go of each of those values once that step is done
+        refs = []
+
+        def tracked(ring, n, pairs):
+            k = len(refs)
+            assert [ref() is None for ref in refs] == [step.get(u, k) < k for u in range(k)]
+            p = kernel(ring, n, pairs)
+            raw = _Raw(p.raw)
+            refs.append(weakref.ref(raw))
+            return Polynomial._of(p.ring, p.ambient_n, raw)
+
+        monkeypatch.setattr(graph, "_sum_products", tracked)
+        assert expand_all(g) == want
+        monkeypatch.undo()
+        assert len(refs) == len(plan.counts)
+        assert _compile(g).releases.keys() >= {kept}
+
+    for g in _release_cases():
+        check(g)
+        # a new output keeps the plan and gets a schedule of its own
+        dropped = sorted(set(g.layer) - set(g.outputs.values()))
+        g.add_output("late", dropped[0])
+        check(g)
+
+
 @PROPERTY
 @given(programs())
 def test_evaluate_all_rejects_bad_input(case):
@@ -179,7 +243,7 @@ def assert_plan_is_the_full_sort(g):
     graph's edges and labels.  Over ``rat`` each depth is one more than its
     tails' largest (0 without tails) and each slot is a distinct (label,
     shift) pair with the edge's shift; elsewhere depths and shifts are 0."""
-    index, counts, tails, slots, pairs, depths, labels, _raws, _scale = _compile(g)
+    index, counts, tails, slots, pairs, depths, labels, _raws, _scale, _releases = _compile(g)
     offsets = list(accumulate(counts, initial=0))
     order = sorted(index, key=index.__getitem__)
     assert order == topological_order(g.layer_order(), g.edges), g

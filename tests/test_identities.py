@@ -13,9 +13,11 @@ from abpc.identities import (
 from abpc.oracle import cpc_minor_sum, det_leibniz
 from abpc.poly import Polynomial, PolyMatrix, gradient
 from abpc.rings import RingDescriptor, int_embed
+from helpers import reference_horner_sequence
 
 Z = RingDescriptor.integers()
 Z4 = RingDescriptor.modular(4)
+Z6 = RingDescriptor.modular(6)
 Z7 = RingDescriptor.modular(7)
 Q = RingDescriptor.rationals()
 
@@ -58,6 +60,12 @@ def test_alternating_power_sum_matches_power_by_power_sum():
                     want = [w + coeff * p for w, p in zip(want, power.entries)]
                     power = power * xs
                 assert got[d] == PolyMatrix(ring, n, n, n, want), (ring, n, d)
+
+
+def test_horner_sequence_matches_the_three_pass_reference():
+    for ring in (Z, Z4, Z6, Q):
+        for n in range(1, 6):
+            assert horner_sequence(n, n + 1, ring) == reference_horner_sequence(n, n + 1, ring), (ring, n)
 
 
 def test_girard_newton_two_by_two_binomial_case():
@@ -159,6 +167,55 @@ def test_minor_sums_are_built_once_per_call(monkeypatch):
     calls.clear()
     assert verify_identity("cpc_recursion", 3, 2, Z).passed
     assert sorted(calls) == [(2, 2), (3, 0), (3, 1), (3, 2)]
+
+
+def test_ingredients_are_built_once_per_call(monkeypatch):
+    import abpc.identities as ident
+
+    built = {}  # id of each minor sum built -> (n, k); ``minors`` keeps them alive
+    minors, partials, diagonals, powers, programs = [], [], [], [], []
+
+    def minor_sum(n, k, ring):
+        p = cpc_minor_sum(n, k, ring)
+        built[id(p)] = (n, k)
+        minors.append(p)
+        return p
+
+    def record(calls, method):
+        def counted(self, *args):
+            if id(self) in built:
+                calls.append(built[id(self)] + args)
+            return method(self, *args)
+        return counted
+
+    def counted(calls, function):
+        def wrapper(*args):
+            calls.append(args[:2])
+            return function(*args)
+        return wrapper
+
+    monkeypatch.setattr(ident, "cpc_minor_sum", minor_sum)
+    monkeypatch.setattr(Polynomial, "partial", record(partials, Polynomial.partial))
+    monkeypatch.setattr(Polynomial, "restrict_to_diagonal",
+                        record(diagonals, Polynomial.restrict_to_diagonal))
+    monkeypatch.setattr(ident, "power_sum", counted(powers, ident.power_sum))
+    monkeypatch.setattr(ident, "_build_gradient", counted(programs, ident._build_gradient))
+    for _call in range(2):  # nothing is kept from one call to the next
+        for calls in (built, minors, partials, diagonals, powers, programs):
+            calls.clear()
+        assert all(r.passed for r in verify_all(5, 5, Z))
+        keys = [built[id(p)] for p in minors]
+        assert len(keys) == len(set(keys)) == 41
+        # the transposed gradients of bivariate_ch, which rnd_block's reads repeat
+        assert len(partials) == len(set(partials)) == 6 * (1 + 4 + 9 + 16 + 25)
+        assert sorted(diagonals) == [(n, k) for n in range(1, 6) for k in range(0, 6)]
+        assert sorted(powers) == [(n, i) for n in range(1, 6) for i in range(1, 6)]
+        assert programs == [(2, 2), (3, 3), (4, 4), (5, 5)]
+    # one check of rnd_block takes each partial it reads once: the last rows
+    # of cpc_{4,3} and cpc_{4,2}, then of cpc_{2,2} and cpc_{3,2}
+    partials.clear()
+    assert verify_identity("rnd_block", 4, 2, Z).passed
+    assert len(partials) == len(set(partials)) == 4 + 4 + 2 + 3
 
 
 def test_verify_all_guard():

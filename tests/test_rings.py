@@ -9,6 +9,7 @@ import pytest
 
 from abpc.rings import (
     RingDescriptor,
+    RingElement,
     RingError,
     descriptor_from_spec,
     descriptor_to_spec,
@@ -174,3 +175,18 @@ def test_text_past_the_digit_limit_is_a_ring_error():
     for ring, text in ((Z, big), (Z4, "-" + big), (Q, big + "/7"), (Q, "7/" + big)):
         with pytest.raises(RingError, match="cannot parse"):
             element_from_str(ring, text)
+
+
+def test_rational_text_parses_as_fraction_does():
+    # every text the rat pattern accepts is read as Fraction(text) reads it;
+    # the texts refused below include "1.5" and "1e3", which Fraction reads
+    texts = ["0", "-0", "+0", "0/5", "-0/5", "7", "-7", "+7", "007", "-007/014", "3/6",
+             "-4/6", "+12/8", "10/1", "1/1", " 5/10 ", "٣/٦", "-٠٧", "9" * 40 + "/" + "3" * 30]
+    for text in texts:
+        got = element_from_str(Q, text)
+        assert got.value == Fraction(text.strip()) and type(got.value) is Fraction, text
+        assert got == RingElement(Q, Fraction(text.strip()))
+    for text in ["", "/", "1/", "/2", "1/0", "-3/00", "1/-2", "1/2/3", "1.5", "1e3", "½", "²",
+                 "1 /2", "- 1", "0x10", "1_000"]:
+        with pytest.raises(RingError, match="cannot parse"):
+            element_from_str(Q, text)
