@@ -307,9 +307,7 @@ class _Plan(NamedTuple):
     shift depths[v] - 1 - depths[u], and ``raws`` holds each label's raw
     dict times ``scale``, the lcm C of all the labels' coefficients'
     denominators, on integers.  Elsewhere every depth and shift is 0, slot s is (s, 0),
-    ``raws`` holds the labels' own dicts and C is 1.  ``releases`` holds
-    ``expand_all``'s release schedule for each set of output positions it
-    has swept for, built on the first such sweep."""
+    ``raws`` holds the labels' own dicts and C is 1."""
 
     index: Dict[str, int]
     counts: List[int]
@@ -320,7 +318,6 @@ class _Plan(NamedTuple):
     labels: List[Polynomial]
     raws: List[Raw]
     scale: int
-    releases: Dict[FrozenSet[int], List[List[int]]]
 
 
 def _compile(g: AbpGraph) -> _Plan:
@@ -382,7 +379,7 @@ def _plan(g: AbpGraph, order: List[str]) -> Optional[_Plan]:
         raws = [lab.raw for lab in labels]
     # lists, not int arrays: a sweep then reads each tail and slot without boxing an int
     return _Plan(index, list(map(len, tails)), list(chain.from_iterable(tails)),
-                 list(chain.from_iterable(slots)), pairs, depths, labels, raws, scale, {})
+                 list(chain.from_iterable(slots)), pairs, depths, labels, raws, scale)
 
 
 def _powers(plan: _Plan, scale: int) -> List[int]:
@@ -499,9 +496,7 @@ def expand_all(g: AbpGraph) -> Dict[str, Polynomial]:
     kernel_ring = RingDescriptor.integers() if ring.kind == RAT else ring
     source = plan.index[g.source]
     kept = frozenset(plan.index[v] for v in g.outputs.values())
-    released = plan.releases.get(kept)
-    if released is None:
-        released = plan.releases[kept] = _release_schedule(plan, kept)
+    released = _release_schedule(plan, kept)
     values: List[Optional[Raw]] = []
     edges = zip(plan.tails, plan.slots)
     for k, c in enumerate(plan.counts):

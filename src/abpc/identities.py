@@ -16,13 +16,15 @@ build another's side.  Alternating signs are reduced in the ring like
 every other coefficient, so the checks remain valid in characteristic 2.
 
 ``_SIDES`` declares each identity once, its sides and its degree rule;
-``verify_identity`` and the ``verify_all`` grid both read it.  One
-``verify_all`` call builds each size's Horner sums once, each entry of a
-Horner step in one kernel call.  One verify call, a single check or the
-whole grid, builds each of its ingredients at most once (``_Ingredients``):
-each minor sum cpc_{n,k}, its partial derivatives, its restriction to
-diagonal matrices and each power sum p_i.  A transition_product check
-builds one gradient program and reads every transition block from it.
+``verify_identity`` and the ``verify_all`` grid both read it.  One verify
+call, a single check or the whole grid, has one context (``_Ingredients``):
+its ring, its mode and every ingredient its sides read, each built at most
+once.  Those are each minor sum cpc_{n,k}, its partial derivatives, its
+restriction to diagonal matrices, each power sum p_i and each Horner sum
+T_k at size n, built once per (n, k) from T_{k-1} with one kernel call per
+entry.  A transition_product check builds one gradient program and reads
+every transition block from it.  ``verify`` refuses a matrix size over the
+oracle cap before it builds any side.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from .build import _build_gradient, _transition_block
-from .oracle import cpc_minor_sum, det_leibniz, grad_ccp_entry
+from .oracle import ORACLE_SIZE_CAP, OracleLimitError, cpc_minor_sum, det_leibniz, grad_ccp_entry
 from .poly import _ONE, Polynomial, PolyMatrix, Raw, _sum_products, flatten, gradient
 from .rings import AbpcError, RingDescriptor, descriptor_to_spec, int_embed
 
@@ -89,68 +91,66 @@ def _first_mismatch(lhs, rhs) -> Optional[Witness]:
 
 
 class _Ingredients:
-    """The ingredients of one verify call over ``ring``, each built on first
-    use and kept for the life of the object.  ``cpc(n, k)`` is the minor sum
+    """The context of one verify call: its ``ring``, its ``combinatorial``
+    mode and the ingredients its sides read, each built on first use and
+    kept for the life of the object.  ``cpc(n, k)`` is the minor sum
     cpc_{n,k}; ``partial`` and ``diagonal`` give its partial derivative by
-    x[a,b] and its restriction to diagonal matrices, and ``power_sum`` the
-    power sum p_i in the n x n variables."""
+    x[a,b] and its restriction to diagonal matrices, ``power_sum`` the power
+    sum p_i in the n x n variables and ``horner(n, k)`` the Horner sum
+    T_k = sum_{i=0}^{k} (-1)^i cpc_{n,k-i} X^i."""
 
-    def __init__(self, ring: RingDescriptor):
+    def __init__(self, ring: RingDescriptor, combinatorial: bool = False):
         self.ring = ring
-        self._built: Dict[tuple, Polynomial] = {}
+        self.combinatorial = combinatorial
+        self._built: Dict[tuple, object] = {}
 
-    def _once(self, key: tuple, build: Callable[[], Polynomial]) -> Polynomial:
+    def _once(self, key: tuple, build: Callable[[], object]):
         p = self._built.get(key)
         if p is None:
             p = self._built[key] = build()
         return p
 
-    def __call__(self, n: int, k: int) -> Polynomial:
+    def cpc(self, n: int, k: int) -> Polynomial:
         return self._once(("cpc", n, k), lambda: cpc_minor_sum(n, k, self.ring))
 
     def partial(self, n: int, k: int, a: int, b: int) -> Polynomial:
-        return self._once(("partial", n, k, a, b), lambda: self(n, k).partial(a, b))
+        return self._once(("partial", n, k, a, b), lambda: self.cpc(n, k).partial(a, b))
 
     def diagonal(self, n: int, k: int) -> Polynomial:
-        return self._once(("diagonal", n, k), lambda: self(n, k).restrict_to_diagonal())
+        return self._once(("diagonal", n, k), lambda: self.cpc(n, k).restrict_to_diagonal())
 
     def power_sum(self, n: int, i: int) -> Polynomial:
         return self._once(("power_sum", n, i), lambda: power_sum(n, i, self.ring))
 
+    def horner(self, n: int, k: int) -> PolyMatrix:
+        """T_k, each T_j built once from T_{j-1}: a loop, so no k is too deep."""
+        t = None  # T_{-1} = 0; each build runs at once, while t is T_{j-1}
+        for j in range(k + 1):
+            t = self._once(("horner", n, j), lambda: _horner_step(self, n, j, t))
+        return t
+
+
+def _horner_step(ing: _Ingredients, n: int, k: int, prev: Optional[PolyMatrix]) -> PolyMatrix:
+    """Horner's rule in X: T_k = cpc_{n,k} I - X T_{k-1}, with ``prev`` = T_{k-1}
+    (None for 0).  Each entry T_k[a,b] is one kernel call over the pairs
+    (T_{k-1}[l,b], -x[a,l]) and, on the diagonal, (cpc_{n,k}, 1)."""
+    c = ing.cpc(n, k).raw
+    raws: List[Raw] = [{}] * (n * n) if prev is None else [p.raw for p in prev.entries]
+    entries = []
+    for a in range(1, n + 1):
+        neg_x = [{(flatten(a, l, n),): -1} for l in range(1, n + 1)]
+        for b in range(n):
+            pairs = [(raws[l * n + b], x_al) for l, x_al in enumerate(neg_x)]
+            if a == b + 1:
+                pairs.append((c, _ONE))
+            entries.append(_sum_products(ing.ring, n, pairs))
+    return PolyMatrix(ing.ring, n, n, n, entries)
+
 
 def horner_sequence(n: int, k_max: int, ring: RingDescriptor) -> List[PolyMatrix]:
     """T_0 .. T_{k_max}, where T_k = sum_{i=0}^{k} (-1)^i cpc_{n,k-i} X^i."""
-    return _horner_sums(n, k_max, ring, _Ingredients(ring))
-
-
-def _horner_sums(n: int, k_max: int, ring: RingDescriptor,
-                 cpc: Callable[[int, int], Polynomial]) -> List[PolyMatrix]:
-    """``horner_sequence`` with cpc_{n,k} read from ``cpc(n, k)``.
-
-    Horner's rule in X: T_{-1} = 0 and T_k = cpc_{n,k} I - X T_{k-1}.  Each
-    entry T_k[a,b] is one kernel call over the pairs (T_{k-1}[l,b], -x[a,l])
-    and, on the diagonal, (cpc_{n,k}, 1).
-    """
-    neg_x = [[{(flatten(a, l, n),): -1} for l in range(1, n + 1)] for a in range(1, n + 1)]
-    prev: List[Raw] = [{}] * (n * n)  # the raw entries of T_{k-1}, row-major
-    sums: List[PolyMatrix] = []
-    for k in range(k_max + 1):
-        c = cpc(n, k).raw
-        entries = []
-        for a, row in enumerate(neg_x):
-            for b in range(n):
-                pairs = [(prev[l * n + b], x_al) for l, x_al in enumerate(row)]
-                if a == b:
-                    pairs.append((c, _ONE))
-                entries.append(_sum_products(ring, n, pairs))
-        prev = [p.raw for p in entries]
-        sums.append(PolyMatrix(ring, n, n, n, entries))
-    return sums
-
-
-def _last_row(cpc: _Ingredients, n: int, k: int) -> List[Polynomial]:
-    """Last row of transpose(grad cpc_{n,k})."""
-    return [cpc.partial(n, k, a, n) for a in range(1, n + 1)]
+    ing = _Ingredients(ring)
+    return [ing.horner(n, k) for k in range(k_max + 1)]
 
 
 def r_vector_first_layer(i: int, ambient: int, ring: RingDescriptor) -> List[Polynomial]:
@@ -176,77 +176,71 @@ def power_sum(n: int, i: int, ring: RingDescriptor) -> Polynomial:
 
 
 # -- the two sides of each identity ---------------------------------------------
-# d has passed the identity's degree rule; ``horner()`` returns the Horner sum
-# T_d, and only the identities that read it call it.  ``cpc`` is the call's
-# ``_Ingredients``: ``cpc(i, k)`` returns the minor sum cpc_{i,k}.
+# d has passed the identity's degree rule, and ``ing`` is the call's
+# ``_Ingredients``: every side reads its ring, its mode and its ingredients there.
 
 
-def _sides_bivariate_ch(n: int, d: int, ring: RingDescriptor, combinatorial: bool, horner, cpc):
-    if combinatorial:
-        ents = [grad_ccp_entry(n, d, a, b, ring) for a in range(1, n + 1) for b in range(1, n + 1)]
-        return PolyMatrix(ring, n, n, n, ents), horner()
-    ents = [cpc.partial(n, d + 1, b, a) for a in range(1, n + 1) for b in range(1, n + 1)]
-    return PolyMatrix(ring, n, n, n, ents), horner()
+def _sides_bivariate_ch(n: int, d: int, ing: _Ingredients):
+    if ing.combinatorial:
+        ents = [grad_ccp_entry(n, d, a, b, ing.ring) for a in range(1, n + 1) for b in range(1, n + 1)]
+    else:
+        ents = [ing.partial(n, d + 1, b, a) for a in range(1, n + 1) for b in range(1, n + 1)]
+    return PolyMatrix(ing.ring, n, n, n, ents), ing.horner(n, d)
 
 
-def _sides_cayley_hamilton(n: int, d: int, ring: RingDescriptor, combinatorial: bool, horner, cpc):
+def _sides_cayley_hamilton(n: int, d: int, ing: _Ingredients):
     # the alternating sum at d = n annihilates itself
-    return PolyMatrix.zeros(ring, n, n, n), horner()
+    return PolyMatrix.zeros(ing.ring, n, n, n), ing.horner(n, d)
 
 
-def _sides_adjugate(n: int, d: int, ring: RingDescriptor, combinatorial: bool, horner, cpc):
-    det = det_leibniz(PolyMatrix.variables(ring, n))
-    return gradient(det, n).transpose(), horner()
+def _sides_adjugate(n: int, d: int, ing: _Ingredients):
+    det = det_leibniz(PolyMatrix.variables(ing.ring, n))
+    return gradient(det, n).transpose(), ing.horner(n, d)
 
 
-def _sides_trace_ch(n: int, d: int, ring: RingDescriptor, combinatorial: bool, horner, cpc):
+def _sides_trace_ch(n: int, d: int, ing: _Ingredients):
     # the i = 0 term of the sum's trace is n cpc_{n,d}
-    c = cpc(n, d)
-    rhs = horner().trace() - c.scale(int_embed(ring, n))
-    return c.scale(int_embed(ring, -d)), rhs
+    c = ing.cpc(n, d)
+    rhs = ing.horner(n, d).trace() - c.scale(int_embed(ing.ring, n))
+    return c.scale(int_embed(ing.ring, -d)), rhs
 
 
-def _sides_girard_newton(n: int, d: int, ring: RingDescriptor, combinatorial: bool, horner, cpc):
+def _sides_girard_newton(n: int, d: int, ing: _Ingredients):
     # e_k is cpc_{n,k} restricted to diagonal matrices (variables x[a,a])
-    lhs = cpc.diagonal(n, d).scale(int_embed(ring, -d))
+    lhs = ing.diagonal(n, d).scale(int_embed(ing.ring, -d))
     pairs = []
     for i in range(1, d + 1):
-        p = cpc.power_sum(n, i).raw
-        pairs.append((cpc.diagonal(n, d - i).raw, p if i % 2 == 0 else {m: -c for m, c in p.items()}))
-    return lhs, _sum_products(ring, n, pairs)
+        p = ing.power_sum(n, i).raw
+        pairs.append((ing.diagonal(n, d - i).raw, p if i % 2 == 0 else {m: -c for m, c in p.items()}))
+    return lhs, _sum_products(ing.ring, n, pairs)
 
 
-def _sides_samuelson_entry(n: int, d: int, ring: RingDescriptor, combinatorial: bool, horner, cpc):
+def _sides_samuelson_entry(n: int, d: int, ing: _Ingredients):
     # bottom-right entry of the bivariate identity
-    return cpc(n - 1, d).promote(n), horner().entry(n, n)
+    return ing.cpc(n - 1, d).promote(n), ing.horner(n, d).entry(n, n)
 
 
-def _sides_cpc_recursion(n: int, d: int, ring: RingDescriptor, combinatorial: bool, horner, cpc):
+def _sides_cpc_recursion(n: int, d: int, ing: _Ingredients):
     # the Samuelson entry with its i = 0 term, cpc_{n,d}, moved across
-    c = cpc(n, d)
-    return c, cpc(n - 1, d).promote(n) - horner().entry(n, n) + c
+    c = ing.cpc(n, d)
+    return c, ing.cpc(n - 1, d).promote(n) - ing.horner(n, d).entry(n, n) + c
 
 
-def _sides_rnd_block(n: int, d: int, ring: RingDescriptor, combinatorial: bool, horner, cpc):
-    # r_{n,d} = ( -r_{n,d-1} L_n | sum_{i=d}^{n-1} r_{i,d-1} C_i )
-    lhs = PolyMatrix(ring, n, 1, n, _last_row(cpc, n, d + 1))
-    x = PolyMatrix.variables(ring, n)
-    prev = PolyMatrix(ring, n, 1, n, _last_row(cpc, n, d))
-    rhs_entries: List[Polynomial] = []
-    if n > 1:
-        left = -(prev * x.submatrix(range(1, n + 1), range(1, n)))
-        rhs_entries.extend(left.entries)
-    last = Polynomial.zero(ring, n)
-    for i in range(d, n):
-        ri = [p.promote(n) for p in _last_row(cpc, i, d)]
-        for a in range(1, i + 1):
-            last = last + ri[a - 1] * Polynomial.variable(ring, n, a, i)
-    rhs_entries.append(last)
-    return lhs, PolyMatrix(ring, n, 1, n, rhs_entries)
+def _sides_rnd_block(n: int, d: int, ing: _Ingredients):
+    # r_{n,d} = ( -r_{n,d-1} L_n | sum_{i=d}^{n-1} r_{i,d-1} C_i ), where r_{i,k-1}
+    # is the last row of transpose(grad cpc_{i,k}); each right entry is one kernel call
+    lhs = [ing.partial(n, d + 1, a, n) for a in range(1, n + 1)]
+    prev = [ing.partial(n, d, l, n).raw for l in range(1, n + 1)]
+    rhs = [_sum_products(ing.ring, n, [(prev[l - 1], {(flatten(l, b, n),): -1}) for l in range(1, n + 1)])
+           for b in range(1, n)]
+    rhs.append(_sum_products(ing.ring, n, [(ing.partial(i, d, a, i).promote(n).raw, {(flatten(a, i, n),): 1})
+                                           for i in range(d, n) for a in range(1, i + 1)]))
+    return PolyMatrix(ing.ring, n, 1, n, lhs), PolyMatrix(ing.ring, n, 1, n, rhs)
 
 
-def _sides_transition_product(n: int, d: int, ring: RingDescriptor, combinatorial: bool, horner, cpc):
+def _sides_transition_product(n: int, d: int, ing: _Ingredients):
     # (r_{2,1},..,r_{d,1}) M_{d,2} .. M_{d,d-1} C_d = det_d
+    ring = ing.ring
     vec_entries: List[Polynomial] = []
     for i in range(2, d + 1):
         vec_entries.extend(r_vector_first_layer(i, d, ring))
@@ -297,6 +291,9 @@ def _normalize(identity: str, n: int, d: int) -> Tuple[int, int]:
         raise IdentityError("d must be non-negative")
     if d < rule.d_min:
         raise IdentityError(f"{identity} needs d >= {rule.d_min}")
+    # every side of a larger matrix reads an enumeration oracle that refuses it
+    if (d if rule.d_is_size else n) > ORACLE_SIZE_CAP:
+        raise OracleLimitError("oracle size limit")
     return n, d
 
 
@@ -309,18 +306,17 @@ def _degrees(rule: Identity, n: int, d_max: int) -> range:
     return range(rule.d_min, d_max + 1)
 
 
-def _check(identity: str, n: int, d: int, ring: RingDescriptor, combinatorial: bool, horner, cpc):
-    lhs, rhs = _SIDES[identity].sides(n, d, ring, combinatorial, horner, cpc)
+def _check(identity: str, n: int, d: int, ing: _Ingredients):
+    lhs, rhs = _SIDES[identity].sides(n, d, ing)
     witness = _first_mismatch(lhs, rhs)
-    return CheckReport(identity, n, d, ring, witness is None, witness), lhs, rhs
+    return CheckReport(identity, n, d, ing.ring, witness is None, witness), lhs, rhs
 
 
 def verify_with_sides(identity: str, n: int, d: int, ring: RingDescriptor, combinatorial: bool = False):
     """``verify_identity``'s report together with the two sides it compared,
     as polynomials or polynomial matrices."""
     n, d = _normalize(identity, n, d)
-    cpc = _Ingredients(ring)
-    return _check(identity, n, d, ring, combinatorial, lambda: _horner_sums(n, d, ring, cpc)[d], cpc)
+    return _check(identity, n, d, _Ingredients(ring, combinatorial))
 
 
 def verify_identity(identity: str, n: int, d: int, ring: RingDescriptor,
@@ -333,19 +329,16 @@ def verify_identity(identity: str, n: int, d: int, ring: RingDescriptor,
 
 def verify_all(n_max: int, d_max: int, ring: RingDescriptor,
                combinatorial: bool = False) -> List[CheckReport]:
-    """Run the whole identity grid, size by size; reports are grouped by
-    identity, then ordered by n and d.  Each size's Horner sums
-    T_0 .. T_max(n, d_max), and each minor sum cpc_{n,k}, are built once and
-    serve every check."""
+    """Run the whole identity grid, size by size, in one ``_Ingredients``
+    context; reports are grouped by identity, then ordered by n and d."""
     if n_max > VERIFY_ALL_N_CAP:
         raise IdentityError(f"n_max capped at {VERIFY_ALL_N_CAP}")
     if n_max < 1 or d_max < 0:
         raise IdentityError("grid parameters out of range")
     reports: Dict[str, List[CheckReport]] = {name: [] for name in _SIDES}
-    cpc = _Ingredients(ring)
+    ing = _Ingredients(ring, combinatorial)
     for n in range(1, n_max + 1):
-        sums = _horner_sums(n, max(n, d_max), ring, cpc)
         for name, rule in _SIDES.items():
             for d in _degrees(rule, n, d_max):
-                reports[name].append(_check(name, n, d, ring, combinatorial, lambda: sums[d], cpc)[0])
+                reports[name].append(_check(name, n, d, ing)[0])
     return [rep for group in reports.values() for rep in group]

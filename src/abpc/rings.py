@@ -130,14 +130,6 @@ class RingElement:
     def __neg__(self) -> "RingElement":
         return _reduced(self.descriptor, -self.value)
 
-    def __pow__(self, k: int) -> "RingElement":
-        if k < 0:
-            raise RingError("negative powers are not defined; use invert")
-        out = int_embed(self.descriptor, 1)
-        for _ in range(k):
-            out = out * self
-        return out
-
     def is_zero(self) -> bool:
         return self.value == 0
 

@@ -21,7 +21,7 @@ from abpc import cli
 from abpc.build import build_gradient_abp
 from abpc.cli import main
 from abpc.graph import expand_symbolic, graph_from_json_dict, graph_to_json_dict, sub_abp
-from abpc.oracle import cpc_minor_sum, cpc_table
+from abpc.oracle import ORACLE_SIZE_CAP, cpc_minor_sum, cpc_table
 from abpc.rings import RingDescriptor, RingError, descriptor_from_spec, element_to_str
 from helpers import random_matrix
 
@@ -236,9 +236,9 @@ def test_dump_builds_the_sides_once(capsys, monkeypatch):
     original = ident._SIDES["bivariate_ch"]
     calls = []
 
-    def counted(n, d, ring, combinatorial, horner, cpc):
+    def counted(n, d, ing):
         calls.append((n, d))
-        return original.sides(n, d, ring, combinatorial, horner, cpc)
+        return original.sides(n, d, ing)
 
     monkeypatch.setitem(ident._SIDES, "bivariate_ch", original._replace(sides=counted))
     code, out, _err = run(capsys, "verify", "--identity", "bivariate_ch",
@@ -250,17 +250,17 @@ def test_dump_builds_the_sides_once(capsys, monkeypatch):
 def test_horner_sums_are_built_once_per_size(capsys, monkeypatch):
     import abpc.identities as ident
 
-    original = ident._horner_sums
+    original = ident._horner_step
     calls = []
 
-    def counted(n, k_max, ring, cpc):
-        calls.append((n, k_max))
-        return original(n, k_max, ring, cpc)
+    def counted(ing, n, k, prev):
+        calls.append((n, k))
+        return original(ing, n, k, prev)
 
-    monkeypatch.setattr(ident, "_horner_sums", counted)
+    monkeypatch.setattr(ident, "_horner_step", counted)
     reports = ident.verify_all(4, 4, Z)
     assert all(rep.passed for rep in reports)
-    assert calls == [(1, 4), (2, 4), (3, 4), (4, 4)]
+    assert sorted(calls) == [(n, k) for n in range(1, 5) for k in range(0, 5)]
     # identities that do not read the Horner sum build none
     for identity in ("girard_newton", "rnd_block", "transition_product"):
         calls.clear()
@@ -269,7 +269,34 @@ def test_horner_sums_are_built_once_per_size(capsys, monkeypatch):
         assert (code, calls) == (0, []), identity
     code, _out, _err = run(capsys, "verify", "--identity", "bivariate_ch",
                            "--n", "3", "--d", "2", "--ring", "int")
-    assert (code, calls) == (0, [(3, 2)])
+    assert (code, calls) == (0, [(3, 0), (3, 1), (3, 2)])
+
+
+def test_verify_refuses_an_over_cap_size_before_it_builds_a_side(capsys, monkeypatch):
+    import abpc.identities as ident
+
+    calls = []
+    for name, rule in ident._SIDES.items():
+        def counted(n, d, ing, name=name, sides=rule.sides):
+            calls.append(name)
+            return sides(n, d, ing)
+        monkeypatch.setitem(ident._SIDES, name, rule._replace(sides=counted))
+    over = ORACLE_SIZE_CAP + 1
+    # the matrix size is d for transition_product and n for every other identity
+    cases = [(name, over, rule.d_min) for name, rule in ident._SIDES.items() if not rule.d_is_size]
+    cases += [("transition_product", 1, over), ("transition_product", 1, 40), ("cayley_hamilton", 600, 0)]
+    for identity, n, d in cases:
+        for extra in ((), ("--dump",), ("--combinatorial",)):
+            result = run(capsys, "verify", "--identity", identity, "--n", str(n), "--d", str(d),
+                         "--ring", "int", *extra)
+            assert result == (1, "", "error: oracle size limit\n"), (identity, n, d, extra)
+    assert calls == []
+    # at the cap the sides are built; transition_product ignores n
+    for identity, n, d in (("bivariate_ch", ORACLE_SIZE_CAP, 0), ("transition_product", 20, 3)):
+        code, out, _err = run(capsys, "verify", "--identity", identity, "--n", str(n), "--d", str(d),
+                              "--ring", "int")
+        assert (code, out) == (0, f"{identity} n={n} d={d} ring=int PASS\n")
+    assert calls == ["bivariate_ch", "transition_product"]
 
 
 def test_failing_identity_exits_one(capsys, monkeypatch):
@@ -278,10 +305,9 @@ def test_failing_identity_exits_one(capsys, monkeypatch):
 
     original = ident._SIDES["bivariate_ch"]
 
-    def broken(n, d, ring, combinatorial, horner, cpc):
-        lhs, _rhs = original.sides(n, d, ring, combinatorial, horner, cpc)
-        _lhs2, rhs2 = original.sides(n, d + 1, ring, combinatorial,
-                                     lambda: ident.horner_sequence(n, d + 1, ring)[-1], cpc)
+    def broken(n, d, ing):
+        lhs, _rhs = original.sides(n, d, ing)
+        _lhs2, rhs2 = original.sides(n, d + 1, ing)
         return lhs, rhs2
 
     monkeypatch.setitem(ident._SIDES, "bivariate_ch", original._replace(sides=broken))
