@@ -41,14 +41,15 @@ from math import gcd, lcm
 from operator import mul
 from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from .poly import (_ONE, Polynomial, PolyMatrix, Raw, _boxed, _raw_value, _sum_products, flatten,
-                   unflatten)
+from .poly import (_ONE, Polynomial, PolyMatrix, Raw, _boxed, _sum_products, flatten, monomial_code,
+                   monomial_indices, unflatten)
 from .rings import (
     MOD,
     RAT,
     AbpcError,
     RingDescriptor,
     RingElement,
+    Value,
     descriptor_from_spec,
     descriptor_to_spec,
     element_from_str,
@@ -100,6 +101,10 @@ class AbpGraph:
         self.source: Optional[str] = None
         self.outputs: Dict[str, str] = {}
         self._plan: Optional[_Plan] = None
+
+    def __getstate__(self):
+        # the plan holds monomial codes, which are private to this process
+        return None, {**{name: getattr(self, name) for name in self.__slots__}, "_plan": None}
 
     # -- build phase ---------------------------------------------------------
 
@@ -220,6 +225,7 @@ def validate(g: AbpGraph) -> List[str]:
     problems = [f"output {name!r} points at a missing vertex"
                 for name, vid in sorted(g.outputs.items()) if vid not in layer]
     bad: List[Tuple[str, str, str]] = []
+    one = monomial_code(())
     const_edges: List[Tuple[str, str]] = []
     source_in = False
     if g.flavor == "aabp":
@@ -233,7 +239,7 @@ def validate(g: AbpGraph) -> List[str]:
             source_in = source_in or v == source
             du, dv = layer[u], layer[v]
             if dv == du + 1:
-                if () in lab.raw:
+                if one in lab.raw:
                     bad.append((u, v, f"cross-layer edge {u}->{v} must be homogeneous linear"))
             elif dv == du:
                 if pabp:
@@ -307,7 +313,9 @@ class _Plan(NamedTuple):
     shift depths[v] - 1 - depths[u], and ``raws`` holds each label's raw
     dict times ``scale``, the lcm C of all the labels' coefficients'
     denominators, on integers.  Elsewhere every depth and shift is 0, slot s is (s, 0),
-    ``raws`` holds the labels' own dicts and C is 1."""
+    ``raws`` holds the labels' own dicts and C is 1.  ``linear`` holds each
+    of ``raws`` decoded once, as (flat index, coefficient) pairs with -1
+    for the constant term, so an evaluation decodes no monomial."""
 
     index: Dict[str, int]
     counts: List[int]
@@ -317,6 +325,7 @@ class _Plan(NamedTuple):
     depths: List[int]
     labels: List[Polynomial]
     raws: List[Raw]
+    linear: List[List[Tuple[int, Value]]]
     scale: int
 
 
@@ -377,9 +386,12 @@ def _plan(g: AbpGraph, order: List[str]) -> Optional[_Plan]:
     else:
         depths, pairs, scale = [0] * len(order), [(s, 0) for s in range(len(labels))], 1
         raws = [lab.raw for lab in labels]
+    # a label has degree <= 1, so each of its monomials has at most one index
+    linear = [[(ix[0] if ix else -1, c) for ix, c in zip(map(monomial_indices, raw), raw.values())]
+              for raw in raws]
     # lists, not int arrays: a sweep then reads each tail and slot without boxing an int
     return _Plan(index, list(map(len, tails)), list(chain.from_iterable(tails)),
-                 list(chain.from_iterable(slots)), pairs, depths, labels, raws, scale)
+                 list(chain.from_iterable(slots)), pairs, depths, labels, raws, linear, scale)
 
 
 def _powers(plan: _Plan, scale: int) -> List[int]:
@@ -413,7 +425,8 @@ def _rational_factors(plan: _Plan, flat: List[Fraction]) -> Tuple[List[int], int
     """
     d = lcm(*(x.denominator for x in flat))
     entries = [x.numerator * (d // x.denominator) for x in flat]
-    factors = [sum(a * (entries[m[0]] if m else d) for m, a in raw.items()) for raw in plan.raws]
+    entries.append(d)  # at index -1, the constant term's
+    factors = [sum(a * entries[v] for v, a in terms) for terms in plan.linear]
     common = gcd(plan.scale * d, *factors)
     return [f // common for f in factors], plan.scale * d // common
 
@@ -438,7 +451,11 @@ def _evaluate(g: AbpGraph, entries: Sequence[Sequence[RingElement]],
         powers = _powers(plan, scale)
         factors = [label_values[label] * powers[shift] for label, shift in plan.pairs]
     else:  # every slot is (label, 0) and every depth 0
-        factors, powers = [_raw_value(lab, flat) for lab in plan.labels], [1]
+        flat.append(1)  # at index -1, the constant term's
+        factors = [sum(c * flat[v] for v, c in terms) for terms in plan.linear]
+        if ring.kind == MOD:
+            factors = [f % ring.modulus for f in factors]
+        powers = [1]
     source = plan.index[g.source]
     values = _sweep(plan, source, powers[plan.depths[source]], factors,
                     ring.modulus if ring.kind == MOD else 0)
@@ -502,7 +519,7 @@ def expand_all(g: AbpGraph) -> Dict[str, Polynomial]:
     for k, c in enumerate(plan.counts):
         pairs = [(values[u], factors[s]) for u, s in islice(edges, c)]
         if k == source:
-            pairs.append(({(): powers[plan.depths[k]]}, _ONE))
+            pairs.append(({monomial_code(()): powers[plan.depths[k]]}, _ONE))
         values.append(_sum_products(kernel_ring, n, pairs).raw)
         for u in released[k]:
             values[u] = None
@@ -788,7 +805,7 @@ def graph_to_json_text(g: AbpGraph) -> str:
         if part is None:
             terms = []
             # a label's monomials are () and (flat,); flat order is (i, j) order
-            for mono, c in sorted(lab.raw.items()):
+            for mono, c in sorted(zip(map(monomial_indices, lab.raw), lab.raw.values())):
                 if mono:
                     i, j = unflatten(mono[0], n)
                     coeff = _quote(element_to_str(_boxed(ring, c)))

@@ -34,7 +34,7 @@ from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from .build import _build_gradient, _transition_block
 from .oracle import ORACLE_SIZE_CAP, OracleLimitError, cpc_minor_sum, det_leibniz, grad_ccp_entry
-from .poly import _ONE, Polynomial, PolyMatrix, Raw, _sum_products, flatten, gradient
+from .poly import _ONE, Polynomial, PolyMatrix, Raw, _sum_products, flatten, gradient, monomial_code
 from .rings import AbpcError, RingDescriptor, descriptor_to_spec, int_embed
 
 VERIFY_ALL_N_CAP = 7
@@ -123,9 +123,14 @@ class _Ingredients:
         return self._once(("power_sum", n, i), lambda: power_sum(n, i, self.ring))
 
     def horner(self, n: int, k: int) -> PolyMatrix:
-        """T_k, each T_j built once from T_{j-1}: a loop, so no k is too deep."""
+        """T_k, each T_j built once from T_{j-1}: a loop, so no k is too deep.
+        Past j = n, cpc_{n,j} = 0 and T_j = -X T_{j-1}, so once such a step
+        would start from the zero matrix, that matrix is T_k for every later
+        k, and the loop stops: O(n) steps for any k."""
         t = None  # T_{-1} = 0; each build runs at once, while t is T_{j-1}
         for j in range(k + 1):
+            if j > n and all(p.is_zero() for p in t.entries):
+                return t
             t = self._once(("horner", n, j), lambda: _horner_step(self, n, j, t))
         return t
 
@@ -138,7 +143,7 @@ def _horner_step(ing: _Ingredients, n: int, k: int, prev: Optional[PolyMatrix]) 
     raws: List[Raw] = [{}] * (n * n) if prev is None else [p.raw for p in prev.entries]
     entries = []
     for a in range(1, n + 1):
-        neg_x = [{(flatten(a, l, n),): -1} for l in range(1, n + 1)]
+        neg_x = [{monomial_code((flatten(a, l, n),)): -1} for l in range(1, n + 1)]
         for b in range(n):
             pairs = [(raws[l * n + b], x_al) for l, x_al in enumerate(neg_x)]
             if a == b + 1:
@@ -231,9 +236,11 @@ def _sides_rnd_block(n: int, d: int, ing: _Ingredients):
     # is the last row of transpose(grad cpc_{i,k}); each right entry is one kernel call
     lhs = [ing.partial(n, d + 1, a, n) for a in range(1, n + 1)]
     prev = [ing.partial(n, d, l, n).raw for l in range(1, n + 1)]
-    rhs = [_sum_products(ing.ring, n, [(prev[l - 1], {(flatten(l, b, n),): -1}) for l in range(1, n + 1)])
+    rhs = [_sum_products(ing.ring, n, [(prev[l - 1], {monomial_code((flatten(l, b, n),)): -1})
+                                    for l in range(1, n + 1)])
            for b in range(1, n)]
-    rhs.append(_sum_products(ing.ring, n, [(ing.partial(i, d, a, i).promote(n).raw, {(flatten(a, i, n),): 1})
+    rhs.append(_sum_products(ing.ring, n, [(ing.partial(i, d, a, i).promote(n).raw,
+                                            {monomial_code((flatten(a, i, n),)): 1})
                                            for i in range(d, n) for a in range(1, i + 1)]))
     return PolyMatrix(ing.ring, n, 1, n, lhs), PolyMatrix(ing.ring, n, 1, n, rhs)
 

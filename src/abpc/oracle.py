@@ -16,7 +16,7 @@ from __future__ import annotations
 from itertools import chain, combinations, permutations
 from typing import Dict, Iterator, Sequence, Tuple
 
-from .poly import _ONE, Polynomial, PolyMatrix, Raw, _sum_products, flatten
+from .poly import _ONE, Polynomial, PolyMatrix, Raw, _sum_products, flatten, monomial_code
 from .rings import AbpcError, RingDescriptor, RingElement, int_embed
 
 ORACLE_SIZE_CAP = 8
@@ -124,7 +124,7 @@ def _check_enumeration_size(n: int) -> None:
 def _signed_term(edges: Sequence[Edge], sign: int, n: int) -> Raw:
     """The raw monomial of ``edges``' labels with coefficient ``sign``, an
     ``int`` in every ring: the kernel reduces its sums mod m."""
-    return {tuple(sorted(flatten(i, j, n) for i, j in edges)): sign}
+    return {monomial_code(flatten(i, j, n) for i, j in edges): sign}
 
 
 def cpc_minor_sum(n: int, d: int, ring: RingDescriptor) -> Polynomial:

@@ -2,17 +2,41 @@
 
 A polynomial is tied to an ambient matrix size n and a coefficient ring;
 its variables are the n*n entries of a generic matrix, flattened as
-(i-1)*n + (j-1).  ``Polynomial.raw`` maps each monomial, written as the
-sorted tuple of its variables' flat indices with repeats (x[1,1]^2 x[1,2]
-is (0, 0, 1)), to its raw coefficient, never zero: an ``int``, a residue
-in [0, m), or over ``rat`` an ``int`` when the coefficient is integral and
-a reduced ``Fraction`` with denominator > 1 otherwise, so a product of
-integral rational factors never runs in ``fractions`` code.  The
-representation is canonical, so equality is exact.  ``terms`` is the boxed
-view of the same data, ((v, e), ...) monomials to ring elements; it,
-``constant_term`` and ``text`` box every rational coefficient as a
-``Fraction``.  Mixing different ambient sizes requires an explicit
-``promote``.
+(i-1)*n + (j-1).  ``Polynomial.raw`` maps each monomial's code to its raw
+coefficient, never zero: an ``int``, a residue in [0, m), or over ``rat``
+an ``int`` when the coefficient is integral and a reduced ``Fraction``
+with denominator > 1 otherwise, so a product of integral rational factors
+never runs in ``fractions`` code.  The representation is canonical, so
+equality is exact.  ``terms`` is the boxed view of the same data,
+((v, e), ...) monomials to ring elements; it, ``constant_term`` and
+``text`` box every rational coefficient as a ``Fraction``.  Mixing
+different ambient sizes requires an explicit ``promote``.
+
+A monomial's code is the product of one prime per variable factor, with
+repeats, and 1 for the empty monomial: if x[1,1] has the prime 2 and
+x[1,2] the prime 3, x[1,1]^2 x[1,2] is 12.  Each flat index gets its prime
+on first use, the least prime not yet taken, from two intern tables, flat
+index to prime and prime to flat index; they are this module's only
+state, they only grow, and a miss appends under a lock.  Primes go by
+first use, not by flat index, because a graph file may declare
+n = 10**5000 and name only a handful of its variables.  Unique
+factorisation keeps a code canonical at any exponent, and a product of
+two monomials is one product of two ints, with no sort, no fresh tuple
+and no carry between exponents; at n = 7 a degree-7 code stays below
+2**55.  Packed exponent vectors are the other single-int form, but at
+n = 7 they need 49 fields, a 392-bit int at 8 bits a field, and a
+prototype of them expanded the bivariate n = 7 program no faster than
+sorted tuples did.  ``monomial_code`` and ``monomial_indices`` are the
+only way from flat indices to a code and back, for this module and
+every other.
+
+Only views decode a code: ``terms``, ``text``, ``degree``, ``promote``,
+``restrict_to_diagonal``, ``homogeneous_component`` and ``substitute``
+here, the graph writer and, once per label, the graph's sweep plan.  A
+decode divides by the interned primes in ascending order until one
+prime or none is left, so it costs as many trial divisions as the rank
+of the code's second largest prime, and a single variable one table
+lookup.  ``partial`` is a divmod by the variable's prime.
 
 Every sum and product goes through one kernel, ``_sum_products``: it
 accumulates products of raw dicts into one dict, then reduces mod m (over
@@ -21,8 +45,10 @@ accumulates products of raw dicts into one dict, then reduces mod m (over
 
 from __future__ import annotations
 
-from collections import Counter
+import threading
 from fractions import Fraction
+from itertools import takewhile
+from math import prod
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .rings import (
@@ -41,10 +67,91 @@ class PolyError(AbpcError):
     pass
 
 
-Raw = Dict[Tuple[int, ...], Value]
+Raw = Dict[int, Value]
 
 # the raw polynomial 1, a factor that turns a product into a plain sum
-_ONE: Raw = {(): 1}
+_ONE: Raw = {1: 1}
+
+# the intern tables: flat index -> prime, prime -> flat index, and the
+# primes handed out, ascending; an entry is never changed or removed
+_PRIME: Dict[int, int] = {}
+_INDEX: Dict[int, int] = {}
+_PRIMES: List[int] = []
+_INTERN = threading.Lock()
+
+
+def _prime(v: int) -> int:
+    """The prime of flat index ``v``, interned on first use."""
+    p = _PRIME.get(v)
+    if p is None:
+        with _INTERN:
+            p = _PRIME.get(v)
+            if p is None:
+                p = _next_prime()
+                _PRIMES.append(p)
+                _INDEX[p] = v
+                _PRIME[v] = p  # last: whoever finds p here finds its index too
+    return p
+
+
+def _next_prime() -> int:
+    """The least prime above every interned one.  The interned primes are
+    all the primes below it, so trial division by them, up to the square
+    root of the candidate, decides."""
+    c = _PRIMES[-1] + 1 if _PRIMES else 2
+    while any(not c % p for p in takewhile(lambda p: p * p <= c, _PRIMES)):
+        c += 1
+    return c
+
+
+def _factors(code: int) -> Tuple[Tuple[int, int], ...]:
+    """The (flat index, exponent) pairs of a monomial code, sorted by flat
+    index.  The code is divided by the interned primes in ascending order
+    until what is left is 1 or one prime."""
+    v = _INDEX.get(code)
+    if v is not None:
+        return ((v, 1),)
+    if code == 1:
+        return ()
+    found = []
+    for p in _PRIMES:
+        if code % p:
+            continue
+        code //= p
+        e = 1
+        while not code % p:
+            code //= p
+            e += 1
+        found.append((_INDEX[p], e))
+        if code == 1:
+            break
+        v = _INDEX.get(code)
+        if v is not None:
+            found.append((v, 1))
+            break
+    found.sort()
+    return tuple(found)
+
+
+def _degree(code: int) -> int:
+    if code == 1:
+        return 0
+    return 1 if code in _INDEX else sum(e for _v, e in _factors(code))
+
+
+def monomial_code(flats: Iterable[int]) -> int:
+    """The code of the monomial with the given flat indices, with repeats:
+    the raw key of that monomial."""
+    return prod(map(_prime, flats))
+
+
+def monomial_indices(code: int) -> Tuple[int, ...]:
+    """The sorted flat indices, with repeats, of the monomial with raw key
+    ``code``: () for the constant monomial 1."""
+    v = _INDEX.get(code)  # a label's monomials are all 1 or one variable
+    if v is not None:
+        return (v,)
+    return tuple(v for v, e in _factors(code) for _ in range(e))
 
 
 def flatten(i: int, j: int, n: int) -> int:
@@ -75,7 +182,8 @@ def _sum_products(ring: RingDescriptor, n: int, pairs: Iterable[Tuple[Raw, Raw]]
 
     Every product is accumulated unreduced into one dict, which is reduced
     mod m, or over ``rat`` brought to the raw form, and cleared of zeros
-    once at the end.
+    once at the end.  The product of two monomials is the product of
+    their codes.
     """
     acc: Raw = {}
     get = acc.get
@@ -83,13 +191,13 @@ def _sum_products(ring: RingDescriptor, n: int, pairs: Iterable[Tuple[Raw, Raw]]
         if len(a) < len(b):  # the inner loop runs over the larger factor
             a, b = b, a
         for mb, cb in b.items():
-            if mb:
-                for ma, ca in a.items():
-                    m = tuple(sorted(ma + mb))
-                    acc[m] = get(m, 0) + ca * cb
-            else:
+            if mb == 1:
                 for ma, ca in a.items():
                     acc[ma] = get(ma, 0) + ca * cb
+            else:
+                for ma, ca in a.items():
+                    m = ma * mb
+                    acc[m] = get(m, 0) + ca * cb
     if ring.kind == MOD:
         modulus = ring.modulus
         return Polynomial._of(ring, n, {m: r for m, c in acc.items() if (r := c % modulus)})
@@ -99,23 +207,12 @@ def _sum_products(ring: RingDescriptor, n: int, pairs: Iterable[Tuple[Raw, Raw]]
     return Polynomial._of(ring, n, {m: c for m, c in acc.items() if c})
 
 
-def _raw_value(p: "Polynomial", flat: Sequence[Value]) -> Value:
-    """The raw value of ``p`` at a matrix given by the raw values of its
-    entries in row-major order."""
-    total = Fraction(0) if p.ring.kind == RAT else 0
-    for mono, c in p.raw.items():
-        for v in mono:
-            c = c * flat[v]
-        total += c
-    return total % p.ring.modulus if p.ring.kind == MOD else total
-
-
 class Polynomial:
     """A polynomial over ``ring`` in the n*n variables of an n x n matrix.
 
-    ``raw`` maps sorted flat-index tuples to nonzero raw coefficients; over
-    ``rat`` an integral coefficient is an ``int`` and any other a
-    ``Fraction`` with denominator > 1.  Treat it as read-only.
+    ``raw`` maps monomial codes to nonzero raw coefficients; over ``rat``
+    an integral coefficient is an ``int`` and any other a ``Fraction``
+    with denominator > 1.  Treat it as read-only.
     """
 
     __slots__ = ("ring", "ambient_n", "raw")
@@ -126,7 +223,7 @@ class Polynomial:
         self.ring = ring
         self.ambient_n = ambient_n
         self.raw: Raw = {
-            tuple(v for v, e in mono for _ in range(e)): _held(c.value)
+            prod(_prime(v) ** e for v, e in mono): _held(c.value)
             for mono, c in (terms or {}).items() if not c.is_zero()
         }
 
@@ -147,7 +244,7 @@ class Polynomial:
     def constant(cls, ring: RingDescriptor, n: int, value: RingElement) -> "Polynomial":
         if value.descriptor != ring:
             raise PolyError("coefficient from a different ring")
-        return cls._of(ring, n, {} if value.is_zero() else {(): _held(value.value)})
+        return cls._of(ring, n, {} if value.is_zero() else {1: _held(value.value)})
 
     @classmethod
     def from_int(cls, ring: RingDescriptor, n: int, k: int) -> "Polynomial":
@@ -155,7 +252,7 @@ class Polynomial:
 
     @classmethod
     def variable(cls, ring: RingDescriptor, n: int, i: int, j: int) -> "Polynomial":
-        return cls._of(ring, n, {(flatten(i, j, n),): 1})
+        return cls._of(ring, n, {_prime(flatten(i, j, n)): 1})
 
     # -- basic queries -----------------------------------------------------
 
@@ -164,8 +261,7 @@ class Polynomial:
         """The boxed view: ((v, e), ...) monomials, sorted by v, to ring
         elements.  A fresh dict on every access."""
         ring = self.ring
-        # a sorted monomial's Counter lists its (v, e) pairs in order of v
-        return {tuple(Counter(mono).items()): _boxed(ring, c) for mono, c in self.raw.items()}
+        return {_factors(m): _boxed(ring, c) for m, c in self.raw.items()}
 
     def is_zero(self) -> bool:
         return not self.raw
@@ -173,10 +269,11 @@ class Polynomial:
     @property
     def degree(self) -> int:
         # deg(0) = 0 by convention
-        return max(map(len, self.raw), default=0)
+        return max(map(_degree, self.raw), default=0)
 
     def constant_term(self) -> RingElement:
-        return _boxed(self.ring, self.raw[()]) if () in self.raw else int_embed(self.ring, 0)
+        c = self.raw.get(1)
+        return int_embed(self.ring, 0) if c is None else _boxed(self.ring, c)
 
     def _check_compat(self, other: "Polynomial") -> None:
         if self.ring is not other.ring and self.ring != other.ring:
@@ -191,11 +288,11 @@ class Polynomial:
         return _sum_products(self.ring, self.ambient_n, ((self.raw, _ONE), (other.raw, _ONE)))
 
     def __neg__(self) -> "Polynomial":
-        return _sum_products(self.ring, self.ambient_n, ((self.raw, {(): -1}),))
+        return _sum_products(self.ring, self.ambient_n, ((self.raw, {1: -1}),))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         self._check_compat(other)
-        return _sum_products(self.ring, self.ambient_n, ((self.raw, _ONE), (other.raw, {(): -1})))
+        return _sum_products(self.ring, self.ambient_n, ((self.raw, _ONE), (other.raw, {1: -1})))
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check_compat(other)
@@ -204,7 +301,7 @@ class Polynomial:
     def scale(self, c: RingElement) -> "Polynomial":
         if c.descriptor != self.ring:
             raise PolyError("scalar from a different ring")
-        return _sum_products(self.ring, self.ambient_n, ((self.raw, {(): _held(c.value)}),))
+        return _sum_products(self.ring, self.ambient_n, ((self.raw, {1: _held(c.value)}),))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Polynomial):
@@ -217,34 +314,50 @@ class Polynomial:
 
     __hash__ = None  # mutable dict inside
 
+    def __reduce__(self):
+        # codes depend on this process's interning order, so a pickle
+        # carries the boxed view and the reading process encodes it anew
+        return Polynomial, (self.ring, self.ambient_n, self.terms)
+
     # -- calculus and structure -------------------------------------------
 
     def partial(self, i: int, j: int) -> "Polynomial":
         """Formal partial derivative with respect to x[i,j]."""
-        flat = flatten(i, j, self.ambient_n)
+        # a variable that was never interned occurs in no monomial
+        p = _PRIME.get(flatten(i, j, self.ambient_n))
         # dropping one x[i,j] maps distinct monomials to distinct monomials
         derived: Raw = {}
-        for mono, c in self.raw.items():
-            e = mono.count(flat)
-            if e:
-                pos = mono.index(flat)
-                derived[mono[:pos] + mono[pos + 1:]] = c * e
+        if p is not None:
+            for m, c in self.raw.items():
+                q, r = divmod(m, p)
+                if not r:
+                    e, rest = 1, q
+                    while not rest % p:
+                        rest //= p
+                        e += 1
+                    derived[q] = c * e
         return _sum_products(self.ring, self.ambient_n, ((derived, _ONE),))
 
     def homogeneous_component(self, k: int) -> "Polynomial":
         return Polynomial._of(self.ring, self.ambient_n,
-                              {m: c for m, c in self.raw.items() if len(m) == k})
+                              {m: c for m, c in self.raw.items() if _degree(m) == k})
 
     def substitute(self, entries: Sequence[Sequence[RingElement]]) -> RingElement:
         """Evaluate at a concrete matrix, x[i,j] -> entries[i][j]."""
-        n = self.ambient_n
+        n, ring = self.ambient_n, self.ring
         if len(entries) != n or any(len(row) != n for row in entries):
             raise PolyError("matrix dimension mismatch")
         for row in entries:
             for e in row:
-                if e.descriptor != self.ring:
+                if e.descriptor != ring:
                     raise PolyError("matrix entries from a different ring")
-        return RingElement(self.ring, _raw_value(self, [e.value for row in entries for e in row]))
+        flat = [e.value for row in entries for e in row]
+        total = Fraction(0) if ring.kind == RAT else 0
+        for m, c in self.raw.items():
+            for v, e in _factors(m):
+                c = c * flat[v] ** e
+            total += c
+        return RingElement(ring, total % ring.modulus if ring.kind == MOD else total)
 
     def promote(self, n: int) -> "Polynomial":
         """Re-embed into a larger ambient matrix; identity on terms."""
@@ -252,17 +365,16 @@ class Polynomial:
             return self
         if n < self.ambient_n:
             raise PolyError("cannot shrink the ambient matrix")
-        # flat indices keep their row-major order, so monomials stay sorted
         old = self.ambient_n
-        raw = {tuple(flatten(*unflatten(v, old), n) for v in mono): c
-               for mono, c in self.raw.items()}
+        raw = {prod(_prime(flatten(*unflatten(v, old), n)) ** e for v, e in _factors(m)): c
+               for m, c in self.raw.items()}
         return Polynomial._of(self.ring, n, raw)
 
     def restrict_to_diagonal(self) -> "Polynomial":
         """Set every off-diagonal variable to zero."""
         n = self.ambient_n
-        raw = {mono: c for mono, c in self.raw.items()
-               if all(i == j for i, j in (unflatten(v, n) for v in mono))}
+        raw = {m: c for m, c in self.raw.items()
+               if all(i == j for i, j in (unflatten(v, n) for v, _e in _factors(m)))}
         return Polynomial._of(self.ring, n, raw)
 
     # -- canonical text ----------------------------------------------------
@@ -271,14 +383,21 @@ class Polynomial:
         """Terms in descending graded-lexicographic order on flat indices."""
         if not self.raw:
             return "0"
+        rows = []
+        for m, c in self.raw.items():
+            factors = _factors(m)
+            indices = tuple(v for v, e in factors for _ in range(e))
+            rows.append((-len(indices), indices, factors, c))
+        # among equal degrees, ascending index tuples are descending exponent
+        # vectors; no two rows share their indices, so no sort compares further
+        rows.sort()
         parts = []
-        # among equal degrees, ascending index tuples are descending exponent vectors
-        for mono in sorted(self.raw, key=lambda m: (-len(m), m)):
-            factors = [element_to_str(_boxed(self.ring, self.raw[mono]))]
-            for v, e in Counter(mono).items():
+        for _deg, _indices, factors, c in rows:
+            words = [element_to_str(_boxed(self.ring, c))]
+            for v, e in factors:
                 i, j = unflatten(v, self.ambient_n)
-                factors.append(f"x[{i},{j}]" + (f"^{e}" if e > 1 else ""))
-            parts.append("*".join(factors))
+                words.append(f"x[{i},{j}]" + (f"^{e}" if e > 1 else ""))
+            parts.append("*".join(words))
         return " + ".join(parts)
 
     def __repr__(self) -> str:

@@ -10,7 +10,7 @@ from typing import Dict, List
 from abpc.build import ConstructionStats
 from abpc.graph import AbpGraph, GraphError, _field, _index_field, topological_order
 from abpc.oracle import cpc_minor_sum
-from abpc.poly import Polynomial, PolyMatrix, flatten, unflatten
+from abpc.poly import Polynomial, PolyMatrix, flatten, monomial_indices, unflatten
 from abpc.rings import (
     RingDescriptor,
     RingElement,
@@ -52,11 +52,21 @@ def reference_add_edge(g: AbpGraph, u: str, v: str, label: Polynomial) -> None:
     g._plan = None
 
 
-def reference_sum_products(ring: RingDescriptor, n: int, pairs) -> Polynomial:
-    """The polynomial sum of a*b over raw (a, b) pairs, with every rational
-    coefficient lifted to a ``Fraction`` first, so that each rational sum
-    and product runs in ``Fraction``: the reference for ``poly._sum_products``,
-    which holds integral rational coefficients as ints."""
+def tuple_raw(raw: dict) -> dict:
+    """A raw dict with each monomial code written as the sorted tuple of its
+    flat indices with repeats (x[1,1]^2 x[1,2] at n = 2 is (0, 0, 1)): the
+    tuple form in which the tests spell raw keys."""
+    return {monomial_indices(m): c for m, c in raw.items()}
+
+
+def reference_sum_products(ring: RingDescriptor, pairs) -> dict:
+    """The sum of a*b over (a, b) pairs of raw dicts in tuple form, as a raw
+    dict in tuple form: the product of two monomials is their sorted
+    concatenation, and every rational coefficient is lifted to a
+    ``Fraction`` first, so that each rational sum and product runs in
+    ``Fraction``.  The reference for ``poly._sum_products``, which
+    multiplies monomial codes and holds integral rational coefficients as
+    ints."""
     acc: dict = {}
     get = acc.get
     for a, b in pairs:
@@ -75,8 +85,8 @@ def reference_sum_products(ring: RingDescriptor, n: int, pairs) -> Polynomial:
                     acc[ma] = get(ma, 0) + ca * cb
     if ring.kind == "mod":
         modulus = ring.modulus
-        return Polynomial._of(ring, n, {m: r for m, c in acc.items() if (r := c % modulus)})
-    return Polynomial._of(ring, n, {m: c for m, c in acc.items() if c})
+        return {m: r for m, c in acc.items() if (r := c % modulus)}
+    return {m: c for m, c in acc.items() if c}
 
 
 def holds_rat_raw_form(p: Polynomial) -> bool:
@@ -106,7 +116,7 @@ def reference_validate(g: AbpGraph) -> List[str]:
             lab = g.edges[(u, v)]
             du, dv = g.layer[u], g.layer[v]
             if dv == du + 1:
-                if () in lab.raw:
+                if () in tuple_raw(lab.raw):
                     problems.append(f"cross-layer edge {u}->{v} must be homogeneous linear")
             elif dv == du:
                 if g.flavor == "pabp":
@@ -233,7 +243,7 @@ def reference_dict(g: AbpGraph) -> dict:
         lab = g.edges[(u, v)]
         linear = []
         # a label's monomials are () and (flat,); flat order is (i, j) order
-        for mono, c in sorted(lab.raw.items()):
+        for mono, c in sorted(tuple_raw(lab.raw).items()):
             if mono:
                 i, j = unflatten(mono[0], g.ambient_n)
                 linear.append({"i": i, "j": j, "coeff": element_to_str(RingElement(g.ring, c))})

@@ -41,6 +41,15 @@ def test_verify_pass_line_and_exit_code(capsys):
     assert out == "bivariate_ch n=3 d=2 ring=int PASS\n"
 
 
+def test_verify_at_a_degree_far_above_the_size_is_quick(capsys):
+    # T_d = 0 for every d >= n, so the Horner sums stop at n, not at d
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "--identity", "bivariate_ch",
+                         "--n", "2", "--d", "100000", "--ring", "int")
+    assert (code, out, err) == (0, "bivariate_ch n=2 d=100000 ring=int PASS\n", "")
+    assert time.perf_counter() - start < 2.0
+
+
 def test_verify_rejects_negative_degree(capsys):
     def verify(identity, n, d):
         return run(capsys, "verify", "--identity", identity, "--n", str(n), "--d", str(d),
@@ -260,7 +269,8 @@ def test_horner_sums_are_built_once_per_size(capsys, monkeypatch):
     monkeypatch.setattr(ident, "_horner_step", counted)
     reports = ident.verify_all(4, 4, Z)
     assert all(rep.passed for rep in reports)
-    assert sorted(calls) == [(n, k) for n in range(1, 5) for k in range(0, 5)]
+    # past k = n the sum T_n is zero, and so is every later one, without a step
+    assert sorted(calls) == [(n, k) for n in range(1, 5) for k in range(0, n + 1)]
     # identities that do not read the Horner sum build none
     for identity in ("girard_newton", "rnd_block", "transition_product"):
         calls.clear()

@@ -244,7 +244,7 @@ def assert_plan_is_the_full_sort(g):
     graph's edges and labels.  Over ``rat`` each depth is one more than its
     tails' largest (0 without tails) and each slot is a distinct (label,
     shift) pair with the edge's shift; elsewhere depths and shifts are 0."""
-    index, counts, tails, slots, pairs, depths, labels, _raws, _scale = _compile(g)
+    index, counts, tails, slots, pairs, depths, labels, _raws, _linear, _scale = _compile(g)
     offsets = list(accumulate(counts, initial=0))
     order = sorted(index, key=index.__getitem__)
     assert order == topological_order(g.layer_order(), g.edges), g

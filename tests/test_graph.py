@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from abpc.graph import (
     AbpGraph,
@@ -35,6 +36,11 @@ from helpers import (
 )
 
 Z = RingDescriptor.integers()
+
+# hypothesis draws the ring, the sizes and the seed of the seeded generators
+rings = st.sampled_from(sorted(RING_FAMILIES.values(), key=repr))
+generators = st.integers(0, 2**64).map(random.Random)
+rewrite_settings = settings(max_examples=100, deadline=None)
 
 
 def one(ring=Z, n=1):
@@ -272,6 +278,15 @@ def test_elimination_on_random_programs():
         assert graph_width(p) <= graph_width(g)
 
 
+@rewrite_settings
+@given(rings, st.integers(1, 3), st.integers(1, 4), generators)
+def test_elimination_preserves_the_polynomial(ring, n, d, rng):
+    g = random_abp(ring, n, d, rng)
+    p = eliminate_constant_edges(g, "out")
+    assert p.flavor == "pabp" and validate(p) == []
+    assert expand_symbolic(p, "out") == expand_symbolic(g, "out")
+
+
 # -- homogenization ------------------------------------------------------------
 
 
@@ -308,6 +323,17 @@ def test_homogenize_on_random_affine_programs():
             assert validate(h) == []
             assert expand_symbolic(h, "out") == full.homogeneous_component(k)
             assert graph_width(h) <= asize
+
+
+@rewrite_settings
+@given(rings, st.integers(1, 3), st.integers(1, 4), generators)
+def test_homogenize_preserves_each_component(ring, n, inner, rng):
+    g = random_aabp(ring, n, rng, inner=inner)
+    full = expand_symbolic(g, "out")
+    for k in range(0, full.degree + 2):
+        h = homogenize(g, k)
+        assert validate(h) == []
+        assert expand_symbolic(h, "out") == full.homogeneous_component(k)
 
 
 def test_homogenize_requires_aabp():
@@ -389,6 +415,17 @@ def test_combine_on_random_programs():
         assert _matrix_width(p) <= max(_matrix_width(g1), _matrix_width(g3))
 
 
+@rewrite_settings
+@given(rings, st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), generators)
+def test_combine_preserves_the_sum_and_the_product(ring, n, d, d2, rng):
+    g1, g2, g3 = random_pabp(ring, n, d, rng), random_pabp(ring, n, d, rng), random_pabp(ring, n, d2, rng)
+    f1 = expand_symbolic(g1, "out")
+    s, p = combine(g1, g2, "sum"), combine(g1, g3, "product")
+    assert validate(s) == [] and validate(p) == []
+    assert expand_symbolic(s, "sink") == f1 + expand_symbolic(g2, "out")
+    assert expand_symbolic(p, "sink") == f1 * expand_symbolic(g3, "out")
+
+
 def test_combine_and_homogenize_reuse_each_renamed_id():
     product = combine(build_bivariate_abp(8, 8, Z), build_gradient_abp(8, 8, Z)[0], "product",
                       "cpc_8_8", "cpc_8_8")
@@ -455,6 +492,15 @@ def test_determinant_on_random_programs():
         # a layered program of degree d and width w is an affine program of
         # size at most d*w: the intermediate vertex count already obeys it
         assert len(g.layer) - 2 <= d * _matrix_width(g)
+
+
+@rewrite_settings
+@given(rings, st.integers(1, 3), st.integers(1, 4), generators)
+def test_determinant_preserves_the_polynomial(ring, n, d, rng):
+    g = random_pabp(ring, n, d, rng, max_width=2)
+    m = abp_to_determinant(g)
+    assert m.rows <= d * _matrix_width(g)
+    assert det_leibniz(m) == expand_symbolic(g, "out")
 
 
 # -- serialization ---------------------------------------------------------------
