@@ -37,6 +37,11 @@ from .identities import IDENTITY_NAMES, side_entries, verify_all, verify_with_si
 from .rings import AbpcError, element_from_str, element_to_str, descriptor_from_spec
 
 
+# each construction ``build --construction`` offers, in its --help order
+_BUILDERS = {"charzero": build_charzero_abp, "bivariate": build_bivariate_abp,
+             "gradient": _build_gradient}
+
+
 @functools.cache
 def _parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.ArgumentParser]]:
     """The top-level parser and each command's parser by name, built once
@@ -48,8 +53,7 @@ def _parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.ArgumentParse
     sub = p.add_subparsers(dest="command", required=True)
 
     b = sub.add_parser("build", help="build a construction and write its JSON")
-    b.add_argument("--construction", required=True,
-                   choices=("charzero", "bivariate", "gradient"))
+    b.add_argument("--construction", required=True, choices=tuple(_BUILDERS))
     b.add_argument("--n", type=int, required=True)
     b.add_argument("--d", type=int, required=True)
     b.add_argument("--ring", required=True)
@@ -115,13 +119,7 @@ def _write(path: str, text: str) -> None:
 
 
 def _cmd_build(parser, args) -> int:
-    ring = _ring(parser, args.ring)
-    if args.construction == "charzero":
-        g = build_charzero_abp(args.n, args.d, ring)
-    elif args.construction == "bivariate":
-        g = build_bivariate_abp(args.n, args.d, ring)
-    else:
-        g = _build_gradient(args.n, args.d, ring)
+    g = _BUILDERS[args.construction](args.n, args.d, _ring(parser, args.ring))
     _write(args.out, graph_to_json_text(g))
     if args.dot:
         _write(args.dot, graph_to_dot(g))

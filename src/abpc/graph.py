@@ -228,31 +228,28 @@ def validate(g: AbpGraph) -> List[str]:
     one = monomial_code(())
     const_edges: List[Tuple[str, str]] = []
     source_in = False
-    if g.flavor == "aabp":
-        for (u, v) in g.edges:
-            source_in = source_in or v == source
-            if layer[v] <= layer[u]:
+    aabp, pabp = g.flavor == "aabp", g.flavor == "pabp"
+    for (u, v), lab in g.edges.items():
+        source_in = source_in or v == source
+        du, dv = layer[u], layer[v]
+        if aabp:
+            if dv <= du:
                 bad.append((u, v, f"edge {u}->{v} must increase the topological index"))
-    else:
-        pabp = g.flavor == "pabp"
-        for (u, v), lab in g.edges.items():
-            source_in = source_in or v == source
-            du, dv = layer[u], layer[v]
-            if dv == du + 1:
-                if one in lab.raw:
-                    bad.append((u, v, f"cross-layer edge {u}->{v} must be homogeneous linear"))
-            elif dv == du:
-                if pabp:
-                    bad.append((u, v, "pabp forbids constant edges"))
-                elif lab.degree != 0:
-                    bad.append((u, v, f"intra-layer edge {u}->{v} must be constant"))
-                else:
-                    const_edges.append((u, v))
+        elif dv == du + 1:
+            if one in lab.raw:
+                bad.append((u, v, f"cross-layer edge {u}->{v} must be homogeneous linear"))
+        elif dv == du:
+            if pabp:
+                bad.append((u, v, "pabp forbids constant edges"))
+            elif lab.degree != 0:
+                bad.append((u, v, f"intra-layer edge {u}->{v} must be constant"))
             else:
-                bad.append((u, v, f"edge {u}->{v} skips layers"))
+                const_edges.append((u, v))
+        else:
+            bad.append((u, v, f"edge {u}->{v} skips layers"))
     if source_in:
         problems.append("source has incoming edges")
-    if g.flavor == "aabp":
+    if aabp:
         return problems + [msg for _u, _v, msg in sorted(bad)]
     if layer[source] != 0:
         problems.append("source must be in layer 0")
@@ -303,8 +300,7 @@ class _Plan(NamedTuple):
     and the slots: lists of the int objects that ``index`` and the slot
     table hold, one pointer per entry.  The counts are mostly small ints
     that Python caches, so they cost one pointer per vertex.  Slot s is
-    the pair ``pairs[s]`` of a label index and a shift, and ``labels``
-    holds each distinct label once.
+    the pair ``pairs[s]`` of a label's index in ``raws`` and a shift.
 
     A sweep gives a label with value F / G the factor ``F * G**shift`` and
     starts the source at ``G**depths[source]``; position k then holds its
@@ -323,7 +319,6 @@ class _Plan(NamedTuple):
     slots: List[int]
     pairs: List[Tuple[int, int]]
     depths: List[int]
-    labels: List[Polynomial]
     raws: List[Raw]
     linear: List[List[Tuple[int, Value]]]
     scale: int
@@ -391,7 +386,7 @@ def _plan(g: AbpGraph, order: List[str]) -> Optional[_Plan]:
               for raw in raws]
     # lists, not int arrays: a sweep then reads each tail and slot without boxing an int
     return _Plan(index, list(map(len, tails)), list(chain.from_iterable(tails)),
-                 list(chain.from_iterable(slots)), pairs, depths, labels, raws, linear, scale)
+                 list(chain.from_iterable(slots)), pairs, depths, raws, linear, scale)
 
 
 def _powers(plan: _Plan, scale: int) -> List[int]:
@@ -904,10 +899,12 @@ def graph_from_json_dict(data: dict) -> AbpGraph:
 def graph_to_dot(g: AbpGraph) -> str:
     """Graphviz rendering: one rank per layer, constant edges dashed."""
     lines = ["digraph abp {", "  rankdir=LR;", "  node [shape=circle];"]
+    # each id quoted once; with \ and " escaped, no id ends its DOT string early
+    quoted = {vid: '"' + vid.replace("\\", "\\\\").replace('"', '\\"') + '"' for vid in g.layer}
     for _lay, verts in groupby(g.layer_order(), key=g.layer.__getitem__):
         lines.append("  { rank=same;")
         for vid in verts:
-            lines.append(f'    "{vid}";')
+            lines.append(f"    {quoted[vid]};")
         lines.append("  }")
     # edges share label objects, so each distinct label is rendered once
     attrs: Dict[int, str] = {}
@@ -917,6 +914,6 @@ def graph_to_dot(g: AbpGraph) -> str:
         if at is None:
             style = ", style=dashed" if lab.degree == 0 else ""
             at = attrs[id(lab)] = f'label="{lab.text()}"{style}'
-        lines.append(f'  "{u}" -> "{v}" [{at}];')
+        lines.append(f"  {quoted[u]} -> {quoted[v]} [{at}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

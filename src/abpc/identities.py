@@ -20,10 +20,12 @@ every other coefficient, so the checks remain valid in characteristic 2.
 call, a single check or the whole grid, has one context (``_Ingredients``):
 its ring, its mode and every ingredient its sides read, each built at most
 once.  Those are each minor sum cpc_{n,k}, its partial derivatives, its
-restriction to diagonal matrices, each power sum p_i and each Horner sum
-T_k at size n, built once per (n, k) from T_{k-1} with one kernel call per
-entry.  A transition_product check builds one gradient program and reads
-every transition block from it.  ``verify`` refuses a matrix size over the
+restriction to diagonal matrices and each Horner sum T_k at size n, built
+once per (n, k) from T_{k-1} with one kernel call per entry.  A power sum
+is no ingredient: it is written down as its n monomials, and
+girard_newton reads only the n+1 terms whose e_{d-i} can be nonzero.  A
+transition_product check builds one gradient program and reads every
+transition block from it.  ``verify`` refuses a matrix size over the
 oracle cap before it builds any side.
 """
 
@@ -95,9 +97,8 @@ class _Ingredients:
     mode and the ingredients its sides read, each built on first use and
     kept for the life of the object.  ``cpc(n, k)`` is the minor sum
     cpc_{n,k}; ``partial`` and ``diagonal`` give its partial derivative by
-    x[a,b] and its restriction to diagonal matrices, ``power_sum`` the power
-    sum p_i in the n x n variables and ``horner(n, k)`` the Horner sum
-    T_k = sum_{i=0}^{k} (-1)^i cpc_{n,k-i} X^i."""
+    x[a,b] and its restriction to diagonal matrices, and ``horner(n, k)``
+    the Horner sum T_k = sum_{i=0}^{k} (-1)^i cpc_{n,k-i} X^i."""
 
     def __init__(self, ring: RingDescriptor, combinatorial: bool = False):
         self.ring = ring
@@ -118,9 +119,6 @@ class _Ingredients:
 
     def diagonal(self, n: int, k: int) -> Polynomial:
         return self._once(("diagonal", n, k), lambda: self.cpc(n, k).restrict_to_diagonal())
-
-    def power_sum(self, n: int, i: int) -> Polynomial:
-        return self._once(("power_sum", n, i), lambda: power_sum(n, i, self.ring))
 
     def horner(self, n: int, k: int) -> PolyMatrix:
         """T_k, each T_j built once from T_{j-1}: a loop, so no k is too deep.
@@ -170,14 +168,10 @@ def r_vector_first_layer(i: int, ambient: int, ring: RingDescriptor) -> List[Pol
 
 def power_sum(n: int, i: int, ring: RingDescriptor) -> Polynomial:
     """x[1,1]^i + .. + x[n,n]^i, with the convention that the 0-th sum is n."""
-    total = Polynomial.zero(ring, n)
-    for a in range(1, n + 1):
-        v = Polynomial.variable(ring, n, a, a)
-        p = Polynomial.from_int(ring, n, 1)
-        for _ in range(i):
-            p = p * v
-        total = total + p
-    return total
+    if i == 0:
+        return Polynomial.from_int(ring, n, n)
+    one = int_embed(ring, 1)
+    return Polynomial(ring, n, {((flatten(a, a, n), i),): one for a in range(1, n + 1)})
 
 
 # -- the two sides of each identity ---------------------------------------------
@@ -211,11 +205,12 @@ def _sides_trace_ch(n: int, d: int, ing: _Ingredients):
 
 
 def _sides_girard_newton(n: int, d: int, ing: _Ingredients):
-    # e_k is cpc_{n,k} restricted to diagonal matrices (variables x[a,a])
+    # e_k is cpc_{n,k} restricted to diagonal matrices (variables x[a,a]),
+    # and e_{d-i} = 0 for d-i > n, so the sum starts at i = d-n
     lhs = ing.diagonal(n, d).scale(int_embed(ing.ring, -d))
     pairs = []
-    for i in range(1, d + 1):
-        p = ing.power_sum(n, i).raw
+    for i in range(max(1, d - n), d + 1):
+        p = power_sum(n, i, ing.ring).raw
         pairs.append((ing.diagonal(n, d - i).raw, p if i % 2 == 0 else {m: -c for m, c in p.items()}))
     return lhs, _sum_products(ing.ring, n, pairs)
 

@@ -71,12 +71,12 @@ def iter_cycle_covers(pool: Sequence[int], length: int) -> Iterator[Tuple[Tuple[
     ``pool`` is a sorted list of available vertices.  Covers are emitted in a
     canonical order: recursion on the smallest vertex, which is either left
     uncovered or becomes the minimum of a new cycle, so each cover appears
-    exactly once.
+    exactly once.  A ``length`` over the pool's size has no cover at all.
     """
     if length == 0:
         yield (), 1
         return
-    if not pool or length < 0:
+    if length > len(pool) or length < 0:
         return
     v = pool[0]
     rest = pool[1:]

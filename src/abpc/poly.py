@@ -134,9 +134,7 @@ def _factors(code: int) -> Tuple[Tuple[int, int], ...]:
 
 
 def _degree(code: int) -> int:
-    if code == 1:
-        return 0
-    return 1 if code in _INDEX else sum(e for _v, e in _factors(code))
+    return sum(e for _v, e in _factors(code))
 
 
 def monomial_code(flats: Iterable[int]) -> int:
@@ -148,9 +146,6 @@ def monomial_code(flats: Iterable[int]) -> int:
 def monomial_indices(code: int) -> Tuple[int, ...]:
     """The sorted flat indices, with repeats, of the monomial with raw key
     ``code``: () for the constant monomial 1."""
-    v = _INDEX.get(code)  # a label's monomials are all 1 or one variable
-    if v is not None:
-        return (v,)
     return tuple(v for v, e in _factors(code) for _ in range(e))
 
 

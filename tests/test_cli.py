@@ -42,12 +42,19 @@ def test_verify_pass_line_and_exit_code(capsys):
 
 
 def test_verify_at_a_degree_far_above_the_size_is_quick(capsys):
-    # T_d = 0 for every d >= n, so the Horner sums stop at n, not at d
-    start = time.perf_counter()
-    code, out, err = run(capsys, "verify", "--identity", "bivariate_ch",
-                         "--n", "2", "--d", "100000", "--ring", "int")
-    assert (code, out, err) == (0, "bivariate_ch n=2 d=100000 ring=int PASS\n", "")
-    assert time.perf_counter() - start < 2.0
+    for identity, n, d, flags in (
+        # T_d = 0 for every d >= n, so the Horner sums stop at n, not at d
+        ("bivariate_ch", 2, 100000, ()),
+        # e_{d-i} = 0 for d-i > n, so the Girard-Newton sum has at most n+1 terms
+        ("girard_newton", 2, 100000, ()),
+        # no cycle cover is longer than the n vertices it covers
+        ("bivariate_ch", 3, 1000000, ("--combinatorial",)),
+    ):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", "--identity", identity,
+                             "--n", str(n), "--d", str(d), "--ring", "int", *flags)
+        assert (code, out, err) == (0, f"{identity} n={n} d={d} ring=int PASS\n", "")
+        assert time.perf_counter() - start < 2.0, (identity, d, flags)
 
 
 def test_verify_rejects_negative_degree(capsys):

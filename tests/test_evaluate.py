@@ -241,22 +241,26 @@ def constructions(n, ring):
 def assert_plan_is_the_full_sort(g):
     """The plan's order is the sort over every edge, and its flat tail and
     slot lists, grouped by head through the in-edge counts, hold exactly the
-    graph's edges and labels.  Over ``rat`` each depth is one more than its
-    tails' largest (0 without tails) and each slot is a distinct (label,
-    shift) pair with the edge's shift; elsewhere depths and shifts are 0."""
-    index, counts, tails, slots, pairs, depths, labels, _raws, _linear, _scale = _compile(g)
+    graph's edges and labels, each label read through ``raws``: its own raw
+    dict, or over ``rat`` that dict times ``scale``.  Over ``rat`` each depth
+    is one more than its tails' largest (0 without tails) and each slot is a
+    distinct (label, shift) pair with the edge's shift; elsewhere depths and
+    shifts are 0."""
+    index, counts, tails, slots, pairs, depths, raws, _linear, scale = _compile(g)
     offsets = list(accumulate(counts, initial=0))
     order = sorted(index, key=index.__getitem__)
     assert order == topological_order(g.layer_order(), g.edges), g
     assert len(offsets) == len(order) + 1 and offsets[0] == 0 and list(offsets) == sorted(offsets)
-    planned = {(order[tails[i]], order[v]): labels[pairs[slots[i]][0]]
+    planned = {(order[tails[i]], order[v]): raws[pairs[slots[i]][0]]
                for v in range(len(order)) for i in range(offsets[v], offsets[v + 1])}
     assert len(planned) == offsets[-1] == len(tails) == len(slots) == len(g.edges)
-    assert all(g.edges[key] is lab for key, lab in planned.items())
     assert len(depths) == len(order)
     if g.ring.kind != "rat":
-        assert set(depths) <= {0} and pairs == [(s, 0) for s in range(len(labels))]
+        assert scale == 1 and all(g.edges[key].raw is raw for key, raw in planned.items())
+        assert set(depths) <= {0} and pairs == [(s, 0) for s in range(len(raws))]
         return
+    assert all(raw == {m: c * scale for m, c in g.edges[key].raw.items()}
+               for key, raw in planned.items())
     assert len(set(pairs)) == len(pairs)
     for v in range(len(order)):
         ins = range(offsets[v], offsets[v + 1])

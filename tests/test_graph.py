@@ -524,6 +524,20 @@ def test_dot_export_shape():
     assert '"v_0_0" -> "v_1_0"' in dot
 
 
+def test_dot_escapes_a_quote_in_a_vertex_id():
+    # a graph file may use any JSON string as an id; DOT escapes " as \",
+    # and a backslash is doubled, so that an id ending in one ends no string
+    g = AbpGraph("abp", Z, 1, 1)
+    g.add_vertex('a"b', 0)
+    g.add_vertex("t\\", 1)
+    g.set_source('a"b')
+    g.add_edge('a"b', "t\\", var(1, 1))
+    g.add_output("out", "t\\")
+    lines = graph_to_dot(g).splitlines()
+    assert '    "a\\"b";' in lines and '    "t\\\\";' in lines
+    assert '  "a\\"b" -> "t\\\\" [label="1*x[1,1]"];' in lines
+
+
 def test_sub_abp_prunes_to_ancestors():
     g = build_bivariate_abp(3, 3, Z)
     s = sub_abp(g, "cpc_1_1")

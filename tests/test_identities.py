@@ -175,7 +175,7 @@ def test_ingredients_are_built_once_per_call(monkeypatch):
     import abpc.identities as ident
 
     built = {}  # id of each minor sum built -> (n, k); ``minors`` keeps them alive
-    minors, partials, diagonals, powers, programs = [], [], [], [], []
+    minors, partials, diagonals, programs = [], [], [], []
 
     def minor_sum(n, k, ring):
         p = cpc_minor_sum(n, k, ring)
@@ -200,10 +200,9 @@ def test_ingredients_are_built_once_per_call(monkeypatch):
     monkeypatch.setattr(Polynomial, "partial", record(partials, Polynomial.partial))
     monkeypatch.setattr(Polynomial, "restrict_to_diagonal",
                         record(diagonals, Polynomial.restrict_to_diagonal))
-    monkeypatch.setattr(ident, "power_sum", counted(powers, ident.power_sum))
     monkeypatch.setattr(ident, "_build_gradient", counted(programs, ident._build_gradient))
     for _call in range(2):  # nothing is kept from one call to the next
-        for calls in (built, minors, partials, diagonals, powers, programs):
+        for calls in (built, minors, partials, diagonals, programs):
             calls.clear()
         assert all(r.passed for r in verify_all(5, 5, Z))
         keys = [built[id(p)] for p in minors]
@@ -211,7 +210,6 @@ def test_ingredients_are_built_once_per_call(monkeypatch):
         # the transposed gradients of bivariate_ch, which rnd_block's reads repeat
         assert len(partials) == len(set(partials)) == 6 * (1 + 4 + 9 + 16 + 25)
         assert sorted(diagonals) == [(n, k) for n in range(1, 6) for k in range(0, 6)]
-        assert sorted(powers) == [(n, i) for n in range(1, 6) for i in range(1, 6)]
         assert programs == [(2, 2), (3, 3), (4, 4), (5, 5)]
     # one check of rnd_block takes each partial it reads once: the last rows
     # of cpc_{4,3} and cpc_{4,2}, then of cpc_{2,2} and cpc_{3,2}

@@ -1,6 +1,7 @@
 """Oracle tests: frozen hand-expanded values, then cross-oracle agreement."""
 
 import random
+import time
 
 import pytest
 
@@ -58,8 +59,12 @@ def test_cycle_cover_two_by_two():
 
 
 def test_cycle_cover_above_n_is_zero():
+    # no cover is longer than its vertex pool, so even a far larger d is quick
+    start = time.perf_counter()
     for n in range(1, 5):
-        assert cpc_cycle_cover(n, n + 1, Z).is_zero()
+        for d in (n + 1, n + 2, n + 3, 10 ** 5):
+            assert cpc_cycle_cover(n, d, Z).is_zero(), (n, d)
+    assert time.perf_counter() - start < 2.0
 
 
 def test_cycle_cover_enumeration_is_duplicate_free():
