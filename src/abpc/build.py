@@ -17,8 +17,8 @@ family cpc_{n,d} (output names ``cpc_<n>_<d>``):
   ``transition_matrix`` reads its entries from the program's edges.
 
 ``width_from_determinantal`` goes the other way: it recovers a program
-from a square affine matrix with homogeneous determinant through exact
-Gaussian elimination and a truncated Schur complement.
+from a square affine matrix with homogeneous determinant over a field,
+through exact row reduction and a truncated Schur complement.
 """
 
 from __future__ import annotations
@@ -330,77 +330,56 @@ def _transition_block(g: AbpGraph, d: int) -> PolyMatrix:
 # -- recovery from a determinantal representation --------------------------------------
 
 
-def _identity_rows(ring: RingDescriptor, s: int) -> List[List[RingElement]]:
-    zero, one = int_embed(ring, 0), int_embed(ring, 1)
-    return [[one if a == b else zero for b in range(s)] for a in range(s)]
-
-
 def _field_normal_form(m0: List[List[RingElement]], ring: RingDescriptor):
     """g, h, rank with g*m0*h = [[0,0],[0,I_rank]] and det(g)*det(h) = 1.
 
-    Full-pivot Gaussian elimination first reaches [[I,0],[0,0]], a block
-    swap moves the identity to the bottom-right, and the accumulated
-    determinant of the transformation pair is compensated by scaling one
-    row inside the zero block (possible because the rank is not full).
+    Gauss-Jordan elimination on the rows of [m0 | I] gives g with g*m0 = R
+    in reduced row echelon form, whose pivot columns p_1 < .. < p_rank are
+    e_1 .. e_rank.  h is written down from R: first each free column f as
+    e_f - sum_t R[t][f] e_{p_t}, which R sends to 0, then the e_{p_t},
+    which R sends to e_t.  So R*h = [[0,I],[0,0]], and g's rows are rotated
+    to put R's zero rows first.  Sign argument: h is the permutation of
+    that column order times a unit triangular matrix, so det(h) is -1 to
+    the order's inversions; det(g) is the product of the pivot inverses,
+    times -1 per row swap and (-1)^(rank*(s-rank)) for the rotation.  The
+    rank is not full, so g's first row sends m0 to 0 and is scaled by the
+    inverse of det(g)*det(h).
     """
     s = len(m0)
-    a = [row[:] for row in m0]
-    g = _identity_rows(ring, s)
-    h = _identity_rows(ring, s)
-    det_g = int_embed(ring, 1)
-    det_h = int_embed(ring, 1)
-    minus_one = int_embed(ring, -1)
-    rank = 0
-    for k in range(s):
-        pivot = None
-        for pr in range(k, s):
-            for pc in range(k, s):
-                if not a[pr][pc].is_zero():
-                    pivot = (pr, pc)
-                    break
-            if pivot:
-                break
-        if pivot is None:
-            break
-        pr, pc = pivot
-        if pr != k:
-            a[k], a[pr] = a[pr], a[k]
-            g[k], g[pr] = g[pr], g[k]
-            det_g = det_g * minus_one
-        if pc != k:
-            for row in a:
-                row[k], row[pc] = row[pc], row[k]
-            for row in h:
-                row[k], row[pc] = row[pc], row[k]
-            det_h = det_h * minus_one
-        inv_p = invert(a[k][k])
-        a[k] = [inv_p * e for e in a[k]]
-        g[k] = [inv_p * e for e in g[k]]
-        det_g = det_g * inv_p
-        for rr in range(s):
-            if rr != k and not a[rr][k].is_zero():
-                f = a[rr][k]
-                a[rr] = [a[rr][c] - f * a[k][c] for c in range(s)]
-                g[rr] = [g[rr][c] - f * g[k][c] for c in range(s)]
-        for cc in range(s):
-            if cc != k and not a[k][cc].is_zero():
-                f = a[k][cc]
-                for row in a:
-                    row[cc] = row[cc] - f * row[k]
-                for row in h:
-                    row[cc] = row[cc] - f * row[k]
-        rank += 1
-    # move the identity block to the bottom-right; the same permutation on
-    # rows of g and columns of h leaves det(g)*det(h) unchanged
-    order = list(range(rank, s)) + list(range(rank))
-    g = [g[r] for r in order]
-    h = [[row[c] for c in order] for row in h]
+    zero, one = int_embed(ring, 0), int_embed(ring, 1)
+    rows = [row + [one if b == c else zero for c in range(s)] for b, row in enumerate(m0)]
+    # the inverse of det(g)*det(h): the product of the pivots, times the sign
+    scale, swaps = one, 0
+    pivots: List[int] = []
+    for c in range(s):
+        r = len(pivots)
+        pr = next((i for i in range(r, s) if not rows[i][c].is_zero()), None)
+        if pr is None:
+            continue
+        if pr != r:
+            rows[r], rows[pr] = rows[pr], rows[r]
+            swaps += 1
+        scale = scale * rows[r][c]
+        inv_p = invert(rows[r][c])
+        rows[r] = [inv_p * e for e in rows[r]]
+        for i in range(s):
+            f = rows[i][c]
+            if i != r and not f.is_zero():
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    rank = len(pivots)
     if rank == s:
         raise GraphError("constant part has full rank")
-    u = det_g * det_h
-    if not u.is_one():
-        inv_u = invert(u)
-        g[0] = [inv_u * e for e in g[0]]
+    free = [c for c in range(s) if c not in pivots]
+    h = [None] * s  # the free and the pivot columns set every row
+    for j, f in enumerate(free):
+        h[f] = [one if i == j else zero for i in range(s)]
+    for t, p in enumerate(pivots):
+        h[p] = [-rows[t][f] for f in free] + [one if i == t else zero for i in range(rank)]
+    g = [row[s:] for row in rows[rank:] + rows[:rank]]
+    if (swaps + sum(p < f for f in free for p in pivots) + rank * (s - rank)) % 2:
+        scale = -scale
+    g[0] = [scale * e for e in g[0]]
     return g, h, rank
 
 
@@ -439,10 +418,8 @@ def width_from_determinantal(m: PolyMatrix, d: int, ring: RingDescriptor) -> Abp
     if f.is_zero() or f.homogeneous_component(d) != f:
         raise GraphError("determinant is not homogeneous of the stated degree")
 
-    zero = int_embed(ring, 0)
     m0 = [[m.entry(a, b).constant_term() for b in range(1, s + 1)] for a in range(1, s + 1)]
-    m1 = PolyMatrix(ring, ambient, s, s,
-                    [p - Polynomial.constant(ring, ambient, p.constant_term()) for p in m.entries])
+    m1 = PolyMatrix(ring, ambient, s, s, [p.homogeneous_component(1) for p in m.entries])
     g_rows, h_rows, rank = _field_normal_form(m0, ring)
     k = s - rank
     if k > d:
@@ -452,9 +429,9 @@ def width_from_determinantal(m: PolyMatrix, d: int, ring: RingDescriptor) -> Abp
     idx_top = list(range(1, k + 1))
     idx_bot = list(range(k + 1, s + 1))
     block_a = t.submatrix(idx_top, idx_top)
-    block_b = t.submatrix(idx_top, idx_bot) if rank else None
-    block_c = t.submatrix(idx_bot, idx_top) if rank else None
-    block_d = -t.submatrix(idx_bot, idx_bot) if rank else None
+    block_b = t.submatrix(idx_top, idx_bot)
+    block_c = t.submatrix(idx_bot, idx_top)
+    block_d = -t.submatrix(idx_bot, idx_bot)
 
     base = _build_gradient(k, k, ring)
     base = sub_abp(base, f"cpc_{k}_{k}")
@@ -469,30 +446,24 @@ def width_from_determinantal(m: PolyMatrix, d: int, ring: RingDescriptor) -> Abp
             pending.append((u, v, Polynomial.constant(ring, ambient, lab.constant_term())))
             continue
         alpha, beta, sign = _signed_variable(lab)
-        # direct part: the A-block entry, signed
+        # direct part: the A-block entry, signed; add_edges drops a zero
+        # label, here and on the chain edges below
         a_entry = block_a.entry(alpha, beta)
-        direct = a_entry if sign > 0 else -a_entry
-        if not direct.is_zero():
-            pending.append((u, v, direct))
-        if rank == 0 or d < 2:
+        pending.append((u, v, a_entry if sign > 0 else -a_entry))
+        if d < 2:
             continue
         chain_count += 1
         tag = f"z{chain_count}"
         verts.extend(f"{tag}_{l}_{c}" for l in range(0, d - 1) for c in range(1, rank + 1))
         for c in range(1, rank + 1):
-            start = -block_b.entry(alpha, c) if sign > 0 else block_b.entry(alpha, c)
-            if not start.is_zero():
-                pending.append((u, f"{tag}_0_{c}", start))
+            start = block_b.entry(alpha, c)
+            pending.append((u, f"{tag}_0_{c}", -start if sign > 0 else start))
             close = block_c.entry(c, beta)
-            for l in range(0, d - 1):
-                if not close.is_zero():
-                    pending.append((f"{tag}_{l}_{c}", v, close))
+            pending.extend((f"{tag}_{l}_{c}", v, close) for l in range(0, d - 1))
         for l in range(0, d - 2):
             for c in range(1, rank + 1):
                 for cc in range(1, rank + 1):
-                    step = block_d.entry(c, cc)
-                    if not step.is_zero():
-                        pending.append((f"{tag}_{l}_{c}", f"{tag}_{l + 1}_{cc}", step))
+                    pending.append((f"{tag}_{l}_{c}", f"{tag}_{l + 1}_{cc}", block_d.entry(c, cc)))
     # a vertex's position in a topological order is its aabp index
     order = topological_order(verts, [(u, v) for (u, v, _lab) in pending])
     if len(order) != len(verts):

@@ -134,7 +134,10 @@ def _cmd_eval(parser, args) -> int:
         raw = json.loads(args.matrix)
     except (json.JSONDecodeError, RecursionError) as exc:
         parser.error(f"bad matrix JSON: {exc}")
-    if not isinstance(raw, list) or any(not isinstance(row, list) for row in raw):
+    # a cell is a JSON string or integer; ``type`` because a bool is an int instance
+    if not isinstance(raw, list) or any(not isinstance(row, list) or
+                                        any(type(cell) not in (str, int) for cell in row)
+                                        for row in raw):
         parser.error("matrix must be an array of arrays of strings")
     entries = [[element_from_str(g.ring, str(cell)) for cell in row] for row in raw]
     names = args.output or sorted(g.outputs)

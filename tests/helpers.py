@@ -464,8 +464,9 @@ def _unimodular(ring: RingDescriptor, s: int, rng: random.Random):
     return m
 
 
-def planted_determinantal_instance(rng: random.Random):
-    """(matrix, det, degree) with the determinant homogeneous, size <= 4.
+def planted_determinantal_instance(rng: random.Random, ring: RingDescriptor = Q):
+    """(matrix, det, degree) over ``ring`` with the determinant
+    homogeneous, size <= 4.
 
     Built by converting a small random program to its determinantal
     representation and scrambling it with unimodular factors on both
@@ -479,15 +480,15 @@ def planted_determinantal_instance(rng: random.Random):
         d = rng.randint(1, 3)
         width = rng.randint(1, 3) if d == 2 else 1
         n = rng.randint(1, 3)
-        g = random_pabp(Q, n, d, rng, max_width=width)
+        g = random_pabp(ring, n, d, rng, max_width=width)
         f = expand_symbolic(g, "out")
         if f.is_zero():
             continue
         m = abp_to_determinant(g)
         if m.rows > 4:
             continue
-        left = PolyMatrix.from_constants(Q, n, _unimodular(Q, m.rows, rng))
-        right = PolyMatrix.from_constants(Q, n, _unimodular(Q, m.rows, rng))
+        left = PolyMatrix.from_constants(ring, n, _unimodular(ring, m.rows, rng))
+        right = PolyMatrix.from_constants(ring, n, _unimodular(ring, m.rows, rng))
         scrambled = left * m * right
         assert det_leibniz(scrambled) == f
         return scrambled, f, d

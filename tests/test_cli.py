@@ -762,6 +762,10 @@ def test_usage_error_then_success(tmp_path, capsys):
     ("eval", ["G", "--matrix", '[["1"], 2]'], "matrix must be an array of arrays of strings"),
     ("stats", ["--formula"], "--formula needs --n"),
     ("stats", [], "stats needs a graph file or --formula"),
+    # a cell must be a JSON string or integer
+    *(("eval", ["G", "--matrix", f'[[{cell},"1"],["1","1"]]'],
+       "matrix must be an array of arrays of strings")
+      for cell in ("null", "true", "1.5", '["1"]', "{}")),
 ])
 def test_in_command_usage_errors_print_the_commands_usage(tmp_path, capsys, command, argv,
                                                           message):

@@ -7,6 +7,7 @@ from math import comb
 import pytest
 
 from abpc.build import (
+    _field_normal_form,
     build_bivariate_abp,
     build_charzero_abp,
     build_gradient_abp,
@@ -29,14 +30,16 @@ from abpc.graph import (
     sub_abp,
     validate,
 )
-from abpc.oracle import cpc_minor_sum, cpc_table
+from abpc.oracle import cpc_minor_sum, cpc_table, det_leibniz
 from abpc.poly import Polynomial, PolyMatrix
 from abpc.rings import RingDescriptor, descriptor_from_spec, int_embed
 from helpers import (
+    _unimodular,
     block_transition_matrix,
     graph_width,
     planted_determinantal_instance,
     random_matrix,
+    random_nonzero,
     reference_stats_from_graph,
     renamed,
 )
@@ -44,6 +47,7 @@ from helpers import (
 Z = RingDescriptor.integers()
 Z4 = RingDescriptor.modular(4)
 Q = RingDescriptor.rationals()
+Z7 = RingDescriptor.modular(7)
 
 
 def x(n, i, j, ring=Z):
@@ -336,6 +340,42 @@ def test_recovery_on_planted_instances():
         g = width_from_determinantal(m, d, Q)
         assert validate(g) == []
         assert expand_symbolic(g, "det") == f
+
+
+def test_recovery_over_a_prime_field():
+    rng = random.Random(707)
+    for _ in range(20):
+        m, f, d = planted_determinantal_instance(rng, Z7)
+        g = width_from_determinantal(m, d, Z7)
+        assert validate(g) == []
+        assert expand_symbolic(g, "det") == f
+
+
+@pytest.mark.parametrize("ring", [Q, Z7], ids=["rat", "mod7"])
+def test_field_normal_form_invariants(ring):
+    # m0 = U V with U = P D and V = P' restricted to rank r, where P, P' have
+    # determinant 1 and D is a random nonzero diagonal: its rank is exactly r
+    rng = random.Random(808)
+    zero, one = int_embed(ring, 0), int_embed(ring, 1)
+
+    def const(rows):
+        return PolyMatrix.from_constants(ring, 1, rows)
+
+    for s in range(1, 6):
+        for r in range(s):
+            for _ in range(8):
+                left, right = _unimodular(ring, s, rng), _unimodular(ring, s, rng)
+                diag = [random_nonzero(ring, rng) for _ in range(r)]
+                m0 = [[sum((left[a][t] * diag[t] * right[t][b] for t in range(r)), zero)
+                       for b in range(s)] for a in range(s)]
+                g, h, rank = _field_normal_form(m0, ring)
+                assert rank == r
+                normal = [[one if a == b and a >= s - r else zero for b in range(s)]
+                          for a in range(s)]
+                assert const(g) * const(m0) * const(h) == const(normal)
+                assert det_leibniz(const(g)) * det_leibniz(const(h)) == Polynomial.from_int(ring, 1, 1)
+        with pytest.raises(GraphError, match="full rank"):
+            _field_normal_form(_unimodular(ring, s, rng), ring)
 
 
 # -- randomized evaluation spot checks ------------------------------------------------
