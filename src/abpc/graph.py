@@ -54,6 +54,7 @@ from .rings import (
     descriptor_to_spec,
     element_from_str,
     element_to_str,
+    int_embed,
 )
 
 DEFAULT_EXPANSION_GUARD = 5
@@ -79,8 +80,7 @@ class AbpGraph:
 
     Edges go in through ``add_edges``, which takes ``(u, v, label)``
     triples in order and checks each distinct label object once per call;
-    ``add_edge`` inserts one.  Only its methods,
-    ``constant_edge_elimination_steps`` and the JSON reader
+    ``add_edge`` inserts one.  Only its methods and the JSON reader
     ``graph_from_json_dict`` write ``layer``, ``edges`` and ``source``: each
     such write drops the sweep plan kept in ``_plan``, which a direct write
     would leave stale, or (the reader's) leaves it ``None``.
@@ -538,7 +538,8 @@ def expand_symbolic(g: AbpGraph, at: Optional[str] = None) -> Polynomial:
 
 
 def sub_abp(g: AbpGraph, at: Optional[str] = None) -> AbpGraph:
-    """The sub-program of all edges on all source-to-output paths."""
+    """The sub-program of all edges on all source-to-output paths: those
+    whose tail the source reaches and whose head reaches the output."""
     name, target = resolve_output(g, at)
 
     def reach(start: str, arcs: Iterable[Tuple[str, str]]) -> set:
@@ -562,8 +563,7 @@ def sub_abp(g: AbpGraph, at: Optional[str] = None) -> AbpGraph:
         if vid in kept:
             sub.add_vertex(vid, g.layer[vid])
     sub.set_source(g.source)
-    sub.add_edges((u, v, g.edges[(u, v)]) for (u, v) in sorted(g.edges)
-                  if u in kept and v in kept and u in backward and v in forward)
+    sub.add_edges((u, v, g.edges[(u, v)]) for (u, v) in sorted(g.edges) if u in forward and v in backward)
     sub.add_output(name, target)
     return sub
 
@@ -571,70 +571,50 @@ def sub_abp(g: AbpGraph, at: Optional[str] = None) -> AbpGraph:
 # -- constant-edge elimination -------------------------------------------------
 
 
-def constant_edge_elimination_steps(g: AbpGraph, at: Optional[str] = None) -> Iterator[AbpGraph]:
-    """Yield the intermediate graphs of the constant-edge elimination.
-
-    Every yielded graph computes the same polynomial at the designated
-    output.  The first is ``sub_abp(g, at)``; every later one is that same
-    working graph, edited in place by the steps after it (``g`` is never
-    touched).  The heads of constant edges are visited once each in
-    topological order, so every tail ``v`` of a removed edge ``v -> w`` has
-    no constant in-edges left, and the only new constant edges, ``s -> y``
-    for a constant ``w -> y``, point at a head still to come.
-    """
+def eliminate_constant_edges(g: AbpGraph, at: Optional[str] = None) -> AbpGraph:
+    """A fresh ``pabp`` graph without constant edges that computes the same
+    polynomial at the output of ``sub_abp(g, at)``, with no more vertices
+    in any layer.  A layer with constant-edge matrix C maps its cross-edge
+    inflows through (I - C)^-1 = sum_k C^k, whose entry ``down[v][w]``
+    sums the label products over the constant paths v ~> w (1 for the
+    empty one).  So a cross edge u -> v becomes the edges u -> w, its label
+    times ``down[v][w]``; a tail u in layer 0 becomes the source, the label
+    also times ``down[source][u]``.  Layer 0 keeps only the source and the
+    top layer only the output."""
     require_valid(g)
     name, target = resolve_output(g, at)
     if g.layer[target] < 1:
         raise GraphError("elimination needs an output of degree at least 1")
-    cur = sub_abp(g, name)
-    yield cur
-    # neighbour sets may keep edges that are gone since; cur.edges decides
-    preds: Dict[str, set] = {v: set() for v in cur.layer}
-    succs: Dict[str, set] = {v: set() for v in cur.layer}
-    for (u, v) in cur.edges:
-        preds[v].add(u)
-        succs[u].add(v)
-    for w in topological_order(cur.layer_order(), [e for e, lab in cur.edges.items() if lab.degree == 0]):
-        for v in sorted(preds[w]):
-            lab = cur.edges.get((v, w))
-            if lab is None or lab.degree != 0:
-                continue
-            alpha = cur.edges.pop((v, w)).constant_term()
-            cur._plan = None
-            if v == cur.source:
-                # paths s -(alpha)-> w -> y become direct edges s -> y
-                rerouted = [(v, y, (w, y)) for y in sorted(succs[w])]
-            else:
-                # paths x -> v -(alpha)-> w become direct edges x -> w
-                rerouted = [(x, w, (x, v)) for x in sorted(preds[v])]
-            for x, y, old in rerouted:
-                if old in cur.edges:
-                    cur.add_edge(x, y, cur.edges[old].scale(alpha))
-                    preds[y].add(x)
-                    succs[x].add(y)
-            yield cur
-    dropped = {vid for vid, lay in cur.layer.items()
-               if (lay == 0 and vid != cur.source) or (lay == cur.num_layers and vid != target)}
-    for vid in dropped:
-        del cur.layer[vid]
-    cur.edges = {(u, v): lab for (u, v), lab in cur.edges.items()
-                 if u not in dropped and v not in dropped}
-    cur._plan = None
-    cur.flavor = "pabp"
-    cur.outputs = {name: target}
-    yield cur
+    a = sub_abp(g, name)
+    layer, source, d = a.layer, a.source, a.num_layers
+    const = [(u, v) for (u, v) in a.edges if layer[u] == layer[v]]
+    pos = {v: k for k, v in enumerate(topological_order(a.layer_order(), const))}
+    one = int_embed(a.ring, 1)
+    down = {v: {v: one} for v in layer}
+    # tails in reverse topological order, so down[w] is complete when read
+    for u, w in sorted(const, key=lambda e: pos[e[0]], reverse=True):
+        c, row = a.edges[(u, w)].constant_term(), down[u]
+        for x, b in down[w].items():
+            row[x] = row[x] + c * b if x in row else c * b
+    p = AbpGraph("pabp", a.ring, a.ambient_n, d)
+    for vid, lay in layer.items():
+        if 0 < lay < d or vid in (source, target):
+            p.add_vertex(vid, lay)
+    p.set_source(source)
 
+    def scaled(lab: Polynomial, f: RingElement) -> Polynomial:
+        return lab if f.is_one() else lab.scale(f)
 
-def eliminate_constant_edges(g: AbpGraph, at: Optional[str] = None) -> AbpGraph:
-    """Convert a layered program into one without constant edges.
+    def rerouted() -> Iterator[Tuple[str, str, Polynomial]]:
+        for (u, v), lab in a.edges.items():
+            if layer[u] < layer[v]:
+                if layer[u] == 0:
+                    u, lab = source, scaled(lab, down[source][u])
+                yield from ((u, w, scaled(lab, f)) for w, f in down[v].items() if w in p.layer)
 
-    The result computes the same polynomial at its sink, and no
-    intermediate layer gains a vertex.
-    """
-    result = None
-    for result in constant_edge_elimination_steps(g, at):
-        pass
-    return result
+    p.add_edges(rerouted())
+    p.add_output(name, target)
+    return p
 
 
 # -- homogenization -------------------------------------------------------------

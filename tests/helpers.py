@@ -5,10 +5,11 @@ from __future__ import annotations
 import random
 from collections import Counter
 from fractions import Fraction
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from abpc.build import ConstructionStats
-from abpc.graph import AbpGraph, GraphError, _field, _index_field, topological_order
+from abpc.graph import (AbpGraph, GraphError, _field, _index_field, require_valid, resolve_output, sub_abp,
+                        topological_order)
 from abpc.oracle import cpc_minor_sum
 from abpc.poly import Polynomial, PolyMatrix, flatten, monomial_indices, unflatten
 from abpc.rings import (
@@ -194,6 +195,57 @@ def renamed(g: AbpGraph, rng: random.Random) -> AbpGraph:
     for out, vid in g.outputs.items():
         h.add_output(out, name[vid])
     return h
+
+
+def reference_eliminate_constant_edges(g: AbpGraph, at: Optional[str] = None) -> AbpGraph:
+    """Constant-edge elimination by rerouting paths on one working copy,
+    ``sub_abp(g, at)``, edited in place: the reference for
+    ``eliminate_constant_edges``, which builds its result in one pass from
+    per-layer constant-path sums.
+
+    The heads of constant edges are visited once each in topological
+    order, so every tail ``v`` of a removed edge ``v -> w`` has no constant
+    in-edges left, and the only new constant edges, ``s -> y`` for a
+    constant ``w -> y``, point at a head still to come.  Nothing sweeps the
+    working copy, so it never holds a plan that the direct writes could
+    leave stale.
+    """
+    require_valid(g)
+    name, target = resolve_output(g, at)
+    if g.layer[target] < 1:
+        raise GraphError("elimination needs an output of degree at least 1")
+    cur = sub_abp(g, name)
+    # neighbour sets may keep edges that are gone since; cur.edges decides
+    preds: Dict[str, set] = {v: set() for v in cur.layer}
+    succs: Dict[str, set] = {v: set() for v in cur.layer}
+    for (u, v) in cur.edges:
+        preds[v].add(u)
+        succs[u].add(v)
+    for w in topological_order(cur.layer_order(), [e for e, lab in cur.edges.items() if lab.degree == 0]):
+        for v in sorted(preds[w]):
+            lab = cur.edges.get((v, w))
+            if lab is None or lab.degree != 0:
+                continue
+            alpha = cur.edges.pop((v, w)).constant_term()
+            if v == cur.source:
+                # paths s -(alpha)-> w -> y become direct edges s -> y
+                rerouted = [(v, y, (w, y)) for y in sorted(succs[w])]
+            else:
+                # paths x -> v -(alpha)-> w become direct edges x -> w
+                rerouted = [(x, w, (x, v)) for x in sorted(preds[v])]
+            for x, y, old in rerouted:
+                if old in cur.edges:
+                    cur.add_edge(x, y, cur.edges[old].scale(alpha))
+                    preds[y].add(x)
+                    succs[x].add(y)
+    dropped = {vid for vid, lay in cur.layer.items()
+               if (lay == 0 and vid != cur.source) or (lay == cur.num_layers and vid != target)}
+    for vid in dropped:
+        del cur.layer[vid]
+    cur.edges = {(u, v): lab for (u, v), lab in cur.edges.items()
+                 if u not in dropped and v not in dropped}
+    cur.flavor = "pabp"
+    return cur
 
 
 def boxed_sweep(g: AbpGraph, entries: List[List[RingElement]]) -> Dict[str, RingElement]:

@@ -18,7 +18,7 @@ from abpc.graph import (
     GraphError,
     _compile,
     _release_schedule,
-    constant_edge_elimination_steps,
+    eliminate_constant_edges,
     evaluate_all,
     expand_all,
     topological_order,
@@ -411,27 +411,29 @@ def test_writes_after_an_evaluation_drop_the_plan(write, ring_name):
         assert_plan_is_the_full_sort(g)
 
 
-def assert_elimination_steps_sweep_their_own_edges(g, a):
-    for snapshot in constant_edge_elimination_steps(g, "out"):
-        # every vertex as an output, since the steps keep only the output's value
-        for vid in snapshot.layer:
-            snapshot.add_output(vid, vid)
-        assert canonical(evaluate_all(snapshot, a)) == canonical(boxed_sweep(snapshot, a))
-        assert_plan_is_the_full_sort(snapshot)
+def assert_eliminated_program_sweeps_its_own_edges(g, a):
+    p = eliminate_constant_edges(g, "out")
+    # every vertex as an output, since the elimination keeps only the output's value
+    for vid in p.layer:
+        p.add_output(vid, vid)
+    assert canonical(evaluate_all(p, a)) == canonical(boxed_sweep(p, a))
+    assert_plan_is_the_full_sort(p)
+    return p
 
 
 @pytest.mark.parametrize("ring_name", sorted(RING_FAMILIES))
 def test_every_elimination_step_sweeps_its_own_edges(ring_name):
+    # the elimination is one step, which builds a fresh program
     ring = RING_FAMILIES[ring_name]
     for seed in range(10):
         rng = random.Random(f"cached/elimination/{ring_name}/{seed}")
         g = random_abp(ring, 2, 3, rng)
-        assert_elimination_steps_sweep_their_own_edges(g, random_matrix(ring, 2, rng))
+        assert_eliminated_program_sweeps_its_own_edges(g, random_matrix(ring, 2, rng))
 
 
 def test_elimination_step_that_only_removes_an_edge():
-    # removing z -> v reroutes s -> z -> v onto s -> v, which cancels it;
-    # v is left without in-edges, so removing v -> w reroutes nothing
+    # the paths s -> z ~> v cancel s -> v, and s -> z ~> w cancel s -> v ~> w,
+    # so only s -> z and w -> t remain and no path reaches t
     g = AbpGraph("abp", Z, 1, 2)
     for vid, layer in (("s", 0), ("z", 1), ("v", 1), ("w", 1), ("t", 2)):
         g.add_vertex(vid, layer)
@@ -441,7 +443,9 @@ def test_elimination_step_that_only_removes_an_edge():
                         ("v", "w", Polynomial.from_int(Z, 1, 2)), ("w", "t", x)):
         g.add_edge(u, v, label)
     g.add_output("out", "t")
-    assert_elimination_steps_sweep_their_own_edges(g, [[int_embed(Z, 3)]])
+    p = assert_eliminated_program_sweeps_its_own_edges(g, [[int_embed(Z, 3)]])
+    assert set(p.edges) == {("s", "z"), ("w", "t")}
+    assert evaluate_all(p, [[int_embed(Z, 3)]])["out"] == int_embed(Z, 0)
 
 
 def test_add_output_keeps_the_plan():
