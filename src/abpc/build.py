@@ -25,8 +25,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, repeat
 from math import comb
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .graph import AbpGraph, GraphError, homogenize, sub_abp, topological_order
 from .oracle import det_leibniz
@@ -271,25 +272,27 @@ def _build_gradient(n: int, d_max: int, ring: RingDescriptor) -> AbpGraph:
             else:
                 r[i, j] = [g.add_vertex(f"c_{i - 1}_{j}", j)]
 
-    def edges() -> Iterator[Tuple[str, str, Polynomial]]:
+    # col[a][b - 1] is x[b,a], and neg_col[a][b - 1] is -x[b,a]
+    col, neg_col = ({a: [xs[(b, a)] for b in range(1, n + 1)] for a in range(1, n + 1)}
+                    for xs in (x, neg_x))
+
+    def edges() -> Iterator[Iterable[Tuple[str, str, Polynomial]]]:
         for i in range(2, n + 2):
             *head, last = r[i, 1]
-            for a, v in enumerate(head, 1):
-                yield "s", v, neg_x[(i, a)]
-            yield "s", last, x[(i - 1, i - 1)]
+            yield zip(repeat("s"), head, (neg_x[(i, a)] for a in range(1, i)))
+            yield [("s", last, x[(i - 1, i - 1)])]
             if i >= 3:
-                yield r[i - 1, 1][-1], last, one
+                yield [(r[i - 1, 1][-1], last, one)]
+        # beyond the first layer, by columns: the edges into one head, tails in order
         for j in range(1, d_max):
             for i in range(j + 2, n + 2):
                 *head, last = r[i, j + 1]
                 for a, v in enumerate(head, 1):
-                    for b, u in enumerate(r[i, j], 1):
-                        yield u, v, neg_x[(b, a)]
+                    yield zip(r[i, j], repeat(v), neg_col[a])
                 for ip in range(j + 1, i):
-                    for b, u in enumerate(r[ip, j], 1):
-                        yield u, last, x[(b, ip)]
+                    yield zip(r[ip, j], repeat(last), col[ip])
 
-    g.add_edges(edges())
+    g.add_edges(chain.from_iterable(edges()))
     for i in range(0, n + 1):
         g.add_output(f"cpc_{i}_0", "s")
     for (i, j), kept in r.items():

@@ -41,8 +41,8 @@ from math import gcd, lcm
 from operator import mul
 from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from .poly import (_ONE, Polynomial, PolyMatrix, Raw, _boxed, _sum_products, flatten, monomial_code,
-                   monomial_indices, unflatten)
+from .poly import (_ONE, Polynomial, PolyMatrix, Raw, _boxed, _held, _prime, _sum_products, flatten,
+                   monomial_code, monomial_indices, unflatten)
 from .rings import (
     MOD,
     RAT,
@@ -581,6 +581,8 @@ def eliminate_constant_edges(g: AbpGraph, at: Optional[str] = None) -> AbpGraph:
     times ``down[v][w]``; a tail u in layer 0 becomes the source, the label
     also times ``down[source][u]``.  Layer 0 keeps only the source and the
     top layer only the output."""
+    if g.flavor == "aabp":
+        raise GraphError("eliminate_constant_edges expects an abp- or pabp-flavor graph")
     require_valid(g)
     name, target = resolve_output(g, at)
     if g.layer[target] < 1:
@@ -765,17 +767,18 @@ def graph_to_json_text(g: AbpGraph) -> str:
     """The graph's JSON file: the bytes of ``json.dumps`` of its data with
     ``indent=2`` and ``sort_keys=True``, then one newline.
 
-    Every string is escaped to ASCII as ``json.dumps`` escapes it.  Each
-    vertex id is quoted once, and each distinct label object is rendered
-    once, however many edges it labels.
+    Every string is escaped to ASCII as ``json.dumps`` escapes it.  The file
+    is one join over each vertex id quoted once and each distinct label object
+    rendered once, however many edges it labels.
     """
-    n, ring = g.ambient_n, g.ring
+    n, ring, edges = g.ambient_n, g.ring, g.edges
     quoted = {vid: _quote(vid) for vid in g.layer}
     # the text of a label's edge before its tail id and between its ids
     parts: Dict[int, Tuple[str, str]] = {}
-    edges = []
-    for (u, v) in sorted(g.edges):
-        lab = g.edges[(u, v)]
+    out = [f'{{\n  "d": {g.num_layers},\n  "edges": [']
+    sep = "\n"
+    for key in sorted(edges):
+        lab = edges[key]
         part = parts.get(id(lab))
         if part is None:
             terms = []
@@ -790,16 +793,18 @@ def graph_to_json_text(g: AbpGraph) -> str:
             part = parts[id(lab)] = (f'    {{\n      "const": {const},\n      "from": ',
                                      f',\n      "linear": {_block(terms, "[]", "      ")},'
                                      f'\n      "to": ')
-        edges.append(f"{part[0]}{quoted[u]}{part[1]}{quoted[v]}\n    }}")
+        out += (sep, part[0], quoted[key[0]], part[1], quoted[key[1]])
+        sep = "\n    },\n"
     verts = [f'    {{\n      "id": {quoted[vid]},\n      "layer": {g.layer[vid]}\n    }}'
              for vid in g.layer_order()]
     outputs = [f"    {_quote(name)}: {quoted[vid]}" for name, vid in sorted(g.outputs.items())]
     source = "null" if g.source is None else quoted[g.source]
-    return (f'{{\n  "d": {g.num_layers},\n  "edges": {_block(edges, "[]", "  ")},\n'
-            f'  "flavor": {_quote(g.flavor)},\n  "n": {n},\n'
-            f'  "outputs": {_block(outputs, "{}", "  ")},\n'
-            f'  "ring": {_quote(descriptor_to_spec(ring))},\n  "source": {source},\n'
-            f'  "vertices": {_block(verts, "[]", "  ")}\n}}\n')
+    out.append("\n    }\n  ]" if edges else "]")
+    out.append(f',\n  "flavor": {_quote(g.flavor)},\n  "n": {n},\n'
+               f'  "outputs": {_block(outputs, "{}", "  ")},\n'
+               f'  "ring": {_quote(descriptor_to_spec(ring))},\n  "source": {source},\n'
+               f'  "vertices": {_block(verts, "[]", "  ")}\n}}\n')
+    return "".join(out)
 
 
 def graph_to_json_dict(g: AbpGraph) -> dict:
@@ -825,8 +830,9 @@ def _index_field(obj: dict, key: str, n: int) -> int:
 
 
 def graph_from_json_dict(data: dict) -> AbpGraph:
-    """The graph that JSON data describes.  Edge fields are tested inline and,
-    only on a failure, read again by ``_field`` and ``_index_field`` in field order."""
+    """The graph that JSON data describes.  An edge whose ends name vertices
+    and whose label key is cached was checked in full where the key first
+    appeared; any other is read by ``_field`` and ``_index_field`` in field order."""
     try:
         ring = descriptor_from_spec(_field(data, "ring", str))
         n = _field(data, "n", int)
@@ -837,34 +843,37 @@ def graph_from_json_dict(data: dict) -> AbpGraph:
             vid = _field(v, "id", str)
             g.add_vertex(ids.setdefault(vid, vid), _field(v, "layer", int))
         g.set_source(_field(data, "source", str))
-        # one label object per key (const, i, j, coeff, i, j, coeff, ...), as the builders share them
+        # nonzero labels by key (const, i, j, coeff, ...), and coefficient texts' raw values
         labels: Dict[tuple, Polynomial] = {}
-        layer, edges = g.layer, g.edges
+        values: Dict[str, Value] = {}
+        edges = g.edges
         for e in data["edges"]:
             try:
-                u, v, key = e["from"], e["to"], (e["const"],)
-                ok = type(u) is str and type(v) is str and type(key[0]) is str
+                u, v, key = ids[e["from"]], ids[e["to"]], (e["const"],)
                 for t in e["linear"]:
-                    i, j, c = t["i"], t["j"], t["coeff"]
-                    ok = ok and type(i) is type(j) is int and type(c) is str and 0 < i <= n and 0 < j <= n
-                    key += (i, j, c)
+                    i, j = t["i"], t["j"]
+                    if type(i) is not int or type(j) is not int:  # True == 1 and 1.0 == 1 hash alike
+                        raise TypeError
+                    key += (i, j, t["coeff"])
+                label = labels[key]
             except (KeyError, TypeError):
-                ok = False
-            if not ok:
+                label = None
+            if label is None:
                 u, v, key = _field(e, "from", str), _field(e, "to", str), (_field(e, "const", str),)
                 for t in e["linear"]:
                     key += (_index_field(t, "i", n), _index_field(t, "j", n), _field(t, "coeff", str))
-            label = labels.get(key)
-            if label is None:
-                terms = {(): element_from_str(ring, key[0])}
-                for k in range(1, len(key), 3):
-                    terms[((flatten(key[k], key[k + 1], n), 1),)] = element_from_str(ring, key[k + 2])
-                if len(terms) != len(key) // 3 + 1:
+                raw = {}
+                for k in range(0, len(key), 3):
+                    if key[k] not in values:
+                        values[key[k]] = _held(element_from_str(ring, key[k]).value)
+                    raw[_prime(flatten(key[k - 2], key[k - 1], n)) if k else 1] = values[key[k]]
+                if len(raw) != len(key) // 3 + 1:
                     raise GraphError(f"malformed graph JSON: edge {u}->{v} repeats a linear term")
-                label = labels[key] = Polynomial(ring, n, terms)
-            u, v = ids.get(u, u), ids.get(v, v)
-            # a parsed label fits the graph, so add_edge sees only what it merges, drops or rejects
-            if u != v and u in layer and v in layer and (u, v) not in edges and label.raw:
+                label = Polynomial._of(ring, n, {m: c for m, c in raw.items() if c})
+                if label.raw:
+                    labels[key] = label
+                g.add_edge(ids.get(u, u), ids.get(v, v), label)
+            elif u != v and (u, v) not in edges:
                 edges[(u, v)] = label
             else:
                 g.add_edge(u, v, label)
@@ -877,23 +886,20 @@ def graph_from_json_dict(data: dict) -> AbpGraph:
 
 
 def graph_to_dot(g: AbpGraph) -> str:
-    """Graphviz rendering: one rank per layer, constant edges dashed."""
-    lines = ["digraph abp {", "  rankdir=LR;", "  node [shape=circle];"]
-    # each id quoted once; with \ and " escaped, no id ends its DOT string early
+    """Graphviz rendering: one rank per layer, constant edges dashed; one join
+    over each vertex id quoted once and each distinct label's text rendered once."""
+    # with \ and " escaped, no id ends its DOT string early
     quoted = {vid: '"' + vid.replace("\\", "\\\\").replace('"', '\\"') + '"' for vid in g.layer}
+    out = ["digraph abp {\n  rankdir=LR;\n  node [shape=circle];\n"]
     for _lay, verts in groupby(g.layer_order(), key=g.layer.__getitem__):
-        lines.append("  { rank=same;")
-        for vid in verts:
-            lines.append(f"    {quoted[vid]};")
-        lines.append("  }")
-    # edges share label objects, so each distinct label is rendered once
-    attrs: Dict[int, str] = {}
-    for (u, v) in sorted(g.edges):
-        lab = g.edges[(u, v)]
-        at = attrs.get(id(lab))
-        if at is None:
+        out += ["  { rank=same;\n", *(f"    {quoted[vid]};\n" for vid in verts), "  }\n"]
+    ends: Dict[int, str] = {}
+    for key in sorted(g.edges):
+        lab = g.edges[key]
+        end = ends.get(id(lab))
+        if end is None:
             style = ", style=dashed" if lab.degree == 0 else ""
-            at = attrs[id(lab)] = f'label="{lab.text()}"{style}'
-        lines.append(f"  {quoted[u]} -> {quoted[v]} [{at}];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+            end = ends[id(lab)] = f' [label="{lab.text()}"{style}];\n'
+        out += ("  ", quoted[key[0]], " -> ", quoted[key[1]], end)
+    out.append("}\n")
+    return "".join(out)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import groupby
 from typing import Dict, List, Optional
 
 from abpc.build import ConstructionStats
@@ -311,6 +312,25 @@ def reference_dict(g: AbpGraph) -> dict:
         "source": g.source,
         "outputs": dict(sorted(g.outputs.items())),
     }
+
+
+def reference_graph_to_dot(g: AbpGraph) -> str:
+    """The Graphviz text built line by line, each edge's label rendered on
+    its own line: the reference for ``graph_to_dot``."""
+    lines = ["digraph abp {", "  rankdir=LR;", "  node [shape=circle];"]
+    # with \ and " escaped, no id ends its DOT string early
+    quoted = {vid: '"' + vid.replace("\\", "\\\\").replace('"', '\\"') + '"' for vid in g.layer}
+    for _lay, verts in groupby(g.layer_order(), key=g.layer.__getitem__):
+        lines.append("  { rank=same;")
+        for vid in verts:
+            lines.append(f"    {quoted[vid]};")
+        lines.append("  }")
+    for (u, v) in sorted(g.edges):
+        lab = g.edges[(u, v)]
+        style = ", style=dashed" if lab.degree == 0 else ""
+        lines.append(f'  {quoted[u]} -> {quoted[v]} [label="{lab.text()}"{style}];')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 def reference_graph_from_json_dict(data: dict) -> AbpGraph:

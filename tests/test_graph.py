@@ -294,6 +294,16 @@ def test_elimination_preserves_the_polynomial(ring, n, d, rng):
     assert expand_symbolic(p, "out") == expand_symbolic(g, "out")
 
 
+def test_elimination_refuses_an_aabp_graph():
+    # an aabp stores a topological index in its layer field, so "layer 0" and
+    # "intra-layer" mean nothing there; elimination made an invalid pabp of it
+    bare = AbpGraph("aabp", Z, 1, 0)  # no source either: the flavor is refused first
+    for g in [bare] + [random_aabp(Z, 2, random.Random(seed)) for seed in range(20)]:
+        with pytest.raises(GraphError) as exc:
+            eliminate_constant_edges(g, "out")
+        assert str(exc.value) == "eliminate_constant_edges expects an abp- or pabp-flavor graph"
+
+
 # -- homogenization ------------------------------------------------------------
 
 

@@ -9,6 +9,7 @@ import io
 import json
 import random
 import tempfile
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from abpc.graph import (
     AbpGraph,
     GraphError,
     graph_from_json_dict,
+    graph_to_dot,
     graph_to_json_dict,
     graph_to_json_text,
     validate,
@@ -35,6 +37,7 @@ from helpers import (
     random_program,
     reference_dict,
     reference_graph_from_json_dict,
+    reference_graph_to_dot,
     reference_validate,
     tuple_raw,
 )
@@ -156,6 +159,46 @@ def test_writer_matches_reference_on_empty_containers():
     assert '"source": null,' in graph_to_json_text(bare)
 
 
+@pytest.mark.parametrize("spec", ("int", "mod:6", "rat"))
+def test_dot_matches_reference_on_constructions(spec):
+    for g in constructions(spec):
+        assert graph_to_dot(g) == reference_graph_to_dot(g), (spec, g)
+
+
+@pytest.mark.parametrize("flavor", FLAVORS)
+def test_dot_matches_reference_on_random_programs(flavor):
+    for g in seeded_programs(flavor):
+        assert graph_to_dot(g) == reference_graph_to_dot(g), (flavor, g)
+
+
+def test_dot_matches_reference_on_ids_with_quotes_and_backslashes():
+    source, *ids = ('a"b', "t\\", '\\"', 'end\\')
+    g = AbpGraph("abp", Z, 1, 1)
+    g.add_vertex(source, 0)
+    g.set_source(source)
+    for vid in ids:
+        g.add_vertex(vid, 1)
+        g.add_edge(source, vid, Polynomial.variable(Z, 1, 1, 1))
+    g.add_edge(ids[0], ids[2], Polynomial.from_int(Z, 1, 2))  # a dashed constant edge
+    assert graph_to_dot(g) == reference_graph_to_dot(g)
+    assert '  "a\\"b" -> "\\\\\\"" [label="1*x[1,1]"];\n' in graph_to_dot(g)
+
+
+@pytest.mark.parametrize("write, bound", [(graph_to_json_text, 2.0), (graph_to_dot, 3.0)])
+def test_writers_peak_below_a_small_multiple_of_their_output(write, bound):
+    # the writers join shared pieces once, with no string per edge, so the
+    # peak is the output plus about a pointer per piece
+    g = build_gradient_abp(12, 12, Z)[0]
+    tracemalloc.start()
+    try:
+        text = write(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text.isascii()
+    assert peak < bound * len(text), (peak, len(text))
+
+
 def test_edge_keys_share_the_vertex_id_strings():
     gradient = build_gradient_abp(8, 8, Z)[0]
     for g in (build_bivariate_abp(6, 6, Z), build_charzero_abp(5, 5, Q), gradient,
@@ -236,6 +279,66 @@ def test_reader_rejects_self_loops_and_missing_endpoints(edge, message):
         with pytest.raises(GraphError) as exc:
             read(copy.deepcopy(data))
         assert str(exc.value) == message
+
+
+def assert_stats_reads_as(text: str, want) -> None:
+    """``abpc stats`` on a file with ``text`` succeeds if the reference
+    reader's outcome ``want`` is a graph, else prints its message."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "g.json"
+        path.write_text(text)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["stats", str(path)])
+    if isinstance(want, AbpGraph):
+        assert code == 0 and err.getvalue() == ""
+    else:
+        assert code == 1 and out.getvalue() == ""
+        assert err.getvalue() == f"error: {want[1]}\n"
+
+
+# -- the reader's cached-label path -------------------------------------------------
+
+# valid edges whose label keys the reader caches, ("0", 1, 1, "3") and
+# ("1", 2, 1, "-1"), and a zero label, which it never caches
+CACHED = [("s", "a", "0", [term(1, 1, "3")]), ("a", "t", "1", [term(2, 1, "-1")]),
+          ("s", "t", "0", [])]
+
+
+@pytest.mark.parametrize("later", [
+    # i or j equals a cached one and hashes alike, but is no integer
+    ("s", "t", "0", [term(True, 1, "3")]),
+    ("s", "t", "0", [term(1.0, 1, "3")]),
+    ("s", "t", "0", [term(1, True, "3")]),
+    ("s", "t", "0", [term(1, 1.0, "3")]),
+    ("a", "t", "1", [term(2, True, "-1")]),
+    # an end that is no string, or names no vertex
+    (["s"], "t", "0", [term(1, 1, "3")]),
+    (0, "t", "0", [term(1, 1, "3")]),
+    ("s", 1.5, "0", [term(1, 1, "3")]),
+    ("s", "nowhere", "0", [term(1, 1, "3")]),
+    ("nowhere", "t", "1", [term(2, 1, "-1")]),
+    # an end pair already there: merged, or cancelled
+    ("s", "a", "0", [term(1, 1, "3")]),
+    ("a", "t", "-1", [term(2, 1, "1")]),
+    # a self-loop
+    ("a", "a", "0", [term(1, 1, "3")]),
+    # the zero label again, on a new pair and on a pair already there
+    ("a", "s", "0", []),
+    ("s", "a", "0", []),
+], ids=["i-true", "i-float", "j-true", "j-float", "j-true-second", "from-list", "from-int",
+        "to-float", "to-unknown", "from-unknown", "pair-merges", "pair-cancels", "self-loop",
+        "zero-new-pair", "zero-on-edge"])
+def test_reader_matches_reference_when_a_later_edge_repeats_a_cached_key(later):
+    data = two_vertex_file(*CACHED, later)
+    data["vertices"].append({"id": "a", "layer": 1})
+    text = json.dumps(data)
+    got, want = read_both(text)
+    if isinstance(want, AbpGraph):
+        assert_same_graph(got, want)
+    else:
+        assert got == want
+    assert_stats_reads_as(text, want)
 
 
 # -- the reader on mutated files -------------------------------------------------
@@ -365,14 +468,4 @@ def test_reader_matches_reference_reader_on_mutated_files(text):
         assert validate(got) == reference_validate(want)
     else:
         assert got == want
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "g.json"
-        path.write_text(text)
-        out, err = io.StringIO(), io.StringIO()
-        with redirect_stdout(out), redirect_stderr(err):
-            code = main(["stats", str(path)])
-    if isinstance(want, AbpGraph):
-        assert code == 0 and err.getvalue() == ""
-    else:
-        assert code == 1 and out.getvalue() == ""
-        assert err.getvalue() == f"error: {want[1]}\n"
+    assert_stats_reads_as(text, want)
