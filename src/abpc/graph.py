@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import heapq
 import json
-import os
 from collections import Counter
 from fractions import Fraction
 from itertools import accumulate, chain, groupby, islice, repeat
@@ -57,22 +56,12 @@ from .rings import (
     int_embed,
 )
 
-DEFAULT_EXPANSION_GUARD = 5
+# a live term costs about 115 bytes (140 over rat), so the held values stay near half a GiB
+EXPANSION_TERM_BUDGET = 4_000_000
 
 
 class GraphError(AbpcError):
     pass
-
-
-def expansion_guard() -> int:
-    """Ambient-size cap for symbolic expansion; ABPC_GUARD_N overrides."""
-    raw = os.environ.get("ABPC_GUARD_N")
-    if not raw:
-        return DEFAULT_EXPANSION_GUARD
-    try:
-        return int(raw)
-    except ValueError:
-        raise GraphError(f"ABPC_GUARD_N must be an integer, got {raw!r}") from None
 
 
 class AbpGraph:
@@ -486,20 +475,14 @@ def _release_schedule(plan: _Plan, kept: FrozenSet[int]) -> List[List[int]]:
     return schedule
 
 
-def expand_all(g: AbpGraph) -> Dict[str, Polynomial]:
-    """All named outputs from a single forward sweep on raw polynomials
+def _expand(g: AbpGraph, names: Sequence[str]) -> Dict[str, Polynomial]:
+    """The named outputs from a single forward sweep on raw polynomials
     over ``_compile``'s plan; each vertex sums its in-edge products in one
     call of the raw kernel.  Each slot's factor is its label's raw dict in
     the plan times C**shift, so over ``rat`` the sweep runs on integers and
     only the outputs' non-integral coefficients become ``Fraction``s.  A
-    vertex that is not an output drops its polynomial right after its last
-    reader, which bounds the peak memory by the live frontier."""
-    guard = expansion_guard()
-    if g.ambient_n > guard:
-        raise GraphError(
-            f"symbolic expansion guard exceeded (n={g.ambient_n} > {guard}); "
-            "set ABPC_GUARD_N to override"
-        )
+    value that is not named drops right after its last reader; the terms
+    of the values held are counted as they are made and dropped."""
     ring, n = g.ring, g.ambient_n
     plan = _compile(g)
     powers = _powers(plan, plan.scale)
@@ -507,20 +490,24 @@ def expand_all(g: AbpGraph) -> Dict[str, Polynomial]:
                {m: c * powers[shift] for m, c in plan.raws[label].items()} for label, shift in plan.pairs]
     kernel_ring = RingDescriptor.integers() if ring.kind == RAT else ring
     source = plan.index[g.source]
-    kept = frozenset(plan.index[v] for v in g.outputs.values())
-    released = _release_schedule(plan, kept)
+    released = _release_schedule(plan, frozenset(plan.index[g.outputs[name]] for name in names))
     values: List[Optional[Raw]] = []
+    live = 0
     edges = zip(plan.tails, plan.slots)
     for k, c in enumerate(plan.counts):
         pairs = [(values[u], factors[s]) for u, s in islice(edges, c)]
         if k == source:
             pairs.append(({monomial_code(()): powers[plan.depths[k]]}, _ONE))
         values.append(_sum_products(kernel_ring, n, pairs).raw)
+        live += len(values[k])
+        if live > EXPANSION_TERM_BUDGET:
+            raise GraphError(f"symbolic expansion guard exceeded (over {EXPANSION_TERM_BUDGET:,} live terms)")
         for u in released[k]:
+            live -= len(values[u])
             values[u] = None
     out = {}
-    for name, vid in sorted(g.outputs.items()):
-        k = plan.index[vid]
+    for name in names:
+        k = plan.index[g.outputs[name]]
         raw = values[k]
         if ring.kind == RAT:
             den, raw = powers[plan.depths[k]], {}
@@ -531,10 +518,18 @@ def expand_all(g: AbpGraph) -> Dict[str, Polynomial]:
     return out
 
 
+def expand_all(g: AbpGraph) -> Dict[str, Polynomial]:
+    """All named outputs as exact polynomials from one sweep.  A sweep
+    that holds more than ``EXPANSION_TERM_BUDGET`` live terms at once
+    raises ``GraphError``: the guard is the work, not the ambient size."""
+    return _expand(g, sorted(g.outputs))
+
+
 def expand_symbolic(g: AbpGraph, at: Optional[str] = None) -> Polynomial:
-    """The exact polynomial computed at the named vertex."""
+    """The exact polynomial computed at the named vertex; no other output
+    is kept, so only this one counts against the budget at the end."""
     name, _target = resolve_output(g, at)
-    return expand_all(g)[name]
+    return _expand(g, (name,))[name]
 
 
 def sub_abp(g: AbpGraph, at: Optional[str] = None) -> AbpGraph:

@@ -5,10 +5,10 @@ from __future__ import annotations
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import groupby
-from typing import Dict, List, Optional
+from itertools import accumulate, groupby
+from typing import Dict, Iterable, List, Optional, Tuple
 
-from abpc.build import ConstructionStats
+from abpc.build import ConstructionStats, build_bivariate_abp, build_charzero_abp, build_gradient_abp
 from abpc.graph import (AbpGraph, GraphError, _field, _index_field, require_valid, resolve_output, sub_abp,
                         topological_order)
 from abpc.oracle import cpc_minor_sum
@@ -29,6 +29,10 @@ Z7 = RingDescriptor.modular(7)
 Q = RingDescriptor.rationals()
 
 RING_FAMILIES = {"int": Z, "mod4": Z4, "mod7": Z7, "rat": Q}
+
+# each construction by name, as a function of (n, d, ring) to its graph
+BUILDERS = {"charzero": build_charzero_abp, "bivariate": build_bivariate_abp,
+            "gradient": lambda n, d, ring: build_gradient_abp(n, d, ring)[0]}
 
 
 def reference_add_edge(g: AbpGraph, u: str, v: str, label: Polynomial) -> None:
@@ -267,10 +271,9 @@ def boxed_sweep(g: AbpGraph, entries: List[List[RingElement]]) -> Dict[str, Ring
     return {name: values[vid] for name, vid in g.outputs.items()}
 
 
-def poly_sweep(g: AbpGraph) -> Dict[str, Polynomial]:
-    """Every output by a forward sweep on polynomials, each edge's label
-    multiplied in as a polynomial: the reference for ``expand_all``'s
-    raw-coefficient sweep."""
+def vertex_polys(g: AbpGraph) -> Dict[str, Polynomial]:
+    """Every vertex's polynomial by a forward sweep on polynomials in
+    topological order, each edge's label multiplied in as a polynomial."""
     verts = sorted(g.layer, key=lambda vid: (g.layer[vid], vid))
     order = topological_order(verts, g.edges)
     assert len(order) == len(verts), "constant-edge cycle"
@@ -283,7 +286,34 @@ def poly_sweep(g: AbpGraph) -> Dict[str, Polynomial]:
         for u, lab in ins[v]:
             acc = acc + values[u] * lab
         values[v] = acc
+    return values
+
+
+def poly_sweep(g: AbpGraph) -> Dict[str, Polynomial]:
+    """Every output by ``vertex_polys``: the reference for ``expand_all``'s
+    raw-coefficient sweep."""
+    values = vertex_polys(g)
     return {name: values[vid] for name, vid in g.outputs.items()}
+
+
+def live_terms(g: AbpGraph, names: Iterable[str]) -> Tuple[int, int]:
+    """(peak, made) for a symbolic expansion of a valid graph that keeps
+    only the ``names`` outputs: the most terms its values hold at once, and
+    the terms of every value it makes.  The values are made in the order
+    of ``vertex_polys``, a topological one; each is held from its own turn
+    through that of its last reader (its own when nothing reads it), and
+    to the end when it is kept."""
+    values = vertex_polys(g)
+    turn = {v: k for k, v in enumerate(values)}
+    last = dict(turn)
+    for u, v in g.edges:
+        last[u] = max(last[u], turn[v])
+    kept = {g.outputs[name] for name in names}
+    change = [0] * (len(values) + 1)
+    for v, p in values.items():
+        change[turn[v]] += len(p.raw)
+        change[len(values) if v in kept else last[v] + 1] -= len(p.raw)
+    return max(accumulate(change)), sum(len(p.raw) for p in values.values())
 
 
 def reference_dict(g: AbpGraph) -> dict:

@@ -16,11 +16,11 @@ from typing import List, Tuple
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from abpc.build import build_bivariate_abp, build_charzero_abp, build_gradient_abp
 from abpc.graph import AbpGraph, GraphError, _compile, validate
 from abpc.poly import Polynomial
 from abpc.rings import descriptor_from_spec, int_embed
 from helpers import (
+    BUILDERS,
     FLAVORS,
     RING_FAMILIES,
     Z,
@@ -267,10 +267,6 @@ BUILDER_DIGESTS = {
     ("gradient", "rat"): ("5c040a285eec8222dcebdae1f5f08da931b6a5540ee8e5589efadac011238ab6",
                           [1, 5, 13, 23, 36, 52]),
 }
-
-BUILDERS = {"charzero": build_charzero_abp, "bivariate": build_bivariate_abp,
-            "gradient": lambda n, d, ring: build_gradient_abp(n, d, ring)[0]}
-
 
 @pytest.mark.parametrize("construction, spec", sorted(BUILDER_DIGESTS))
 def test_builders_insert_edges_in_the_pinned_order(construction, spec):

@@ -3,6 +3,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 _spec = importlib.util.spec_from_file_location(
     "bench_pairs", Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py")
 bench_pairs = importlib.util.module_from_spec(_spec)
@@ -74,3 +76,11 @@ def test_a_metric_worse_than_its_bound_is_listed_and_fails_the_claim():
     assert over["io"]["over_bound"] == ["peak_rss_mib"]
     claim = bench_pairs.claim_of(over, "io", "build_s", "t")
     assert not claim["met"] and claim["why_not"] == "worse than its bound: peak_rss_mib on io"
+
+
+def test_a_claim_needs_its_target_and_no_claim_needs_neither(capsys):
+    common = ["--parent", "p", "--change", "c", "--parent-rev", "r", "--topic", "t", "--text", "x"]
+    for extra in (["--claim", "io", "build_s"], ["--target", "9 of 10"]):
+        with pytest.raises(SystemExit, match="2"):
+            bench_pairs.main(common + extra)
+        assert "--claim and --target go together" in capsys.readouterr().err

@@ -473,13 +473,11 @@ def test_gradient_vertices_are_partial_derivatives(spec, n):
     assert len(rvertices) == gradient_vertex_total(n, n)
 
 
-@pytest.mark.parametrize("spec", ["int", "mod:4"])
-def test_gradient_program_is_proved_symbolically_at_seven(spec, monkeypatch):
-    # every output and every r-vertex of the n = 7 program as a polynomial:
+def _prove_gradient_program(n, spec):
+    # every output and every r-vertex of the program as a polynomial:
     # unlike the point checks above, a dropped or wrong edge cannot go unseen
-    monkeypatch.setenv("ABPC_GUARD_N", "7")
     ring = descriptor_from_spec(spec)
-    g, _stats = build_gradient_abp(7, 7, ring)
+    g, _stats = build_gradient_abp(n, n, ring)
     outputs = sorted(g.outputs)
     rvertices = sorted(v for v in g.layer if v.startswith("r_"))
     for v in rvertices:
@@ -494,18 +492,45 @@ def test_gradient_program_is_proved_symbolically_at_seven(spec, monkeypatch):
 
     for name in outputs:
         i, j = (int(part) for part in name.split("_")[1:])
-        assert got[name] == cpc(i, j).promote(7), (spec, name)
+        assert got[name] == cpc(i, j).promote(n), (spec, name)
     for v in rvertices:
         i, j, a = (int(part) for part in v.split("_")[1:])
-        assert got[v] == cpc(i, j + 1).partial(a, i).promote(7), (spec, v)
-    assert len(outputs) == 36 and len(rvertices) == gradient_vertex_total(7, 7)
+        assert got[v] == cpc(i, j + 1).partial(a, i).promote(n), (spec, v)
+    assert len(outputs) == (n + 1) * (n + 2) // 2 and len(rvertices) == gradient_vertex_total(n, n)
+
+
+@pytest.mark.parametrize("spec", ["int", "mod:4"])
+def test_gradient_program_is_proved_symbolically_at_seven(spec):
+    _prove_gradient_program(7, spec)
+
+
+@pytest.mark.parametrize("spec", ["int", pytest.param("mod:4", marks=pytest.mark.slow)])
+def test_gradient_program_is_proved_symbolically_at_eight(spec):
+    # n = 8 is the oracle's cap, and the expansion fits the term budget
+    _prove_gradient_program(8, spec)
+
+
+@pytest.mark.slow
+def test_bivariate_program_at_eight_is_refused_by_the_term_budget(monkeypatch):
+    # about 6.8 million live terms at its peak: the sweep stops partway,
+    # so the kernel never makes the last layers' values
+    import abpc.graph as graph
+    real, made = graph._sum_products, []
+
+    def counted(*args):
+        made.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(graph, "_sum_products", counted)
+    g = build_bivariate_abp(8, 8, Z)
+    with pytest.raises(GraphError, match=r"^symbolic expansion guard exceeded \(over 4,000,000 live terms\)$"):
+        expand_all(g)
+    assert 0 < len(made) < len(g.layer)
 
 
 @pytest.mark.parametrize("n", [6, pytest.param(7, marks=pytest.mark.slow)])
-def test_charzero_program_is_proved_symbolically(n, monkeypatch):
-    # every output of the trace recursion over rat as a polynomial, past
-    # the default expansion guard of 5
-    monkeypatch.setenv("ABPC_GUARD_N", str(n))
+def test_charzero_program_is_proved_symbolically(n):
+    # every output of the trace recursion over rat as a polynomial
     got = expand_all(build_charzero_abp(n, n, Q))
     assert sorted(got) == [f"cpc_{n}_{d}" for d in range(n + 1)]
     for d in range(n + 1):

@@ -12,6 +12,7 @@ from abpc.graph import (
     combine,
     eliminate_constant_edges,
     evaluate,
+    expand_all,
     expand_symbolic,
     graph_from_json_dict,
     graph_to_dot,
@@ -24,10 +25,13 @@ from abpc.graph import (
 from abpc.build import build_bivariate_abp, build_gradient_abp
 from abpc.oracle import cpc_minor_sum, det_leibniz
 from abpc.poly import Polynomial
-from abpc.rings import RingDescriptor, int_embed
+from abpc.rings import RingDescriptor, descriptor_from_spec, int_embed
 from helpers import (
+    BUILDERS,
     RING_FAMILIES,
     graph_width,
+    live_terms,
+    poly_sweep,
     random_aabp,
     random_abp,
     random_matrix,
@@ -179,16 +183,42 @@ def test_expand_at_source_is_empty_product():
     assert expand_symbolic(g, "cpc_0_0") == Polynomial.from_int(Z, 2, 1)
 
 
+def _refused(monkeypatch, budget, expand, *args):
+    """Whether ``expand(*args)`` stops at the guard under ``budget`` live terms."""
+    monkeypatch.setattr("abpc.graph.EXPANSION_TERM_BUDGET", budget)
+    try:
+        expand(*args)
+    except GraphError as exc:
+        assert str(exc) == f"symbolic expansion guard exceeded (over {budget:,} live terms)"
+        return True
+    return False
+
+
 def test_expansion_guard(monkeypatch):
-    g = single_edge_graph()
-    monkeypatch.setenv("ABPC_GUARD_N", "0")
-    with pytest.raises(GraphError, match="guard"):
-        expand_symbolic(g, "out")
-    monkeypatch.setenv("ABPC_GUARD_N", "x")
-    with pytest.raises(GraphError, match="ABPC_GUARD_N must be an integer"):
-        expand_symbolic(g, "out")
-    monkeypatch.delenv("ABPC_GUARD_N")
-    assert expand_symbolic(g, "out") == Polynomial.variable(Z, 1, 1, 1)
+    # the guard counts the terms of the values held at once: refused one
+    # term under the peak even though the outputs alone fit, and expanded at
+    # the peak or at one under all the terms made, which only dropping each
+    # released value's terms allows
+    for kind, n, spec in [("gradient", 4, "int"), ("bivariate", 3, "mod:4"),
+                          ("bivariate", 4, "int"), ("charzero", 4, "rat")]:
+        g = BUILDERS[kind](n, n, descriptor_from_spec(spec))
+        peak, made = live_terms(g, sorted(g.outputs))
+        outputs = poly_sweep(g)
+        assert sum(len(p.raw) for p in outputs.values()) < peak < made - 1, (kind, spec)
+        assert _refused(monkeypatch, peak - 1, expand_all, g), (kind, spec)
+        assert not _refused(monkeypatch, peak, expand_all, g), (kind, spec)
+        assert not _refused(monkeypatch, made - 1, expand_all, g), (kind, spec)
+        assert expand_all(g) == outputs, (kind, spec)
+
+
+def test_expand_symbolic_keeps_only_its_own_output(monkeypatch):
+    g, _stats = build_gradient_abp(5, 5, Z)
+    one = live_terms(g, ["cpc_5_5"])[0]
+    every = live_terms(g, sorted(g.outputs))[0]
+    assert one < every
+    assert _refused(monkeypatch, every - 1, expand_all, g)
+    assert not _refused(monkeypatch, every - 1, expand_symbolic, g, "cpc_5_5")
+    assert expand_symbolic(g, "cpc_5_5") == cpc_minor_sum(5, 5, Z)
 
 
 def test_evaluation_matches_symbolic_expansion_on_random_programs():

@@ -4,6 +4,10 @@
         --parent-rev 84702a9 --topic build_batch --text "what the change does" \\
         --claim io build_s --target "change better in at least 9 of 10 pairs"
 
+Leave out ``--claim`` and ``--target`` for a change that claims no gain; the
+file then records ``"claim": null`` and still lists each workload's
+``over_bound``.
+
 ``--parent`` and ``--change`` are two source checkouts, for example two
 ``git worktree``s.  For each workload (io, eval, symbolic, in that order) and
 each of the ten seeds 21-30, the script runs
@@ -162,10 +166,12 @@ def main(argv=None) -> int:
     p.add_argument("--parent-rev", required=True, help="the parent commit, as recorded")
     p.add_argument("--topic", required=True)
     p.add_argument("--text", required=True, help="one sentence on what the change does")
-    p.add_argument("--claim", nargs=2, required=True, metavar=("WORKLOAD", "METRIC"))
-    p.add_argument("--target", required=True, help="the claim's target, as stated before the runs")
+    p.add_argument("--claim", nargs=2, metavar=("WORKLOAD", "METRIC"), help="left out: no gain claimed")
+    p.add_argument("--target", help="the claim's target, as stated before the runs")
     args = p.parse_args(argv)
-    if args.claim[0] not in WORKLOADS:
+    if (args.claim is None) != (args.target is None):
+        p.error("--claim and --target go together")
+    if args.claim and args.claim[0] not in WORKLOADS:
         p.error(f"the claimed workload {args.claim[0]!r} is not one of {', '.join(WORKLOADS)}")
 
     checkouts = {"parent": args.parent, "change": args.change}
@@ -200,7 +206,7 @@ def main(argv=None) -> int:
         "statistics": "per metric: median and quartiles (inclusive method) over the runs of "
                       "each side whose pair both reported the metric; change_better_pairs / "
                       "change_worse_pairs count seeds where the change read better / worse",
-        "claim": claim_of(workloads, *args.claim, args.target),
+        "claim": claim_of(workloads, *args.claim, args.target) if args.claim else None,
         "workloads": workloads,
     }
     out = f"BENCH_{args.topic}.json"
