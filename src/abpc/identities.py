@@ -6,27 +6,29 @@ from independent ingredients and compares entrywise.  The central one is
     bivariate_ch:   transpose(grad cpc_{n,d+1}) = sum_{i=0}^{d} (-1)^i cpc_{n,d-i} X^i
 
 whose left side comes from the gradient of the minor-sum oracle (or from
-the cycle-cover-and-path oracle in combinatorial mode).  Its right side is
-the last of the Horner sums ``T_0 .. T_d`` (``horner_sequence``); the right
-sides of Cayley-Hamilton, the adjugate formula, the trace identity, the
-Samuelson entry and the cpc recursion are that sum, its trace or its
-(n,n) entry.  Every left side is an independent oracle (minor sums, cycle
-covers, zero, the Leibniz adjugate), and no identity's truth is used to
-build another's side.  Alternating signs are reduced in the ring like
-every other coefficient, so the checks remain valid in characteristic 2.
+the cycle-cover-and-path oracle in combinatorial mode).  Cayley-Hamilton
+and the adjugate formula are this identity at d = n, where that side is
+zero, and at d = n-1, where it is adj(X).  Its right side is the last of the
+Horner sums ``T_0 .. T_d`` (``horner_sequence``); the right sides of the
+trace identity, the Samuelson entry and the cpc recursion are that sum,
+its trace or its (n,n) entry.  Every left side is an independent oracle
+(minor sums, cycle covers), and no identity's truth is used to build
+another's side.  Alternating signs are reduced in the ring like every
+other coefficient, so the checks remain valid in characteristic 2.
 
 ``_SIDES`` declares each identity once, its sides and its degree rule;
 ``verify_identity`` and the ``verify_all`` grid both read it.  One verify
 call, a single check or the whole grid, has one context (``_Ingredients``):
 its ring, its mode and every ingredient its sides read, each built at most
-once.  Those are each minor sum cpc_{n,k}, its partial derivatives, its
-restriction to diagonal matrices and each Horner sum T_k at size n, built
-once per (n, k) from T_{k-1} with one kernel call per entry.  A power sum
-is no ingredient: it is written down as its n monomials, and
-girard_newton reads only the n+1 terms whose e_{d-i} can be nonzero.  A
-transition_product check builds one gradient program and reads every
-transition block from it.  ``verify`` refuses a matrix size over the
-oracle cap before it builds any side.
+once.  Those are each minor sum cpc_{n,k}, its partial derivatives (or
+cycle-cover-and-path entries), its restriction to diagonal matrices and
+each Horner sum T_k at size n, built once per (n, k) from T_{k-1} with
+one kernel call per entry.  A power sum is no ingredient: it is written
+down as its n monomials, and girard_newton reads only the n+1 terms whose
+e_{d-i} can be nonzero.  A transition_product check builds one gradient
+program and reads every transition block from it.  ``verify`` and
+``verify_all`` refuse a matrix size over the oracle cap before they build
+any side.
 """
 
 from __future__ import annotations
@@ -35,11 +37,9 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from .build import _build_gradient, _transition_block
-from .oracle import ORACLE_SIZE_CAP, OracleLimitError, cpc_minor_sum, det_leibniz, grad_ccp_entry
-from .poly import _ONE, Polynomial, PolyMatrix, Raw, _sum_products, flatten, gradient, monomial_code
+from .oracle import _check_enumeration_size, cpc_minor_sum, det_leibniz, grad_ccp_entry
+from .poly import _ONE, Polynomial, PolyMatrix, Raw, _sum_products, flatten, monomial_code
 from .rings import AbpcError, RingDescriptor, descriptor_to_spec, int_embed
-
-VERIFY_ALL_N_CAP = 7
 
 
 class IdentityError(AbpcError):
@@ -180,21 +180,13 @@ def power_sum(n: int, i: int, ring: RingDescriptor) -> Polynomial:
 
 
 def _sides_bivariate_ch(n: int, d: int, ing: _Ingredients):
+    # at d = n the left side is 0 (Cayley-Hamilton), at d = n-1 the adjugate
     if ing.combinatorial:
-        ents = [grad_ccp_entry(n, d, a, b, ing.ring) for a in range(1, n + 1) for b in range(1, n + 1)]
+        ents = [ing._once(("ccp", n, d, a, b), lambda: grad_ccp_entry(n, d, a, b, ing.ring))
+                for a in range(1, n + 1) for b in range(1, n + 1)]
     else:
         ents = [ing.partial(n, d + 1, b, a) for a in range(1, n + 1) for b in range(1, n + 1)]
     return PolyMatrix(ing.ring, n, n, n, ents), ing.horner(n, d)
-
-
-def _sides_cayley_hamilton(n: int, d: int, ing: _Ingredients):
-    # the alternating sum at d = n annihilates itself
-    return PolyMatrix.zeros(ing.ring, n, n, n), ing.horner(n, d)
-
-
-def _sides_adjugate(n: int, d: int, ing: _Ingredients):
-    det = det_leibniz(PolyMatrix.variables(ing.ring, n))
-    return gradient(det, n).transpose(), ing.horner(n, d)
 
 
 def _sides_trace_ch(n: int, d: int, ing: _Ingredients):
@@ -268,8 +260,8 @@ class Identity(NamedTuple):
 
 _SIDES: Dict[str, Identity] = {
     "bivariate_ch": Identity(_sides_bivariate_ch),
-    "cayley_hamilton": Identity(_sides_cayley_hamilton, d_from_n=0),
-    "adjugate": Identity(_sides_adjugate, d_from_n=-1),
+    "cayley_hamilton": Identity(_sides_bivariate_ch, d_from_n=0),
+    "adjugate": Identity(_sides_bivariate_ch, d_from_n=-1),
     "trace_ch": Identity(_sides_trace_ch),
     "girard_newton": Identity(_sides_girard_newton),
     "samuelson_entry": Identity(_sides_samuelson_entry),
@@ -294,8 +286,7 @@ def _normalize(identity: str, n: int, d: int) -> Tuple[int, int]:
     if d < rule.d_min:
         raise IdentityError(f"{identity} needs d >= {rule.d_min}")
     # every side of a larger matrix reads an enumeration oracle that refuses it
-    if (d if rule.d_is_size else n) > ORACLE_SIZE_CAP:
-        raise OracleLimitError("oracle size limit")
+    _check_enumeration_size(d if rule.d_is_size else n)
     return n, d
 
 
@@ -333,8 +324,7 @@ def verify_all(n_max: int, d_max: int, ring: RingDescriptor,
                combinatorial: bool = False) -> List[CheckReport]:
     """Run the whole identity grid, size by size, in one ``_Ingredients``
     context; reports are grouped by identity, then ordered by n and d."""
-    if n_max > VERIFY_ALL_N_CAP:
-        raise IdentityError(f"n_max capped at {VERIFY_ALL_N_CAP}")
+    _check_enumeration_size(n_max)
     if n_max < 1 or d_max < 0:
         raise IdentityError("grid parameters out of range")
     reports: Dict[str, List[CheckReport]] = {name: [] for name in _SIDES}

@@ -28,6 +28,12 @@ class OracleLimitError(AbpcError):
     pass
 
 
+def _check_enumeration_size(n: int) -> None:
+    """The one test of a size against the cap, for every oracle and verify call."""
+    if n > ORACLE_SIZE_CAP:
+        raise OracleLimitError("oracle size limit")
+
+
 def _leibniz_products(a: PolyMatrix) -> Iterator[Tuple[Raw, Raw]]:
     """det(a) as raw (head, last) pairs, one per permutation whose entries
     are all nonzero: ``last`` is the entry in the last row and ``head`` is
@@ -58,8 +64,7 @@ def det_leibniz(a: PolyMatrix) -> Polynomial:
     if a.rows != a.cols:
         raise OracleLimitError("determinant of a non-square matrix")
     d = a.rows
-    if d > ORACLE_SIZE_CAP:
-        raise OracleLimitError("oracle size limit")
+    _check_enumeration_size(d)
     if d == 0:
         raise OracleLimitError("empty matrix")
     return _sum_products(a.ring, a.ambient_n, _leibniz_products(a))
@@ -114,11 +119,6 @@ def iter_simple_paths(pool: Sequence[int], a: int, b: int) -> Iterator[Tuple[int
                 yield from extend(prefix + (w,))
 
     yield from extend((a,))
-
-
-def _check_enumeration_size(n: int) -> None:
-    if n > ORACLE_SIZE_CAP:
-        raise OracleLimitError("oracle size limit")
 
 
 def _signed_term(edges: Sequence[Edge], sign: int, n: int) -> Raw:

@@ -186,13 +186,9 @@ def _sum_products(ring: RingDescriptor, n: int, pairs: Iterable[Tuple[Raw, Raw]]
         if len(a) < len(b):  # the inner loop runs over the larger factor
             a, b = b, a
         for mb, cb in b.items():
-            if mb == 1:
-                for ma, ca in a.items():
-                    acc[ma] = get(ma, 0) + ca * cb
-            else:
-                for ma, ca in a.items():
-                    m = ma * mb
-                    acc[m] = get(m, 0) + ca * cb
+            for ma, ca in a.items():
+                m = ma * mb
+                acc[m] = get(m, 0) + ca * cb
     if ring.kind == MOD:
         modulus = ring.modulus
         return Polynomial._of(ring, n, {m: r for m, c in acc.items() if (r := c % modulus)})

@@ -161,7 +161,7 @@ def int_embed(r: RingDescriptor, k: int) -> RingElement:
 
 
 def invert(a: RingElement) -> RingElement:
-    """Multiplicative inverse; defined in fields and for units of Z/m."""
+    """Multiplicative inverse; defined in fields and for the units of Z/m and Z."""
     r = a.descriptor
     if a.is_zero():
         raise RingError("division by zero")
@@ -171,6 +171,8 @@ def invert(a: RingElement) -> RingElement:
         if gcd(a.value, r.modulus) != 1:
             raise RingError("not a unit")
         return RingElement(r, pow(a.value, -1, r.modulus))
+    if a.value in (1, -1):  # the units of Z
+        return a
     raise RingError("not a unit")
 
 

@@ -398,7 +398,7 @@ def reference_graph_from_json_dict(data: dict) -> AbpGraph:
         outputs = data["outputs"]
         for name in outputs:
             g.add_output(name, _field(outputs, name, str))
-    except (KeyError, TypeError) as exc:
+    except (LookupError, TypeError) as exc:  # LookupError: KeyError, or IndexError from a list
         raise GraphError(f"malformed graph JSON: {exc}") from exc
     return g
 

@@ -391,6 +391,10 @@ BAD_INPUTS = {
                   "field 'coeff' must be a string"),
     "output-int": (_edit(lambda d: d["outputs"].update(cpc_3_3=5)), "eval",
                    "field 'cpc_3_3' must be a string"),
+    "outputs-int-array": (_edit(lambda d: d.update(outputs=[5])), "eval",
+                          "malformed graph JSON: list index out of range"),
+    "outputs-bool-array": (_edit(lambda d: d.update(outputs=[True])), "export-dot",
+                           "malformed graph JSON: list index out of range"),
     "term-repeated": (_edit(_repeat_first_term), "eval",
                       "malformed graph JSON: edge r_2_1_1->c_3_2 repeats a linear term"),
     "i-bool-on-repeated-label": (_edit(_repeat_label_with_bool_index), "eval",

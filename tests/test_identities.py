@@ -2,17 +2,18 @@
 
 import pytest
 
+from abpc.cli import main
 from abpc.identities import (
     IDENTITY_NAMES,
-    IdentityError,
     horner_sequence,
     r_vector_first_layer,
     verify_all,
     verify_identity,
+    verify_with_sides,
 )
-from abpc.oracle import cpc_minor_sum, det_leibniz
+from abpc.oracle import ORACLE_SIZE_CAP, OracleLimitError, cpc_minor_sum, det_leibniz, grad_ccp_entry
 from abpc.poly import Polynomial, PolyMatrix, gradient
-from abpc.rings import RingDescriptor, int_embed
+from abpc.rings import RingDescriptor, descriptor_from_spec, int_embed
 from helpers import reference_horner_sequence
 
 Z = RingDescriptor.integers()
@@ -218,9 +219,51 @@ def test_ingredients_are_built_once_per_call(monkeypatch):
     assert len(partials) == len(set(partials)) == 4 + 4 + 2 + 3
 
 
-def test_verify_all_guard():
-    with pytest.raises(IdentityError, match="n_max capped at 7"):
-        verify_all(8, 2, Z)
+def test_verify_all_guard(capsys):
+    # the grid stops at the oracle cap, as verify does
+    with pytest.raises(OracleLimitError, match="^oracle size limit$"):
+        verify_all(ORACLE_SIZE_CAP + 1, 2, Z)
+    assert main(["verify-all", "--n-max", "9", "--d-max", "2", "--ring", "int"]) == 1
+    assert capsys.readouterr() == ("", "error: oracle size limit\n")
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("spec, combinatorial", [("int", False), ("mod:4", False), ("rat", False),
+                                                 ("int", True)])
+def test_verify_all_at_the_oracle_cap(spec, combinatorial):
+    reports = verify_all(ORACLE_SIZE_CAP, ORACLE_SIZE_CAP, descriptor_from_spec(spec), combinatorial)
+    assert len(reports) == 447
+    assert all(r.passed for r in reports), [r.line() for r in reports if not r.passed]
+
+
+@pytest.mark.parametrize("combinatorial", [False, True])
+def test_cayley_hamilton_and_adjugate_are_bivariate_ch_at_n_and_n_minus_one(combinatorial):
+    for n in range(1, 5):
+        # the classical left sides: zero, and the adjugate as the Leibniz determinant's gradient
+        adjugate = gradient(det_leibniz(PolyMatrix.variables(Z, n)), n).transpose()
+        for identity, d, classical in (("cayley_hamilton", n, PolyMatrix.zeros(Z, n, n, n)),
+                                       ("adjugate", n - 1, adjugate)):
+            report, lhs, rhs = verify_with_sides(identity, n, 0, Z, combinatorial)
+            assert report.passed and report.d == d and lhs == classical
+            assert (lhs, rhs) == verify_with_sides("bivariate_ch", n, d, Z, combinatorial)[1:]
+
+
+def test_grid_reads_each_cycle_cover_entry_once(monkeypatch):
+    import abpc.identities as ident
+
+    calls = []
+
+    def counted(n, d, a, b, ring):
+        calls.append((n, d, a, b))
+        return grad_ccp_entry(n, d, a, b, ring)
+
+    monkeypatch.setattr(ident, "grad_ccp_entry", counted)
+    assert all(r.passed for r in verify_all(4, 2, Z, combinatorial=True))
+    # bivariate_ch's degrees 0..2, cayley_hamilton's d = n and adjugate's d = n-1,
+    # which the grid shares with bivariate_ch for n <= 3
+    want = {(n, d, a, b) for n in range(1, 5) for d in {0, 1, 2, n, n - 1}
+            for a in range(1, n + 1) for b in range(1, n + 1)}
+    assert len(calls) == len(set(calls)) and set(calls) == want
 
 
 def test_verify_all_at_the_cap_over_zero_divisor_ring():

@@ -48,6 +48,9 @@ def test_invert_examples():
         invert(int_embed(Z4, 2))
     with pytest.raises(RingError, match="division by zero"):
         invert(int_embed(Q, 0))
+    # the units of Z are their own inverses
+    for u in (1, -1):
+        assert invert(int_embed(Z, u)) == int_embed(Z, u)
     with pytest.raises(RingError, match="not a unit"):
         invert(int_embed(Z, 2))
 

@@ -14,7 +14,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from abpc.build import build_bivariate_abp, build_charzero_abp, build_gradient_abp
 from abpc.cli import main
@@ -461,6 +461,9 @@ def mutated_files(draw):
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(mutated_files())
+# "outputs" as a list of integers, which each reader indexes by its own items
+@example(json.dumps(dict(GRADIENT_3, outputs=[5])))
+@example(json.dumps(dict(GRADIENT_3, outputs=[True])))
 def test_reader_matches_reference_reader_on_mutated_files(text):
     got, want = read_both(text)
     if isinstance(want, AbpGraph):
