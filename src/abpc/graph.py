@@ -809,10 +809,11 @@ def graph_to_json_dict(g: AbpGraph) -> dict:
 
 
 def _field(obj: dict, key: str, kind: type):
-    """``obj[key]``, which must be exactly a ``str`` or an ``int`` (so not a bool)."""
+    """``obj[key]``, which must be exactly a ``str``, an ``int`` (so not a
+    bool) or a ``dict``."""
     value = obj[key]
     if type(value) is not kind:
-        what = "a string" if kind is str else "an integer"
+        what = {str: "a string", int: "an integer", dict: "an object"}[kind]
         raise GraphError(f"malformed graph JSON: field {key!r} must be {what}, got {value!r}")
     return value
 
@@ -872,7 +873,7 @@ def graph_from_json_dict(data: dict) -> AbpGraph:
                 edges[(u, v)] = label
             else:
                 g.add_edge(u, v, label)
-        outputs = data["outputs"]
+        outputs = _field(data, "outputs", dict)
         for name in outputs:
             g.add_output(name, _field(outputs, name, str))
     except (LookupError, TypeError) as exc:  # LookupError: KeyError, or IndexError from a list

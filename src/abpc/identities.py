@@ -11,24 +11,25 @@ and the adjugate formula are this identity at d = n, where that side is
 zero, and at d = n-1, where it is adj(X).  Its right side is the last of the
 Horner sums ``T_0 .. T_d`` (``horner_sequence``); the right sides of the
 trace identity, the Samuelson entry and the cpc recursion are that sum,
-its trace or its (n,n) entry.  Every left side is an independent oracle
-(minor sums, cycle covers), and no identity's truth is used to build
-another's side.  Alternating signs are reduced in the ring like every
-other coefficient, so the checks remain valid in characteristic 2.
+its trace or its (n,n) entry.  The Girard-Newton identities are the trace
+identity at diagonal matrices, where cpc_{n,k} is the elementary symmetric
+e_k and tr(X^i) the power sum p_i.  Every left side is an independent
+oracle (minor sums, cycle covers), and no identity's truth is used to
+build another's side.  Alternating signs are reduced in the ring like
+every other coefficient, so the checks remain valid in characteristic 2.
 
 ``_SIDES`` declares each identity once, its sides and its degree rule;
 ``verify_identity`` and the ``verify_all`` grid both read it.  One verify
 call, a single check or the whole grid, has one context (``_Ingredients``):
 its ring, its mode and every ingredient its sides read, each built at most
 once.  Those are each minor sum cpc_{n,k}, its partial derivatives (or
-cycle-cover-and-path entries), its restriction to diagonal matrices and
-each Horner sum T_k at size n, built once per (n, k) from T_{k-1} with
-one kernel call per entry.  A power sum is no ingredient: it is written
-down as its n monomials, and girard_newton reads only the n+1 terms whose
-e_{d-i} can be nonzero.  A transition_product check builds one gradient
-program and reads every transition block from it.  ``verify`` and
-``verify_all`` refuse a matrix size over the oracle cap before they build
-any side.
+cycle-cover-and-path entries) and each Horner sum T_k at size n, built
+once per (n, k) from T_{k-1} with one kernel call per entry.  Past k = n
+the Horner sums are zero, so no side forms a monomial of degree above n,
+whatever d is.  A transition_product check reads its first layer r_{i,1}
+as partials of cpc_{i,2} and det_d as cpc_{d,d}, builds one gradient
+program and reads every transition block from it.  ``verify`` and ``verify_all`` refuse a matrix size over the
+oracle cap before they build any side.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from .build import _build_gradient, _transition_block
-from .oracle import _check_enumeration_size, cpc_minor_sum, det_leibniz, grad_ccp_entry
+from .oracle import _check_enumeration_size, cpc_minor_sum, grad_ccp_entry
 from .poly import _ONE, Polynomial, PolyMatrix, Raw, _sum_products, flatten, monomial_code
 from .rings import AbpcError, RingDescriptor, descriptor_to_spec, int_embed
 
@@ -96,9 +97,8 @@ class _Ingredients:
     """The context of one verify call: its ``ring``, its ``combinatorial``
     mode and the ingredients its sides read, each built on first use and
     kept for the life of the object.  ``cpc(n, k)`` is the minor sum
-    cpc_{n,k}; ``partial`` and ``diagonal`` give its partial derivative by
-    x[a,b] and its restriction to diagonal matrices, and ``horner(n, k)``
-    the Horner sum T_k = sum_{i=0}^{k} (-1)^i cpc_{n,k-i} X^i."""
+    cpc_{n,k}; ``partial`` gives its partial derivative by x[a,b], and
+    ``horner(n, k)`` the Horner sum T_k = sum_{i=0}^{k} (-1)^i cpc_{n,k-i} X^i."""
 
     def __init__(self, ring: RingDescriptor, combinatorial: bool = False):
         self.ring = ring
@@ -116,9 +116,6 @@ class _Ingredients:
 
     def partial(self, n: int, k: int, a: int, b: int) -> Polynomial:
         return self._once(("partial", n, k, a, b), lambda: self.cpc(n, k).partial(a, b))
-
-    def diagonal(self, n: int, k: int) -> Polynomial:
-        return self._once(("diagonal", n, k), lambda: self.cpc(n, k).restrict_to_diagonal())
 
     def horner(self, n: int, k: int) -> PolyMatrix:
         """T_k, each T_j built once from T_{j-1}: a loop, so no k is too deep.
@@ -156,24 +153,6 @@ def horner_sequence(n: int, k_max: int, ring: RingDescriptor) -> List[PolyMatrix
     return [ing.horner(n, k) for k in range(k_max + 1)]
 
 
-def r_vector_first_layer(i: int, ambient: int, ring: RingDescriptor) -> List[Polynomial]:
-    """Closed form of r_{i,1}: (-x[i,1], .., -x[i,i-1], x[1,1]+..+x[i-1,i-1])."""
-    entries = [-Polynomial.variable(ring, ambient, i, b) for b in range(1, i)]
-    tr = Polynomial.zero(ring, ambient)
-    for a in range(1, i):
-        tr = tr + Polynomial.variable(ring, ambient, a, a)
-    entries.append(tr)
-    return entries
-
-
-def power_sum(n: int, i: int, ring: RingDescriptor) -> Polynomial:
-    """x[1,1]^i + .. + x[n,n]^i, with the convention that the 0-th sum is n."""
-    if i == 0:
-        return Polynomial.from_int(ring, n, n)
-    one = int_embed(ring, 1)
-    return Polynomial(ring, n, {((flatten(a, a, n), i),): one for a in range(1, n + 1)})
-
-
 # -- the two sides of each identity ---------------------------------------------
 # d has passed the identity's degree rule, and ``ing`` is the call's
 # ``_Ingredients``: every side reads its ring, its mode and its ingredients there.
@@ -197,14 +176,10 @@ def _sides_trace_ch(n: int, d: int, ing: _Ingredients):
 
 
 def _sides_girard_newton(n: int, d: int, ing: _Ingredients):
-    # e_k is cpc_{n,k} restricted to diagonal matrices (variables x[a,a]),
-    # and e_{d-i} = 0 for d-i > n, so the sum starts at i = d-n
-    lhs = ing.diagonal(n, d).scale(int_embed(ing.ring, -d))
-    pairs = []
-    for i in range(max(1, d - n), d + 1):
-        p = power_sum(n, i, ing.ring).raw
-        pairs.append((ing.diagonal(n, d - i).raw, p if i % 2 == 0 else {m: -c for m, c in p.items()}))
-    return lhs, _sum_products(ing.ring, n, pairs)
+    # trace_ch at diagonal matrices: cpc_{n,k} restricts to e_k and tr(X^i) to
+    # the power sum p_i, so -d e_d = sum_{i=1}^{d} (-1)^i e_{d-i} p_i
+    lhs, rhs = _sides_trace_ch(n, d, ing)
+    return lhs.restrict_to_diagonal(), rhs.restrict_to_diagonal()
 
 
 def _sides_samuelson_entry(n: int, d: int, ing: _Ingredients):
@@ -233,19 +208,16 @@ def _sides_rnd_block(n: int, d: int, ing: _Ingredients):
 
 
 def _sides_transition_product(n: int, d: int, ing: _Ingredients):
-    # (r_{2,1},..,r_{d,1}) M_{d,2} .. M_{d,d-1} C_d = det_d
+    # (r_{2,1},..,r_{d,1}) M_{d,2} .. M_{d,d-1} C_d = det_d = cpc_{d,d}, where
+    # r_{i,1} is the last row of transpose(grad cpc_{i,2})
     ring = ing.ring
-    vec_entries: List[Polynomial] = []
-    for i in range(2, d + 1):
-        vec_entries.extend(r_vector_first_layer(i, d, ring))
+    vec_entries = [ing.partial(i, 2, a, i).promote(d) for i in range(2, d + 1) for a in range(1, i + 1)]
     vec = PolyMatrix(ring, d, 1, len(vec_entries), vec_entries)
     program = _build_gradient(d, d, ring)  # keeps every r-layer below d whole
     for j in range(2, d):
         vec = vec * _transition_block(program, j)
     column = PolyMatrix.variables(ring, d).submatrix(range(1, d + 1), [d])
-    lhs = (vec * column).entry(1, 1)
-    rhs = det_leibniz(PolyMatrix.variables(ring, d))
-    return lhs, rhs
+    return (vec * column).entry(1, 1), ing.cpc(d, d)
 
 
 class Identity(NamedTuple):

@@ -31,12 +31,13 @@ only way from flat indices to a code and back, for this module and
 every other.
 
 Only views decode a code: ``terms``, ``text``, ``degree``, ``promote``,
-``restrict_to_diagonal``, ``homogeneous_component`` and ``substitute``
-here, the graph writer and, once per label, the graph's sweep plan.  A
-decode divides by the interned primes in ascending order until one
-prime or none is left, so it costs as many trial divisions as the rank
-of the code's second largest prime, and a single variable one table
-lookup.  ``partial`` is a divmod by the variable's prime.
+``homogeneous_component`` and ``substitute`` here, the graph writer and,
+once per label, the graph's sweep plan.  A decode divides by the
+interned primes in ascending order until one prime or none is left, so
+it costs as many trial divisions as the rank of the code's second
+largest prime, and a single variable one table lookup.  ``partial`` is
+a divmod by the variable's prime, and ``restrict_to_diagonal`` divides
+only by the n diagonal primes.
 
 Every sum and product goes through one kernel, ``_sum_products``: it
 accumulates products of raw dicts into one dict, then reduces mod m (over
@@ -362,10 +363,19 @@ class Polynomial:
         return Polynomial._of(self.ring, n, raw)
 
     def restrict_to_diagonal(self) -> "Polynomial":
-        """Set every off-diagonal variable to zero."""
+        """Set every off-diagonal variable to zero: keep the terms whose code
+        is 1 once divided by every diagonal variable's prime."""
         n = self.ambient_n
-        raw = {m: c for m, c in self.raw.items()
-               if all(i == j for i, j in (unflatten(v, n) for v, _e in _factors(m)))}
+        # a variable that was never interned occurs in no monomial
+        primes = [p for p in map(_PRIME.get, range(0, n * n, n + 1)) if p is not None]
+        raw = {}
+        for m, c in self.raw.items():
+            rest = m
+            for p in primes:
+                while not rest % p:
+                    rest //= p
+            if rest == 1:
+                raw[m] = c
         return Polynomial._of(self.ring, n, raw)
 
     # -- canonical text ----------------------------------------------------

@@ -395,7 +395,7 @@ def reference_graph_from_json_dict(data: dict) -> AbpGraph:
                     raise GraphError(f"malformed graph JSON: edge {u}->{v} repeats a linear term")
                 label = labels[key] = Polynomial(ring, n, terms)
             reference_add_edge(g, u, v, label)
-        outputs = data["outputs"]
+        outputs = _field(data, "outputs", dict)
         for name in outputs:
             g.add_output(name, _field(outputs, name, str))
     except (LookupError, TypeError) as exc:  # LookupError: KeyError, or IndexError from a list
@@ -442,6 +442,44 @@ def reference_horner_sequence(n: int, k_max: int, ring: RingDescriptor) -> List[
         total = one.scale(cpc_minor_sum(n, k, ring)) - x * total
         sums.append(total)
     return sums
+
+
+def reference_restrict_to_diagonal(p: Polynomial) -> Polynomial:
+    """``p`` with every off-diagonal variable set to zero, each code decoded
+    into its variables: the reference for ``Polynomial.restrict_to_diagonal``,
+    which divides by the diagonal primes."""
+    n = p.ambient_n
+    raw = {m: c for m, c in p.raw.items()
+           if all(i == j for i, j in (unflatten(v, n) for v in monomial_indices(m)))}
+    return Polynomial._of(p.ring, n, raw)
+
+
+def reference_girard_newton_sides(n: int, d: int, ring: RingDescriptor) -> Tuple[Polynomial, Polynomial]:
+    """-d e_d and sum_{i=1}^{d} (-1)^i e_{d-i} p_i, with e_k the minor sum
+    cpc_{n,k} at diagonal matrices and each power sum p_i = x[1,1]^i + .. +
+    x[n,n]^i written down as its n monomials; e_{d-i} = 0 for d-i > n, so
+    the sum starts at i = d-n.  The reference for girard_newton's sides,
+    which restrict trace_ch's."""
+    def e(k: int) -> Polynomial:
+        return reference_restrict_to_diagonal(cpc_minor_sum(n, k, ring))
+
+    one = int_embed(ring, 1)
+    rhs = Polynomial.zero(ring, n)
+    for i in range(max(1, d - n), d + 1):
+        p = Polynomial(ring, n, {((flatten(a, a, n), i),): one for a in range(1, n + 1)})
+        rhs = rhs + e(d - i) * p.scale(int_embed(ring, (-1) ** i))
+    return e(d).scale(int_embed(ring, -d)), rhs
+
+
+def reference_r_vector_first_layer(i: int, ambient: int, ring: RingDescriptor) -> List[Polynomial]:
+    """Closed form of r_{i,1}: (-x[i,1], .., -x[i,i-1], x[1,1]+..+x[i-1,i-1]),
+    the last row of transpose(grad cpc_{i,2})."""
+    entries = [-Polynomial.variable(ring, ambient, i, b) for b in range(1, i)]
+    tr = Polynomial.zero(ring, ambient)
+    for a in range(1, i):
+        tr = tr + Polynomial.variable(ring, ambient, a, a)
+    entries.append(tr)
+    return entries
 
 
 def is_canonical(c: RingElement, ring: RingDescriptor) -> bool:

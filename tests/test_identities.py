@@ -3,10 +3,12 @@
 import pytest
 
 from abpc.cli import main
+from abpc.build import build_gradient_abp
+from abpc.graph import expand_all
 from abpc.identities import (
     IDENTITY_NAMES,
+    _Ingredients,
     horner_sequence,
-    r_vector_first_layer,
     verify_all,
     verify_identity,
     verify_with_sides,
@@ -14,7 +16,8 @@ from abpc.identities import (
 from abpc.oracle import ORACLE_SIZE_CAP, OracleLimitError, cpc_minor_sum, det_leibniz, grad_ccp_entry
 from abpc.poly import Polynomial, PolyMatrix, gradient
 from abpc.rings import RingDescriptor, descriptor_from_spec, int_embed
-from helpers import reference_horner_sequence
+from helpers import (RING_FAMILIES, reference_girard_newton_sides, reference_horner_sequence,
+                     reference_r_vector_first_layer)
 
 Z = RingDescriptor.integers()
 Z4 = RingDescriptor.modular(4)
@@ -76,9 +79,51 @@ def test_girard_newton_two_by_two_binomial_case():
     assert verify_identity("girard_newton", 2, 2, Z).passed
 
 
+def test_girard_newton_sides_match_the_power_sum_reference():
+    # trace_ch at diagonal matrices against e_k and p_i written out, past d = n too
+    for ring in (Z, Z4, Z6, Q):
+        for n in range(1, 6):
+            for d in range(0, 2 * n + 3):
+                report, lhs, rhs = verify_with_sides("girard_newton", n, d, ring)
+                assert report.passed, (ring, n, d)
+                assert (lhs, rhs) == reference_girard_newton_sides(n, d, ring), (ring, n, d)
+
+
+def _girard_newton_at_a_million(n, spec, monkeypatch):
+    # past d = n every side is zero, and no polynomial formed on the way,
+    # by the kernel (``_of``) or from a boxed view, holds a code of degree above n
+    widths = []
+    of, init = Polynomial._of.__func__, Polynomial.__init__
+
+    def recorded_of(cls, ring, ambient, raw):
+        widths.append(max(map(int.bit_length, raw), default=0))
+        return of(cls, ring, ambient, raw)
+
+    def recorded_init(self, *args):
+        init(self, *args)
+        widths.append(max(map(int.bit_length, self.raw), default=0))
+
+    monkeypatch.setattr(Polynomial, "_of", classmethod(recorded_of))
+    monkeypatch.setattr(Polynomial, "__init__", recorded_init)
+    report, lhs, rhs = verify_with_sides("girard_newton", n, 10**6, descriptor_from_spec(spec))
+    assert report.line() == f"girard_newton n={n} d=1000000 ring={spec} PASS"
+    assert lhs.is_zero() and rhs.is_zero()
+    assert widths and max(widths) <= 64
+
+
+@pytest.mark.parametrize("spec", ["int", "mod:4", "rat"])
+def test_girard_newton_at_a_million_forms_no_wide_code(spec, monkeypatch):
+    _girard_newton_at_a_million(5, spec, monkeypatch)
+
+
+@pytest.mark.slow
+def test_girard_newton_at_a_million_at_the_oracle_cap(monkeypatch):
+    _girard_newton_at_a_million(ORACLE_SIZE_CAP, "int", monkeypatch)
+
+
 def test_transition_product_degenerate_case():
     # d=2: the single first-layer vector against the last column gives det_2
-    vec = r_vector_first_layer(2, 2, Z)
+    vec = reference_r_vector_first_layer(2, 2, Z)
     assert vec == [-x(2, 2, 1), x(2, 1, 1)]
     lhs = vec[0] * x(2, 1, 2) + vec[1] * x(2, 2, 2)
     assert lhs == det_leibniz(PolyMatrix.variables(Z, 2))
@@ -122,9 +167,19 @@ def test_r_vector_last_entry_drops_the_matrix_size():
 
 
 def test_r_vector_first_layer_matches_gradient_route():
-    for n in range(2, 5):
-        want = [cpc_minor_sum(n, 2, Z).partial(a, n) for a in range(1, n + 1)]
-        assert r_vector_first_layer(n, n, Z) == want
+    # transition_product's first layer, the partials of cpc_{i,2}, against the
+    # closed form and against the gradient program's layer-1 vertices
+    for name, ring in RING_FAMILIES.items():
+        for n in range(2, 5):
+            ing = _Ingredients(ring)
+            g, _stats = build_gradient_abp(n, n, ring)
+            for v in (f"r_{i}_1_{a}" for i in range(2, n + 1) for a in range(1, i + 1)):
+                g.add_output(v, v)
+            got = expand_all(g)
+            for i in range(2, n + 1):
+                want = reference_r_vector_first_layer(i, n, ring)
+                assert [ing.partial(i, 2, a, i).promote(n) for a in range(1, i + 1)] == want, (name, n, i)
+                assert [got[f"r_{i}_1_{a}"] for a in range(1, i + 1)] == want, (name, n, i)
 
 
 def test_failure_witness_reports_first_mismatch():
@@ -176,7 +231,7 @@ def test_ingredients_are_built_once_per_call(monkeypatch):
     import abpc.identities as ident
 
     built = {}  # id of each minor sum built -> (n, k); ``minors`` keeps them alive
-    minors, partials, diagonals, programs = [], [], [], []
+    minors, partials, programs = [], [], []
 
     def minor_sum(n, k, ring):
         p = cpc_minor_sum(n, k, ring)
@@ -199,18 +254,15 @@ def test_ingredients_are_built_once_per_call(monkeypatch):
 
     monkeypatch.setattr(ident, "cpc_minor_sum", minor_sum)
     monkeypatch.setattr(Polynomial, "partial", record(partials, Polynomial.partial))
-    monkeypatch.setattr(Polynomial, "restrict_to_diagonal",
-                        record(diagonals, Polynomial.restrict_to_diagonal))
     monkeypatch.setattr(ident, "_build_gradient", counted(programs, ident._build_gradient))
     for _call in range(2):  # nothing is kept from one call to the next
-        for calls in (built, minors, partials, diagonals, programs):
+        for calls in (built, minors, partials, programs):
             calls.clear()
         assert all(r.passed for r in verify_all(5, 5, Z))
         keys = [built[id(p)] for p in minors]
         assert len(keys) == len(set(keys)) == 41
         # the transposed gradients of bivariate_ch, which rnd_block's reads repeat
         assert len(partials) == len(set(partials)) == 6 * (1 + 4 + 9 + 16 + 25)
-        assert sorted(diagonals) == [(n, k) for n in range(1, 6) for k in range(0, 6)]
         assert programs == [(2, 2), (3, 3), (4, 4), (5, 5)]
     # one check of rnd_block takes each partial it reads once: the last rows
     # of cpc_{4,3} and cpc_{4,2}, then of cpc_{2,2} and cpc_{3,2}

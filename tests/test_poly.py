@@ -7,7 +7,8 @@ import pytest
 from abpc.poly import Polynomial, PolyMatrix, PolyError, gradient
 from abpc.oracle import cpc_minor_sum
 from abpc.rings import RingDescriptor, descriptor_from_spec, int_embed
-from helpers import RING_FAMILIES, is_canonical, random_matrix, random_nonzero, random_poly
+from helpers import (RING_FAMILIES, is_canonical, random_matrix, random_nonzero, random_poly,
+                     reference_restrict_to_diagonal)
 
 Z = RingDescriptor.integers()
 Z2 = RingDescriptor.modular(2)
@@ -197,6 +198,20 @@ def test_boxed_view_rebuilds_the_polynomial():
 def test_restrict_to_diagonal():
     f = x(2, 1, 1) * x(2, 2, 2) - x(2, 1, 2) * x(2, 2, 1)
     assert f.restrict_to_diagonal() == x(2, 1, 1) * x(2, 2, 2)
+
+
+def test_restrict_to_diagonal_matches_the_decoding_reference():
+    # at ambient 40 some diagonal variables are never interned; powers of
+    # diagonal variables keep a term only once every exponent is divided out
+    rng = random.Random(31)
+    for name, ring in RING_FAMILIES.items():
+        for n in (1, 2, 3, 5, 40):
+            for _ in range(30):
+                f = random_poly(ring, n, rng, max_terms=6, max_deg=5)
+                f = f * f + random_poly(ring, n, rng, max_terms=3, max_deg=2)
+                assert f.restrict_to_diagonal() == reference_restrict_to_diagonal(f), (name, n)
+        c = cpc_minor_sum(5, 3, ring) * cpc_minor_sum(5, 2, ring)
+        assert c.restrict_to_diagonal() == reference_restrict_to_diagonal(c), name
 
 
 def test_variable_flattening_is_a_bijection():

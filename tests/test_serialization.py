@@ -461,7 +461,7 @@ def mutated_files(draw):
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(mutated_files())
-# "outputs" as a list of integers, which each reader indexes by its own items
+# "outputs" as a list of integers, which each reader refuses as no object
 @example(json.dumps(dict(GRADIENT_3, outputs=[5])))
 @example(json.dumps(dict(GRADIENT_3, outputs=[True])))
 def test_reader_matches_reference_reader_on_mutated_files(text):
