@@ -13,19 +13,22 @@ symbolic expansion run as one forward sweep (never path enumeration), the
 matrix-product semantics of the layered model.  Both sweep one plan: the
 vertices in topological order, found by sorting only the edges that do not
 go up a layer, and all in-edges grouped by head in that order as two flat
-lists of tail positions and slots with each vertex's in-edge count.  The
-two lists share the int objects of the vertex index and the slot table, so
-a sweep boxes no int per edge, as it would reading an ``array('i')``, for
-about 9 bytes more per edge.  The plan is built on the first sweep and
-kept on the graph until one of its writers changes it, so evaluating one
-graph at K matrices builds it once.  One plain loop sweeps every ring on Python
-integers, numbers or raw polynomials (summed in one call of ``poly``'s
-raw-coefficient kernel per vertex).  Over ``rat`` the labels are scaled to
-integers by one lcm G of their denominators, and the plan holds each
-vertex's depth e and each in-edge's slot as a (label, shift) pair: a vertex
-holds its value times G**e, an edge's factor is its scaled label times
-G**shift, and only the requested outputs become ``Fraction``s, once each.
-Elsewhere every depth and shift is 0.
+lists of tail positions and slots with each vertex's in-edge count.  A
+head whose in-edges begin with all of an earlier head's reads that head's
+value instead, through a copy slot of factor 1, so each of the gradient
+program's running sums is swept once.  The two lists share the int objects
+of the vertex index and the slot table, so a sweep boxes no int per edge,
+as it would reading an ``array('i')``, for about 9 bytes more per edge.
+The plan is built on the first sweep and kept on the graph until one of its
+writers changes it, so evaluating one graph at K matrices builds it once.
+One plain loop sweeps every ring on Python integers, numbers or raw
+polynomials (summed in one call of ``poly``'s raw-coefficient kernel per
+vertex).  Over ``rat`` the labels are scaled to integers by one lcm G of
+their denominators, and the plan holds each vertex's depth e and each
+in-edge's slot as a (label, shift) pair: a vertex holds its value times
+G**e, an edge's factor is its scaled label times G**shift, and only the
+requested outputs become ``Fraction``s, once each.  Elsewhere every depth
+and shift is 0.
 """
 
 from __future__ import annotations
@@ -289,7 +292,10 @@ class _Plan(NamedTuple):
     and the slots: lists of the int objects that ``index`` and the slot
     table hold, one pointer per entry.  The counts are mostly small ints
     that Python caches, so they cost one pointer per vertex.  Slot s is
-    the pair ``pairs[s]`` of a label's index in ``raws`` and a shift.
+    the pair ``pairs[s]`` of a label's index in ``raws`` and a shift, and
+    slot ``len(pairs)`` is the copy slot, whose factor is exactly 1: an
+    entry through it, always its head's first, reads the whole value of an
+    earlier head that is not the source.
 
     A sweep gives a label with value F / G the factor ``F * G**shift`` and
     starts the source at ``G**depths[source]``; position k then holds its
@@ -321,7 +327,9 @@ def _compile(g: AbpGraph) -> _Plan:
     a layer already follow ``layer_order``, so only the others (on a valid
     graph, the intra-layer constant edges) are sorted; when an edge then
     has its tail after its head, as only a graph outside every flavor can,
-    the plan is built again from a sort over every edge.
+    the plan is built again from a sort over every edge.  The plan holds at
+    most one entry per edge, fewer when a head reads an earlier head's value
+    through the copy slot.
     """
     if g.source is None:
         raise GraphError("missing source vertex")
@@ -338,7 +346,15 @@ def _plan(g: AbpGraph, order: List[str]) -> Optional[_Plan]:
     """``_compile``'s plan over ``order``, or None if some edge's tail does
     not come before its head in it.  Over ``rat`` one more pass in sweep
     order gives each position its depth and each in-edge its (label,
-    shift) slot; the plain plan has one slot per label."""
+    shift) slot; the plain plan has one slot per label.
+
+    A last pass rewrites each head whose in-edges (tails and slots, in
+    order) begin with the whole in-edge list of its owner: the latest
+    earlier head, not the source, with the same first in-edge and at least
+    two in-edges.
+    That prefix becomes one entry from the owner through the copy slot.
+    Equal slots give equal shifts, so over ``rat`` the two have one depth;
+    the source is no owner, since its value also holds its start."""
     if len(order) != len(g.layer):
         raise GraphError("constant-edge cycle")
     index = {v: k for k, v in enumerate(order)}
@@ -370,6 +386,22 @@ def _plan(g: AbpGraph, order: List[str]) -> Optional[_Plan]:
     else:
         depths, pairs, scale = [0] * len(order), [(s, 0) for s in range(len(labels))], 1
         raws = [lab.raw for lab in labels]
+    # first in-edge -> the latest owner with it: position and original lists
+    copy, source = len(pairs), index[g.source]
+    owners: Dict[Tuple[int, int], Tuple[int, List[int], List[int]]] = {}
+    for kv, ts, ss in zip(index.values(), tails, slots):
+        if len(ts) < 2:
+            continue
+        first = (ts[0], ss[0])
+        owner = owners.get(first)
+        if kv != source:
+            owners[first] = (kv, ts, ss)
+        if owner is not None:
+            ko, ots, oss = owner
+            m = len(ots)
+            if ts[:m] == ots and ss[:m] == oss:
+                tails[kv] = [ko, *ts[m:]]
+                slots[kv] = [copy, *ss[m:]]
     # a label has degree <= 1, so each of its monomials has at most one index
     linear = [[(ix[0] if ix else -1, c) for ix, c in zip(map(monomial_indices, raw), raw.values())]
               for raw in raws]
@@ -440,6 +472,7 @@ def _evaluate(g: AbpGraph, entries: Sequence[Sequence[RingElement]],
         if ring.kind == MOD:
             factors = [f % ring.modulus for f in factors]
         powers = [1]
+    factors.append(1)  # the copy slot's
     source = plan.index[g.source]
     values = _sweep(plan, source, powers[plan.depths[source]], factors,
                     ring.modulus if ring.kind == MOD else 0)
@@ -488,6 +521,7 @@ def _expand(g: AbpGraph, names: Sequence[str]) -> Dict[str, Polynomial]:
     powers = _powers(plan, plan.scale)
     factors = [plan.raws[label] if powers[shift] == 1 else
                {m: c * powers[shift] for m, c in plan.raws[label].items()} for label, shift in plan.pairs]
+    factors.append(_ONE)  # the copy slot's
     kernel_ring = RingDescriptor.integers() if ring.kind == RAT else ring
     source = plan.index[g.source]
     released = _release_schedule(plan, frozenset(plan.index[g.outputs[name]] for name in names))
@@ -828,7 +862,10 @@ def _index_field(obj: dict, key: str, n: int) -> int:
 def graph_from_json_dict(data: dict) -> AbpGraph:
     """The graph that JSON data describes.  An edge whose ends name vertices
     and whose label key is cached was checked in full where the key first
-    appeared; any other is read by ``_field`` and ``_index_field`` in field order."""
+    appeared; any other is read by ``_field`` and ``_index_field`` in field order.
+    The parse fixes each label's ring, ambient size and degree <= 1, so an
+    edge with a nonzero label on a new pair of distinct vertices is stored
+    as it is; any other goes through ``add_edge``, which merges or raises."""
     try:
         ring = descriptor_from_spec(_field(data, "ring", str))
         n = _field(data, "n", int)
@@ -866,10 +903,12 @@ def graph_from_json_dict(data: dict) -> AbpGraph:
                 if len(raw) != len(key) // 3 + 1:
                     raise GraphError(f"malformed graph JSON: edge {u}->{v} repeats a linear term")
                 label = Polynomial._of(ring, n, {m: c for m, c in raw.items() if c})
-                if label.raw:
-                    labels[key] = label
-                g.add_edge(ids.get(u, u), ids.get(v, v), label)
-            elif u != v and (u, v) not in edges:
+                if not label.raw or u not in ids or v not in ids:
+                    g.add_edge(ids.get(u, u), ids.get(v, v), label)
+                    continue
+                labels[key] = label
+                u, v = ids[u], ids[v]
+            if u != v and (u, v) not in edges:
                 edges[(u, v)] = label
             else:
                 g.add_edge(u, v, label)

@@ -663,3 +663,61 @@ def random_program(flavor: str, ring: RingDescriptor, n: int, d: int,
     if flavor == "pabp":
         return random_pabp(ring, n, d, rng)
     return random_aabp(ring, n, rng, inner=d)
+
+
+def path_depths(g: AbpGraph) -> Dict[str, int]:
+    """Each vertex's depth: 0 without in-edges, else one more than the
+    largest depth of its tails."""
+    ins: Dict[str, List[str]] = {v: [] for v in g.layer}
+    for u, v in g.edges:
+        ins[v].append(u)
+    depth: Dict[str, int] = {}
+    for v in topological_order(g.layer_order(), g.edges):
+        depth[v] = max((1 + depth[u] for u in ins[v]), default=0)
+    return depth
+
+
+def plant_copy_chain(g: AbpGraph, rng: random.Random, heads: int = 3) -> List[Tuple[str, str, bool]]:
+    """Plant new output vertices ``zcopy0``, ``zcopy1``, ... in the layer of
+    a random non-source vertex w with at least two in-edges; their ids sort
+    after every other, so they sweep after w and in that order.  Head k's in-edges begin with head k-1's (w's
+    for k = 0): the same tails and label objects in ``g.edges`` order, except
+    that a decoy head gives one of them a new random label.  Up to two edges
+    from other tails the flavor allows follow.  Returns (head, the vertex it
+    repeats, decoy) per head; none when g has no such w."""
+    n, ring, layer = g.ambient_n, g.ring, g.layer
+    ins: Dict[str, List[Tuple[str, Polynomial]]] = {v: [] for v in layer}
+    for (u, v), lab in g.edges.items():
+        ins[v].append((u, lab))
+    owners = sorted(v for v, edges in ins.items() if len(edges) >= 2 and v != g.source
+                    and (g.flavor != "pabp" or 0 < layer[v] < g.num_layers))
+    if not owners:
+        return []
+    prev = rng.choice(owners)
+    lay, base = layer[prev], sorted(layer)
+    planted = []
+    for k in range(heads):
+        head = g.add_vertex(f"zcopy{k}", lay)
+        edges = list(ins[prev])
+        decoy = rng.random() < 0.25
+        if decoy:
+            at = rng.randrange(len(edges))
+            edges[at] = (edges[at][0], random_linear_label(ring, n, rng) if layer[edges[at][0]] < lay
+                         else Polynomial.constant(ring, n, random_nonzero(ring, rng)))
+        taken = {u for u, _lab in edges}
+        others = [u for u in base if u not in taken and
+                  (layer[u] < lay if g.flavor == "aabp" else
+                   layer[u] == lay - 1 or (g.flavor == "abp" and layer[u] == lay))]
+        for u in rng.sample(others, min(len(others), rng.randint(0, 2))):
+            if g.flavor == "aabp":
+                edges.append((u, random_affine_label(ring, n, rng)))
+            elif layer[u] < lay:
+                edges.append((u, random_linear_label(ring, n, rng)))
+            else:
+                edges.append((u, Polynomial.constant(ring, n, random_nonzero(ring, rng))))
+        g.add_edges((u, head, lab) for u, lab in edges)
+        g.add_output(head, head)
+        ins[head] = edges
+        planted.append((head, prev, decoy))
+        prev = head
+    return planted

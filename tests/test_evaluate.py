@@ -36,6 +36,8 @@ from helpers import (
     boxed_sweep,
     holds_rat_raw_form,
     is_canonical,
+    path_depths,
+    plant_copy_chain,
     poly_sweep,
     random_abp,
     random_linear_label,
@@ -238,22 +240,53 @@ def constructions(n, ring):
     return out
 
 
+def expanded_in_edges(g):
+    """Each plan position's in-edges as (tail, slot) pairs, with a copy
+    entry replaced by its owner's expanded in-edges.  A copy entry comes
+    first, through the one slot after ``pairs``, from an earlier position
+    that is not the source."""
+    plan = _compile(g)
+    offsets = list(accumulate(plan.counts, initial=0))
+    assert len(offsets) == len(plan.counts) + 1 and list(offsets) == sorted(offsets)
+    assert offsets[-1] == len(plan.tails) == len(plan.slots)
+    copy, source = len(plan.pairs), plan.index[g.source]
+    expanded = []
+    for v in range(len(plan.counts)):
+        ins = []
+        for i in range(offsets[v], offsets[v + 1]):
+            if plan.slots[i] == copy:
+                assert i == offsets[v] and plan.tails[i] < v and plan.tails[i] != source, (g, v)
+                ins += expanded[plan.tails[i]]
+            else:
+                ins.append((plan.tails[i], plan.slots[i]))
+        expanded.append(ins)
+    return expanded
+
+
+def copies(g):
+    """How many plan entries read an owner's value through the copy slot."""
+    plan = _compile(g)
+    return plan.slots.count(len(plan.pairs))
+
+
 def assert_plan_is_the_full_sort(g):
     """The plan's order is the sort over every edge, and its flat tail and
-    slot lists, grouped by head through the in-edge counts, hold exactly the
-    graph's edges and labels, each label read through ``raws``: its own raw
+    slot lists, grouped by head through the in-edge counts and with each
+    copy entry expanded, hold exactly each head's in-edges in ``g.edges``
+    order with their labels, each label read through ``raws``: its own raw
     dict, or over ``rat`` that dict times ``scale``.  Over ``rat`` each depth
     is one more than its tails' largest (0 without tails) and each slot is a
     distinct (label, shift) pair with the edge's shift; elsewhere depths and
     shifts are 0."""
-    index, counts, tails, slots, pairs, depths, raws, _linear, scale = _compile(g)
-    offsets = list(accumulate(counts, initial=0))
+    index, _counts, _tails, _slots, pairs, depths, raws, _linear, scale = _compile(g)
     order = sorted(index, key=index.__getitem__)
     assert order == topological_order(g.layer_order(), g.edges), g
-    assert len(offsets) == len(order) + 1 and offsets[0] == 0 and list(offsets) == sorted(offsets)
-    planned = {(order[tails[i]], order[v]): raws[pairs[slots[i]][0]]
-               for v in range(len(order)) for i in range(offsets[v], offsets[v + 1])}
-    assert len(planned) == offsets[-1] == len(tails) == len(slots) == len(g.edges)
+    expanded = expanded_in_edges(g)
+    heads = {v: [] for v in order}
+    for u, v in g.edges:
+        heads[v].append(u)
+    assert [[order[t] for t, _s in ins] for ins in expanded] == list(heads.values()), g
+    planned = {(order[t], order[v]): raws[pairs[s][0]] for v, ins in enumerate(expanded) for t, s in ins}
     assert len(depths) == len(order)
     if g.ring.kind != "rat":
         assert scale == 1 and all(g.edges[key].raw is raw for key, raw in planned.items())
@@ -262,12 +295,10 @@ def assert_plan_is_the_full_sort(g):
     assert all(raw == {m: c * scale for m, c in g.edges[key].raw.items()}
                for key, raw in planned.items())
     assert len(set(pairs)) == len(pairs)
-    for v in range(len(order)):
-        ins = range(offsets[v], offsets[v + 1])
-        assert depths[v] == max((1 + depths[tails[i]] for i in ins), default=0)
-        for i in ins:
-            shift = pairs[slots[i]][1]
-            assert shift == depths[v] - 1 - depths[tails[i]] >= 0
+    for v, ins in enumerate(expanded):
+        assert depths[v] == max((1 + depths[t] for t, _s in ins), default=0)
+        for t, s in ins:
+            assert pairs[s][1] == depths[v] - 1 - depths[t] >= 0
 
 
 @pytest.mark.parametrize("ring_name", sorted(RING_FAMILIES))
@@ -293,11 +324,110 @@ def test_plan_lists_share_their_ints(ring):
     g = build_gradient_abp(12, 12, ring)[0]
     plan = _compile(g)
     assert all(type(xs) is list for xs in (plan.counts, plan.tails, plan.slots, plan.depths))
-    assert len(plan.tails) == len(g.edges) > len(plan.index) > 256  # past the small-int cache
+    assert len(plan.tails) > len(plan.index) > 256  # past the small-int cache
     assert len(plan.counts) == len(plan.index) and sum(plan.counts) == len(plan.tails)
     tail_ids = {id(t) for t in plan.tails}
     assert tail_ids <= {id(k) for k in plan.index.values()} and len(tail_ids) <= len(plan.index)
-    assert len({id(s) for s in plan.slots}) <= len(plan.pairs)
+    # the label or (label, shift) slots and the one copy slot
+    assert len({id(s) for s in plan.slots}) <= len(plan.pairs) + 1
+    assert (copies(g) > 0) == (ring != Q)
+
+
+# the plan entries of gradient n = 7, 12 and 24: the last entry of r_{i,j}
+# (vertex r_i_j_i) reads that of r_{i-1,j} through the copy slot instead of
+# repeating its in-edges, the running sum over r_{i',j-1} C_{i'}; over rat
+# those vertices' depths differ, so nothing is copied
+PLAN_SIZES = {7: 646, 12: 5_597, 24: 85_263}
+
+
+@pytest.mark.parametrize("n", sorted(PLAN_SIZES))
+def test_plan_sizes_on_gradient(n):
+    for ring in (Z, Z4, Q):
+        g = build_gradient_abp(n, n, ring)[0]
+        want = len(g.edges) if ring == Q else PLAN_SIZES[n]
+        assert len(_compile(g).tails) == want, (n, ring)
+
+
+# -- heads that read an earlier head's value ---------------------------------------
+
+
+def sweeps_agree(g, rng):
+    """``evaluate_all`` and ``expand_all`` against the reference sweeps; over
+    rat at a matrix with coprime denominators, so the label scale is not 1."""
+    a = (rational_matrix(g.ambient_n, rng, DENOMINATORS["coprime"]) if g.ring == Q
+         else random_matrix(g.ring, g.ambient_n, rng))
+    return canonical(evaluate_all(g, a)) == canonical(boxed_sweep(g, a)) and expand_all(g) == poly_sweep(g)
+
+
+@pytest.mark.parametrize("flavor", FLAVORS)
+@pytest.mark.parametrize("ring_name", sorted(RING_FAMILIES))
+def test_planted_heads_read_the_head_they_repeat(flavor, ring_name):
+    # a planted head reads the one it repeats unless it is a decoy or, over
+    # rat, deeper than that one, which gives its prefix edges other shifts
+    ring = RING_FAMILIES[ring_name]
+    fired = planted = 0
+    for seed in range(30):
+        rng = random.Random(f"copy/{flavor}/{ring_name}/{seed}")
+        g = random_program(flavor, ring, rng.randint(1, 3), rng.randint(2, 4), rng)
+        heads = plant_copy_chain(g, rng)
+        assert validate(g) == [], seed
+        depth = path_depths(g)
+        want = sum(not decoy and (ring != Q or depth[head] == depth[prev]) for head, prev, decoy in heads)
+        assert copies(g) == want, seed
+        assert_plan_is_the_full_sort(g)
+        assert sweeps_agree(g, rng), seed
+        fired, planted = fired + want, planted + len(heads)
+    assert 0 < fired < planted
+
+
+def program_with_heads(ring, layers, edges, heads):
+    """An abp with n = 2 and source s over the vertices and layers of
+    ``layers``: an edge with its own label for each pair of ``edges``, a
+    constant one inside a layer, then for each (head, tails) of ``heads``
+    an edge from each tail with one label per tail, so heads share the
+    labels of their common tails.  Each head is an output."""
+    g = AbpGraph("abp", ring, 2, 2)
+    for vid, layer in layers.items():
+        g.add_vertex(vid, layer)
+    g.set_source("s")
+    rng = random.Random(f"heads/{ring}/{sorted(layers)}")
+    for u, v in edges:
+        g.add_edge(u, v, Polynomial.constant(ring, 2, random_nonzero(ring, rng)) if layers[u] == layers[v]
+                   else random_linear_label(ring, 2, rng))
+    label = {u: random_linear_label(ring, 2, rng) for u in layers}
+    for head, tails in heads:
+        g.add_edges((u, head, label[u]) for u in tails)
+        g.add_output(head, head)
+    return g, rng
+
+
+@pytest.mark.parametrize("ring_name", sorted(RING_FAMILIES))
+def test_a_deeper_head_does_not_read_the_head_it_repeats_over_rat(ring_name):
+    # h1 repeats h0's in-edges and adds e; h2 repeats h1's and adds c.  Over
+    # rat a, b and e have depth 1 and c, behind the constant edge a -> c,
+    # depth 2, so h1 has h0's depth 2 but h2 has depth 3: its edges from a, b
+    # and e have other shifts than h1's
+    ring = RING_FAMILIES[ring_name]
+    layers = {"s": 0, "a": 1, "b": 1, "c": 1, "e": 1, "h0": 2, "h1": 2, "h2": 2}
+    g, rng = program_with_heads(ring, layers, (("s", "a"), ("s", "b"), ("s", "e"), ("a", "c")),
+                                (("h0", "ab"), ("h1", "abe"), ("h2", "abec")))
+    assert path_depths(g)["h2"] == 3
+    assert copies(g) == (1 if ring == Q else 2)
+    assert_plan_is_the_full_sort(g)
+    assert sweeps_agree(g, rng)
+
+
+@pytest.mark.parametrize("ring_name", sorted(RING_FAMILIES))
+def test_the_source_is_no_owner(ring_name):
+    # outside every flavor: the source s has in-edges from a and b and sweeps
+    # after them, h begins with the same edges and labels, and h2 repeats h.
+    # s's value also holds its start, so h may not read it, but h2 reads h
+    ring = RING_FAMILIES[ring_name]
+    layers = {"s": 0, "a": 1, "b": 1, "h": 2, "h2": 2}
+    g, rng = program_with_heads(ring, layers, (), (("s", "ab"), ("h", "abs"), ("h2", "abs")))
+    assert copies(g) == 1
+    assert_plan_is_the_full_sort(g)
+    assert sweeps_agree(g, rng)
 
 
 def edge_down_a_layer(ring, rng):

@@ -198,8 +198,10 @@ def test_expansion_guard(monkeypatch):
     # the guard counts the terms of the values held at once: refused one
     # term under the peak even though the outputs alone fit, and expanded at
     # the peak or at one under all the terms made, which only dropping each
-    # released value's terms allows
-    for kind, n, spec in [("gradient", 4, "int"), ("bivariate", 3, "mod:4"),
+    # released value's terms allows.  In gradient n = 6 six heads read an
+    # earlier head's value instead of repeating its in-edges, and the peaks
+    # still equal those that live_terms counts from the graph's edges.
+    for kind, n, spec in [("gradient", 4, "int"), ("gradient", 6, "int"), ("bivariate", 3, "mod:4"),
                           ("bivariate", 4, "int"), ("charzero", 4, "rat")]:
         g = BUILDERS[kind](n, n, descriptor_from_spec(spec))
         peak, made = live_terms(g, sorted(g.outputs))
@@ -209,6 +211,12 @@ def test_expansion_guard(monkeypatch):
         assert not _refused(monkeypatch, peak, expand_all, g), (kind, spec)
         assert not _refused(monkeypatch, made - 1, expand_all, g), (kind, spec)
         assert expand_all(g) == outputs, (kind, spec)
+        # keeping only the top output
+        name = f"cpc_{n}_{n}"
+        peak = live_terms(g, [name])[0]
+        assert _refused(monkeypatch, peak - 1, expand_symbolic, g, name), (kind, spec)
+        assert not _refused(monkeypatch, peak, expand_symbolic, g, name), (kind, spec)
+        assert expand_symbolic(g, name) == outputs[name], (kind, spec)
 
 
 def test_expand_symbolic_keeps_only_its_own_output(monkeypatch):

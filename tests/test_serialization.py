@@ -109,6 +109,19 @@ def test_reader_matches_reference_reader_on_constructions(spec):
         assert got._plan is None
 
 
+@pytest.mark.parametrize("spec", ("int", "mod:6", "rat"))
+def test_reader_stores_a_construction_without_add_edges(spec, monkeypatch):
+    # the parse already fixes each label's ring, ambient size and degree, and
+    # a written file names every pair once, so no edge needs add_edges' checks
+    texts = [graph_to_json_text(g) for g in constructions(spec)]
+    calls = []
+    add_edges = AbpGraph.add_edges
+    monkeypatch.setattr(AbpGraph, "add_edges", lambda g, triples: calls.append(g) or add_edges(g, triples))
+    for text in texts:
+        assert graph_to_json_text(graph_from_json_dict(json.loads(text))) == text
+    assert calls == []
+
+
 @pytest.mark.parametrize("flavor", FLAVORS)
 def test_reader_matches_reference_reader_on_random_programs(flavor):
     for g in seeded_programs(flavor):
