@@ -81,10 +81,6 @@ def stats_from_graph(g: AbpGraph) -> ConstructionStats:
 # -- closed-form counts for the gradient construction ---------------------------
 
 
-def gradient_layer_count(n: int, j: int) -> int:
-    return (n - j) * (n + j + 1) // 2
-
-
 def gradient_width(n: int) -> int:
     return comb(n + 1, 2) - 1
 

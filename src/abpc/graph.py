@@ -13,12 +13,15 @@ symbolic expansion run as one forward sweep (never path enumeration), the
 matrix-product semantics of the layered model.  Both sweep one plan: the
 vertices in topological order, found by sorting only the edges that do not
 go up a layer, and all in-edges grouped by head in that order as two flat
-lists of tail positions and slots with each vertex's in-edge count.  A
-head whose in-edges begin with all of an earlier head's reads that head's
-value instead, through a copy slot of factor 1, so each of the gradient
-program's running sums is swept once.  The two lists share the int objects
-of the vertex index and the slot table, so a sweep boxes no int per edge,
-as it would reading an ``array('i')``, for about 9 bytes more per edge.
+lists of tail positions and slots with each position's in-edge count.  A
+head whose in-edges repeat an earlier head's, tails and labels alike,
+takes that head's position, so each walk that the bivariate and
+trace-recursion programs repeat is swept once.  A head whose in-edges
+begin with all of an earlier head's reads that head's value instead,
+through a copy slot of factor 1, so each of the gradient program's running
+sums is swept once.  The two lists share the int objects of the vertex
+index and the slot table, so a sweep boxes no int per edge, as it would
+reading an ``array('i')``, for about 9 bytes more per edge.
 The plan is built on the first sweep and kept on the graph until one of its
 writers changes it, so evaluating one graph at K matrices builds it once.
 One plain loop sweeps every ring on Python integers, numbers or raw
@@ -41,7 +44,8 @@ from itertools import accumulate, chain, groupby, islice, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from math import gcd, lcm
 from operator import mul
-from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (Collection, Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Sequence,
+                    Set, Tuple)
 
 from .poly import (_ONE, Polynomial, PolyMatrix, Raw, _boxed, _held, _prime, _sum_products, flatten,
                    monomial_code, monomial_indices, unflatten)
@@ -160,7 +164,8 @@ class AbpGraph:
     def add_output(self, name: str, vid: str) -> None:
         if vid not in self.layer:
             raise GraphError(f"output {name!r} points at a missing vertex")
-        # the plan places every vertex, so a new output leaves it valid
+        # the plan gives every vertex a position, which a merged vertex shares
+        # with the vertex it repeats, so a new output leaves it valid
         self.outputs[name] = vid
 
     # -- derived views ---------------------------------------------------------
@@ -177,27 +182,38 @@ class AbpGraph:
 # -- topological order -------------------------------------------------------------
 
 
-def topological_order(verts: Sequence[str], edges: Iterable[Tuple[str, str]]) -> List[str]:
+def topological_order(verts: Sequence[str], edges: Collection[Tuple[str, str]]) -> List[str]:
     """Kahn's algorithm over ``edges``, ties broken by position in ``verts``.
 
     Repeated edges are allowed.  When the edges contain a cycle the result
-    is short: it omits every vertex on a cycle or reachable from one.
+    is short: it omits every vertex on a cycle or reachable from one.  When
+    every edge already goes forward in ``verts``, that order is the result.
     """
     pos = {v: k for k, v in enumerate(verts)}
-    succ: List[List[int]] = [[] for _ in verts]
+    if all(pos[u] < pos[v] for u, v in edges):
+        return list(verts)
+    succ: Dict[int, List[int]] = {}
     indeg = [0] * len(verts)
     for u, v in edges:
-        succ[pos[u]].append(pos[v])
+        succ.setdefault(pos[u], []).append(pos[v])
         indeg[pos[v]] += 1
+    # vertices without in-edges come in position order, and those that
+    # their last in-edge frees wait in a heap
     ready = [k for k, deg in enumerate(indeg) if deg == 0]
+    freed: List[int] = []
     order: List[str] = []
-    while ready:
-        k = heapq.heappop(ready)
+    i = 0
+    while i < len(ready) or freed:
+        if freed and (i == len(ready) or freed[0] < ready[i]):
+            k = heapq.heappop(freed)
+        else:
+            k = ready[i]
+            i += 1
         order.append(verts[k])
-        for w in succ[k]:
+        for w in succ.get(k, ()):
             indeg[w] -= 1
             if indeg[w] == 0:
-                heapq.heappush(ready, w)
+                heapq.heappush(freed, w)
     return order
 
 
@@ -287,15 +303,16 @@ def resolve_output(g: AbpGraph, at: Optional[str] = None) -> Tuple[str, str]:
 
 class _Plan(NamedTuple):
     """The sweep plan that ``_compile`` builds: each vertex's position in
-    sweep order, and the in-edges of all positions grouped by head in that
-    order, position k's ``counts[k]`` in-edges next in the tail positions
-    and the slots: lists of the int objects that ``index`` and the slot
-    table hold, one pointer per entry.  The counts are mostly small ints
-    that Python caches, so they cost one pointer per vertex.  Slot s is
-    the pair ``pairs[s]`` of a label's index in ``raws`` and a shift, and
-    slot ``len(pairs)`` is the copy slot, whose factor is exactly 1: an
-    entry through it, always its head's first, reads the whole value of an
-    earlier head that is not the source.
+    sweep order, which a vertex that ``_plan`` merges shares with the
+    earlier vertex whose in-edges it repeats, and the in-edges of all
+    positions grouped by head in that order, position k's ``counts[k]``
+    in-edges next in the tail positions and the slots: lists of the int
+    objects that ``index`` and the slot table hold, one pointer per entry.
+    The counts are mostly small ints that Python caches, so they cost one
+    pointer per position.  Slot s is the pair ``pairs[s]`` of a label's
+    index in ``raws`` and a shift, and slot ``len(pairs)`` is the copy
+    slot, whose factor is exactly 1: an entry through it, always its head's
+    first, reads the whole value of an earlier head that is not the source.
 
     A sweep gives a label with value F / G the factor ``F * G**shift`` and
     starts the source at ``G**depths[source]``; position k then holds its
@@ -328,7 +345,8 @@ def _compile(g: AbpGraph) -> _Plan:
     graph, the intra-layer constant edges) are sorted; when an edge then
     has its tail after its head, as only a graph outside every flavor can,
     the plan is built again from a sort over every edge.  The plan holds at
-    most one entry per edge, fewer when a head reads an earlier head's value
+    most one entry per edge, fewer when a head takes the position of an
+    earlier head with the same in-edges or reads an earlier head's value
     through the copy slot.
     """
     if g.source is None:
@@ -345,16 +363,20 @@ def _compile(g: AbpGraph) -> _Plan:
 def _plan(g: AbpGraph, order: List[str]) -> Optional[_Plan]:
     """``_compile``'s plan over ``order``, or None if some edge's tail does
     not come before its head in it.  Over ``rat`` one more pass in sweep
-    order gives each position its depth and each in-edge its (label,
-    shift) slot; the plain plan has one slot per label.
+    order gives each vertex its depth and each in-edge its (label, shift)
+    slot; the plain plan has one slot per label.
 
-    A last pass rewrites each head whose in-edges (tails and slots, in
-    order) begin with the whole in-edge list of its owner: the latest
-    earlier head, not the source, with the same first in-edge and at least
-    two in-edges.
-    That prefix becomes one entry from the owner through the copy slot.
-    Equal slots give equal shifts, so over ``rat`` the two have one depth;
-    the source is no owner, since its value also holds its start."""
+    A last pass, in sweep order, maps each head's tails to their positions.
+    A head whose in-edge list (tails and slots, in order) equals an earlier
+    head's then takes that head's position and has no entries of its own:
+    the same label objects on the same tails give the same value in every
+    ring, and over ``rat`` the same depth and shifts.  Any other head takes
+    the next position, and if its list begins with the whole list of its
+    owner, the latest earlier head with the same first in-edge and at least
+    two in-edges, that prefix becomes one entry from the owner through the
+    copy slot.  Equal slots give equal shifts, so over ``rat`` the two have
+    one depth.  The source merges with no head and is no owner, since its
+    value also holds its start."""
     if len(order) != len(g.layer):
         raise GraphError("constant-edge cycle")
     index = {v: k for k, v in enumerate(order)}
@@ -386,22 +408,50 @@ def _plan(g: AbpGraph, order: List[str]) -> Optional[_Plan]:
     else:
         depths, pairs, scale = [0] * len(order), [(s, 0) for s in range(len(labels))], 1
         raws = [lab.raw for lab in labels]
-    # first in-edge -> the latest owner with it: position and original lists
     copy, source = len(pairs), index[g.source]
+    at = list(index.values())  # each vertex's position, by its index in order
+    moved = 0  # how many vertices merged so far; each later one's position is that much lower
+    # mapped tails, then slots -> position: every head with fewer than two
+    # in-edges, and every other head whose first in-edge is in ``shared``
+    heads: Dict[Tuple[int, ...], int] = {}
+    shared: Set[Tuple[int, int]] = set()  # first in-edges of two or more heads with two or more in-edges
+    # first in-edge -> the latest owner with it: position and mapped lists
     owners: Dict[Tuple[int, int], Tuple[int, List[int], List[int]]] = {}
     for kv, ts, ss in zip(index.values(), tails, slots):
-        if len(ts) < 2:
+        p = kv
+        if moved:
+            ts = tails[kv] = list(map(at.__getitem__, ts))
+            p = at[kv] = kv - moved
+        first = owner = None
+        if len(ts) >= 2:
+            first = (ts[0], ss[0])
+            owner = owners.get(first)
+        # an equal earlier list has the same first in-edge, so a head with two
+        # or more in-edges looks its whole list up only when that has an owner
+        if kv != source and (owner is not None or first is None):
+            if owner is not None and first not in shared:
+                shared.add(first)
+                heads[(*owner[1], *owner[2])] = owner[0]
+            q = heads.setdefault((*ts, *ss), p)
+            if q != p:
+                at[kv], tails[kv] = q, None
+                moved += 1
+                continue
+        if first is None:
             continue
-        first = (ts[0], ss[0])
-        owner = owners.get(first)
         if kv != source:
-            owners[first] = (kv, ts, ss)
+            owners[first] = (p, ts, ss)
         if owner is not None:
             ko, ots, oss = owner
             m = len(ots)
             if ts[:m] == ots and ss[:m] == oss:
                 tails[kv] = [ko, *ts[m:]]
                 slots[kv] = [copy, *ss[m:]]
+    if moved:
+        depths = [e for e, ts in zip(depths, tails) if ts is not None]
+        slots = [ss for ss, ts in zip(slots, tails) if ts is not None]
+        tails = [ts for ts in tails if ts is not None]
+        index = dict(zip(order, at))
     # a label has degree <= 1, so each of its monomials has at most one index
     linear = [[(ix[0] if ix else -1, c) for ix, c in zip(map(monomial_indices, raw), raw.values())]
               for raw in raws]

@@ -152,6 +152,11 @@ def reference_validate(g: AbpGraph) -> List[str]:
     return problems
 
 
+def gradient_layer_count(n: int, j: int) -> int:
+    """The closed form for the vertices in layer j of the gradient program."""
+    return (n - j) * (n + j + 1) // 2
+
+
 def graph_width(g: AbpGraph) -> int:
     """Maximum vertex count over the intermediate layers 1..d-1, sinks
     included, so the gradient program reads C(n+1,2) here against
@@ -720,4 +725,62 @@ def plant_copy_chain(g: AbpGraph, rng: random.Random, heads: int = 3) -> List[Tu
         ins[head] = edges
         planted.append((head, prev, decoy))
         prev = head
+    return planted
+
+
+def merged_heads(g: AbpGraph) -> Dict[str, str]:
+    """Each vertex's first vertex with the same in-edges: the reference for
+    the sweep plan's shared positions.  In the order of
+    ``topological_order(g.layer_order(), g.edges)``, a vertex other than the
+    source whose in-edges, in ``g.edges`` order with each tail replaced by
+    that tail's first vertex, carry the same label objects from the same
+    tails as an earlier vertex's, other than the source, maps to that
+    vertex's first vertex; any other vertex maps to itself."""
+    ins: Dict[str, List[Tuple[str, int]]] = {v: [] for v in g.layer}
+    for (u, v), lab in g.edges.items():
+        ins[v].append((u, id(lab)))  # g.edges holds each label, so its id stays its own
+    first: Dict[str, str] = {}
+    seen: Dict[tuple, str] = {}
+    for v in topological_order(g.layer_order(), g.edges):
+        key = tuple((first[u], label) for u, label in ins[v])
+        first[v] = v if v == g.source else seen.setdefault(key, v)
+    return first
+
+
+def plant_repeats(g: AbpGraph, rng: random.Random) -> Dict[str, Tuple[str, bool]]:
+    """Plant new output vertices that repeat part of g, with ids that sort
+    after every other: ``zrep0`` in the layer of a random non-source
+    vertex w that has in-edges and an edge to a non-source vertex x, with
+    w's in-edges, and ``zrep1`` in x's layer with x's in-edges, w's swapped
+    for one from ``zrep0``: a repeated two-layer sub-program.  The decoy
+    ``zdecoy`` has w's in-edges but one label swapped for an equal one that
+    is another object.  ``zsource`` has the source's in-edges, none in a
+    valid program.  Returns each planted vertex, the vertex it imitates and
+    whether the two must share a position; only ``zsource`` when g has no
+    such w and x."""
+    layer, d = g.layer, g.num_layers
+    ins: Dict[str, List[Tuple[str, Polynomial]]] = {v: [] for v in layer}
+    for (u, v), lab in g.edges.items():
+        ins[v].append((u, lab))
+    # a pabp has one vertex in each of layers 0 and d
+    inner = (lambda v: 0 < layer[v] < d) if g.flavor == "pabp" else (lambda v: v != g.source)
+    pairs = sorted((u, v) for u, v in g.edges if ins[u] and inner(u) and inner(v))
+    planted = {"zsource": (g.source, False)}
+    g.add_vertex("zsource", 1 if g.flavor == "pabp" else 0)
+    g.add_edges((u, "zsource", lab) for u, lab in ins[g.source])
+    if pairs:
+        w, x = rng.choice(pairs)
+        decoy = list(ins[w])
+        at = rng.randrange(len(decoy))
+        u, lab = decoy[at]
+        decoy[at] = (u, Polynomial(lab.ring, lab.ambient_n, lab.terms))
+        for head, like, shares, edges in (
+                ("zrep0", w, True, ins[w]),
+                ("zrep1", x, True, [("zrep0" if u == w else u, lab) for u, lab in ins[x]]),
+                ("zdecoy", w, False, decoy)):
+            g.add_vertex(head, layer[like])
+            g.add_edges((u, head, lab) for u, lab in edges)
+            planted[head] = (like, shares)
+    for head in planted:
+        g.add_output(head, head)
     return planted

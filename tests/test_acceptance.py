@@ -15,7 +15,6 @@ from abpc.build import (
     build_charzero_abp,
     build_gradient_abp,
     comparison_report,
-    gradient_layer_count,
     gradient_vertex_total,
     gradient_width,
 )
@@ -34,6 +33,7 @@ from abpc.oracle import cpc_cycle_cover, cpc_minor_sum, det_leibniz, grad_ccp_en
 from abpc.poly import gradient
 from abpc.rings import RingDescriptor, descriptor_to_spec
 from helpers import (
+    gradient_layer_count,
     graph_width,
     planted_determinantal_instance,
     random_aabp,

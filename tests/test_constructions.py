@@ -12,7 +12,6 @@ from abpc.build import (
     build_charzero_abp,
     build_gradient_abp,
     comparison_report,
-    gradient_layer_count,
     gradient_vertex_total,
     gradient_width,
     stats_from_graph,
@@ -36,6 +35,7 @@ from abpc.rings import RingDescriptor, descriptor_from_spec, int_embed
 from helpers import (
     _unimodular,
     block_transition_matrix,
+    gradient_layer_count,
     graph_width,
     planted_determinantal_instance,
     random_matrix,

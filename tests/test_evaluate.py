@@ -6,6 +6,7 @@ checks."""
 
 import random
 import weakref
+from collections import Counter
 from fractions import Fraction
 from itertools import accumulate
 
@@ -27,6 +28,7 @@ from abpc.graph import (
 from abpc.poly import Polynomial, flatten
 from abpc.rings import RingDescriptor, RingElement, int_embed
 from helpers import (
+    BUILDERS,
     FLAVORS,
     RING_FAMILIES,
     Q,
@@ -36,8 +38,10 @@ from helpers import (
     boxed_sweep,
     holds_rat_raw_form,
     is_canonical,
+    merged_heads,
     path_depths,
     plant_copy_chain,
+    plant_repeats,
     poly_sweep,
     random_abp,
     random_linear_label,
@@ -264,36 +268,50 @@ def expanded_in_edges(g):
 
 
 def copies(g):
-    """How many plan entries read an owner's value through the copy slot."""
+    """How many plan entries read an owner's value through the copy slot: a
+    head whose in-edges strictly extend its owner's."""
     plan = _compile(g)
     return plan.slots.count(len(plan.pairs))
 
 
+def merges(g):
+    """How many vertices share the position of an earlier vertex, whose
+    in-edges they repeat exactly."""
+    plan = _compile(g)
+    return len(plan.index) - len(plan.counts)
+
+
 def assert_plan_is_the_full_sort(g):
-    """The plan's order is the sort over every edge, and its flat tail and
-    slot lists, grouped by head through the in-edge counts and with each
-    copy entry expanded, hold exactly each head's in-edges in ``g.edges``
-    order with their labels, each label read through ``raws``: its own raw
-    dict, or over ``rat`` that dict times ``scale``.  Over ``rat`` each depth
-    is one more than its tails' largest (0 without tails) and each slot is a
-    distinct (label, shift) pair with the edge's shift; elsewhere depths and
-    shifts are 0."""
-    index, _counts, _tails, _slots, pairs, depths, raws, _linear, scale = _compile(g)
-    order = sorted(index, key=index.__getitem__)
-    assert order == topological_order(g.layer_order(), g.edges), g
+    """The plan's positions follow the sort over every edge, each at its
+    first vertex, and two vertices share a position exactly when
+    ``merged_heads`` maps them to one vertex.  Each vertex's in-edges in
+    ``g.edges`` order, tails mapped to their positions, are its position's
+    entries in the flat tail and slot lists, grouped through the in-edge
+    counts and with each copy entry expanded, and each label is read
+    through ``raws``: its own raw dict, or over ``rat`` that dict times
+    ``scale``.  Over ``rat`` each position's depth is one more than its
+    tails' largest (0 without tails) and each slot is a distinct (label,
+    shift) pair with the edge's shift; elsewhere depths and shifts are 0."""
+    index, counts, _tails, _slots, pairs, depths, raws, _linear, scale = _compile(g)
+    order = topological_order(g.layer_order(), g.edges)
+    first = merged_heads(g)
+    firsts = [v for v in order if first[v] == v]
+    assert sorted(index) == sorted(order), g
+    assert [index[v] for v in firsts] == list(range(len(counts))) == list(range(len(depths))), g
+    assert all(index[v] == index[first[v]] for v in order), g
     expanded = expanded_in_edges(g)
-    heads = {v: [] for v in order}
-    for u, v in g.edges:
-        heads[v].append(u)
-    assert [[order[t] for t, _s in ins] for ins in expanded] == list(heads.values()), g
-    planned = {(order[t], order[v]): raws[pairs[s][0]] for v, ins in enumerate(expanded) for t, s in ins}
-    assert len(depths) == len(order)
+    ins = {v: [] for v in order}
+    for (u, v), lab in g.edges.items():
+        ins[v].append((u, lab))
+    planned = []  # (label, raw read for it) per in-edge
+    for v in order:
+        assert [t for t, _s in expanded[index[v]]] == [index[u] for u, _lab in ins[v]], (g, v)
+        planned += [(lab, raws[pairs[s][0]]) for (_u, lab), (_t, s) in zip(ins[v], expanded[index[v]])]
     if g.ring.kind != "rat":
-        assert scale == 1 and all(g.edges[key].raw is raw for key, raw in planned.items())
+        assert scale == 1 and all(lab.raw is raw for lab, raw in planned)
         assert set(depths) <= {0} and pairs == [(s, 0) for s in range(len(raws))]
         return
-    assert all(raw == {m: c * scale for m, c in g.edges[key].raw.items()}
-               for key, raw in planned.items())
+    assert all(raw == {m: c * scale for m, c in lab.raw.items()} for lab, raw in planned)
     assert len(set(pairs)) == len(pairs)
     for v, ins in enumerate(expanded):
         assert depths[v] == max((1 + depths[t] for t, _s in ins), default=0)
@@ -320,17 +338,21 @@ def test_plan_order_on_random_programs(flavor):
 def test_plan_lists_share_their_ints(ring):
     """The plan's flat lists point at the int objects its vertex index and
     slot table hold, so they cost one pointer per entry and a sweep reads
-    them without creating an int."""
-    g = build_gradient_abp(12, 12, ring)[0]
-    plan = _compile(g)
-    assert all(type(xs) is list for xs in (plan.counts, plan.tails, plan.slots, plan.depths))
-    assert len(plan.tails) > len(plan.index) > 256  # past the small-int cache
-    assert len(plan.counts) == len(plan.index) and sum(plan.counts) == len(plan.tails)
-    tail_ids = {id(t) for t in plan.tails}
-    assert tail_ids <= {id(k) for k in plan.index.values()} and len(tail_ids) <= len(plan.index)
-    # the label or (label, shift) slots and the one copy slot
-    assert len({id(s) for s in plan.slots}) <= len(plan.pairs) + 1
-    assert (copies(g) > 0) == (ring != Q)
+    them without creating an int.  In the bivariate program most vertices
+    share a position, which holds one int object."""
+    for kind, n in (("gradient", 12), ("bivariate", 10)):
+        g = BUILDERS[kind](n, n, ring)
+        plan = _compile(g)
+        assert all(type(xs) is list for xs in (plan.counts, plan.tails, plan.slots, plan.depths))
+        assert len(plan.tails) > len(plan.counts) > 256  # past the small-int cache
+        assert len(plan.counts) == len(set(plan.index.values())) and sum(plan.counts) == len(plan.tails)
+        index_ids = {id(k) for k in plan.index.values()}
+        assert len(index_ids) == len(plan.counts), kind
+        assert {id(t) for t in plan.tails} <= index_ids, kind
+        # the label or (label, shift) slots and the one copy slot
+        assert len({id(s) for s in plan.slots}) <= len(plan.pairs) + 1
+        assert (copies(g) > 0) == (kind == "gradient" and ring != Q)
+        assert (merges(g) > 0) == (kind == "bivariate")
 
 
 # the plan entries of gradient n = 7, 12 and 24: the last entry of r_{i,j}
@@ -346,6 +368,29 @@ def test_plan_sizes_on_gradient(n):
         g = build_gradient_abp(n, n, ring)[0]
         want = len(g.edges) if ring == Q else PLAN_SIZES[n]
         assert len(_compile(g).tails) == want, (n, ring)
+        assert merges(g) == 0, (n, ring)
+
+
+# (vertices, edges, positions, plan entries) of the bivariate and
+# trace-recursion programs: a walk chain that starts at the same vertex as
+# an earlier one holds its values layer by layer, so its vertices take the
+# earlier chain's positions; over rat too, since equal in-edges give equal
+# depths.  Nothing is copied
+MERGED_PLAN_SIZES = {("bivariate", 6): (392, 1_435, 203, 854),
+                     ("bivariate", 10): (4_224, 27_896, 1_386, 10_274),
+                     ("charzero", 5): (506, 1_755, 256, 1_105),
+                     ("charzero", 6): (1_267, 5_406, 547, 2_886)}
+
+
+@pytest.mark.parametrize("kind, n", sorted(MERGED_PLAN_SIZES))
+def test_plan_sizes_on_merged_programs(kind, n):
+    vertices, edges, positions, entries = MERGED_PLAN_SIZES[kind, n]
+    for ring in (Z, Z4, Q) if kind == "bivariate" else (Q,):
+        g = BUILDERS[kind](n, n, ring)
+        plan = _compile(g)
+        assert (len(g.layer), len(g.edges)) == (vertices, edges), ring
+        assert (len(plan.counts), len(plan.tails)) == (positions, entries), ring
+        assert len(set(merged_heads(g).values())) == positions and copies(g) == 0, ring
 
 
 # -- heads that read an earlier head's value ---------------------------------------
@@ -362,22 +407,28 @@ def sweeps_agree(g, rng):
 @pytest.mark.parametrize("flavor", FLAVORS)
 @pytest.mark.parametrize("ring_name", sorted(RING_FAMILIES))
 def test_planted_heads_read_the_head_they_repeat(flavor, ring_name):
-    # a planted head reads the one it repeats unless it is a decoy or, over
-    # rat, deeper than that one, which gives its prefix edges other shifts
+    # a planted head that adds no in-edges repeats the one before exactly and
+    # takes its position, unless it is a decoy.  One that adds in-edges reads
+    # the one before unless it is a decoy or, over rat, deeper than that
+    # one, which gives its prefix edges other shifts
     ring = RING_FAMILIES[ring_name]
-    fired = planted = 0
+    fired = repeated = planted = 0
     for seed in range(30):
         rng = random.Random(f"copy/{flavor}/{ring_name}/{seed}")
         g = random_program(flavor, ring, rng.randint(1, 3), rng.randint(2, 4), rng)
         heads = plant_copy_chain(g, rng)
         assert validate(g) == [], seed
-        depth = path_depths(g)
-        want = sum(not decoy and (ring != Q or depth[head] == depth[prev]) for head, prev, decoy in heads)
+        depth, indegree, first = path_depths(g), Counter(v for _u, v in g.edges), merged_heads(g)
+        exact = [not decoy and indegree[head] == indegree[prev] for head, prev, decoy in heads]
+        want = sum(not decoy and not same and (ring != Q or depth[head] == depth[prev])
+                   for (head, prev, decoy), same in zip(heads, exact))
         assert copies(g) == want, seed
+        assert [first[head] == first[prev] for head, prev, _decoy in heads] == exact, seed
         assert_plan_is_the_full_sort(g)
         assert sweeps_agree(g, rng), seed
-        fired, planted = fired + want, planted + len(heads)
-    assert 0 < fired < planted
+        fired, repeated, planted = fired + want, repeated + sum(exact), planted + len(heads)
+    # in random_pabp's layers of width <= 2 a planted head has no tail left to add
+    assert 0 < repeated and 0 < fired + repeated < planted and (fired > 0) == (flavor != "pabp")
 
 
 def program_with_heads(ring, layers, edges, heads):
@@ -420,14 +471,59 @@ def test_a_deeper_head_does_not_read_the_head_it_repeats_over_rat(ring_name):
 @pytest.mark.parametrize("ring_name", sorted(RING_FAMILIES))
 def test_the_source_is_no_owner(ring_name):
     # outside every flavor: the source s has in-edges from a and b and sweeps
-    # after them, h begins with the same edges and labels, and h2 repeats h.
-    # s's value also holds its start, so h may not read it, but h2 reads h
+    # after them, h begins with the same edges and labels, h2 repeats h, h3
+    # adds an edge from z to h's, and h4 repeats s.  s's value also holds its
+    # start, so h may not read it and h4 may not take its position, but h2
+    # takes h's position and h3 reads h
     ring = RING_FAMILIES[ring_name]
-    layers = {"s": 0, "a": 1, "b": 1, "h": 2, "h2": 2}
-    g, rng = program_with_heads(ring, layers, (), (("s", "ab"), ("h", "abs"), ("h2", "abs")))
-    assert copies(g) == 1
+    layers = {"z": 0, "s": 0, "a": 1, "b": 1, "h": 2, "h2": 2, "h3": 2, "h4": 2}
+    g, rng = program_with_heads(ring, layers, (("z", "a"), ("z", "b")),
+                                (("s", "ab"), ("h", "abs"), ("h2", "abs"), ("h3", "absz"), ("h4", "ab")))
+    index = _compile(g).index
+    assert copies(g) == 1 and merges(g) == 1
+    assert index["h2"] == index["h"] and index["h4"] != index["s"]
     assert_plan_is_the_full_sort(g)
     assert sweeps_agree(g, rng)
+
+
+@pytest.mark.parametrize("flavor", FLAVORS)
+@pytest.mark.parametrize("ring_name", sorted(RING_FAMILIES))
+def test_a_repeated_sub_program_is_swept_once(flavor, ring_name):
+    # a planted copy of a two-layer sub-program takes the positions of the
+    # one it repeats; a decoy whose label equals w's but is another object
+    # and a vertex with the source's in-edges each keep a position of their own
+    ring = RING_FAMILIES[ring_name]
+    repeated = 0
+    for seed in range(20):
+        rng = random.Random(f"repeat/{flavor}/{ring_name}/{seed}")
+        g = random_program(flavor, ring, rng.randint(1, 3), rng.randint(2, 4), rng)
+        planted = plant_repeats(g, rng)
+        assert validate(g) == [], seed
+        index = _compile(g).index
+        for head, (like, shares) in planted.items():
+            assert (index[head] == index[like]) == shares, (seed, head)
+        assert_plan_is_the_full_sort(g)
+        assert sweeps_agree(g, rng), seed
+        repeated += "zrep1" in planted
+    assert repeated > 5
+
+
+def test_add_output_on_a_merged_vertex_keeps_the_plan():
+    rng = random.Random("cached/add_output/merged")
+    for ring in RING_FAMILIES.values():
+        g = build_bivariate_abp(4, 4, ring)
+        a = random_matrix(ring, 4, rng)
+        evaluate_all(g, a)
+        plan = _compile(g)
+        first = merged_heads(g)
+        vid = min(v for v in g.layer if first[v] != v and v not in g.outputs.values())
+        g.add_output("merged", vid)
+        g.add_output("first", first[vid])
+        values = evaluate_all(g, a)
+        assert _compile(g) is plan and plan.index[vid] == plan.index[first[vid]]
+        assert values["merged"] == values["first"]
+        assert canonical(values) == canonical(boxed_sweep(g, a))
+        assert expand_all(g) == poly_sweep(g)
 
 
 def edge_down_a_layer(ring, rng):

@@ -117,6 +117,32 @@ def test_topological_order_repeated_edges_ties_and_cycles():
     assert topological_order(["a", "b", "c", "d", "e"], edges) == ["a", "e"]
 
 
+def reference_topological_order(verts, edges):
+    """Kahn's algorithm that each step takes the earliest ready vertex of ``verts``."""
+    left = list(edges)
+    order, rest = [], list(verts)
+    while True:
+        ready = [v for v in rest if all(b != v for _a, b in left)]
+        if not ready:
+            return order
+        order.append(ready[0])
+        rest.remove(ready[0])
+        left = [(a, b) for a, b in left if a != ready[0]]
+
+
+def test_topological_order_matches_the_reference():
+    # edges that all go forward in verts return verts itself; any other
+    # edge set goes through the heap
+    rng = random.Random("topological")
+    for _ in range(300):
+        verts = [f"v{k}" for k in range(rng.randint(0, 7))]
+        rng.shuffle(verts)
+        edges = [tuple(rng.sample(verts, 2)) for _ in range(rng.randint(0, 8))] if len(verts) > 1 else []
+        if rng.random() < 0.5:
+            edges = [(a, b) if verts.index(a) < verts.index(b) else (b, a) for a, b in edges]
+        assert topological_order(verts, edges) == reference_topological_order(verts, edges), (verts, edges)
+
+
 def test_pabp_rejects_constant_edges():
     g = AbpGraph("pabp", Z, 1, 1)
     g.add_vertex("s", 0)
