@@ -30,8 +30,10 @@ vertex).  Over ``rat`` the labels are scaled to integers by one lcm G of
 their denominators, and the plan holds each vertex's depth e and each
 in-edge's slot as a (label, shift) pair: a vertex holds its value times
 G**e, an edge's factor is its scaled label times G**shift, and only the
-requested outputs become ``Fraction``s, once each.  Elsewhere every depth
-and shift is 0.
+requested outputs become ``Fraction``s, once each.  An integral constant
+is not scaled and adds no depth, so in the constructions a layer-j vertex
+has depth j, every shift is 0, and heads read earlier heads' values over
+``rat`` too.  Elsewhere every depth and shift is 0.
 """
 
 from __future__ import annotations
@@ -40,10 +42,10 @@ import heapq
 import json
 from collections import Counter
 from fractions import Fraction
-from itertools import accumulate, chain, groupby, islice, repeat
+from itertools import accumulate, chain, compress, groupby, islice, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from math import gcd, lcm
-from operator import mul
+from operator import add, mul
 from typing import (Collection, Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Sequence,
                     Set, Tuple)
 
@@ -310,20 +312,29 @@ class _Plan(NamedTuple):
     objects that ``index`` and the slot table hold, one pointer per entry.
     The counts are mostly small ints that Python caches, so they cost one
     pointer per position.  Slot s is the pair ``pairs[s]`` of a label's
-    index in ``raws`` and a shift, and slot ``len(pairs)`` is the copy
-    slot, whose factor is exactly 1: an entry through it, always its head's
-    first, reads the whole value of an earlier head that is not the source.
+    index in ``raws`` and a shift: label s at shift 0 for each label s,
+    then one slot per (label, shift > 0) pair that some edge needs.  Slot
+    ``len(pairs)`` is the copy slot, whose factor is exactly 1: an entry
+    through it, always its head's first, reads the whole value of an
+    earlier head that is not the source.
 
-    A sweep gives a label with value F / G the factor ``F * G**shift`` and
-    starts the source at ``G**depths[source]``; position k then holds its
-    value times ``G**depths[k]``.  Over ``rat`` a depth is 0 without
-    in-edges, else 1 + the largest depth of its tails, an edge u -> v has
-    shift depths[v] - 1 - depths[u], and ``raws`` holds each label's raw
-    dict times ``scale``, the lcm C of all the labels' coefficients'
-    denominators, on integers.  Elsewhere every depth and shift is 0, slot s is (s, 0),
-    ``raws`` holds the labels' own dicts and C is 1.  ``linear`` holds each
-    of ``raws`` decoded once, as (flat index, coefficient) pairs with -1
-    for the constant term, so an evaluation decodes no monomial."""
+    Label L has ``deltas[L]`` = 1 when its value can carry a denominator:
+    over ``rat`` every label but an integral constant, elsewhere none.  A
+    depth is 0 without in-edges, else the largest depths[u] + delta over
+    the in-edges u -> v, and that edge's shift is depths[v] - depths[u] -
+    delta.  A sweep gives a label with delta 1 and value F / G the factor
+    ``F * G**shift`` and an integral constant c the factor ``c *
+    G**shift``, and starts the source at ``G**depths[source]``; position k
+    then holds its value times ``G**depths[k]``.  So in a valid ``abp`` or
+    ``pabp`` whose constant edges are integral, each vertex the source
+    reaches has its layer as depth; the constructions' rat plans have no
+    shifted slot.  Over ``rat`` ``raws`` holds each integral constant's own
+    raw dict and every other label's times ``scale``, the lcm C of all the
+    labels' coefficients' denominators, on integers.  Elsewhere every depth
+    and shift is 0, ``raws`` holds the labels' own dicts and C is 1.
+    ``linear`` holds each of ``raws`` decoded once, as (flat index,
+    coefficient) pairs with -1 for the constant term, so an evaluation
+    decodes no monomial."""
 
     index: Dict[str, int]
     counts: List[int]
@@ -331,6 +342,7 @@ class _Plan(NamedTuple):
     slots: List[int]
     pairs: List[Tuple[int, int]]
     depths: List[int]
+    deltas: List[int]
     raws: List[Raw]
     linear: List[List[Tuple[int, Value]]]
     scale: int
@@ -363,8 +375,9 @@ def _compile(g: AbpGraph) -> _Plan:
 def _plan(g: AbpGraph, order: List[str]) -> Optional[_Plan]:
     """``_compile``'s plan over ``order``, or None if some edge's tail does
     not come before its head in it.  Over ``rat`` one more pass in sweep
-    order gives each vertex its depth and each in-edge its (label, shift)
-    slot; the plain plan has one slot per label.
+    order gives each vertex its depth and moves each in-edge whose shift is
+    not 0 to its (label, shift) slot; every other in-edge keeps its label's
+    own slot, as in the plan of every other ring.
 
     A last pass, in sweep order, maps each head's tails to their positions.
     A head whose in-edge list (tails and slots, in order) equals an earlier
@@ -394,19 +407,25 @@ def _plan(g: AbpGraph, order: List[str]) -> Optional[_Plan]:
             labels.append(lab)
         tails[kv].append(ku)
         slots[kv].append(s)
+    pairs = [(s, 0) for s in range(len(labels))]
     if g.ring.kind == RAT:
+        # an integral constant keeps its tail's depth; any other label can carry a denominator
+        deltas = [0 if len(lab.raw) == 1 and type(lab.raw.get(1)) is int else 1 for lab in labels]
         depths: List[int] = []
-        slot_of_pair: Dict[Tuple[int, int], int] = {}
+        shifted: Dict[Tuple[int, int], int] = {}  # (label, shift > 0) -> slot
         for ts, ss in zip(tails, slots):
-            e = 1 + max(map(depths.__getitem__, ts)) if ts else 0
-            ss[:] = [slot_of_pair.setdefault((s, e - 1 - depths[u]), len(slot_of_pair))
-                     for u, s in zip(ts, ss)]
+            reach = list(map(add, map(depths.__getitem__, ts), map(deltas.__getitem__, ss)))
+            e = max(reach, default=0)
             depths.append(e)
-        pairs = list(slot_of_pair)
+            if reach.count(e) != len(reach):
+                ss[:] = [s if r == e else shifted.setdefault((s, e - r), len(pairs) + len(shifted))
+                         for s, r in zip(ss, reach)]
+        pairs += shifted
         scale = lcm(*(a.denominator for lab in labels for a in lab.raw.values()))
-        raws = [{m: a.numerator * (scale // a.denominator) for m, a in lab.raw.items()} for lab in labels]
+        raws = [{m: a.numerator * (scale // a.denominator) for m, a in lab.raw.items()} if delta else lab.raw
+                for lab, delta in zip(labels, deltas)]
     else:
-        depths, pairs, scale = [0] * len(order), [(s, 0) for s in range(len(labels))], 1
+        deltas, depths, scale = [0] * len(labels), [0] * len(order), 1
         raws = [lab.raw for lab in labels]
     copy, source = len(pairs), index[g.source]
     at = list(index.values())  # each vertex's position, by its index in order
@@ -457,7 +476,7 @@ def _plan(g: AbpGraph, order: List[str]) -> Optional[_Plan]:
               for raw in raws]
     # lists, not int arrays: a sweep then reads each tail and slot without boxing an int
     return _Plan(index, list(map(len, tails)), list(chain.from_iterable(tails)),
-                 list(chain.from_iterable(slots)), pairs, depths, raws, linear, scale)
+                 list(chain.from_iterable(slots)), pairs, depths, deltas, raws, linear, scale)
 
 
 def _powers(plan: _Plan, scale: int) -> List[int]:
@@ -481,20 +500,23 @@ def _sweep(plan: _Plan, source: int, start: int, factors: List[int], modulus: in
 
 
 def _rational_factors(plan: _Plan, flat: List[Fraction]) -> Tuple[List[int], int]:
-    """Integers F and one scale G with each label's value at ``flat`` equal
-    to F / G, where G is the lcm of the values' denominators.
+    """Each label's integer F and one scale G with the label's value at
+    ``flat`` equal to F / G**delta: an integral constant's F is the
+    constant, and G is the lcm of the other values' denominators.
 
     Everything is computed on integers.  With D the lcm of the entries'
-    denominators, each of the plan's integer label dicts (a label times C)
-    at the entries times D is the label's value times C * D; the common
-    factor of that scale and those integers is divided out at the end.
+    denominators, each of the plan's integer label dicts at the entries
+    times D is an integral constant times D, or any other label's value
+    times C * D; the common factor of C * D and the latter is divided out
+    at the end.
     """
     d = lcm(*(x.denominator for x in flat))
     entries = [x.numerator * (d // x.denominator) for x in flat]
     entries.append(d)  # at index -1, the constant term's
     factors = [sum(a * entries[v] for v, a in terms) for terms in plan.linear]
-    common = gcd(plan.scale * d, *factors)
-    return [f // common for f in factors], plan.scale * d // common
+    common = gcd(plan.scale * d, *compress(factors, plan.deltas))
+    factors = [f // common if delta else f // d for f, delta in zip(factors, plan.deltas)]
+    return factors, plan.scale * d // common
 
 
 def _evaluate(g: AbpGraph, entries: Sequence[Sequence[RingElement]],
@@ -502,8 +524,8 @@ def _evaluate(g: AbpGraph, entries: Sequence[Sequence[RingElement]],
     """The named outputs at a concrete matrix from a single forward sweep
     on integers; only those outputs are boxed as ring elements.
 
-    Over ``rat`` every label value is F / G with one lcm G, and an output
-    at depth e with integer W is boxed once as ``Fraction(W, G**e)``.
+    Over ``rat`` every label value is F / G**delta with one lcm G, and an
+    output at depth e with integer W is boxed once as ``Fraction(W, G**e)``.
     """
     n, ring = g.ambient_n, g.ring
     if len(entries) != n or any(len(row) != n for row in entries):

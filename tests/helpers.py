@@ -670,15 +670,22 @@ def random_program(flavor: str, ring: RingDescriptor, n: int, d: int,
     return random_aabp(ring, n, rng, inner=d)
 
 
+def label_delta(label: Polynomial) -> int:
+    """0 for a constant label whose value is an integer, which carries no
+    denominator, and 1 for any other label."""
+    return 0 if label.degree == 0 and label.constant_term().value.denominator == 1 else 1
+
+
 def path_depths(g: AbpGraph) -> Dict[str, int]:
-    """Each vertex's depth: 0 without in-edges, else one more than the
-    largest depth of its tails."""
-    ins: Dict[str, List[str]] = {v: [] for v in g.layer}
-    for u, v in g.edges:
-        ins[v].append(u)
+    """Each vertex's depth over ``rat``: 0 without in-edges, else the
+    largest over its in-edges of the tail's depth plus the label's
+    ``label_delta``."""
+    ins: Dict[str, List[Tuple[str, int]]] = {v: [] for v in g.layer}
+    for (u, v), lab in g.edges.items():
+        ins[v].append((u, label_delta(lab)))
     depth: Dict[str, int] = {}
     for v in topological_order(g.layer_order(), g.edges):
-        depth[v] = max((1 + depth[u] for u in ins[v]), default=0)
+        depth[v] = max((depth[u] + delta for u, delta in ins[v]), default=0)
     return depth
 
 

@@ -25,6 +25,7 @@ from abpc.graph import (
     topological_order,
     validate,
 )
+from abpc.oracle import cpc_table
 from abpc.poly import Polynomial, flatten
 from abpc.rings import RingDescriptor, RingElement, int_embed
 from helpers import (
@@ -38,6 +39,7 @@ from helpers import (
     boxed_sweep,
     holds_rat_raw_form,
     is_canonical,
+    label_delta,
     merged_heads,
     path_depths,
     plant_copy_chain,
@@ -289,10 +291,12 @@ def assert_plan_is_the_full_sort(g):
     entries in the flat tail and slot lists, grouped through the in-edge
     counts and with each copy entry expanded, and each label is read
     through ``raws``: its own raw dict, or over ``rat`` that dict times
-    ``scale``.  Over ``rat`` each position's depth is one more than its
-    tails' largest (0 without tails) and each slot is a distinct (label,
-    shift) pair with the edge's shift; elsewhere depths and shifts are 0."""
-    index, counts, _tails, _slots, pairs, depths, raws, _linear, scale = _compile(g)
+    ``scale`` unless the label is an integral constant.  Each slot is a
+    distinct (label, shift) pair, and label s at shift 0 is slot s.  Over
+    ``rat`` each position's depth is its vertices' ``path_depths`` and each
+    in-edge's shift is the head's depth minus the tail's minus the label's
+    ``label_delta``; elsewhere every depth, delta and shift is 0."""
+    index, counts, _tails, _slots, pairs, depths, deltas, raws, _linear, scale = _compile(g)
     order = topological_order(g.layer_order(), g.edges)
     first = merged_heads(g)
     firsts = [v for v in order if first[v] == v]
@@ -303,20 +307,23 @@ def assert_plan_is_the_full_sort(g):
     ins = {v: [] for v in order}
     for (u, v), lab in g.edges.items():
         ins[v].append((u, lab))
-    planned = []  # (label, raw read for it) per in-edge
+    planned = []  # (tail, head, label, slot) per in-edge
     for v in order:
         assert [t for t, _s in expanded[index[v]]] == [index[u] for u, _lab in ins[v]], (g, v)
-        planned += [(lab, raws[pairs[s][0]]) for (_u, lab), (_t, s) in zip(ins[v], expanded[index[v]])]
+        planned += [(u, v, lab, s) for (u, lab), (_t, s) in zip(ins[v], expanded[index[v]])]
+    assert len(set(pairs)) == len(pairs) and pairs[:len(raws)] == [(s, 0) for s in range(len(raws))]
     if g.ring.kind != "rat":
-        assert scale == 1 and all(lab.raw is raw for lab, raw in planned)
-        assert set(depths) <= {0} and pairs == [(s, 0) for s in range(len(raws))]
+        assert scale == 1 and all(lab.raw is raws[pairs[s][0]] for _u, _v, lab, s in planned)
+        assert set(depths) <= {0} and set(deltas) <= {0} and len(pairs) == len(raws)
         return
-    assert all(raw == {m: c * scale for m, c in lab.raw.items()} for lab, raw in planned)
-    assert len(set(pairs)) == len(pairs)
-    for v, ins in enumerate(expanded):
-        assert depths[v] == max((1 + depths[t] for t, _s in ins), default=0)
-        for t, s in ins:
-            assert pairs[s][1] == depths[v] - 1 - depths[t] >= 0
+    depth = path_depths(g)
+    assert [depths[index[v]] for v in order] == [depth[v] for v in order], g
+    for u, v, lab, s in planned:
+        label, shift = pairs[s]
+        delta = label_delta(lab)
+        assert deltas[label] == delta
+        assert (raws[label] is lab.raw) if delta == 0 else (raws[label] == {m: c * scale for m, c in lab.raw.items()})
+        assert shift == depth[v] - depth[u] - delta >= 0
 
 
 @pytest.mark.parametrize("ring_name", sorted(RING_FAMILIES))
@@ -351,14 +358,14 @@ def test_plan_lists_share_their_ints(ring):
         assert {id(t) for t in plan.tails} <= index_ids, kind
         # the label or (label, shift) slots and the one copy slot
         assert len({id(s) for s in plan.slots}) <= len(plan.pairs) + 1
-        assert (copies(g) > 0) == (kind == "gradient" and ring != Q)
+        assert (copies(g) > 0) == (kind == "gradient")
         assert (merges(g) > 0) == (kind == "bivariate")
 
 
 # the plan entries of gradient n = 7, 12 and 24: the last entry of r_{i,j}
 # (vertex r_i_j_i) reads that of r_{i-1,j} through the copy slot instead of
 # repeating its in-edges, the running sum over r_{i',j-1} C_{i'}; over rat
-# those vertices' depths differ, so nothing is copied
+# too, since the constant-1 trace chain keeps every vertex at its layer's depth
 PLAN_SIZES = {7: 646, 12: 5_597, 24: 85_263}
 
 
@@ -366,8 +373,7 @@ PLAN_SIZES = {7: 646, 12: 5_597, 24: 85_263}
 def test_plan_sizes_on_gradient(n):
     for ring in (Z, Z4, Q):
         g = build_gradient_abp(n, n, ring)[0]
-        want = len(g.edges) if ring == Q else PLAN_SIZES[n]
-        assert len(_compile(g).tails) == want, (n, ring)
+        assert len(_compile(g).tails) == PLAN_SIZES[n], (n, ring)
         assert merges(g) == 0, (n, ring)
 
 
@@ -410,7 +416,8 @@ def test_planted_heads_read_the_head_they_repeat(flavor, ring_name):
     # a planted head that adds no in-edges repeats the one before exactly and
     # takes its position, unless it is a decoy.  One that adds in-edges reads
     # the one before unless it is a decoy or, over rat, deeper than that
-    # one, which gives its prefix edges other shifts
+    # one (through an added edge whose label is not an integral constant),
+    # which gives its prefix edges other shifts
     ring = RING_FAMILIES[ring_name]
     fired = repeated = planted = 0
     for seed in range(30):
@@ -431,13 +438,13 @@ def test_planted_heads_read_the_head_they_repeat(flavor, ring_name):
     assert 0 < repeated and 0 < fired + repeated < planted and (fired > 0) == (flavor != "pabp")
 
 
-def program_with_heads(ring, layers, edges, heads):
-    """An abp with n = 2 and source s over the vertices and layers of
+def program_with_heads(ring, layers, edges, heads, flavor="abp"):
+    """A program with n = 2 and source s over the vertices and layers of
     ``layers``: an edge with its own label for each pair of ``edges``, a
     constant one inside a layer, then for each (head, tails) of ``heads``
     an edge from each tail with one label per tail, so heads share the
     labels of their common tails.  Each head is an output."""
-    g = AbpGraph("abp", ring, 2, 2)
+    g = AbpGraph(flavor, ring, 2, max(layers.values()))
     for vid, layer in layers.items():
         g.add_vertex(vid, layer)
     g.set_source("s")
@@ -455,17 +462,95 @@ def program_with_heads(ring, layers, edges, heads):
 @pytest.mark.parametrize("ring_name", sorted(RING_FAMILIES))
 def test_a_deeper_head_does_not_read_the_head_it_repeats_over_rat(ring_name):
     # h1 repeats h0's in-edges and adds e; h2 repeats h1's and adds c.  Over
-    # rat a, b and e have depth 1 and c, behind the constant edge a -> c,
-    # depth 2, so h1 has h0's depth 2 but h2 has depth 3: its edges from a, b
-    # and e have other shifts than h1's
+    # rat a, b and e have depth 1 and c, behind the linear edge a -> c of
+    # this aabp, depth 2, so h1 has h0's depth 2 but h2 has depth 3: its
+    # edges from a, b and e have other shifts than h1's
     ring = RING_FAMILIES[ring_name]
-    layers = {"s": 0, "a": 1, "b": 1, "c": 1, "e": 1, "h0": 2, "h1": 2, "h2": 2}
+    layers = {"s": 0, "a": 1, "b": 1, "e": 1, "c": 2, "h0": 3, "h1": 3, "h2": 3}
     g, rng = program_with_heads(ring, layers, (("s", "a"), ("s", "b"), ("s", "e"), ("a", "c")),
-                                (("h0", "ab"), ("h1", "abe"), ("h2", "abec")))
-    assert path_depths(g)["h2"] == 3
+                                (("h0", "ab"), ("h1", "abe"), ("h2", "abec")), flavor="aabp")
+    assert validate(g) == [] and path_depths(g)["h2"] == 3
     assert copies(g) == (1 if ring == Q else 2)
     assert_plan_is_the_full_sort(g)
     assert sweeps_agree(g, rng)
+
+
+# -- depths over rat ------------------------------------------------------------------
+
+
+def plant_constant_edges(g, rng):
+    """Plant an edge of 1, of -3 and of 1/2 (5 off rat) from a random
+    non-source vertex w with in-edges to a new vertex each, in an ``aabp``
+    also an edge of x[1,1] + 1, and an edge with a linear label from each
+    new vertex to one new head h.  The new vertices sit in w's layer, or
+    in an ``aabp`` at the next index, and h one layer or index further.
+    Returns w and the new vertex of each planted label by name, or None
+    when g has no such w."""
+    ring, n, layer = g.ring, g.ambient_n, g.layer
+    step = 1 if g.flavor == "aabp" else 0
+    tails = sorted({v for _u, v in g.edges if v != g.source and (step or layer[v] < g.num_layers)})
+    if not tails:
+        return None
+    w = rng.choice(tails)
+    labels = {"one": 1, "minus3": -3, "half": Fraction(1, 2) if ring == Q else 5}
+    labels = {name: Polynomial.constant(ring, n, RingElement(Q, c) if ring == Q else int_embed(ring, c))
+              for name, c in labels.items()}
+    if g.flavor == "aabp":
+        labels["affine"] = Polynomial.variable(ring, n, 1, 1) + Polynomial.from_int(ring, n, 1)
+    planted = {name: g.add_vertex(f"z_{name}", layer[w] + step) for name in labels}
+    g.add_vertex("z_h", layer[w] + step + 1)
+    g.add_edges((w, planted[name], lab) for name, lab in labels.items())
+    g.add_edges((z, "z_h", random_linear_label(ring, n, rng)) for z in planted.values())
+    for vid in (*planted.values(), "z_h"):
+        g.add_output(vid, vid)
+    return w, planted
+
+
+@pytest.mark.parametrize("flavor", FLAVORS)
+@pytest.mark.parametrize("ring_name", sorted(RING_FAMILIES))
+def test_integral_constant_edges_keep_the_tail_depth(flavor, ring_name):
+    # over rat the edges of 1 and -3 keep w's depth and those of 1/2 and
+    # x[1,1] + 1 add one, so h reads the vertices behind 1 and -3 at shift 1;
+    # elsewhere every depth is 0.  A pabp's planted constant edges leave its
+    # flavor, which the sweeps do not read
+    ring = RING_FAMILIES[ring_name]
+    planted_any = 0
+    for seed in range(10):
+        rng = random.Random(f"depth/{flavor}/{ring_name}/{seed}")
+        g = random_program(flavor, ring, rng.randint(1, 3), rng.randint(2, 4), rng)
+        found = plant_constant_edges(g, rng)
+        if found is None:
+            continue
+        w, planted = found
+        planted_any += 1
+        assert flavor == "pabp" or validate(g) == [], seed
+        plan = _compile(g)
+        depth = {v: plan.depths[plan.index[v]] for v in g.layer}
+        if ring == Q:
+            # one, minus3, half, then affine in an aabp
+            assert [depth[z] - depth[w] for z in planted.values()] == [0, 0, 1, 1][:len(planted)], seed
+            assert depth["z_h"] == depth[w] + 2 and len(plan.pairs) > len(plan.raws), seed
+        else:
+            assert set(depth.values()) == {0} and len(plan.pairs) == len(plan.raws), seed
+        assert_plan_is_the_full_sort(g)
+        assert sweeps_agree(g, rng), seed
+    assert planted_any > 5
+
+
+@pytest.mark.parametrize("kind", sorted(BUILDERS))
+def test_rat_plans_of_the_constructions_follow_the_layers(kind):
+    # the constructions' constant edges are integral, so over rat each vertex's
+    # depth is its layer, no edge has a shift, and the plan is the int plan
+    for n in range(1, 9):
+        g = BUILDERS[kind](n, n, Q)
+        plan = _compile(g)
+        assert max(plan.depths) <= g.num_layers, (kind, n)
+        assert all(plan.depths[plan.index[v]] == layer for v, layer in g.layer.items()), (kind, n)
+        assert len(plan.pairs) == len(plan.raws), (kind, n)
+        if kind != "charzero":
+            other = _compile(BUILDERS[kind](n, n, Z))
+            assert (plan.index, plan.counts, plan.tails, plan.slots) == \
+                (other.index, other.counts, other.tails, other.slots), (kind, n)
 
 
 @pytest.mark.parametrize("ring_name", sorted(RING_FAMILIES))
@@ -717,6 +802,21 @@ def test_rational_sweep_on_constructions(dens):
             got = canonical(evaluate_all(g, a))
             assert got == canonical(boxed_sweep(g, a)), (dens, g)
             assert all(kind is Fraction for kind, _v in got.values())
+
+
+@pytest.mark.parametrize("n, top", [(12, 1_000), pytest.param(30, 100, marks=pytest.mark.slow)])
+def test_gradient_outputs_match_berkowitz_at_large_denominators(n, top):
+    # with denominators drawn from 1..top the scale G is large, and each
+    # vertex holds its value times G to the power of its layer
+    rng = random.Random(f"rational/gradient/{n}/{top}")
+    g = build_gradient_abp(n, n, Q)[0]
+    a = rational_matrix(n, rng, range(1, top + 1))
+    table = cpc_table(a, Q)
+    values = evaluate_all(g, a)
+    assert max(_compile(g).depths) == n and len(values) == (n + 1) * (n + 2) // 2
+    for name, value in values.items():
+        _, i, j = name.split("_")
+        assert value == table[(int(i), int(j))], name
 
 
 @pytest.mark.parametrize("dens", sorted(DENOMINATORS))
